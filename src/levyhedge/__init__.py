@@ -1,6 +1,7 @@
 """Quadratic-hedging (local risk minimization) ratios for European calls
 under exponential Levy models, computed with damped Fourier transforms
-on a radix-2 FFT grid and validated against adaptive-quadrature oracles.
+(numpy FFT grid or direct sums) over a Levy exponent sampled once per
+model, and validated against adaptive-quadrature oracles.
 """
 
 from .core import (
@@ -30,11 +31,9 @@ from .core import (
 )
 from .fft_engine import (
     CarrMadanGrid,
-    DampedTransformRequest,
     FftConfig,
     carr_madan_grid,
     direct_simpson_sum,
-    radix2_fft,
     simpson_weights,
     tail_condition_check,
 )
@@ -42,10 +41,10 @@ from .lrm import (
     MODE_AUTO,
     MODE_DIRECT_SUM,
     MODE_FFT_GRID,
+    LevySample,
     LrmResult,
     MoneynessQuery,
     TransformContext,
-    char_fn,
     i1,
     i2,
     jump_impact,
@@ -60,6 +59,7 @@ from .merton import (
     MertonI2Decomposition,
     merton_c1,
     merton_char_fn,
+    merton_exponent,
     merton_i2_terms,
     merton_mmm_measure,
     merton_trunc_i1,
@@ -71,6 +71,7 @@ from .variance_gamma import (
     VgI2Weights,
     vg_c2,
     vg_char_fn,
+    vg_exponent,
     vg_i2_weights,
     vg_kernel,
     vg_kernel_bound,

@@ -20,10 +20,8 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO
 
@@ -42,11 +40,12 @@ from .lrm import (
     MODE_AUTO,
     MODE_DIRECT_SUM,
     MODE_FFT_GRID,
+    LevySample,
     LrmResult,
     MoneynessQuery,
-    TransformContext,
+    SliceBounds,
     lrm_by_moneyness,
-    lrm_strike_sweep,
+    sweep_slice,
 )
 
 EXIT_OK = 0
@@ -269,19 +268,6 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _workers() -> int:
-    raw = os.environ.get("LRM_WORKERS")
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ConfigError(f"LRM_WORKERS must be an integer, got {raw!r}")
-        if n < 1:
-            raise ConfigError("LRM_WORKERS must be >= 1")
-        return n
-    return os.cpu_count() or 1
-
-
 def _require_query(cfg: RunConfig) -> None:
     if not cfg.t_values or not cfg.strikes:
         raise ConfigError("the command needs query.t/t_grid and query.strike/strike_grid")
@@ -289,11 +275,12 @@ def _require_query(cfg: RunConfig) -> None:
 
 def _max_trunc_bound(cfg: RunConfig) -> float:
     """Largest truncation requirement across the configured grid cells."""
+    mmm = mmm_quantities(cfg.model)
     worst = 0.0
     for t in cfg.t_values:
-        ctx = TransformContext(cfg.model, cfg.fft, cfg.maturity - t, cfg.spot)
+        bounds = SliceBounds(cfg.model, mmm, cfg.fft, cfg.maturity - t, cfg.spot)
         for strike in cfg.strikes:
-            worst = max(worst, max(ctx.trunc_bounds(strike)))
+            worst = max(worst, *bounds(strike))
     return worst
 
 
@@ -319,18 +306,6 @@ def cmd_validate(cfg: RunConfig, out: Optional[TextIO] = None) -> int:
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
-def _sweep_one_slice(cfg: RunConfig, t: float) -> list[LrmResult]:
-    return lrm_strike_sweep(
-        cfg.model,
-        cfg.fft,
-        t=t,
-        T=cfg.maturity,
-        spot=cfg.spot,
-        strikes=cfg.strikes,
-        mode=cfg.mode,
-    )
-
-
 def _open_output(cfg: RunConfig):
     if cfg.output == "stdout":
         return sys.stdout, False
@@ -339,12 +314,13 @@ def _open_output(cfg: RunConfig):
 
 def cmd_curve(cfg: RunConfig) -> int:
     _require_query(cfg)
-    mmm_quantities(cfg.model)  # raises AssumptionError -> exit 1
     started = time.perf_counter()
-    # parallel across time slices; strikes within a slice share one
-    # sampled-array context, so they stay together
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        per_slice = list(pool.map(lambda t: _sweep_one_slice(cfg, t), cfg.t_values))
+    # every time slice is exp(tau Psi) over one shared contour sample
+    sample = LevySample(cfg.model, cfg.fft, cfg.spot)
+    per_slice = [
+        sweep_slice(sample, t=t, T=cfg.maturity, strikes=cfg.strikes, mode=cfg.mode)
+        for t in cfg.t_values
+    ]
     elapsed = time.perf_counter() - started
 
     handle, owned = _open_output(cfg)
@@ -396,13 +372,12 @@ def cmd_impact(cfg: RunConfig, jump_sizes: Sequence[float]) -> int:
     started = time.perf_counter()
     before = lrm_by_moneyness(MoneynessQuery(base_m, tau), cfg.model, cfg.fft, cfg.mode)
 
-    def after_for(y: float) -> float:
-        return lrm_by_moneyness(
+    afters = [
+        lrm_by_moneyness(
             MoneynessQuery(base_m * math.exp(-y), tau), cfg.model, cfg.fft, cfg.mode
         )
-
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        afters = list(pool.map(after_for, jump_sizes))
+        for y in jump_sizes
+    ]
     elapsed = time.perf_counter() - started
 
     handle, owned = _open_output(cfg)

@@ -27,6 +27,8 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 # Queries closer to expiry than this are rejected: every frequency
 # truncation bound in this package diverges as tau -> 0.
 TAU_MIN = 1e-6
@@ -35,6 +37,10 @@ TAU_MIN = 1e-6
 # parametrizations sitting exactly on it (mu_S == 0 up to roundoff of
 # O(1) sums) validate and yield h == 0.
 _DRIFT_TOL = 1e-12
+
+# exp() overflows just above exp(709); clamp with headroom so a poisoned
+# sample array can never reach the FFT
+_EXP_GUARD = 700.0
 
 
 class LevyHedgeError(Exception):
@@ -85,6 +91,21 @@ def _require(condition: bool, message: str) -> None:
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+
+
+def levy_char_fn(psi, tau: float):
+    """phi_tau = exp(tau * Psi) from the Levy exponent Psi (scalar or
+    array), refusing any exponent whose real part would overflow exp()."""
+    if tau < 0.0:
+        raise InvalidParameterError("tau must be >= 0")
+    exponent = tau * np.asarray(psi, dtype=complex)
+    peak = float(np.max(exponent.real)) if exponent.size else 0.0
+    if peak > _EXP_GUARD:
+        raise OverflowGuardError(
+            f"characteristic exponent real part {peak:.3g} exceeds {_EXP_GUARD:g}"
+        )
+    out = np.exp(exponent)
+    return out if np.ndim(psi) else complex(out)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,9 @@ the sum is a plain DFT
 
     F(l) = sum_j e^{-i 2 pi j l / N} [e^{i pi j} psi_j w_j],
 
-computed here with a hand-rolled radix-2 transform; or evaluated at one
-exact k by direct summation.  Both paths share the same arithmetic, only
-the association order differs.
+computed here with numpy's FFT; or evaluated at one exact k by direct
+summation.  Both paths share the same arithmetic, only the association
+order differs.
 """
 
 from __future__ import annotations
@@ -24,11 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FftSizeError, InvalidParameterError, _require
-
-WEIGHTING_SIMPSON = "simpson"
-# plain eta-spaced weights of the unweighted Riemann/trapezoid-style sum;
-# kept behind this flag for auditing the Simpson variant against it
-WEIGHTING_UNIFORM = "trapezoid"
 
 
 @dataclass(frozen=True)
@@ -66,97 +61,17 @@ class FftConfig:
         """Contour samples eta*j - i*alpha, j = 0..N-1."""
         return self.eta * np.arange(self.n) - 1j * self.alpha
 
-    def k_grid(self) -> np.ndarray:
-        return -self.k_limit + self.k_step * np.arange(self.n)
-
 
 def simpson_weights(n: int, eta: float) -> np.ndarray:
     """w_j = (eta/3) (3 + (-1)^{j+1} - delta_{j0}); j=0 gets eta/3, then
     the 4/3, 2/3 alternation."""
     _require(n >= 2, "need n >= 2")
     _require(eta > 0.0, "eta must be > 0")
-    j = np.arange(n)
-    w = (eta / 3.0) * (3.0 + (-1.0) ** (j + 1))
-    w[0] = eta / 3.0
+    third = eta / 3.0
+    w = np.full(n, 2.0 * third)
+    w[1::2] = 4.0 * third
+    w[0] = third
     return w
-
-
-def uniform_weights(n: int, eta: float) -> np.ndarray:
-    """Plain eta-spaced weights of the unweighted sum (audit path)."""
-    _require(n >= 2, "need n >= 2")
-    _require(eta > 0.0, "eta must be > 0")
-    return np.full(n, eta)
-
-
-def _weights(n: int, eta: float, weighting: str) -> np.ndarray:
-    if weighting == WEIGHTING_SIMPSON:
-        return simpson_weights(n, eta)
-    if weighting == WEIGHTING_UNIFORM:
-        return uniform_weights(n, eta)
-    raise InvalidParameterError(f"unknown weighting {weighting!r}")
-
-
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros_like(idx)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-def radix2_fft(x) -> np.ndarray:
-    """Decimation-in-time Cooley-Tukey DFT, F(l) = sum_j e^{-2 pi i jl/N} x_j.
-
-    Same sign and normalization as the naive sum (negative exponent, no
-    1/N factor).  The butterfly cascade accumulates every output as a
-    balanced pairwise tree, which is what keeps roundoff at the 1e-15
-    level for the grid sizes used here.
-    """
-    x = np.asarray(x, dtype=complex)
-    if x.ndim != 1:
-        raise FftSizeError("input must be one-dimensional")
-    n = x.size
-    if n == 0 or (n & (n - 1)) != 0:
-        raise FftSizeError(f"size {n} is not a power of two")
-    out = x[_bit_reverse_indices(n)]
-    size = 2
-    while size <= n:
-        half = size // 2
-        twiddle = np.exp(-2j * math.pi * np.arange(half) / size)
-        blocks = out.reshape(-1, size)
-        upper = blocks[:, :half]
-        lower = blocks[:, half:] * twiddle
-        blocks[:, half:] = upper - lower
-        blocks[:, :half] = upper + lower
-        size *= 2
-    return out
-
-
-@dataclass(frozen=True)
-class DampedTransformRequest:
-    """Sampled kernel psi(eta*j - i*alpha) plus the grid it lives on."""
-
-    psi_samples: np.ndarray
-    alpha: float
-    eta: float
-    k_targets: tuple[float, ...] = ()
-    weighting: str = WEIGHTING_SIMPSON
-
-    def __post_init__(self) -> None:
-        psi = np.asarray(self.psi_samples, dtype=complex)
-        object.__setattr__(self, "psi_samples", psi)
-        _require(self.eta > 0.0, "eta must be > 0")
-        _require(1.0 < self.alpha <= 2.0, "alpha must lie in (1, 2]")
-        if not np.all(np.isfinite(psi.real)) or not np.all(np.isfinite(psi.imag)):
-            raise InvalidParameterError("psi samples must be finite")
-        k_max = math.pi / self.eta
-        for k in self.k_targets:
-            if not abs(k) < k_max:
-                raise InvalidParameterError(
-                    f"log-strike {k:g} outside the representable range (-pi/eta, pi/eta)"
-                )
 
 
 @dataclass(frozen=True)
@@ -177,12 +92,9 @@ class CarrMadanGrid:
             )
         return float(np.interp(k, self.k, self.values))
 
-    def as_dict(self) -> dict[float, float]:
-        return dict(zip(self.k.tolist(), self.values.tolist()))
 
-
-def carr_madan_grid(request: DampedTransformRequest) -> CarrMadanGrid:
-    """All grid values in one radix-2 transform:
+def carr_madan_grid(psi_samples: np.ndarray, alpha: float, eta: float) -> CarrMadanGrid:
+    """All grid values in one FFT:
 
         F(l) = (e^{-alpha k_l} / pi) sum_j e^{-2 pi i jl/N} e^{i pi j} psi_j w_j.
 
@@ -190,39 +102,34 @@ def carr_madan_grid(request: DampedTransformRequest) -> CarrMadanGrid:
     (k = 0 lands on index l = N/2).  Values are the real parts of the
     damped sums; the imaginary residue is discretization noise.
     """
-    psi = request.psi_samples
-    n = psi.size
-    if n == 0 or (n & (n - 1)) != 0:
-        raise FftSizeError(f"size {n} is not a power of two")
-    w = _weights(n, request.eta, request.weighting)
-    j = np.arange(n)
-    f_raw = radix2_fft(((-1.0) ** j) * psi * w)
-    k = -math.pi / request.eta + (2.0 * math.pi / (n * request.eta)) * j
-    with np.errstate(over="ignore"):
-        values = np.exp(-request.alpha * k) / math.pi * f_raw.real
-    return CarrMadanGrid(k=k, values=values, alpha=request.alpha, eta=request.eta)
-
-
-def damped_sum_complex(
-    psi_samples: np.ndarray,
-    eta: float,
-    k: float,
-    weighting: str = WEIGHTING_SIMPSON,
-) -> complex:
-    """Raw weighted sum sum_j e^{-i eta j k} psi_j w_j (no damping factor)."""
     psi = np.asarray(psi_samples, dtype=complex)
-    w = _weights(psi.size, eta, weighting)
+    n = psi.size
+    if psi.ndim != 1 or n == 0 or (n & (n - 1)) != 0:
+        raise FftSizeError(f"sample shape {psi.shape} is not one power-of-two axis")
+    _require(eta > 0.0, "eta must be > 0")
+    _require(1.0 < alpha <= 2.0, "alpha must lie in (1, 2]")
+    if not np.all(np.isfinite(psi)):
+        raise InvalidParameterError("psi samples must be finite")
+    j = np.arange(n)
+    f_raw = np.fft.fft(((-1.0) ** j) * psi * simpson_weights(n, eta))
+    k = -math.pi / eta + (2.0 * math.pi / (n * eta)) * j
+    with np.errstate(over="ignore"):
+        values = np.exp(-alpha * k) / math.pi * f_raw.real
+    return CarrMadanGrid(k=k, values=values, alpha=alpha, eta=eta)
+
+
+def damped_sum_complex(psi_samples: np.ndarray, eta: float, k: float) -> complex:
+    """Raw weighted sum sum_j e^{-i eta j k} psi_j w_j (no damping factor).
+
+    An elementwise multiply-and-sum, not np.dot: a BLAS dot product would
+    start BLAS threads, which costs more than the sum itself."""
+    psi = np.asarray(psi_samples, dtype=complex)
+    w = simpson_weights(psi.size, eta)
     phase = np.exp(-1j * eta * k * np.arange(psi.size))
-    return complex(np.dot(phase, psi * w))
+    return complex((phase * (psi * w)).sum())
 
 
-def direct_simpson_sum(
-    psi_samples: np.ndarray,
-    alpha: float,
-    eta: float,
-    k: float,
-    weighting: str = WEIGHTING_SIMPSON,
-) -> float:
+def direct_simpson_sum(psi_samples: np.ndarray, alpha: float, eta: float, k: float) -> float:
     """Damped sum at one exact log-strike, no grid snapping:
 
         (e^{-alpha k} / pi) Re sum_j e^{-i eta j k} psi_j w_j.
@@ -234,7 +141,7 @@ def direct_simpson_sum(
         raise InvalidParameterError(
             f"log-strike {k:g} outside the representable range (-pi/eta, pi/eta)"
         )
-    raw = damped_sum_complex(psi_samples, eta, k, weighting)
+    raw = damped_sum_complex(psi_samples, eta, k)
     return math.exp(-alpha * k) / math.pi * raw.real
 
 

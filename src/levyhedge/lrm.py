@@ -6,21 +6,22 @@ The local risk-minimization ratio for a call struck at K is
 
 where I1 is the stock-or-nothing expectation and I2 the jump term, both
 taken under the tilted measure and both computed from damped Fourier
-transforms of one characteristic-function sample array per time slice.
-For the pure-jump variance gamma model sigma = 0, so I1 never enters and
-is skipped entirely.
+transforms of the characteristic function.  For the pure-jump variance
+gamma model sigma = 0, so I1 never enters and is skipped entirely.
 
-A strike sweep reuses the sampled arrays: the strike enters only through
+The models are Levy, so phi_tau = exp(tau Psi): the exponent Psi and the
+tau-free kernel factors are sampled on the contour once per (model,
+config, spot), and each time slice costs one exponential plus one
+multiply per kernel kind.  Within a slice the strike enters only through
 the e^{-i eta j k} phase, so an n-strike sweep costs one FFT per kernel
-(grid mode) or one O(N) dot product per strike (direct mode), never a
-fresh characteristic-function evaluation.
+(grid mode) or one O(N) sum per strike (direct mode).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,16 +30,16 @@ from .core import (
     InvalidParameterError,
     MarketQuery,
     MertonParams,
+    MmmQuantities,
     Model,
     ModelMismatchError,
     TailConditionError,
-    VgParams,
     _require,
+    levy_char_fn,
     mmm_quantities,
 )
 from .fft_engine import (
     CarrMadanGrid,
-    DampedTransformRequest,
     FftConfig,
     carr_madan_grid,
     direct_simpson_sum,
@@ -48,14 +49,14 @@ from .merton import (
     KERNEL_DAMPED,
     gaussian_damping,
     merton_c1,
-    merton_char_fn,
+    merton_exponent,
     merton_i2_terms,
     merton_trunc_i1,
     merton_trunc_i2,
 )
 from .variance_gamma import (
     vg_c2,
-    vg_char_fn,
+    vg_exponent,
     vg_i2_weights,
     vg_mmm_measure,
     vg_trunc,
@@ -103,15 +104,6 @@ class MoneynessQuery:
             )
 
 
-def char_fn(model: Model, tau: float) -> Callable:
-    """The map zeta -> E[e^{i zeta L_tau}] under the tilted measure."""
-    mmm = mmm_quantities(model)
-    if isinstance(model, MertonParams):
-        return lambda zeta: merton_char_fn(zeta, tau, model, mmm)
-    pair = vg_mmm_measure(model, mmm.h)
-    return lambda zeta: vg_char_fn(zeta, tau, model, pair, mmm.mu_star)
-
-
 def _resolve_mode(mode: str, n_strikes: int) -> str:
     if mode == MODE_AUTO:
         return MODE_DIRECT_SUM if n_strikes <= _AUTO_DIRECT_LIMIT else MODE_FFT_GRID
@@ -120,75 +112,84 @@ def _resolve_mode(mode: str, n_strikes: int) -> str:
     raise InvalidParameterError(f"unknown mode {mode!r}")
 
 
-class TransformContext:
-    """Sampled kernel arrays shared by every strike of one time slice.
+class LevySample:
+    """Contour samples shared by every time slice of one (model, config, spot).
 
-    Kinds: ``indicator`` is psi1 (stock-or-nothing), ``call`` is psi2,
-    ``damped`` is psi2 times the Gaussian factor (Merton shifted-strike
-    terms), ``kernel`` is psi2 times the jump-kernel weight (variance
-    gamma).  Grids are built lazily, one FFT per kind.
+    ``psi`` is the Levy exponent, so a slice's characteristic function is
+    exp(tau psi).  ``factors`` holds the tau-free kernel factors:
+    ``indicator`` e^{i zeta log S} / (i zeta - 1) (times phi: psi1,
+    stock-or-nothing), ``call`` indicator / (i zeta) (psi2), ``damped``
+    call times the Gaussian factor (Merton shifted-strike terms) and
+    ``kernel`` call times the jump-kernel weight (variance gamma).
     """
 
-    def __init__(self, model: Model, config: FftConfig, tau: float, spot: float):
-        _require(tau >= TAU_MIN, f"tau must be >= {TAU_MIN:g}")
+    def __init__(self, model: Model, config: FftConfig, spot: float):
         _require(spot > 0.0, "spot must be > 0")
         self.model = model
         self.config = config
-        self.tau = tau
         self.spot = spot
         self.mmm = mmm_quantities(model)
 
         zeta = config.zeta_grid()
         iz = 1j * zeta
+        indicator = np.exp(iz * math.log(spot)) / (iz - 1.0)
+        call = indicator / iz
         if isinstance(model, MertonParams):
-            phi = merton_char_fn(zeta, tau, model, self.mmm)
-            self.c1 = merton_c1(model, self.mmm, tau, config.alpha)
-        elif isinstance(model, VgParams):
-            self.pair = vg_mmm_measure(model, self.mmm.h)
-            phi = vg_char_fn(zeta, tau, model, self.pair, self.mmm.mu_star)
-            self.c2 = vg_c2(model, self.pair, self.mmm.mu_star, tau, config.alpha)
+            self.psi = merton_exponent(zeta, model, self.mmm)
+            damped = call * gaussian_damping(zeta, model.delta)
+            self.factors = {"indicator": indicator, "call": call, "damped": damped}
         else:
-            raise ModelMismatchError(f"unsupported model type {type(model).__name__}")
-
-        psi1 = phi * np.exp(iz * math.log(spot)) / (iz - 1.0)
-        psi2 = psi1 / iz
-        self._arrays = {"indicator": psi1, "call": psi2}
-        if isinstance(model, MertonParams):
-            self._arrays["damped"] = psi2 * gaussian_damping(zeta, model.delta)
-        else:
+            pair = vg_mmm_measure(model, self.mmm.h)
+            self.psi = vg_exponent(zeta, model, pair, self.mmm.mu_star)
             self.vg_weights = vg_i2_weights(model)
-            self._arrays["kernel"] = self.vg_weights.kernel_factor(zeta) * psi2
+            self.factors = {"call": call, "kernel": self.vg_weights.kernel_factor(zeta) * call}
+
+
+class SliceBounds:
+    """Frequency truncation points of one time slice, from scalars only:
+    the envelope constant (C1 for Merton, C2 for variance gamma) and,
+    per strike, the bounds (I1, I2) for Merton or (I2,) for variance
+    gamma."""
+
+    def __init__(
+        self, model: Model, mmm: MmmQuantities, config: FftConfig, tau: float, spot: float
+    ):
+        _require(tau >= TAU_MIN, f"tau must be >= {TAU_MIN:g}")
+        self.model, self.config, self.tau, self.spot = model, config, tau, spot
+        if isinstance(model, MertonParams):
+            self.envelope = merton_c1(model, mmm, tau, config.alpha)
+        else:
+            pair = vg_mmm_measure(model, mmm.h)
+            self.envelope = vg_c2(model, pair, mmm.mu_star, tau, config.alpha)
+
+    def __call__(self, strike: float) -> tuple[float, ...]:
+        args = (self.config.eps, self.tau, strike, self.spot, self.config.alpha, self.envelope)
+        if isinstance(self.model, MertonParams):
+            return (merton_trunc_i1(*args, self.model), merton_trunc_i2(*args, self.model))
+        return (vg_trunc(*args, self.model),)
+
+
+class TransformContext:
+    """One time slice of a :class:`LevySample`: phi_tau = exp(tau psi)
+    times each kernel factor, with the slice's truncation bounds.  Grids
+    are built lazily, one FFT per kind."""
+
+    def __init__(self, sample: LevySample, tau: float):
+        self.sample = sample
+        self.tau = tau
+        phi = levy_char_fn(sample.psi, tau)
+        self._arrays = {kind: phi * factor for kind, factor in sample.factors.items()}
+        self.trunc_bounds = SliceBounds(sample.model, sample.mmm, sample.config, tau, sample.spot)
         self._grids: dict[str, CarrMadanGrid] = {}
 
     def transform(self, kind: str, k: float, mode: str) -> float:
+        cfg = self.sample.config
         if mode == MODE_DIRECT_SUM:
-            return direct_simpson_sum(
-                self._arrays[kind], self.config.alpha, self.config.eta, k
-            )
+            return direct_simpson_sum(self._arrays[kind], cfg.alpha, cfg.eta, k)
         grid = self._grids.get(kind)
         if grid is None:
-            grid = carr_madan_grid(
-                DampedTransformRequest(
-                    self._arrays[kind], self.config.alpha, self.config.eta
-                )
-            )
-            self._grids[kind] = grid
+            grid = self._grids[kind] = carr_madan_grid(self._arrays[kind], cfg.alpha, cfg.eta)
         return grid.at(k)
-
-    def trunc_bounds(self, strike: float) -> tuple[float, ...]:
-        cfg = self.config
-        if isinstance(self.model, MertonParams):
-            return (
-                merton_trunc_i1(
-                    cfg.eps, self.tau, strike, self.spot, cfg.alpha, self.c1, self.model
-                ),
-                merton_trunc_i2(
-                    cfg.eps, self.tau, strike, self.spot, cfg.alpha, self.c1, self.model
-                ),
-            )
-        return (
-            vg_trunc(cfg.eps, self.tau, strike, self.spot, cfg.alpha, self.c2, self.model),
-        )
 
 
 def _check_tail(config: FftConfig, trunc_a: float) -> None:
@@ -199,54 +200,18 @@ def _check_tail(config: FftConfig, trunc_a: float) -> None:
         )
 
 
-def _context_for(
-    query: MarketQuery, model: Model, config: FftConfig, ctx: Optional[TransformContext]
-) -> TransformContext:
-    if ctx is None:
-        return TransformContext(model, config, query.tau, query.spot)
-    return ctx
+def _slice(query: MarketQuery, model: Model, config: FftConfig) -> TransformContext:
+    return TransformContext(LevySample(model, config, query.spot), query.tau)
 
 
-def i1(
-    query: MarketQuery,
-    model: Model,
-    config: FftConfig,
-    mode: str = MODE_AUTO,
-    _ctx: Optional[TransformContext] = None,
-) -> float:
-    """Stock-or-nothing expectation E[1_{S_T > K} S_T | now] via the
-    damped transform of psi1.  Defined for the diffusive model only; for
-    variance gamma it is multiplied by sigma^2 = 0 and never computed."""
-    if not isinstance(model, MertonParams):
-        raise ModelMismatchError(
-            "I1 applies to the Merton model only; the sigma^2 I1 term vanishes "
-            "for pure-jump models"
-        )
-    ctx = _context_for(query, model, config, _ctx)
-    resolved = _resolve_mode(mode, 1)
-    _check_tail(config, ctx.trunc_bounds(query.strike)[0])
+def _i1(query: MarketQuery, ctx: TransformContext, resolved: str) -> float:
     return query.strike * ctx.transform("indicator", query.log_strike, resolved)
 
 
-def i2(
-    query: MarketQuery,
-    model: Model,
-    config: FftConfig,
-    mode: str = MODE_AUTO,
-    _ctx: Optional[TransformContext] = None,
-) -> float:
-    """Jump term of the hedge numerator.
-
-    Merton: three weighted transforms at shifted strikes (two damped, one
-    plain).  Variance gamma: kernel-weighted transform minus the
-    first-exponential-moment constant times the plain call transform.
-    """
-    ctx = _context_for(query, model, config, _ctx)
-    resolved = _resolve_mode(mode, 1)
-    _check_tail(config, ctx.trunc_bounds(query.strike)[-1])
-    if isinstance(model, MertonParams):
+def _i2(query: MarketQuery, ctx: TransformContext, resolved: str) -> float:
+    if isinstance(ctx.sample.model, MertonParams):
         total = 0.0
-        for term in merton_i2_terms(model, query.strike):
+        for term in merton_i2_terms(ctx.sample.model, query.strike):
             kind = "damped" if term.kernel == KERNEL_DAMPED else "call"
             total += term.coefficient * term.strike * ctx.transform(
                 kind, math.log(term.strike), resolved
@@ -255,28 +220,58 @@ def i2(
     k = query.log_strike
     kernel_part = query.strike * ctx.transform("kernel", k, resolved)
     call_part = query.strike * ctx.transform("call", k, resolved)
-    return kernel_part - ctx.vg_weights.constant * call_part
+    return kernel_part - ctx.sample.vg_weights.constant * call_part
+
+
+def i1(query: MarketQuery, model: Model, config: FftConfig, mode: str = MODE_AUTO) -> float:
+    """Stock-or-nothing expectation E[1_{S_T > K} S_T | now] via the
+    damped transform of psi1.  Defined for the diffusive model only; for
+    variance gamma it is multiplied by sigma^2 = 0 and never computed."""
+    if not isinstance(model, MertonParams):
+        raise ModelMismatchError(
+            "I1 applies to the Merton model only; the sigma^2 I1 term vanishes "
+            "for pure-jump models"
+        )
+    ctx = _slice(query, model, config)
+    resolved = _resolve_mode(mode, 1)
+    _check_tail(config, ctx.trunc_bounds(query.strike)[0])
+    return _i1(query, ctx, resolved)
+
+
+def i2(query: MarketQuery, model: Model, config: FftConfig, mode: str = MODE_AUTO) -> float:
+    """Jump term of the hedge numerator.
+
+    Merton: three weighted transforms at shifted strikes (two damped, one
+    plain).  Variance gamma: kernel-weighted transform minus the
+    first-exponential-moment constant times the plain call transform.
+    """
+    ctx = _slice(query, model, config)
+    resolved = _resolve_mode(mode, 1)
+    _check_tail(config, ctx.trunc_bounds(query.strike)[-1])
+    return _i2(query, ctx, resolved)
 
 
 def _assemble(query: MarketQuery, ctx: TransformContext, resolved: str) -> LrmResult:
-    model, config = ctx.model, ctx.config
-    bounds = ctx.trunc_bounds(query.strike)
+    model, config = ctx.sample.model, ctx.sample.config
+    # one tail check against the largest bound covers every transform
+    trunc_a = max(ctx.trunc_bounds(query.strike))
+    _check_tail(config, trunc_a)
     if isinstance(model, MertonParams):
-        i1_val = i1(query, model, config, mode=resolved, _ctx=ctx)
-        i2_val = i2(query, model, config, mode=resolved, _ctx=ctx)
+        i1_val = _i1(query, ctx, resolved)
+        i2_val = _i2(query, ctx, resolved)
         sigma2 = model.sigma**2
         numerator = sigma2 * i1_val + i2_val
     else:
         i1_val = None
-        i2_val = i2(query, model, config, mode=resolved, _ctx=ctx)
+        i2_val = _i2(query, ctx, resolved)
         sigma2 = 0.0
         numerator = i2_val
-    value = numerator / (query.spot * (sigma2 + ctx.mmm.quad_exp_moment))
+    value = numerator / (query.spot * (sigma2 + ctx.sample.mmm.quad_exp_moment))
     return LrmResult(
         lrm=value,
         i1=i1_val,
         i2=i2_val,
-        trunc_a=max(bounds),
+        trunc_a=trunc_a,
         mode=resolved,
         config=config,
         out_of_range=not (0.0 <= value <= 1.0),
@@ -290,8 +285,18 @@ def lrm(
     mode: str = MODE_AUTO,
 ) -> LrmResult:
     """Hedge ratio for a single (t, K, S) query."""
-    ctx = TransformContext(model, config, query.tau, query.spot)
-    return _assemble(query, ctx, _resolve_mode(mode, 1))
+    return _assemble(query, _slice(query, model, config), _resolve_mode(mode, 1))
+
+
+def sweep_slice(
+    sample: LevySample, *, t: float, T: float, strikes: Sequence[float], mode: str
+) -> list[LrmResult]:
+    """Hedge ratios for many strikes on one time slice of a shared sample
+    (and the per-kind FFT grids in grid mode)."""
+    queries = [MarketQuery(t=t, T=T, spot=sample.spot, strike=float(k)) for k in strikes]
+    ctx = TransformContext(sample, T - t)
+    resolved = _resolve_mode(mode, len(queries))
+    return [_assemble(q, ctx, resolved) for q in queries]
 
 
 def lrm_strike_sweep(
@@ -306,10 +311,7 @@ def lrm_strike_sweep(
 ) -> list[LrmResult]:
     """Hedge ratios for many strikes on one time slice, sharing the
     sampled arrays (and the per-kind FFT grids in grid mode)."""
-    queries = [MarketQuery(t=t, T=T, spot=spot, strike=float(k)) for k in strikes]
-    ctx = TransformContext(model, config, T - t, spot)
-    resolved = _resolve_mode(mode, len(queries))
-    return [_assemble(q, ctx, resolved) for q in queries]
+    return sweep_slice(LevySample(model, config, spot), t=t, T=T, strikes=strikes, mode=mode)
 
 
 def lrm_by_moneyness(

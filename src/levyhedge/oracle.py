@@ -2,7 +2,7 @@
 
 Everything here recomputes a production quantity by a different route:
 adaptive quadrature (QUADPACK via scipy) instead of the weighted Fourier
-sums, a literal O(N^2) DFT instead of the radix-2 transform, and direct
+sums, a literal O(N^2) DFT instead of numpy's FFT, and direct
 numerical integration of the jump measure instead of the closed-form
 characteristic exponents.  Nothing on the production path imports this
 module.

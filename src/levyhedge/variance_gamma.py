@@ -29,6 +29,7 @@ from .core import (
     _require,
     cgm_exp_moment,
     cgm_linear_moment,
+    levy_char_fn,
 )
 
 ComplexLike = Union[complex, np.ndarray]
@@ -135,6 +136,32 @@ def vg_kernel_bound(C: float, G: float, M: float, alpha: float) -> float:
     return C * (1.0 / (G + alpha) + 1.0 / (M - alpha - 1.0))
 
 
+def vg_exponent(
+    zeta: ComplexLike, params: VgParams, mmm: CgmComponentPair, mu_star: float
+) -> ComplexLike:
+    """Levy exponent Psi of the log price under the tilted measure, so
+    that phi_tau = exp(tau Psi):
+
+        Psi(z) = -w1 log[(1 + i z/G)(1 - i z/M)] - w2 log[(1 + i z/(G+1))(1 - i z/(M-1))]
+                 + i z (mu* + sum of component means)
+
+    with w1 = (1+h)C and w2 = -hC read off the component pair.
+    """
+    z = np.asarray(zeta, dtype=complex)
+    iz = 1j * z
+    drift = mu_star
+    out = np.zeros_like(z)
+    for comp in mmm.components:
+        log_base = _principal_log(
+            1.0 + iz / comp.G, "char-fn factor 1 + i*zeta/G"
+        ) + _principal_log(1.0 - iz / comp.M, "char-fn factor 1 - i*zeta/M")
+        out = out - comp.C * log_base
+        # compensator of the component: -int x nu_comp(dx)
+        drift -= comp.linear_moment()
+    out = out + iz * drift
+    return out if np.ndim(zeta) else complex(out)
+
+
 def vg_char_fn(
     zeta: ComplexLike,
     tau: float,
@@ -142,29 +169,9 @@ def vg_char_fn(
     mmm: CgmComponentPair,
     mu_star: float,
 ) -> ComplexLike:
-    """Characteristic function of the log price over tau under the tilted
-    measure:
-
-        [(1 + i z/G)(1 - i z/M)]^{-w1 tau} [(1 + i z/(G+1))(1 - i z/(M-1))]^{-w2 tau}
-        * exp{ tau i z (mu* + sum of component means) }
-
-    with w1 = (1+h)C and w2 = -hC read off the component pair.
-    """
-    if tau < 0.0:
-        raise InvalidParameterError("tau must be >= 0")
-    z = np.asarray(zeta, dtype=complex)
-    iz = 1j * z
-    drift = mu_star
-    exponent = np.zeros_like(z)
-    for comp in mmm.components:
-        log_base = _principal_log(
-            1.0 + iz / comp.G, "char-fn factor 1 + i*zeta/G"
-        ) + _principal_log(1.0 - iz / comp.M, "char-fn factor 1 - i*zeta/M")
-        exponent = exponent - tau * comp.C * log_base
-        # compensator of the component: -int x nu_comp(dx)
-        drift -= comp.linear_moment()
-    out = np.exp(exponent + tau * iz * drift)
-    return out if np.ndim(zeta) else complex(out)
+    """Characteristic function exp(tau Psi(zeta)) of the log price over
+    tau under the tilted measure."""
+    return levy_char_fn(vg_exponent(zeta, params, mmm, mu_star), tau)
 
 
 def vg_c2(

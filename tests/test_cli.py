@@ -13,6 +13,7 @@ from levyhedge.cli import (
     main,
     parse_key_values,
 )
+from levyhedge.lrm import lrm_strike_sweep
 
 MERTON_CFG = """
 model.kind = merton
@@ -150,19 +151,39 @@ def test_curve_byte_stability(tmp_path, capsys):
     assert len(out1.read_bytes()) > 0
 
 
-def test_curve_workers_env(tmp_path, capsys, monkeypatch):
-    cfg = _write(
-        tmp_path,
-        "m.cfg",
-        MERTON_CFG + "query.t_grid = 0.1,0.5,0.9\nquery.strike = 1\n",
-    )
-    assert main(["curve", "--config", cfg]) == EXIT_OK
-    baseline = capsys.readouterr().out
-    monkeypatch.setenv("LRM_WORKERS", "1")
-    assert main(["curve", "--config", cfg]) == EXIT_OK
-    assert capsys.readouterr().out == baseline
-    monkeypatch.setenv("LRM_WORKERS", "not-a-number")
-    assert main(["curve", "--config", cfg]) == EXIT_USAGE
+@pytest.mark.parametrize(
+    "base, grids",
+    [
+        (MERTON_CFG, "query.t_grid = 0.1,0.5,0.9\nquery.strike_grid = 1:2:0.25\n"),
+        (MERTON_CFG, "query.t_grid = 0:0.6:0.3\nquery.strike_grid = 0.9,1.1\n"),
+        (NIKKEI_CFG, "query.t_grid = 0.2,0.6\nquery.strike_grid = 12000,15000,18000\n"),
+    ],
+    ids=["merton-grid", "merton-direct", "nikkei-direct"],
+)
+def test_curve_cells_equal_strike_sweep(tmp_path, capsys, base, grids):
+    # the shared contour sample gives the same bits as a fresh one per slice
+    cfg_text = base + grids
+    assert main(["curve", "--config", _write(tmp_path, "c.cfg", cfg_text)]) == EXIT_OK
+    rows = _rows(capsys.readouterr().out)
+    cfg = build_run_config(parse_key_values(cfg_text, "inline"))
+    expected = []
+    for t in cfg.t_values:
+        expected += lrm_strike_sweep(
+            cfg.model, cfg.fft, t=t, T=cfg.maturity, spot=cfg.spot, strikes=cfg.strikes
+        )
+    assert len(rows) == len(expected)
+    for row, res in zip(rows, expected):
+        i1_cell = None if row["i1"] == "" else float(row["i1"])
+        assert (i1_cell, float(row["i2"]), float(row["lrm"])) == (res.i1, res.i2, res.lrm)
+        assert (float(row["trunc_bound"]), row["mode"]) == (res.trunc_a, res.mode)
+
+
+def test_curve_overflow_guard_exit(tmp_path, capsys):
+    # tau = 300 pushes Re(tau Psi) past the exp() guard on the curve path
+    long_cfg = MERTON_CFG.replace("query.T = 1", "query.T = 300")
+    cfg = _write(tmp_path, "m.cfg", long_cfg + "query.t = 0\nquery.strike = 1\n")
+    assert main(["curve", "--config", cfg]) == EXIT_VALIDATION
+    assert "characteristic exponent" in capsys.readouterr().err
 
 
 def test_curve_tail_failure_exit(tmp_path, capsys):

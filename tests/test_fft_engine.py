@@ -7,36 +7,21 @@ from levyhedge import (
     FftConfig,
     FftSizeError,
     InvalidParameterError,
-    DampedTransformRequest,
     carr_madan_grid,
     direct_simpson_sum,
     mmm_quantities,
-    radix2_fft,
     simpson_weights,
     tail_condition_check,
 )
-from levyhedge.fft_engine import WEIGHTING_UNIFORM, damped_sum_complex, uniform_weights
+from levyhedge.fft_engine import damped_sum_complex
 from levyhedge.merton import merton_char_fn
 from levyhedge.oracle import naive_dft
-
-
-def test_fft_delta_input():
-    x = np.zeros(16, dtype=complex)
-    x[0] = 1.0
-    assert np.allclose(radix2_fft(x), np.ones(16), atol=1e-15)
-
-
-def test_fft_constant_input():
-    out = radix2_fft(np.ones(8))
-    expected = np.zeros(8, dtype=complex)
-    expected[0] = 8.0
-    assert np.allclose(out, expected, atol=1e-13)
 
 
 def test_fft_matches_naive_small():
     rng = np.random.default_rng(3)
     x = rng.normal(size=16) + 1j * rng.normal(size=16)
-    assert np.max(np.abs(radix2_fft(x) - naive_dft(x))) < 1e-12
+    assert np.max(np.abs(np.fft.fft(x) - naive_dft(x))) < 1e-12
 
 
 def test_fft_matches_naive_all_sizes():
@@ -44,26 +29,8 @@ def test_fft_matches_naive_all_sizes():
     n = 2
     while n <= 1024:
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
-        assert np.max(np.abs(radix2_fft(x) - naive_dft(x))) < 1e-12
+        assert np.max(np.abs(np.fft.fft(x) - naive_dft(x))) < 1e-12
         n *= 2
-
-
-def test_fft_size_errors():
-    with pytest.raises(FftSizeError):
-        radix2_fft(np.ones(12))
-    with pytest.raises(FftSizeError):
-        radix2_fft(np.ones(0))
-    with pytest.raises(FftSizeError):
-        radix2_fft(np.ones((4, 4)))
-
-
-def test_fft_parseval():
-    rng = np.random.default_rng(9)
-    x = rng.normal(size=512) + 1j * rng.normal(size=512)
-    out = radix2_fft(x)
-    lhs = np.sum(np.abs(out) ** 2)
-    rhs = 512 * np.sum(np.abs(x) ** 2)
-    assert abs(lhs - rhs) / rhs < 1e-9
 
 
 def test_simpson_weights_values():
@@ -84,9 +51,7 @@ def test_simpson_weights_total_measure():
 
 def test_grid_center_index_is_zero_log_strike(fft_bench):
     psi = np.exp(-0.5 * (fft_bench.eta * np.arange(fft_bench.n)) ** 2)
-    grid = carr_madan_grid(
-        DampedTransformRequest(psi, fft_bench.alpha, fft_bench.eta)
-    )
+    grid = carr_madan_grid(psi, fft_bench.alpha, fft_bench.eta)
     center = fft_bench.n // 2
     assert grid.k[center] == pytest.approx(0.0, abs=1e-12)
 
@@ -96,16 +61,14 @@ def test_grid_matches_direct_sum_on_model_samples(merton_bench, fft_bench):
     zeta = fft_bench.zeta_grid()
     iz = 1j * zeta
     psi2 = merton_char_fn(zeta, 0.5, merton_bench, mm) / ((iz - 1.0) * iz)
-    grid = carr_madan_grid(DampedTransformRequest(psi2, fft_bench.alpha, fft_bench.eta))
+    grid = carr_madan_grid(psi2, fft_bench.alpha, fft_bench.eta)
     at_zero = grid.at(0.0)
     direct = direct_simpson_sum(psi2, fft_bench.alpha, fft_bench.eta, 0.0)
     assert abs(at_zero - direct) < 1e-9
 
 
 def test_grid_zero_samples(fft_bench):
-    grid = carr_madan_grid(
-        DampedTransformRequest(np.zeros(64), fft_bench.alpha, 0.25)
-    )
+    grid = carr_madan_grid(np.zeros(64), fft_bench.alpha, 0.25)
     assert np.all(grid.values == 0.0)
 
 
@@ -113,7 +76,7 @@ def test_grid_equals_direct_at_every_node():
     rng = np.random.default_rng(17)
     n, eta, alpha = 256, 0.25, 1.75
     psi = rng.normal(size=n) + 1j * rng.normal(size=n)
-    grid = carr_madan_grid(DampedTransformRequest(psi, alpha, eta))
+    grid = carr_madan_grid(psi, alpha, eta)
     scale = np.sum(np.abs(psi * simpson_weights(n, eta)))
     # skip index 0: its node sits exactly on the -pi/eta boundary that
     # direct queries must stay strictly inside
@@ -140,7 +103,7 @@ def test_offgrid_interpolation_second_order():
     def interp_error(n: int) -> float:
         v = eta * np.arange(n)
         psi = np.exp(-0.125 * v**2) * (1.0 + 0.3j)
-        grid = carr_madan_grid(DampedTransformRequest(psi, alpha, eta))
+        grid = carr_madan_grid(psi, alpha, eta)
         errs = [
             abs(grid.at(k) - direct_simpson_sum(psi, alpha, eta, k)) for k in targets
         ]
@@ -153,32 +116,20 @@ def test_offgrid_interpolation_second_order():
 
 def test_request_validation():
     with pytest.raises(InvalidParameterError):
-        DampedTransformRequest(np.array([1.0, np.inf]), 1.75, 0.25)
+        carr_madan_grid(np.array([1.0, np.inf]), 1.75, 0.25)
     with pytest.raises(InvalidParameterError):
-        DampedTransformRequest(np.ones(8), 1.75, 0.25, k_targets=(20.0,))
+        carr_madan_grid(np.array([1.0, 1j * np.nan]), 1.75, 0.25)
     with pytest.raises(FftSizeError):
-        carr_madan_grid(DampedTransformRequest(np.ones(12), 1.75, 0.25))
+        carr_madan_grid(np.ones(12), 1.75, 0.25)
+    with pytest.raises(FftSizeError):
+        carr_madan_grid(np.ones(0), 1.75, 0.25)
+    with pytest.raises(FftSizeError):
+        carr_madan_grid(np.ones((4, 4)), 1.75, 0.25)
 
 
 def test_direct_sum_rejects_out_of_range_strike():
     with pytest.raises(InvalidParameterError):
         direct_simpson_sum(np.ones(8), 1.75, 0.25, k=13.0)
-
-
-def test_uniform_weighting_audit_path():
-    n, eta, alpha = 64, 0.25, 1.5
-    rng = np.random.default_rng(23)
-    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
-    assert np.all(uniform_weights(n, eta) == eta)
-    k = 0.3
-    manual = (np.exp(-1j * eta * k * np.arange(n)) * psi * eta).sum()
-    val = direct_simpson_sum(psi, alpha, eta, k, weighting=WEIGHTING_UNIFORM)
-    assert val == pytest.approx(math.exp(-alpha * k) / math.pi * manual.real, rel=1e-12)
-    grid = carr_madan_grid(
-        DampedTransformRequest(psi, alpha, eta, weighting=WEIGHTING_UNIFORM)
-    )
-    direct = direct_simpson_sum(psi, alpha, eta, grid.k[40], weighting=WEIGHTING_UNIFORM)
-    assert grid.values[40] == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
 
 def test_tail_condition(fft_bench, merton_bench, vg_bench):

@@ -10,6 +10,7 @@ from levyhedge import (
     MertonParams,
     ModelMismatchError,
     MoneynessQuery,
+    OverflowGuardError,
     TailConditionError,
     i1,
     i2,
@@ -234,6 +235,14 @@ def test_strike_sweep_monotone_merton(merton_bench, fft_bench):
     assert len(vals) == 29
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert all(0.0 < v < 1.0 for v in vals)
+
+
+def test_overflow_guard_on_production_path(merton_bench, fft_bench):
+    # the exp(tau Psi) guard fires per slice, ahead of the C1 guard
+    with pytest.raises(OverflowGuardError, match="characteristic exponent"):
+        lrm(_q(0.0, 1.0, T=300.0), merton_bench, fft_bench)
+    with pytest.raises(OverflowGuardError, match="characteristic exponent"):
+        lrm_strike_sweep(merton_bench, fft_bench, t=0.0, T=300.0, spot=1.0, strikes=[1.0] * 5)
 
 
 def test_tail_condition_failure():
