@@ -38,7 +38,6 @@ from .fft_engine import (
     tail_condition_check,
 )
 from .lrm import (
-    MODE_AUTO,
     MODE_DIRECT_SUM,
     MODE_FFT_GRID,
     LevySample,

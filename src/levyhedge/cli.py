@@ -37,14 +37,11 @@ from .core import (
 )
 from .fft_engine import FftConfig, tail_condition_check
 from .lrm import (
-    MODE_AUTO,
-    MODE_DIRECT_SUM,
-    MODE_FFT_GRID,
     LevySample,
     LrmResult,
     MoneynessQuery,
     SliceBounds,
-    lrm_by_moneyness,
+    moneyness_slice,
     sweep_slice,
 )
 
@@ -84,7 +81,6 @@ class RunConfig:
     spot: float
     maturity: float
     output: str = "stdout"
-    mode: str = MODE_AUTO
 
 
 _MODEL_KEYS = {
@@ -105,7 +101,6 @@ _KNOWN_KEYS = {
     "query.spot",
     "query.T",
     "output",
-    "mode",
 }.union(*_MODEL_KEYS.values())
 
 _DEFAULTS = {
@@ -115,7 +110,6 @@ _DEFAULTS = {
     "fft.eps": "0.01",
     "query.spot": "1",
     "output": "stdout",
-    "mode": MODE_AUTO,
 }
 
 
@@ -231,9 +225,6 @@ def build_run_config(entries: dict[str, str]) -> RunConfig:
 
     maturity = _parse_float(merged, "query.T") if "query.T" in merged else 1.0
     spot = _parse_float(merged, "query.spot")
-    mode = merged["mode"]
-    if mode not in (MODE_AUTO, MODE_DIRECT_SUM, MODE_FFT_GRID):
-        raise ConfigError(f"mode must be auto, direct-sum or fft-grid (got {mode!r})")
     return RunConfig(
         kind=kind,
         model=model,
@@ -243,7 +234,6 @@ def build_run_config(entries: dict[str, str]) -> RunConfig:
         spot=spot,
         maturity=maturity,
         output=merged["output"],
-        mode=mode,
     )
 
 
@@ -318,7 +308,7 @@ def cmd_curve(cfg: RunConfig) -> int:
     # every time slice is exp(tau Psi) over one shared contour sample
     sample = LevySample(cfg.model, cfg.fft, cfg.spot)
     per_slice = [
-        sweep_slice(sample, t=t, T=cfg.maturity, strikes=cfg.strikes, mode=cfg.mode)
+        sweep_slice(sample, t=t, T=cfg.maturity, strikes=cfg.strikes)
         for t in cfg.t_values
     ]
     elapsed = time.perf_counter() - started
@@ -365,19 +355,14 @@ def cmd_impact(cfg: RunConfig, jump_sizes: Sequence[float]) -> int:
     _require_query(cfg)
     if len(cfg.t_values) != 1 or len(cfg.strikes) != 1:
         raise ConfigError("impact needs exactly one query.t and one query.strike")
-    mmm_quantities(cfg.model)
     t, strike = cfg.t_values[0], cfg.strikes[0]
     tau = cfg.maturity - t
     base_m = strike / cfg.spot
     started = time.perf_counter()
-    before = lrm_by_moneyness(MoneynessQuery(base_m, tau), cfg.model, cfg.fft, cfg.mode)
-
-    afters = [
-        lrm_by_moneyness(
-            MoneynessQuery(base_m * math.exp(-y), tau), cfg.model, cfg.fft, cfg.mode
-        )
-        for y in jump_sizes
-    ]
+    # every moneyness is a single-strike query on one shared unit-spot slice
+    ctx = moneyness_slice(cfg.model, cfg.fft, MoneynessQuery(base_m, tau).tau)
+    before = ctx.evaluate([base_m])[0].lrm
+    afters = [ctx.evaluate([base_m * math.exp(-y)])[0].lrm for y in jump_sizes]
     elapsed = time.perf_counter() - started
 
     handle, owned = _open_output(cfg)

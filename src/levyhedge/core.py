@@ -93,6 +93,21 @@ def _require_finite(name: str, value: float) -> None:
         raise InvalidParameterError(f"{name} must be finite, got {value!r}")
 
 
+def time_to_maturity(t: float, T: float) -> float:
+    """tau = T - t for a finite evaluation time t >= 0 and maturity T > 0,
+    refusing tau below TAU_MIN."""
+    for name, value in (("t", t), ("T", T)):
+        _require_finite(name, value)
+    _require(T > 0.0, "maturity T must be > 0")
+    _require(t >= 0.0, "evaluation time t must be >= 0")
+    if T - t < TAU_MIN:
+        raise InvalidParameterError(
+            f"time to maturity {T - t:g} is below the supported "
+            f"minimum {TAU_MIN:g}; truncation bounds diverge at expiry"
+        )
+    return T - t
+
+
 def levy_char_fn(psi, tau: float):
     """phi_tau = exp(tau * Psi) from the Levy exponent Psi (scalar or
     array), refusing any exponent whose real part would overflow exp()."""
@@ -224,17 +239,10 @@ class MarketQuery:
     strike: float
 
     def __post_init__(self) -> None:
-        for name in ("t", "T", "spot", "strike"):
+        time_to_maturity(self.t, self.T)
+        for name in ("spot", "strike"):
             _require_finite(name, getattr(self, name))
-        _require(self.T > 0.0, "maturity T must be > 0")
-        _require(self.t >= 0.0, "evaluation time t must be >= 0")
-        _require(self.spot > 0.0, "spot must be > 0")
-        _require(self.strike > 0.0, "strike must be > 0")
-        if self.T - self.t < TAU_MIN:
-            raise InvalidParameterError(
-                f"time to maturity {self.T - self.t:g} is below the supported "
-                f"minimum {TAU_MIN:g}; truncation bounds diverge at expiry"
-            )
+            _require(getattr(self, name) > 0.0, f"{name} must be > 0")
 
     @property
     def tau(self) -> float:

@@ -11,9 +11,9 @@ the sum is a plain DFT
 
     F(l) = sum_j e^{-i 2 pi j l / N} [e^{i pi j} psi_j w_j],
 
-computed here with numpy's FFT; or evaluated at one exact k by direct
-summation.  Both paths share the same arithmetic, only the association
-order differs.
+computed here with numpy's FFT; or evaluated at exact log-strikes by
+direct summation.  Both paths share the same arithmetic, only the
+association order differs.
 """
 
 from __future__ import annotations
@@ -48,15 +48,6 @@ class FftConfig:
         """Length N*eta of the discretized frequency interval."""
         return self.n * self.eta
 
-    @property
-    def k_limit(self) -> float:
-        """Log-strikes must satisfy |k| < pi/eta."""
-        return math.pi / self.eta
-
-    @property
-    def k_step(self) -> float:
-        return 2.0 * math.pi / (self.n * self.eta)
-
     def zeta_grid(self) -> np.ndarray:
         """Contour samples eta*j - i*alpha, j = 0..N-1."""
         return self.eta * np.arange(self.n) - 1j * self.alpha
@@ -83,14 +74,21 @@ class CarrMadanGrid:
     alpha: float
     eta: float
 
-    def at(self, k: float) -> float:
-        """Linear interpolation in k (monotone-preserving: interpolants
-        stay within the bracketing grid values)."""
-        if not abs(k) < math.pi / self.eta:
-            raise InvalidParameterError(
-                f"log-strike {k:g} outside the representable range (-pi/eta, pi/eta)"
-            )
-        return float(np.interp(k, self.k, self.values))
+    def at(self, k) -> np.ndarray:
+        """Linear interpolation at the log-strikes k, one np.interp for all
+        (monotone-preserving: within the bracketing grid values)."""
+        return np.interp(_log_strikes(k, self.eta), self.k, self.values)
+
+
+def _log_strikes(k, eta: float) -> np.ndarray:
+    """k as a float array, every entry inside |k| < pi/eta."""
+    k = np.asarray(k, dtype=float)
+    outside = ~(np.abs(k) < math.pi / eta)
+    if outside.any():
+        raise InvalidParameterError(
+            f"log-strike {k[outside][0]:g} outside the representable range (-pi/eta, pi/eta)"
+        )
+    return k
 
 
 def carr_madan_grid(psi_samples: np.ndarray, alpha: float, eta: float) -> CarrMadanGrid:
@@ -124,25 +122,25 @@ def damped_sum_complex(psi_samples: np.ndarray, eta: float, k: float) -> complex
     An elementwise multiply-and-sum, not np.dot: a BLAS dot product would
     start BLAS threads, which costs more than the sum itself."""
     psi = np.asarray(psi_samples, dtype=complex)
-    w = simpson_weights(psi.size, eta)
-    phase = np.exp(-1j * eta * k * np.arange(psi.size))
-    return complex((phase * (psi * w)).sum())
+    terms = np.exp(-1j * eta * k * np.arange(psi.size))
+    terms *= psi * simpson_weights(psi.size, eta)
+    return complex(terms.sum())
 
 
-def direct_simpson_sum(psi_samples: np.ndarray, alpha: float, eta: float, k: float) -> float:
-    """Damped sum at one exact log-strike, no grid snapping:
+def direct_simpson_sum(psi_samples: np.ndarray, alpha: float, eta: float, k) -> np.ndarray:
+    """Damped sums at the exact log-strikes k, no grid snapping:
 
         (e^{-alpha k} / pi) Re sum_j e^{-i eta j k} psi_j w_j.
 
-    O(N) per strike; this is the reference arithmetic the FFT grid is
-    tested against, and the default for single-strike queries.
+    O(N) time and memory per strike; the reference arithmetic the FFT
+    grid is tested against, and the path for queries of a few strikes.
     """
-    if not abs(k) < math.pi / eta:
-        raise InvalidParameterError(
-            f"log-strike {k:g} outside the representable range (-pi/eta, pi/eta)"
-        )
-    raw = damped_sum_complex(psi_samples, eta, k)
-    return math.exp(-alpha * k) / math.pi * raw.real
+    k = _log_strikes(k, eta)
+    values = [
+        math.exp(-alpha * x) / math.pi * damped_sum_complex(psi_samples, eta, x).real
+        for x in k.ravel().tolist()
+    ]
+    return np.reshape(values, k.shape)
 
 
 def tail_condition_check(config: FftConfig, trunc_a: float) -> bool:

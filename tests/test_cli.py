@@ -13,7 +13,7 @@ from levyhedge.cli import (
     main,
     parse_key_values,
 )
-from levyhedge.lrm import lrm_strike_sweep
+from levyhedge.lrm import LevySample, lrm_strike_sweep
 
 MERTON_CFG = """
 model.kind = merton
@@ -219,6 +219,22 @@ def test_impact_table(tmp_path, capsys):
         )
 
 
+def test_impact_builds_one_sample(tmp_path, capsys, monkeypatch):
+    # all jump sizes share one contour sample and one time slice
+    builds = []
+    init = LevySample.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LevySample, "__init__", counting_init)
+    cfg = _write(tmp_path, "m.cfg", MERTON_CFG + "query.t = 0.5\nquery.strike = 1\n")
+    assert main(["impact", "--config", cfg, "--y", "0.1,-0.1,0.2"]) == EXIT_OK
+    assert len(_rows(capsys.readouterr().out)) == 3
+    assert len(builds) == 1
+
+
 def test_impact_comma_list(tmp_path, capsys):
     cfg = _write(tmp_path, "m.cfg", MERTON_CFG + "query.t = 0.5\nquery.strike = 1\n")
     assert main(["impact", "--config", cfg, "--y", "0.05,0.2"]) == EXIT_OK
@@ -236,7 +252,7 @@ def test_impact_usage_errors(tmp_path, capsys):
     assert main(["impact", "--config", grid_cfg, "--y", "0.1"]) == EXIT_USAGE
 
 
-def test_run_config_grids_and_overrides():
+def test_run_config_grids_and_overrides(capsys):
     cfg = build_run_config(
         {
             "model.kind": "vg",
@@ -251,4 +267,6 @@ def test_run_config_grids_and_overrides():
     assert len(cfg.t_values) == 20
     assert cfg.strikes == [1.0, 2.0, 4.0]
     assert cfg.fft.n == 16384  # defaults applied
-    assert cfg.mode == "auto"
+    # the transform path follows the strike count; there is no mode key
+    assert main(["validate", "--set", "model.kind=merton", "--set", "mode=auto"]) == EXIT_USAGE
+    assert "unknown config keys: mode" in capsys.readouterr().err
