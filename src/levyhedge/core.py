@@ -203,14 +203,6 @@ class VgParams:
 Model = Union[MertonParams, VgParams]
 
 
-def model_kind(model: Model) -> str:
-    if isinstance(model, MertonParams):
-        return "merton"
-    if isinstance(model, VgParams):
-        return "vg"
-    raise ModelMismatchError(f"unsupported model type {type(model).__name__}")
-
-
 @dataclass(frozen=True)
 class MmmQuantities:
     """Scalar quantities of the minimal-martingale-measure change.

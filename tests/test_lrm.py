@@ -1,8 +1,14 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import levyhedge
 from levyhedge import (
     FftConfig,
     InvalidParameterError,
@@ -262,6 +268,35 @@ def test_sweep_rejects_invalid_strikes(merton_bench, fft_bench, bad, n_strikes):
 
 def test_empty_sweep(merton_bench, fft_bench):
     assert lrm_strike_sweep(merton_bench, fft_bench, t=0.5, T=1.0, spot=1.0, strikes=[]) == []
+
+
+_SWEEP_FAULTS = """
+import resource
+from levyhedge import FftConfig, MertonParams, lrm_strike_sweep
+model = MertonParams(mu=-0.7, sigma=0.2, gamma=1.0, m=0.0, delta=1.0)
+config = FftConfig(n=2**14, eta=0.025, alpha=1.75, eps=1e-2)
+strikes = [1.0 + 0.007 * i for i in range(1000)]
+lrm_strike_sweep(model, config, t=0.5, T=1.0, spot=1.0, strikes=strikes)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(3):
+    lrm_strike_sweep(model, config, t=0.5, T=1.0, spot=1.0, strikes=strikes)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds only")
+def test_repeated_sweep_reuses_freed_heap():
+    # importing the package fixes glibc's heap thresholds, so a repeated
+    # sweep reuses the ~5 MB its predecessor freed; with the adaptive
+    # defaults a fresh process faults much of it in again on every call
+    # (a fresh process, because the heap layout this test would inherit
+    # decides whether the defaults trim)
+    src = str(Path(levyhedge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", _SWEEP_FAULTS], env=env, capture_output=True, text=True, check=True
+    )
+    assert int(out.stdout) < 100
 
 
 def test_tail_condition_failure(merton_bench):
