@@ -28,6 +28,7 @@ from typing import Optional, Sequence, TextIO
 from .core import (
     InvalidParameterError,
     LevyHedgeError,
+    MarketQuery,
     MertonParams,
     Model,
     TailConditionError,
@@ -43,6 +44,7 @@ from .lrm import (
     SliceBounds,
     moneyness_slice,
     sweep_slice,
+    tail_hint,
 )
 
 EXIT_OK = 0
@@ -263,14 +265,20 @@ def _require_query(cfg: RunConfig) -> None:
         raise ConfigError("the command needs query.t/t_grid and query.strike/strike_grid")
 
 
-def _max_trunc_bound(cfg: RunConfig) -> float:
-    """Largest truncation requirement across the configured grid cells."""
+def _worst_trunc_cell(cfg: RunConfig) -> tuple[float, float, float]:
+    """Largest truncation requirement across the configured grid cells,
+    with the strike and tau of its cell.  Each cell is checked as a
+    MarketQuery first (finite t, T, spot and strike, spot and strike > 0,
+    tau >= TAU_MIN), the checks ``curve`` applies."""
     mmm = mmm_quantities(cfg.model)
-    worst = 0.0
+    worst: Optional[tuple[float, float, float]] = None
     for t in cfg.t_values:
-        bounds = SliceBounds(cfg.model, mmm, cfg.fft, cfg.maturity - t, cfg.spot)
-        for strike in cfg.strikes:
-            worst = max(worst, *bounds(strike))
+        queries = [MarketQuery(t, cfg.maturity, cfg.spot, strike) for strike in cfg.strikes]
+        bounds = SliceBounds(cfg.model, mmm, cfg.fft, queries[0].tau, cfg.spot)
+        for query in queries:
+            bound = max(bounds(query.strike))
+            if worst is None or bound > worst[0]:
+                worst = (bound, query.strike, query.tau)
     return worst
 
 
@@ -283,15 +291,16 @@ def cmd_validate(cfg: RunConfig, out: Optional[TextIO] = None) -> int:
         print(f"[{status}] {cond.name}: slack={slack} ({cond.detail})", file=out)
     ok = report.passed
     if ok and cfg.t_values and cfg.strikes:
-        bound = _max_trunc_bound(cfg)
-        span = cfg.fft.grid_span
+        bound, strike, tau = _worst_trunc_cell(cfg)
         tail_ok = tail_condition_check(cfg.fft, bound)
-        status = "PASS" if tail_ok else "FAIL"
-        print(
-            f"[{status}] tail condition: N*eta = {_fmt(span)} >= required "
-            f"truncation {_fmt(bound)}",
-            file=out,
+        line = (
+            f"[{'PASS' if tail_ok else 'FAIL'}] tail condition: N*eta = "
+            f"{_fmt(cfg.fft.grid_span)} >= required truncation {_fmt(bound)} "
+            f"at K = {strike:g}, tau = {tau:g}"
         )
+        if not tail_ok:
+            line += f"; {tail_hint(cfg.fft, bound)}"
+        print(line, file=out)
         ok = ok and tail_ok
     return EXIT_OK if ok else EXIT_VALIDATION
 

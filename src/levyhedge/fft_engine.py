@@ -11,13 +11,23 @@ the sum is a plain DFT
 
     F(l) = sum_j e^{-i 2 pi j l / N} [e^{i pi j} psi_j w_j],
 
-computed here with numpy's FFT; or evaluated at exact log-strikes by
-direct summation.  Both paths share the same arithmetic, only the
-association order differs.
+computed here with numpy's FFT.  The grid tables, (-1)^j w_j, the k grid
+and e^{-alpha k}/pi, depend only on (n, eta, alpha); ``_grid_tables``
+caches them, read-only, for the last few grids.
+
+At exact log-strikes the sum is taken directly, with the phase factored
+over j = c h + l (c about sqrt(N), r = ceil(N / c) rows):
+
+    sum_j e^{-i eta j k} a_j = sum_h e^{-i eta k c h} sum_l a_{ch+l} e^{-i eta k l},
+
+so a log-strike costs r + c exponentials and one (r, c) contraction of
+multiply-adds, not N exponentials.  Both paths share the same
+arithmetic, only the association order differs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -108,19 +118,33 @@ def carr_madan_grid(psi_samples: np.ndarray, alpha: float, eta: float) -> CarrMa
     _require(1.0 < alpha <= 2.0, "alpha must lie in (1, 2]")
     if not np.all(np.isfinite(psi)):
         raise InvalidParameterError("psi samples must be finite")
+    signed_weights, k, damping = _grid_tables(n, eta, alpha)
+    f_raw = np.fft.fft(psi * signed_weights)
+    return CarrMadanGrid(k=k, values=damping * f_raw.real, alpha=alpha, eta=eta)
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_tables(n: int, eta: float, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signed weights (-1)^j w_j, log-strikes k_l and damping e^{-alpha k_l}/pi
+    of one grid, read-only because every grid of the same (n, eta, alpha)
+    shares them.  The sign flip is exact, so psi (-1)^j w_j has the bits of
+    ((-1)^j psi) w_j."""
     j = np.arange(n)
-    f_raw = np.fft.fft(((-1.0) ** j) * psi * simpson_weights(n, eta))
+    signed_weights = ((-1.0) ** j) * simpson_weights(n, eta)
     k = -math.pi / eta + (2.0 * math.pi / (n * eta)) * j
     with np.errstate(over="ignore"):
-        values = np.exp(-alpha * k) / math.pi * f_raw.real
-    return CarrMadanGrid(k=k, values=values, alpha=alpha, eta=eta)
+        damping = np.exp(-alpha * k) / math.pi
+    for table in (signed_weights, k, damping):
+        table.flags.writeable = False
+    return signed_weights, k, damping
 
 
 def damped_sum_complex(psi_samples: np.ndarray, eta: float, k: float) -> complex:
-    """Raw weighted sum sum_j e^{-i eta j k} psi_j w_j (no damping factor).
+    """Raw weighted sum sum_j e^{-i eta j k} psi_j w_j (no damping factor),
+    with one exponential per sample.
 
-    An elementwise multiply-and-sum, not np.dot: a BLAS dot product would
-    start BLAS threads, which costs more than the sum itself."""
+    The naive O(N) reference that tests hold :func:`direct_simpson_sum`
+    to; no production path calls it."""
     psi = np.asarray(psi_samples, dtype=complex)
     terms = np.exp(-1j * eta * k * np.arange(psi.size))
     terms *= psi * simpson_weights(psi.size, eta)
@@ -132,15 +156,26 @@ def direct_simpson_sum(psi_samples: np.ndarray, alpha: float, eta: float, k) -> 
 
         (e^{-alpha k} / pi) Re sum_j e^{-i eta j k} psi_j w_j.
 
-    O(N) time and memory per strike; the reference arithmetic the FFT
-    grid is tested against, and the path for queries of a few strikes.
+    The phase is factored as e^{-i eta k c h} e^{-i eta k l} over
+    j = c h + l (samples zero-padded to r c), so each log-strike takes
+    r + c ~ 2 sqrt(N) exponentials plus O(N) multiply-adds, and all
+    log-strikes of the call share one weighted copy of the samples.  The
+    path for queries of a few strikes.  The contraction is an einsum, not
+    a matrix product: BLAS would start threads that cost more than the sum.
     """
     k = _log_strikes(k, eta)
-    values = [
-        math.exp(-alpha * x) / math.pi * damped_sum_complex(psi_samples, eta, x).real
-        for x in k.ravel().tolist()
-    ]
-    return np.reshape(values, k.shape)
+    psi = np.asarray(psi_samples, dtype=complex).reshape(-1)
+    n = psi.size
+    terms = psi * simpson_weights(n, eta)
+    c = 1 << (n.bit_length() // 2)
+    r = -(-n // c)
+    if r * c != n:
+        terms = np.concatenate((terms, np.zeros(r * c - n, dtype=complex)))
+    flat = k.reshape(-1)
+    lo = np.exp(-1j * np.multiply.outer(eta * flat, np.arange(c)))
+    hi = np.exp(-1j * np.multiply.outer(eta * flat, c * np.arange(r)))
+    sums = (np.einsum("hl,sl->sh", terms.reshape(r, c), lo) * hi).sum(axis=1)
+    return np.reshape(np.exp(-alpha * flat) / math.pi * sums.real, k.shape)
 
 
 def tail_condition_check(config: FftConfig, trunc_a: float) -> bool:

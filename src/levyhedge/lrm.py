@@ -16,9 +16,10 @@ multiply per kernel kind.  Within a slice the strike enters only through
 the e^{-i eta j k} phase, so ``TransformContext.evaluate`` takes all
 strikes of a slice as one array: single quotes, strike sweeps, ``curve``
 slices and jump impacts all go through it.  The path follows the strike
-count: up to four strikes take one exact O(N) direct sum each, more
-share one FFT grid per kernel kind, read by one interpolation per
-(kind, strike shift).  ``LrmResult.mode`` reports which path ran.
+count: up to four strikes take exact direct sums (O(sqrt N)
+exponentials plus O(N) multiply-adds per strike), more share one FFT
+grid per kernel kind, read by one interpolation per (kind, strike
+shift).  ``LrmResult.mode`` reports which path ran.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ from .merton import (
     merton_trunc_i2,
 )
 from .variance_gamma import (
+    VgContourLogs,
     vg_c2,
-    vg_exponent,
     vg_i2_weights,
     vg_mmm_measure,
     vg_trunc,
@@ -137,10 +138,11 @@ class LevySample:
             damped = call * gaussian_damping(zeta, model.delta)
             self.factors = {"indicator": indicator, "call": call, "damped": damped}
         else:
-            pair = vg_mmm_measure(model, self.mmm.h)
-            self.psi = vg_exponent(zeta, model, pair, self.mmm.mu_star)
+            # Psi and the jump kernel share the four contour logs
+            logs = VgContourLogs(zeta, model.G, model.M)
+            self.psi = logs.exponent(vg_mmm_measure(model, self.mmm.h), self.mmm.mu_star)
             self.vg_weights = vg_i2_weights(model)
-            self.factors = {"call": call, "kernel": self.vg_weights.kernel_factor(zeta) * call}
+            self.factors = {"call": call, "kernel": logs.kernel(model.C) * call}
 
 
 class SliceBounds:
@@ -256,16 +258,23 @@ def _strike_array(strikes: Sequence[float]) -> np.ndarray:
 def _check_tail(config: FftConfig, trunc_a: float, strike: float, tau: float) -> None:
     if tail_condition_check(config, trunc_a):
         return
+    raise TailConditionError(
+        f"grid span N*eta = {config.grid_span:g} does not reach the required "
+        f"truncation point {trunc_a:g} at K = {strike:g}, tau = {tau:g}; "
+        f"{tail_hint(config, trunc_a)}"
+    )
+
+
+def tail_hint(config: FftConfig, trunc_a: float) -> str:
+    """How to reach the truncation point trunc_a: the smallest power-of-two
+    n whose span n*eta covers it at the configured eta, when it is finite."""
     hint = "enlarge n or eta"
     if math.isfinite(trunc_a):
         n = config.n
         while n * config.eta < trunc_a:
             n *= 2
         hint += f" (n = {n} at eta = {config.eta:g} covers it)"
-    raise TailConditionError(
-        f"grid span N*eta = {config.grid_span:g} does not reach the required "
-        f"truncation point {trunc_a:g} at K = {strike:g}, tau = {tau:g}; {hint}"
-    )
+    return hint
 
 
 def _slice(query: MarketQuery, model: Model, config: FftConfig) -> TransformContext:

@@ -110,6 +110,37 @@ def _principal_log(base: np.ndarray, what: str) -> np.ndarray:
     return np.log(base)
 
 
+class VgContourLogs:
+    """Principal logs of the four right-half-plane bases M - i zeta,
+    M - 1 - i zeta, G + i zeta and G + 1 + i zeta, each taken once with
+    its branch-cut check.  The jump kernel and the Levy exponent are both
+    sums of these logs, so a contour sample needs four logs, not eight."""
+
+    def __init__(self, zeta: ComplexLike, G: float, M: float):
+        self.iz = 1j * np.asarray(zeta, dtype=complex)
+        iz = self.iz
+        self.log_m = _principal_log(M - iz, "factor M - i*zeta")
+        self.log_m1 = _principal_log(M - 1.0 - iz, "factor M - 1 - i*zeta")
+        self.log_g = _principal_log(G + iz, "factor G + i*zeta")
+        self.log_g1 = _principal_log(G + 1.0 + iz, "factor G + 1 + i*zeta")
+
+    def kernel(self, C: float) -> np.ndarray:
+        """C [log(M - i zeta) - log(M-1-i zeta) + log(G + i zeta) - log(G+1+i zeta)]."""
+        return C * (self.log_m - self.log_m1 + self.log_g - self.log_g1)
+
+    def exponent(self, mmm: CgmComponentPair, mu_star: float) -> np.ndarray:
+        """Psi of the tilted pair, whose components sit at (G, M) and
+        (G+1, M-1), through log(1 + i zeta/G) = log(G + i zeta) - log G and
+        log(1 - i zeta/M) = log(M - i zeta) - log M (G, M > 0, so the real
+        logs shift no argument)."""
+        first, second = mmm.components
+        out = -first.C * (self.log_g + self.log_m - math.log(first.G * first.M))
+        out = out - second.C * (self.log_g1 + self.log_m1 - math.log(second.G * second.M))
+        # compensators of the components: -int x nu_comp(dx)
+        drift = mu_star - first.linear_moment() - second.linear_moment()
+        return out + self.iz * drift
+
+
 def vg_kernel(zeta: ComplexLike, C: float, G: float, M: float) -> ComplexLike:
     """int e^{i zeta x} (e^x - 1) nu_{C,G,M}(dx) as the Frullani log
 
@@ -118,14 +149,7 @@ def vg_kernel(zeta: ComplexLike, C: float, G: float, M: float) -> ComplexLike:
     computed as a sum of principal logs of right-half-plane factors so no
     argument wrapping can occur.
     """
-    z = np.asarray(zeta, dtype=complex)
-    iz = 1j * z
-    out = C * (
-        _principal_log(M - iz, "kernel factor M - i*zeta")
-        - _principal_log(M - 1.0 - iz, "kernel factor M - 1 - i*zeta")
-        + _principal_log(G + iz, "kernel factor G + i*zeta")
-        - _principal_log(G + 1.0 + iz, "kernel factor G + 1 + i*zeta")
-    )
+    out = VgContourLogs(zeta, G, M).kernel(C)
     return out if np.ndim(zeta) else complex(out)
 
 
@@ -147,18 +171,7 @@ def vg_exponent(
 
     with w1 = (1+h)C and w2 = -hC read off the component pair.
     """
-    z = np.asarray(zeta, dtype=complex)
-    iz = 1j * z
-    drift = mu_star
-    out = np.zeros_like(z)
-    for comp in mmm.components:
-        log_base = _principal_log(
-            1.0 + iz / comp.G, "char-fn factor 1 + i*zeta/G"
-        ) + _principal_log(1.0 - iz / comp.M, "char-fn factor 1 - i*zeta/M")
-        out = out - comp.C * log_base
-        # compensator of the component: -int x nu_comp(dx)
-        drift -= comp.linear_moment()
-    out = out + iz * drift
+    out = VgContourLogs(zeta, mmm.first.G, mmm.first.M).exponent(mmm, mu_star)
     return out if np.ndim(zeta) else complex(out)
 
 

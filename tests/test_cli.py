@@ -68,6 +68,38 @@ def test_validate_merton_bench(tmp_path, capsys):
     assert "409.6" in out
 
 
+def test_validate_names_worst_cell(tmp_path, capsys):
+    grid = "query.t_grid = 0,0.5\nquery.strike_grid = 0.5,1,2\n"
+    cfg = _write(tmp_path, "m.cfg", MERTON_CFG + grid)
+    assert main(["validate", "--config", cfg]) == EXIT_OK
+    assert "at K = 0.5, tau = 0.5\n" in capsys.readouterr().out
+    assert main(["validate", "--config", cfg, "--set", "fft.n=64"]) == EXIT_VALIDATION
+    tail_line = capsys.readouterr().out.splitlines()[-1]
+    assert tail_line.startswith("[FAIL] tail condition: N*eta = ")
+    assert tail_line.endswith(
+        "at K = 0.5, tau = 0.5; enlarge n or eta (n = 2048 at eta = 0.025 covers it)"
+    )
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("query.strike=0", "strike must be > 0"),
+        ("query.spot=0", "spot must be > 0"),
+        ("query.strike=-1", "strike must be > 0"),
+        ("query.strike=nan", "strike must be finite"),
+    ],
+)
+def test_validate_rejects_bad_query(tmp_path, capsys, override, message):
+    # the checks curve applies to its cells
+    cfg = _write(tmp_path, "m.cfg", MERTON_CFG + "query.t = 0.5\nquery.strike = 1\n")
+    for command in ("validate", "curve"):
+        assert main([command, "--config", cfg, "--set", override]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert "[PASS] tail condition" not in captured.out
+
+
 def test_validate_vg_m_too_small(capsys):
     code = main(
         [

@@ -87,6 +87,43 @@ def test_grid_equals_direct_at_every_node():
         assert abs(grid.values[idx] - direct) <= tol
 
 
+def test_grid_bit_identical_to_formula():
+    # the cached tables change the grouping of no product, so the grid
+    # has the bits of the docstring formula; the shared k grid is read-only
+    rng = np.random.default_rng(23)
+    cases = ((2, 0.25, 1.75), (64, 0.1, 1.1), (4096, 0.025, 2.0), (16384, 0.025, 1.75))
+    for n, eta, alpha in cases:
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        j = np.arange(n)
+        f_raw = np.fft.fft(((-1.0) ** j) * psi * simpson_weights(n, eta))
+        k = -math.pi / eta + (2.0 * math.pi / (n * eta)) * j
+        for _ in range(2):  # fresh tables, then cached ones
+            grid = carr_madan_grid(psi, alpha, eta)
+            assert np.all(grid.k == k)
+            assert np.all(grid.values == np.exp(-alpha * k) / math.pi * f_raw.real)
+        with pytest.raises(ValueError):
+            grid.k[0] = 0.0
+
+
+def test_direct_sum_matches_naive_reference():
+    # factored-phase sums against one exponential per sample, at sizes that
+    # need no padding, one that does (12), and log-strikes at both ends of
+    # the representable range, several strikes per call
+    rng = np.random.default_rng(29)
+    alpha, eta = 1.75, 0.25
+    edge = np.nextafter(math.pi / eta, 0.0)
+    k = np.array([-edge, -3.7, 0.0, 0.41, 9.9, edge])
+    for n in [2**p for p in range(1, 15)] + [12]:
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        got = direct_simpson_sum(psi, alpha, eta, k)
+        assert got.shape == k.shape
+        scale = np.sum(np.abs(psi * simpson_weights(n, eta)))
+        for x, value in zip(k, got):
+            naive = math.exp(-alpha * x) / math.pi * damped_sum_complex(psi, eta, x).real
+            assert abs(value - naive) <= 1e-12 * scale * math.exp(-alpha * x) / math.pi
+    assert direct_simpson_sum(np.ones(12), alpha, eta, 0.3).shape == ()
+
+
 def test_direct_sum_real_for_real_symmetric_samples():
     eta = 0.1
     v = eta * np.arange(128)

@@ -16,7 +16,9 @@ from levyhedge import (
     vg_mmm_measure,
     vg_trunc,
 )
+from levyhedge import variance_gamma
 from levyhedge.core import cgm_exp_moment
+from levyhedge.lrm import LevySample
 from levyhedge.oracle import levy_moment, lk_char_fn
 
 ALPHA = 1.75
@@ -97,6 +99,34 @@ def test_kernel_uniform_bound(nikkei):
     v = np.linspace(0.0, 500.0, 2001)
     vals = vg_kernel(v - 1j * ALPHA, nikkei.C, nikkei.G, nikkei.M)
     assert np.all(np.abs(vals) <= bound * (1.0 + 1e-12))
+
+
+def test_kernel_bit_identical_on_contour(nikkei, vg_bench):
+    # the shared log step keeps the kernel's own arithmetic
+    zeta = FftConfig(n=2**14, eta=0.025, alpha=ALPHA).zeta_grid()
+    iz = 1j * zeta
+    for p in (nikkei, vg_bench):
+        C, G, M = p.C, p.G, p.M
+        formula = C * (
+            np.log(M - iz) - np.log(M - 1.0 - iz) + np.log(G + iz) - np.log(G + 1.0 + iz)
+        )
+        assert np.array_equal(vg_kernel(zeta, C, G, M), formula)
+
+
+def test_sample_takes_four_logs(nikkei, monkeypatch):
+    # Psi and the kernel of a contour sample share M - i zeta, M-1-i zeta,
+    # G + i zeta and G+1+i zeta
+    calls = []
+    log = variance_gamma._principal_log
+
+    def counting_log(base, what):
+        calls.append(what)
+        return log(base, what)
+
+    monkeypatch.setattr(variance_gamma, "_principal_log", counting_log)
+    sample = LevySample(nikkei, FftConfig(n=2**14, eta=0.025, alpha=ALPHA), 14841.07)
+    assert len(calls) == 4
+    assert np.all(np.isfinite(sample.psi)) and np.all(np.isfinite(sample.factors["kernel"]))
 
 
 def test_kernel_vs_quadrature(nikkei):
