@@ -25,6 +25,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO
 
+import numpy as np
+
 from .core import (
     InvalidParameterError,
     LevyHedgeError,
@@ -274,11 +276,11 @@ def _worst_trunc_cell(cfg: RunConfig) -> tuple[float, float, float]:
     worst: Optional[tuple[float, float, float]] = None
     for t in cfg.t_values:
         queries = [MarketQuery(t, cfg.maturity, cfg.spot, strike) for strike in cfg.strikes]
-        bounds = SliceBounds(cfg.model, mmm, cfg.fft, queries[0].tau, cfg.spot)
-        for query in queries:
-            bound = max(bounds(query.strike))
-            if worst is None or bound > worst[0]:
-                worst = (bound, query.strike, query.tau)
+        strikes = np.array([query.strike for query in queries])
+        bounds = SliceBounds(cfg.model, mmm, cfg.fft, queries[0].tau, cfg.spot)(strikes).max(axis=0)
+        i = int(np.argmax(bounds))
+        if worst is None or bounds[i] > worst[0]:
+            worst = (float(bounds[i]), queries[i].strike, queries[i].tau)
     return worst
 
 
@@ -314,12 +316,13 @@ def _open_output(cfg: RunConfig):
 def cmd_curve(cfg: RunConfig) -> int:
     _require_query(cfg)
     started = time.perf_counter()
-    # every time slice is exp(tau Psi) over one shared contour sample
+    # every time slice is exp(tau Psi) over one shared contour sample;
+    # the shortest time to maturity needs the longest Merton prefix, so
+    # taking the latest t first grows the sample once
     sample = LevySample(cfg.model, cfg.fft, cfg.spot)
-    per_slice = [
-        sweep_slice(sample, t=t, T=cfg.maturity, strikes=cfg.strikes)
-        for t in cfg.t_values
-    ]
+    per_slice: list = [None] * len(cfg.t_values)
+    for i in sorted(range(len(cfg.t_values)), key=lambda i: -cfg.t_values[i]):
+        per_slice[i] = sweep_slice(sample, t=cfg.t_values[i], T=cfg.maturity, strikes=cfg.strikes)
     elapsed = time.perf_counter() - started
 
     handle, owned = _open_output(cfg)

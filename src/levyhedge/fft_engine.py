@@ -23,6 +23,15 @@ over j = c h + l (c about sqrt(N), r = ceil(N / c) rows):
 so a log-strike costs r + c exponentials and one (r, c) contraction of
 multiply-adds, not N exponentials.  Both paths share the same
 arithmetic, only the association order differs.
+
+Both paths also take a prefix of an N-point grid: the samples past it
+count as zeros.  The grid path zero-pads the prefix to one N-point FFT,
+so the k grid and the cached tables stay those of N.  The direct path
+keeps the row layout of N and gives each log-strike its own row count:
+a log-strike sums rows h < its count, and the sum over h always runs
+over r entries, zeros past its rows, so its value does not depend on the
+prefix length or on the other log-strikes of the call.  The full grid is
+the prefix of length N.
 """
 
 from __future__ import annotations
@@ -101,25 +110,29 @@ def _log_strikes(k, eta: float) -> np.ndarray:
     return k
 
 
-def carr_madan_grid(psi_samples: np.ndarray, alpha: float, eta: float) -> CarrMadanGrid:
+def carr_madan_grid(
+    psi_samples: np.ndarray, alpha: float, eta: float, n: int | None = None
+) -> CarrMadanGrid:
     """All grid values in one FFT:
 
         F(l) = (e^{-alpha k_l} / pi) sum_j e^{-2 pi i jl/N} e^{i pi j} psi_j w_j.
 
     The alternating e^{i pi j} = (-1)^j factor re-centers the k grid at 0
     (k = 0 lands on index l = N/2).  Values are the real parts of the
-    damped sums; the imaginary residue is discretization noise.
+    damped sums; the imaginary residue is discretization noise.  The
+    samples may be a prefix of an N = n point grid (n defaults to their
+    count); the FFT zero-pads them to N.
     """
     psi = np.asarray(psi_samples, dtype=complex)
-    n = psi.size
-    if psi.ndim != 1 or n == 0 or (n & (n - 1)) != 0:
-        raise FftSizeError(f"sample shape {psi.shape} is not one power-of-two axis")
+    n = psi.size if n is None else n
+    if psi.ndim != 1 or psi.size == 0 or psi.size > n or (n & (n - 1)) != 0:
+        raise FftSizeError(f"sample shape {psi.shape} is not a prefix of one power-of-two axis")
     _require(eta > 0.0, "eta must be > 0")
     _require(1.0 < alpha <= 2.0, "alpha must lie in (1, 2]")
     if not np.all(np.isfinite(psi)):
         raise InvalidParameterError("psi samples must be finite")
     signed_weights, k, damping = _grid_tables(n, eta, alpha)
-    f_raw = np.fft.fft(psi * signed_weights)
+    f_raw = np.fft.fft(psi * signed_weights[: psi.size], n)
     return CarrMadanGrid(k=k, values=damping * f_raw.real, alpha=alpha, eta=eta)
 
 
@@ -151,30 +164,58 @@ def damped_sum_complex(psi_samples: np.ndarray, eta: float, k: float) -> complex
     return complex(terms.sum())
 
 
-def direct_simpson_sum(psi_samples: np.ndarray, alpha: float, eta: float, k) -> np.ndarray:
+def row_layout(n: int) -> tuple[int, int]:
+    """Row length c = 2^floor(bit_length(n) / 2) and row count r = ceil(n / c)
+    of the factored phase j = c h + l over an n-point grid."""
+    c = 1 << (n.bit_length() // 2)
+    return c, -(-n // c)
+
+
+def direct_simpson_sum(
+    psi_samples: np.ndarray, alpha: float, eta: float, k, n: int | None = None, rows=None
+) -> np.ndarray:
     """Damped sums at the exact log-strikes k, no grid snapping:
 
         (e^{-alpha k} / pi) Re sum_j e^{-i eta j k} psi_j w_j.
 
     The phase is factored as e^{-i eta k c h} e^{-i eta k l} over
-    j = c h + l (samples zero-padded to r c), so each log-strike takes
+    j = c h + l in the row layout of an n-point grid (``row_layout``;
+    samples zero-padded to whole rows), so each log-strike takes
     r + c ~ 2 sqrt(N) exponentials plus O(N) multiply-adds, and all
     log-strikes of the call share one weighted copy of the samples.  The
     path for queries of a few strikes.  The contraction is an einsum, not
     a matrix product: BLAS would start threads that cost more than the sum.
+
+    The samples may be a prefix of the n-point grid (n defaults to their
+    count).  ``rows`` gives each log-strike's row count (default: every
+    row the prefix reaches); a log-strike sums rows h < its count only,
+    and the sum over h runs over all r rows of the layout with zeros past
+    its count, so the result has the same bits whatever the prefix and
+    the other log-strikes.
     """
     k = _log_strikes(k, eta)
     psi = np.asarray(psi_samples, dtype=complex).reshape(-1)
-    n = psi.size
-    terms = psi * simpson_weights(n, eta)
-    c = 1 << (n.bit_length() // 2)
-    r = -(-n // c)
-    if r * c != n:
-        terms = np.concatenate((terms, np.zeros(r * c - n, dtype=complex)))
+    m = psi.size
+    n = m if n is None else n
+    _require(m <= n, f"{m} samples exceed the {n}-point grid")
+    terms = psi * simpson_weights(m, eta)
+    c, r = row_layout(n)
+    held = -(-m // c)
+    if held * c != m:
+        terms = np.concatenate((terms, np.zeros(held * c - m, dtype=complex)))
     flat = k.reshape(-1)
     lo = np.exp(-1j * np.multiply.outer(eta * flat, np.arange(c)))
-    hi = np.exp(-1j * np.multiply.outer(eta * flat, c * np.arange(r)))
-    sums = (np.einsum("hl,sl->sh", terms.reshape(r, c), lo) * hi).sum(axis=1)
+    hi = np.exp(-1j * np.multiply.outer(eta * flat, c * np.arange(held)))
+    by_row = np.einsum("hl,sl->sh", terms.reshape(held, c), lo) * hi
+    if rows is not None:
+        rows = np.asarray(rows).reshape(flat.shape)
+        fewest = rows.min()
+        _require(fewest >= 1 and rows.max() <= held, "row counts outside the prefix")
+        if fewest < held:
+            by_row[np.arange(held) >= rows[:, None]] = 0.0
+    if held < r:
+        by_row = np.concatenate((by_row, np.zeros((flat.size, r - held), dtype=complex)), axis=1)
+    sums = by_row.sum(axis=1)
     return np.reshape(np.exp(-alpha * flat) / math.pi * sums.real, k.shape)
 
 

@@ -20,6 +20,15 @@ count: up to four strikes take exact direct sums (O(sqrt N)
 exponentials plus O(N) multiply-adds per strike), more share one FFT
 grid per kernel kind, read by one interpolation per (kind, strike
 shift).  ``LrmResult.mode`` reports which path ran.
+
+A Merton slice sums only a prefix of the samples: its Gaussian envelope
+certifies, per strike, how many rows of the direct sum's layout it takes
+before the dropped tail moves I1, I2 and the ratio by less than
+rounding (``merton_prefix_tail``).  The direct path gives each strike
+its own rows; the grid path zero-pads the slice's longest prefix to one
+N-point FFT.  The shared sample is taken at the length the slices ask
+for.  Variance gamma, whose polynomial envelope certifies no such
+prefix, and any slice whose bound needs every row, use all N samples.
 """
 
 from __future__ import annotations
@@ -50,14 +59,17 @@ from .fft_engine import (
     FftConfig,
     carr_madan_grid,
     direct_simpson_sum,
+    row_layout,
     tail_condition_check,
 )
 from .merton import (
     KERNEL_DAMPED,
+    ROUNDING,
     gaussian_damping,
-    merton_c1,
     merton_exponent,
     merton_i2_terms,
+    merton_log_c1,
+    merton_prefix_tail,
     merton_trunc_i1,
     merton_trunc_i2,
 )
@@ -119,6 +131,12 @@ class LevySample:
     stock-or-nothing), ``call`` indicator / (i zeta) (psi2), ``damped``
     call times the Gaussian factor (Merton shifted-strike terms) and
     ``kernel`` call times the jump-kernel weight (variance gamma).
+
+    Both hold the first ``psi.size`` contour points: all N for variance
+    gamma, one row of the direct-sum layout for Merton at construction.
+    :meth:`prefix` grows a Merton sample on demand by sampling again at a
+    larger size; every sample is elementwise in zeta, so the first
+    entries keep their bits.
     """
 
     def __init__(self, model: Model, config: FftConfig, spot: float):
@@ -128,14 +146,31 @@ class LevySample:
         self.config = config
         self.spot = spot
         self.mmm = mmm_quantities(model)
+        if isinstance(model, MertonParams):
+            self._sample(row_layout(config.n)[0])
+        else:
+            self._sample(config.n)
 
-        zeta = config.zeta_grid()
+    def prefix(self, m: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """psi and the kernel factors at the first m contour points."""
+        if m > self.psi.size:
+            # at least doubling, so a run of growing slices samples O(log N) times
+            self._sample(min(self.config.n, max(m, 2 * self.psi.size)))
+        return self.psi[:m], {kind: factor[:m] for kind, factor in self.factors.items()}
+
+    def _sample(self, m: int) -> None:
+        model, config = self.model, self.config
+        # the first m points of config.zeta_grid(), with its bits
+        zeta = config.eta * np.arange(m) - 1j * config.alpha
         iz = 1j * zeta
-        indicator = np.exp(iz * math.log(spot)) / (iz - 1.0)
+        indicator = np.exp(iz * math.log(self.spot)) / (iz - 1.0)
         call = indicator / iz
         if isinstance(model, MertonParams):
             self.psi = merton_exponent(zeta, model, self.mmm)
-            damped = call * gaussian_damping(zeta, model.delta)
+            # the temporary on the left: numpy may multiply a large
+            # temporary in place, and a complex product's bits follow its
+            # operand order, so this order holds at every size
+            damped = gaussian_damping(zeta, model.delta) * call
             self.factors = {"indicator": indicator, "call": call, "damped": damped}
         else:
             # Psi and the jump kernel share the four contour logs
@@ -146,71 +181,107 @@ class LevySample:
 
 
 class SliceBounds:
-    """Frequency truncation points of one time slice, from scalars only:
-    the envelope constant (C1 for Merton, C2 for variance gamma) and,
-    per strike, the bounds (I1, I2) for Merton or (I2,) for variance
-    gamma."""
+    """Bounds of one time slice, for all its strikes at once: the
+    frequency truncation points (I1, I2) for Merton or (I2,) for
+    variance gamma, and the rows of the direct-sum layout each strike
+    sums.  A Merton strike takes the fewest rows whose dropped tail stays
+    below rounding; variance gamma takes every row."""
 
     def __init__(
         self, model: Model, mmm: MmmQuantities, config: FftConfig, tau: float, spot: float
     ):
         _require(tau >= TAU_MIN, f"tau must be >= {TAU_MIN:g}")
         self.model, self.config, self.tau, self.spot = model, config, tau, spot
+        self.row_length, self.layout_rows = row_layout(config.n)
+        # a strike K sums the first i + 1 rows once K >= _row_strikes[i]
+        # (nonincreasing); None: every strike sums every row
+        self._row_strikes = None
         if isinstance(model, MertonParams):
-            self.envelope = merton_c1(model, mmm, tau, config.alpha)
+            log_c1 = merton_log_c1(model, mmm, tau, config.alpha)
+            self.envelope = math.exp(log_c1)
+            # the tail past each row end a = (rows * c - 1) eta is
+            # K^{1-alpha} e^{G(a)}; it is below rounding once
+            # log K >= (G(a) - log ROUNDING) / (alpha - 1)
+            ends = self.row_length * np.arange(1, self.layout_rows + 1) - 1
+            tail = merton_prefix_tail(
+                config.eta * ends, tau, spot, config.alpha, log_c1, model, mmm
+            )
+            with np.errstate(over="ignore"):
+                self._row_strikes = np.exp((tail - math.log(ROUNDING)) / (config.alpha - 1.0))
         else:
             pair = vg_mmm_measure(model, mmm.h)
             self.envelope = vg_c2(model, pair, mmm.mu_star, tau, config.alpha)
 
-    def __call__(self, strike: float) -> tuple[float, ...]:
-        args = (self.config.eps, self.tau, strike, self.spot, self.config.alpha, self.envelope)
+    def __call__(self, strikes: np.ndarray) -> np.ndarray:
+        """Truncation points, one row per bound ((I1, I2) or (I2,)) and one
+        column per strike."""
+        args = (self.config.eps, self.tau, strikes, self.spot, self.config.alpha, self.envelope)
         if isinstance(self.model, MertonParams):
-            return (merton_trunc_i1(*args, self.model), merton_trunc_i2(*args, self.model))
-        return (vg_trunc(*args, self.model),)
+            return np.stack((merton_trunc_i1(*args, self.model), merton_trunc_i2(*args, self.model)))
+        return np.stack((vg_trunc(*args, self.model),))
+
+    def rows(self, strikes: np.ndarray) -> np.ndarray:
+        """Rows of the direct-sum layout each strike sums."""
+        if self._row_strikes is None:
+            return np.full(strikes.shape, self.layout_rows)
+        first = np.searchsorted(-self._row_strikes, -strikes)
+        return np.minimum(first + 1, self.layout_rows)
 
 
 class TransformContext:
     """One time slice of a :class:`LevySample`: phi_tau = exp(tau psi)
-    times each kernel factor, with the slice's truncation bounds.  Grids
-    are built lazily, one FFT per kind."""
+    times each kernel factor, over the longest prefix its strikes have
+    asked for, with the slice's bounds.  Grids are built lazily, one FFT
+    per kind and prefix."""
 
     def __init__(self, sample: LevySample, tau: float):
         self.sample = sample
         self.tau = tau
-        phi = levy_char_fn(sample.psi, tau)
-        self._arrays = {kind: phi * factor for kind, factor in sample.factors.items()}
+        # |phi_tau(v - i alpha)| <= phi_tau(-i alpha): the j = 0 sample,
+        # which every prefix holds, has the largest Re(tau psi), so this is
+        # the exp() guard of the whole grid, and it fires before the C1 guard
+        levy_char_fn(sample.psi[:1], tau)
         self.trunc_bounds = SliceBounds(sample.model, sample.mmm, sample.config, tau, sample.spot)
-        self._grids: dict[str, CarrMadanGrid] = {}
+        self._held = 0
+        self._arrays: dict[str, np.ndarray] = {}
+        self._grids: dict[tuple[str, int], CarrMadanGrid] = {}
 
     def evaluate(self, strikes: Sequence[float], tail: slice = slice(None)) -> list[LrmResult]:
         """Hedge ratios, I1 and I2 for every strike of the slice, as array
         operations.  One tail check covers the largest truncation bound
         over all strikes, of the per-strike bounds (I1, I2) that ``tail``
         selects.  Up to ``_DIRECT_SUM_MAX_STRIKES`` strikes take exact
-        direct sums; more share one interpolated FFT grid per kernel kind."""
+        direct sums, each over its own rows; more share one interpolated
+        FFT grid per kernel kind over the longest prefix."""
         strikes = _strike_array(strikes)
         if strikes.size == 0:
             return []
-        sample, config = self.sample, self.sample.config
-        trunc = np.array([self.trunc_bounds(k)[tail] for k in strikes.tolist()]).max(axis=1)
+        sample, config, bounds = self.sample, self.sample.config, self.trunc_bounds
+        trunc = bounds(strikes)[tail].max(axis=0)
         worst = int(np.argmax(trunc))
         _check_tail(config, float(trunc[worst]), float(strikes[worst]), self.tau)
         mode = MODE_DIRECT_SUM if strikes.size <= _DIRECT_SUM_MAX_STRIKES else MODE_FFT_GRID
+        rows = bounds.rows(strikes)
+        arrays = self._prefix_arrays(int(rows.max()) * bounds.row_length)
+
+        def sums(kind: str, at: np.ndarray) -> np.ndarray:
+            return self._damped_sums(kind, arrays[kind], at, mode, rows)
+
         if isinstance(sample.model, MertonParams):
-            i1 = strikes * self._damped_sums("indicator", strikes, mode)
+            i1 = strikes * sums("indicator", strikes)
             i2 = 0.0
             # at unit strike the terms give the coefficients and the
             # strike shift factors
             for term in merton_i2_terms(sample.model, 1.0):
                 kind = "damped" if term.kernel == KERNEL_DAMPED else "call"
                 shifted = strikes * term.strike
-                i2 = i2 + term.coefficient * shifted * self._damped_sums(kind, shifted, mode)
+                i2 = i2 + term.coefficient * shifted * sums(kind, shifted)
             sigma2 = sample.model.sigma**2
             numerator = sigma2 * i1 + i2
         else:
             i1 = None
-            kernel_part = strikes * self._damped_sums("kernel", strikes, mode)
-            call_part = strikes * self._damped_sums("call", strikes, mode)
+            kernel_part = strikes * sums("kernel", strikes)
+            call_part = strikes * sums("call", strikes)
             i2 = numerator = kernel_part - sample.vg_weights.constant * call_part
             sigma2 = 0.0
         ratio = numerator / (sample.spot * (sigma2 + sample.mmm.quad_exp_moment))
@@ -230,17 +301,30 @@ class TransformContext:
             )
         ]
 
-    def _damped_sums(self, kind: str, strikes: np.ndarray, mode: str) -> np.ndarray:
-        """The damped transform of one kernel kind at log(strikes)."""
+    def _prefix_arrays(self, m: int) -> dict[str, np.ndarray]:
+        """phi times each kernel factor at the first m samples, grown
+        elementwise (so with the same bits) when an earlier call took fewer."""
+        if m > self._held:
+            psi, factors = self.sample.prefix(m)
+            phi = levy_char_fn(psi, self.tau)
+            self._arrays = {kind: phi * factor for kind, factor in factors.items()}
+            self._held = m
+        return {kind: array[:m] for kind, array in self._arrays.items()}
+
+    def _damped_sums(
+        self, kind: str, samples: np.ndarray, strikes: np.ndarray, mode: str, rows: np.ndarray
+    ) -> np.ndarray:
+        """The damped transform of one kernel kind's prefix at log(strikes)."""
         cfg = self.sample.config
         if mode == MODE_DIRECT_SUM:
             # math.log, not np.log: the two can differ in the last bit, and
             # direct-sum values (single quotes, impact tables) stay bit-stable
             log_k = [math.log(x) for x in strikes.tolist()]
-            return direct_simpson_sum(self._arrays[kind], cfg.alpha, cfg.eta, log_k)
-        if kind not in self._grids:
-            self._grids[kind] = carr_madan_grid(self._arrays[kind], cfg.alpha, cfg.eta)
-        return self._grids[kind].at(np.log(strikes))
+            return direct_simpson_sum(samples, cfg.alpha, cfg.eta, log_k, cfg.n, rows)
+        key = (kind, samples.size)
+        if key not in self._grids:
+            self._grids[key] = carr_madan_grid(samples, cfg.alpha, cfg.eta, cfg.n)
+        return self._grids[key].at(np.log(strikes))
 
 
 def _strike_array(strikes: Sequence[float]) -> np.ndarray:

@@ -5,8 +5,10 @@ a two-component Gaussian mixture, the characteristic function stays in
 closed form, and the jump term of the hedge numerator splits into three
 damped Fourier transforms (two of them carrying an extra Gaussian factor
 exp(-delta^2 z^2 / 2)).  The module also provides the envelope constant
-C1 with |phi_tau(v - i alpha)| <= C1 exp(-sigma^2 v^2 tau / 2) and the
-frequency truncation points derived from it.
+C1 with |phi_tau(v - i alpha)| <= C1 exp(-sigma^2 v^2 tau / 2), the
+frequency truncation points derived from it, and the tail bound that
+stops each time slice's sums where the dropped samples fall below
+rounding.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ KERNEL_PLAIN = "plain"
 KERNEL_DAMPED = "damped"
 
 ComplexLike = Union[complex, np.ndarray]
+FloatLike = Union[float, np.ndarray]
+
+# one unit in the last place of 1: the tail a prefix may drop
+ROUNDING = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -146,6 +152,11 @@ def merton_c1(params: MertonParams, mmm: MmmQuantities, tau: float, alpha: float
     C1 = exp{ tau [ alpha mu* + sigma^2 alpha^2 / 2
                     + int (e^{alpha x} - 1 - alpha x) tilted-nu(dx) ] }.
     """
+    return math.exp(merton_log_c1(params, mmm, tau, alpha))
+
+
+def merton_log_c1(params: MertonParams, mmm: MmmQuantities, tau: float, alpha: float) -> float:
+    """log C1 (see :func:`merton_c1`), refused above the exp() guard."""
     if tau < 0.0:
         raise InvalidParameterError("tau must be >= 0")
     g, m, d2, sigma2 = params.gamma, params.m, params.delta**2, params.sigma**2
@@ -161,18 +172,18 @@ def merton_c1(params: MertonParams, mmm: MmmQuantities, tau: float, alpha: float
     )
     if exponent > _EXP_GUARD:
         raise OverflowGuardError(f"C1 exponent {exponent:.3g} exceeds {_EXP_GUARD:g}")
-    return math.exp(exponent)
+    return exponent
 
 
 def merton_trunc_i1(
     eps: float,
     tau: float,
-    strike: float,
+    strike: FloatLike,
     spot: float,
     alpha: float,
     c1: float,
     params: MertonParams,
-) -> float:
+) -> FloatLike:
     """Smallest frequency a with the stock-or-nothing tail below eps.
 
     Closed form of the quartic sufficient condition
@@ -180,7 +191,7 @@ def merton_trunc_i1(
         (K/pi (K/S)^{-alpha} C1)^{1/4} / (sigma sqrt(tau) eps^{1/4}) <= a.
 
     Returned as the exact equality point; rounding up to a grid multiple
-    is the caller's job.
+    is the caller's job.  ``strike`` may be an array (one point per strike).
     """
     _require(eps > 0.0, "eps must be > 0")
     _require(tau >= TAU_MIN, f"tau must be >= {TAU_MIN:g}")
@@ -191,18 +202,20 @@ def merton_trunc_i1(
 def merton_trunc_i2(
     eps: float,
     tau: float,
-    strike: float,
+    strike: FloatLike,
     spot: float,
     alpha: float,
     c1: float,
     params: MertonParams,
-) -> float:
+) -> FloatLike:
     """Smallest frequency a with the jump-term tail below eps (quintic law):
 
         a^5 >= 4 C1 gamma K (K/S)^{-alpha} B / (5 pi sigma^4 tau^2 eps),
 
     B = e^{(alpha+1)m + (alpha^2/2 + alpha + 1/2) delta^2}
         + e^{m alpha + delta^2 alpha^2 / 2} + |1 - e^{m + delta^2/2}|.
+
+    ``strike`` may be an array (one point per strike).
     """
     _require(eps > 0.0, "eps must be > 0")
     _require(tau >= TAU_MIN, f"tau must be >= {TAU_MIN:g}")
@@ -222,6 +235,57 @@ def merton_trunc_i2(
         / (5.0 * math.pi * params.sigma**4 * tau**2 * eps)
     )
     return rhs ** (1.0 / 5.0)
+
+
+def merton_prefix_tail(
+    a: np.ndarray,
+    tau: float,
+    spot: float,
+    alpha: float,
+    log_c1: float,
+    params: MertonParams,
+    mmm: MmmQuantities,
+) -> np.ndarray:
+    """Strike-free log factor G(a) of the tail a prefix of samples drops.
+
+    Summing only the samples j < m of a slice's damped sums, a = (m-1) eta,
+    moves I1 and I2 each by at most S K^{1-alpha} e^{G(a)} and the hedge
+    ratio by at most K^{1-alpha} e^{G(a)}.  Each transform enters through
+    a kernel f at a shifted strike K' with a coefficient, and dropping its
+    samples past a moves its damped sum by at most
+
+        (K'^{-alpha} / pi) (4/3) int_a^inf C1 e^{-sigma^2 tau v^2/2} |f(v - i alpha)| dv,
+
+    4/3 being Simpson's largest weight over eta (the envelope times the
+    kernel bound decreases, so the sum over j >= m stays below the
+    integral from a).  On the contour |indicator| <= S^alpha / v,
+    |call| <= S^alpha / v^2 and |damped| <= S^alpha e^{delta^2 alpha^2/2}
+    e^{-delta^2 v^2/2} / v^2, and int_a^inf e^{-b v^2} v^{-p} dv <=
+    e^{-b a^2} / (2 b a^{p+1}).  I1 is the indicator term at K; I2 the
+    three terms of :func:`merton_i2_terms`, a zero coefficient adding no
+    tail; the ratio divides sigma^2 I1 + I2 by S (sigma^2 + quad moment).
+    Works in logs, so a large C1 cannot overflow.
+    """
+    a = np.asarray(a, dtype=float)
+    sigma2, d2 = params.sigma**2, params.delta**2
+    b = 0.5 * sigma2 * tau
+    log_a = np.log(a)
+    a2 = a * a
+    # (4/3) C1 S^alpha / pi, over S
+    lead = math.log(4.0 / (3.0 * math.pi)) + log_c1 + (alpha - 1.0) * math.log(spot)
+    i1 = lead - b * a2 - math.log(2.0 * b) - 2.0 * log_a
+    i2 = np.full(a.shape, -np.inf)
+    for term in merton_i2_terms(params, 1.0):
+        if term.coefficient == 0.0:
+            continue
+        log_coef = math.log(abs(term.coefficient)) + (1.0 - alpha) * math.log(term.strike)
+        b_t = b
+        if term.kernel == KERNEL_DAMPED:
+            log_coef += 0.5 * d2 * alpha * alpha
+            b_t += 0.5 * d2
+        i2 = np.logaddexp(i2, lead + log_coef - b_t * a2 - math.log(2.0 * b_t) - 3.0 * log_a)
+    ratio = np.logaddexp(math.log(sigma2) + i1, i2) - math.log(sigma2 + mmm.quad_exp_moment)
+    return np.maximum(np.maximum(i1, i2), ratio)
 
 
 @dataclass(frozen=True)

@@ -243,17 +243,19 @@ def vg_i2_weights(params: VgParams) -> VgI2Weights:
 def vg_trunc(
     eps: float,
     tau: float,
-    strike: float,
+    strike: Union[float, np.ndarray],
     spot: float,
     alpha: float,
     c2: float,
     params: VgParams,
-) -> float:
+) -> Union[float, np.ndarray]:
     """Smallest frequency a with the jump-term tail below eps:
 
         a^{2 C tau + 1} >= C C2 K^{1-alpha} S^alpha
                            [1/(G+alpha) + 1/(M-alpha-1) + |log(MG/((M-1)(G+1)))|]
                            / (pi eps (2 C tau + 1)).
+
+    ``strike`` may be an array (one point per strike).
     """
     _require(eps > 0.0, "eps must be > 0")
     _require(tau >= TAU_MIN, f"tau must be >= {TAU_MIN:g}")

@@ -267,6 +267,24 @@ def test_impact_builds_one_sample(tmp_path, capsys, monkeypatch):
     assert len(builds) == 1
 
 
+def test_curve_grows_sample_once(tmp_path, capsys, monkeypatch):
+    # the latest t needs the longest Merton prefix and is taken first, so
+    # the shared sample grows once past its one-row start
+    sizes = []
+    sample = LevySample._sample
+
+    def counting_sample(self, m):
+        sizes.append(m)
+        sample(self, m)
+
+    monkeypatch.setattr(LevySample, "_sample", counting_sample)
+    grid = "query.t_grid = 0:0.9:0.1\nquery.strike_grid = 1:2:0.25\n"
+    cfg = _write(tmp_path, "m.cfg", MERTON_CFG + grid)
+    assert main(["curve", "--config", cfg]) == EXIT_OK
+    assert len(_rows(capsys.readouterr().out)) == 50
+    assert len(sizes) == 2 and sizes[0] < sizes[1] < 2**14
+
+
 def test_impact_comma_list(tmp_path, capsys):
     cfg = _write(tmp_path, "m.cfg", MERTON_CFG + "query.t = 0.5\nquery.strike = 1\n")
     assert main(["impact", "--config", cfg, "--y", "0.05,0.2"]) == EXIT_OK

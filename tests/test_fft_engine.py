@@ -13,7 +13,7 @@ from levyhedge import (
     simpson_weights,
     tail_condition_check,
 )
-from levyhedge.fft_engine import damped_sum_complex
+from levyhedge.fft_engine import damped_sum_complex, row_layout
 from levyhedge.merton import merton_char_fn
 from levyhedge.oracle import naive_dft
 
@@ -122,6 +122,47 @@ def test_direct_sum_matches_naive_reference():
             naive = math.exp(-alpha * x) / math.pi * damped_sum_complex(psi, eta, x).real
             assert abs(value - naive) <= 1e-12 * scale * math.exp(-alpha * x) / math.pi
     assert direct_simpson_sum(np.ones(12), alpha, eta, 0.3).shape == ()
+
+
+def test_direct_sum_rows_match_naive_prefix():
+    # per-strike row counts over a prefix of an n-point layout: each
+    # log-strike against the naive sum over its own rows, and with the
+    # bits it has alone over the shortest prefix holding them
+    rng = np.random.default_rng(31)
+    alpha, eta = 1.75, 0.25
+    k = np.array([-3.7, 0.0, 0.41, 9.9])
+    for n in [4, 12, 64, 2**10, 2**14]:
+        c, r = row_layout(n)
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        rows = rng.integers(1, r + 1, size=k.size)
+        rows[0] = 1
+        m = min(int(rows.max()) * c, n)
+        got = direct_simpson_sum(psi[:m], alpha, eta, k, n, rows)
+        for x, count, value in zip(k, rows, got):
+            own = psi[: min(int(count) * c, n)]
+            naive = math.exp(-alpha * x) / math.pi * damped_sum_complex(own, eta, x).real
+            scale = np.sum(np.abs(own * simpson_weights(own.size, eta)))
+            assert abs(value - naive) <= 1e-12 * scale * math.exp(-alpha * x) / math.pi
+            assert direct_simpson_sum(own, alpha, eta, [x], n, [count])[0] == value
+        # the full grid is the prefix of length n
+        full = direct_simpson_sum(psi, alpha, eta, k)
+        assert np.array_equal(direct_simpson_sum(psi, alpha, eta, k, n, np.full(k.size, r)), full)
+    with pytest.raises(InvalidParameterError):
+        direct_simpson_sum(np.ones(8), alpha, eta, [0.1], 16, [3])
+    with pytest.raises(InvalidParameterError):
+        direct_simpson_sum(np.ones(32), alpha, eta, [0.1], 16)
+
+
+def test_grid_prefix_equals_zero_padded():
+    # a prefix is zero-padded to the n-point FFT: the bits of the padded grid
+    rng = np.random.default_rng(37)
+    n, m = 1024, 320
+    psi = rng.normal(size=m) + 1j * rng.normal(size=m)
+    padded = np.concatenate((psi, np.zeros(n - m, dtype=complex)))
+    grid = carr_madan_grid(psi, 1.75, 0.1, n)
+    assert np.array_equal(grid.values, carr_madan_grid(padded, 1.75, 0.1).values)
+    with pytest.raises(FftSizeError):
+        carr_madan_grid(padded, 1.75, 0.1, m)
 
 
 def test_direct_sum_real_for_real_symmetric_samples():

@@ -25,7 +25,16 @@ from levyhedge import (
     lrm_by_moneyness,
     lrm_strike_sweep,
 )
-from levyhedge.lrm import MODE_DIRECT_SUM, MODE_FFT_GRID
+from levyhedge.core import levy_char_fn
+from levyhedge.fft_engine import direct_simpson_sum
+from levyhedge.lrm import MODE_DIRECT_SUM, MODE_FFT_GRID, LevySample, TransformContext
+from levyhedge.merton import (
+    ROUNDING,
+    merton_exponent,
+    merton_i2_terms,
+    merton_log_c1,
+    merton_prefix_tail,
+)
 from levyhedge.oracle import oracle_lrm, quad_i1, quad_i2_definition
 
 from conftest import NIKKEI_SPOT
@@ -326,3 +335,80 @@ def test_black_scholes_degenerate_case(fft_bench):
         res = lrm(_q(0.0, strike), model, fft_bench)
         d1 = (math.log(1.0 / strike) + 0.5 * 0.04) / 0.2
         assert res.lrm == pytest.approx(NormalDist().cdf(d1), abs=1e-9)
+
+
+def _kind_terms(model):
+    """(kind, coefficient, strike shift) of each transform: I1, then I2's three."""
+    terms = [("indicator", 1.0, 1.0)]
+    for term in merton_i2_terms(model, 1.0):
+        kind = "damped" if term.kernel == "damped" else "call"
+        terms.append((kind, term.coefficient, term.strike))
+    return terms
+
+
+def test_prefix_tail_bound_holds(merton_bench, random_merton_models, fft_bench):
+    # dropping the samples past a strike's prefix moves each weighted
+    # transform by at most the certified S K^{1-alpha} e^{G(a)}, which is
+    # below rounding wherever the prefix is shorter than the grid
+    cfg, spot = fft_bench, 1.0
+    for index, model in enumerate([merton_bench] + list(random_merton_models)):
+        sample = LevySample(model, cfg, spot)
+        psi, factors = sample.prefix(cfg.n)
+        for tau in (0.05, 0.5, 1.0):
+            bounds = TransformContext(sample, tau).trunc_bounds
+            phi = levy_char_fn(psi, tau)
+            strikes = np.array([0.5, 1.0, 2.0]) * spot
+            c = bounds.row_length
+            log_c1 = merton_log_c1(model, sample.mmm, tau, cfg.alpha)
+            for strike, rows in zip(strikes, bounds.rows(strikes)):
+                m = int(rows) * c
+                tail = merton_prefix_tail(
+                    np.array([(m - 1) * cfg.eta]), tau, spot, cfg.alpha, log_c1, model, sample.mmm
+                )[0]
+                allowed = spot * strike ** (1.0 - cfg.alpha) * math.exp(tail)
+                if m < cfg.n:
+                    assert allowed <= ROUNDING * spot
+                if index == 0 and tau == 0.5:
+                    assert m < cfg.n
+                for kind, coef, shift in _kind_terms(model):
+                    samples = phi * factors[kind]
+                    log_k = [math.log(strike * shift)]
+                    full = direct_simpson_sum(samples, cfg.alpha, cfg.eta, log_k)[0]
+                    prefix = direct_simpson_sum(
+                        samples[:m], cfg.alpha, cfg.eta, log_k, cfg.n, [rows]
+                    )[0]
+                    moved = abs(coef * strike * shift * (full - prefix))
+                    assert moved <= allowed + 1e-15
+
+
+def test_grown_sample_keeps_bits(merton_bench, fft_bench):
+    # a sample grown on demand, or taken at full size, holds the bits of
+    # one taken at the prefix length (numpy elides temporaries from
+    # 2^14 complex points on, which must not change a product's bits)
+    cfg = fft_bench
+    full = LevySample(merton_bench, cfg, 1.3)
+    full_psi, full_factors = full.prefix(cfg.n)
+    assert np.array_equal(full_psi, merton_exponent(cfg.zeta_grid(), merton_bench, full.mmm))
+    grown = LevySample(merton_bench, cfg, 1.3)
+    assert grown.psi.size < cfg.n
+    for m in (300, 2304, 5000, cfg.n - 1, cfg.n):
+        fresh_psi, fresh = LevySample(merton_bench, cfg, 1.3).prefix(m)
+        assert fresh_psi.size == m
+        for psi, factors in (grown.prefix(m), (full_psi[:m], full_factors)):
+            assert np.array_equal(psi, fresh_psi)
+            for kind in ("indicator", "call", "damped"):
+                assert np.array_equal(factors[kind][:m], fresh[kind])
+    # a slice of the full-size sample answers as one of a fresh sample
+    strikes = [0.9, 1.3, 1.7]
+    assert TransformContext(full, 0.5).evaluate(strikes) == TransformContext(
+        LevySample(merton_bench, cfg, 1.3), 0.5
+    ).evaluate(strikes)
+
+
+def test_vg_slice_uses_all_samples(nikkei, fft_bench):
+    # the polynomial variance-gamma envelope certifies no prefix
+    sample = LevySample(nikkei, fft_bench, NIKKEI_SPOT)
+    assert sample.psi.size == fft_bench.n
+    bounds = TransformContext(sample, 0.5).trunc_bounds
+    rows = bounds.rows(np.array([12000.0, 14000.0, 16000.0]))
+    assert np.all(rows * bounds.row_length == fft_bench.n)
