@@ -36,8 +36,8 @@ from .fft_engine import (
     FftConfig,
     carr_madan_grid,
     direct_simpson_sum,
-    simpson_weights,
     tail_condition_check,
+    trapezoid_weights,
 )
 from .lrm import (
     MODE_DIRECT_SUM,

@@ -36,6 +36,7 @@ from .core import (
     TailConditionError,
     VgParams,
     mmm_quantities,
+    time_to_maturity,
     validate_assumptions,
 )
 from .fft_engine import FftConfig, tail_condition_check
@@ -44,8 +45,8 @@ from .lrm import (
     LrmResult,
     MoneynessQuery,
     SliceBounds,
+    TransformContext,
     moneyness_slice,
-    sweep_slice,
     tail_hint,
 )
 
@@ -316,13 +317,17 @@ def _open_output(cfg: RunConfig):
 def cmd_curve(cfg: RunConfig) -> int:
     _require_query(cfg)
     started = time.perf_counter()
-    # every time slice is exp(tau Psi) over one shared contour sample;
-    # the shortest time to maturity needs the longest Merton prefix, so
-    # taking the latest t first grows the sample once
+    # every time slice is exp(tau Psi) over one shared contour sample,
+    # taken once at the finest stride and over the longest span any slice
+    # reads; each slice then works on views of it
     sample = LevySample(cfg.model, cfg.fft, cfg.spot)
-    per_slice: list = [None] * len(cfg.t_values)
-    for i in sorted(range(len(cfg.t_values)), key=lambda i: -cfg.t_values[i]):
-        per_slice[i] = sweep_slice(sample, t=cfg.t_values[i], T=cfg.maturity, strikes=cfg.strikes)
+    slices = [TransformContext(sample, time_to_maturity(t, cfg.maturity)) for t in cfg.t_values]
+    reach = [ctx.reach(cfg.strikes) for ctx in slices]
+    sample.cover(min(shift for shift, _ in reach), max(last for _, last in reach))
+    per_slice = []
+    for i, ctx in enumerate(slices):
+        per_slice.append(ctx.evaluate(cfg.strikes))
+        slices[i] = None  # its arrays and grids are done with
     elapsed = time.perf_counter() - started
 
     handle, owned = _open_output(cfg)
@@ -349,8 +354,8 @@ def _row(cfg: RunConfig, t: float, strike: float, res: LrmResult) -> list[str]:
         _fmt(strike),
         _fmt(strike / cfg.spot),
         _fmt(cfg.fft.alpha),
-        str(cfg.fft.n),
-        _fmt(cfg.fft.eta),
+        str(cfg.fft.n // res.stride),
+        _fmt(cfg.fft.eta * res.stride),
         _fmt(res.trunc_a),
         res.mode,
         "" if res.i1 is None else _fmt(res.i1),
@@ -362,6 +367,8 @@ def _row(cfg: RunConfig, t: float, strike: float, res: LrmResult) -> list[str]:
 def cmd_impact(cfg: RunConfig, jump_sizes: Sequence[float]) -> int:
     if not jump_sizes:
         raise ConfigError("impact needs at least one jump size (--y)")
+    if not all(math.isfinite(y) for y in jump_sizes):
+        raise ConfigError("jump sizes must be finite")
     if any(y == 0.0 for y in jump_sizes):
         raise ConfigError("jump sizes must be nonzero")
     _require_query(cfg)

@@ -42,6 +42,10 @@ _DRIFT_TOL = 1e-12
 # sample array can never reach the FFT
 _EXP_GUARD = 700.0
 
+# one unit in the last place of 1: the error a certified shortcut (a
+# shorter prefix, a coarser stride) may add to a transform over S
+ROUNDING = 2.0**-53
+
 
 class LevyHedgeError(Exception):
     """Base class for errors raised by this package."""

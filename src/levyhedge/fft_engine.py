@@ -5,9 +5,9 @@ is approximated by the weighted sum over the frequency grid v_j = eta*j,
 
     X(k) ~= (e^{-alpha k} / pi) sum_j e^{-i eta j k} psi(eta j - i alpha) w_j,
 
-with Simpson-style weights w_j = (eta/3)(3 + (-1)^{j+1} - delta_{j0}).
-Evaluated for all grid log-strikes k_l = -pi/eta + 2 pi l / (N eta) at once,
-the sum is a plain DFT
+with trapezoid weights w_0 = eta/2, w_j = eta for j >= 1.  Evaluated for
+all grid log-strikes k_l = -pi/eta + 2 pi l / (N eta) at once, the sum is
+a plain DFT
 
     F(l) = sum_j e^{-i 2 pi j l / N} [e^{i pi j} psi_j w_j],
 
@@ -32,6 +32,21 @@ a log-strike sums rows h < its count, and the sum over h always runs
 over r entries, zeros past its rows, so its value does not depend on the
 prefix length or on the other log-strikes of the call.  The full grid is
 the prefix of length N.
+
+Aliasing.  The sampled function is analytic in a strip around the
+contour, so by Poisson summation the infinite trapezoid sum is
+
+    sum_{m in Z} e^{2 pi alpha m / eta} X(k + 2 pi m / eta):
+
+the target plus images spaced 2 pi / eta apart in log-strike.  Every
+second sample of the grid, spacing 2 eta over N/2 points, spans the same
+N eta and puts the images half as far away.  ``alias_log_factor`` is the
+geometric sum over the images on one side, for a function that decays
+like e^{-d k} (in K-normalized form) on that side: d = alpha - 1 toward
+the in-the-money pole at zeta = -i, d = 1 + beta - alpha toward the
+right tail, where a moment E[S_T^{1+beta}] bounds the function.  The
+model modules supply those constants; ``lrm.SliceBounds`` turns them
+into the coarsest stride each strike may take.
 """
 
 from __future__ import annotations
@@ -42,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FftSizeError, InvalidParameterError, _require
+from .core import ROUNDING, FftSizeError, InvalidParameterError, _require
 
 
 @dataclass(frozen=True)
@@ -72,16 +87,68 @@ class FftConfig:
         return self.eta * np.arange(self.n) - 1j * self.alpha
 
 
-def simpson_weights(n: int, eta: float) -> np.ndarray:
-    """w_j = (eta/3) (3 + (-1)^{j+1} - delta_{j0}); j=0 gets eta/3, then
-    the 4/3, 2/3 alternation."""
+def trapezoid_weights(n: int, eta: float) -> np.ndarray:
+    """w_0 = eta/2, then w_j = eta: the trapezoid rule on [0, inf) whose
+    samples past the grid count as zeros."""
     _require(n >= 2, "need n >= 2")
     _require(eta > 0.0, "eta must be > 0")
-    third = eta / 3.0
-    w = np.full(n, 2.0 * third)
-    w[1::2] = 4.0 * third
-    w[0] = third
+    w = np.full(n, eta)
+    w[0] = 0.5 * eta
     return w
+
+
+def alias_log_factor(distance, eta: float):
+    """log sum_{m >= 1} e^{-2 pi m d / eta}: the images, 2 pi / eta apart in
+    log-strike, of a K-normalized transform decaying like e^{-d |k|} on one
+    side, in logs (d > 0, scalar or array)."""
+    x = (2.0 * math.pi / eta) * np.asarray(distance, dtype=float)
+    return -x - np.log1p(-np.exp(-x))
+
+
+# rates d = 1 + beta - alpha at which right-tail bounds are tried: the
+# moment E[S_T^{1+beta}] decays the K-normalized transform like e^{-d k}
+# past the contour's own e^{-(alpha - 1) k}
+ALIAS_RATES = np.geomspace(2.0**-6, 2.0**6, 97)
+
+
+def alias_floors(profile, beta: np.ndarray, alpha: float, etas) -> list[float]:
+    """Per spacing eta of ``etas``: the smallest log(K/S) from which every
+    bound (log_itm, log_right) of ``profile``,
+
+        e^{log_itm + A(alpha - 1)} + e^{log_right(beta) + A(1 + beta - alpha) - beta log(K/S)}
+
+    (over S, A = :func:`alias_log_factor` at eta), stays at or below 2^-53
+    for some beta of the grid; inf where the in-the-money images alone
+    reach it.  The right-tail images fall with K, so every larger strike
+    passes.
+    """
+    floors = []
+    for eta in etas:
+        itm = float(alias_log_factor(alpha - 1.0, eta))
+        right = alias_log_factor(1.0 + beta - alpha, eta)
+        floor = -math.inf
+        for log_itm, log_right in profile:
+            budget = ROUNDING - math.exp(log_itm + itm)
+            if budget <= 0.0:
+                floor = math.inf
+                break
+            floor = max(floor, float(np.min((log_right + right - math.log(budget)) / beta)))
+        floors.append(floor)
+    return floors
+
+
+def coarsest_shift(config: FftConfig) -> int:
+    """Largest s such that every 2^s-th point of the configured grid (at
+    least two points) keeps the in-the-money image of I1,
+    S e^{-2 pi (alpha - 1) / eta_s} summed over its images, below
+    rounding, 2^-53 S.  That image is strike- and model-free, so no strike
+    of any slice takes a coarser stride."""
+    shift = 0
+    while config.n >> (shift + 1) >= 2 and (
+        alias_log_factor(config.alpha - 1.0, config.eta * (2 << shift)) < math.log(ROUNDING)
+    ):
+        shift += 1
+    return shift
 
 
 @dataclass(frozen=True)
@@ -121,7 +188,9 @@ def carr_madan_grid(
     (k = 0 lands on index l = N/2).  Values are the real parts of the
     damped sums; the imaginary residue is discretization noise.  The
     samples may be a prefix of an N = n point grid (n defaults to their
-    count); the FFT zero-pads them to N.
+    count); the FFT zero-pads them to N.  The samples may also be every
+    2^s-th point of a finer grid, given with its spacing eta and its
+    point count n.  The name is historical: the weights are trapezoid.
     """
     psi = np.asarray(psi_samples, dtype=complex)
     n = psi.size if n is None else n
@@ -143,7 +212,7 @@ def _grid_tables(n: int, eta: float, alpha: float) -> tuple[np.ndarray, np.ndarr
     shares them.  The sign flip is exact, so psi (-1)^j w_j has the bits of
     ((-1)^j psi) w_j."""
     j = np.arange(n)
-    signed_weights = ((-1.0) ** j) * simpson_weights(n, eta)
+    signed_weights = ((-1.0) ** j) * trapezoid_weights(n, eta)
     k = -math.pi / eta + (2.0 * math.pi / (n * eta)) * j
     with np.errstate(over="ignore"):
         damping = np.exp(-alpha * k) / math.pi
@@ -160,7 +229,7 @@ def damped_sum_complex(psi_samples: np.ndarray, eta: float, k: float) -> complex
     to; no production path calls it."""
     psi = np.asarray(psi_samples, dtype=complex)
     terms = np.exp(-1j * eta * k * np.arange(psi.size))
-    terms *= psi * simpson_weights(psi.size, eta)
+    terms *= psi * trapezoid_weights(psi.size, eta)
     return complex(terms.sum())
 
 
@@ -176,7 +245,10 @@ def direct_simpson_sum(
 ) -> np.ndarray:
     """Damped sums at the exact log-strikes k, no grid snapping:
 
-        (e^{-alpha k} / pi) Re sum_j e^{-i eta j k} psi_j w_j.
+        (e^{-alpha k} / pi) Re sum_j e^{-i eta j k} psi_j w_j,
+
+    with the trapezoid weights (the name is historical: the sum used
+    Simpson weights once).
 
     The phase is factored as e^{-i eta k c h} e^{-i eta k l} over
     j = c h + l in the row layout of an n-point grid (``row_layout``;
@@ -198,7 +270,7 @@ def direct_simpson_sum(
     m = psi.size
     n = m if n is None else n
     _require(m <= n, f"{m} samples exceed the {n}-point grid")
-    terms = psi * simpson_weights(m, eta)
+    terms = psi * trapezoid_weights(m, eta)
     c, r = row_layout(n)
     held = -(-m // c)
     if held * c != m:

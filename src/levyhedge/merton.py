@@ -19,7 +19,8 @@ from typing import Union
 
 import numpy as np
 
-from .core import (
+from .core import (  # noqa: F401  (ROUNDING: re-exported next to the prefix tail)
+    ROUNDING,
     TAU_MIN,
     InvalidParameterError,
     MertonParams,
@@ -29,15 +30,13 @@ from .core import (
     _require,
     levy_char_fn,
 )
+from .fft_engine import ALIAS_RATES
 
 KERNEL_PLAIN = "plain"
 KERNEL_DAMPED = "damped"
 
 ComplexLike = Union[complex, np.ndarray]
 FloatLike = Union[float, np.ndarray]
-
-# one unit in the last place of 1: the tail a prefix may drop
-ROUNDING = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -159,20 +158,27 @@ def merton_log_c1(params: MertonParams, mmm: MmmQuantities, tau: float, alpha: f
     """log C1 (see :func:`merton_c1`), refused above the exp() guard."""
     if tau < 0.0:
         raise InvalidParameterError("tau must be >= 0")
-    g, m, d2, sigma2 = params.gamma, params.m, params.delta**2, params.sigma**2
-    h = mmm.h
-    m2 = m + d2
-    jump1 = math.exp(m * alpha + 0.5 * alpha**2 * d2) - 1.0 - alpha * m
-    jump2 = math.exp(m2 * alpha + 0.5 * alpha**2 * d2) - 1.0 - alpha * m2
-    exponent = tau * (
-        alpha * mmm.mu_star
-        + 0.5 * sigma2 * alpha**2
-        + (1.0 + h) * g * jump1
-        - h * g * math.exp(m + 0.5 * d2) * jump2
-    )
+    exponent = _log_mgf(params, mmm, tau, alpha, math.exp)
     if exponent > _EXP_GUARD:
         raise OverflowGuardError(f"C1 exponent {exponent:.3g} exceeds {_EXP_GUARD:g}")
     return exponent
+
+
+def _log_mgf(params: MertonParams, mmm: MmmQuantities, tau: float, p, exp):
+    """tau Psi(-i p) = log E[(S_T / S)^p] under the minimal martingale
+    measure, unguarded; ``exp`` is math.exp for a scalar p, np.exp for an
+    array."""
+    g, m, d2, sigma2 = params.gamma, params.m, params.delta**2, params.sigma**2
+    h = mmm.h
+    m2 = m + d2
+    jump1 = exp(m * p + 0.5 * p**2 * d2) - 1.0 - p * m
+    jump2 = exp(m2 * p + 0.5 * p**2 * d2) - 1.0 - p * m2
+    return tau * (
+        p * mmm.mu_star
+        + 0.5 * sigma2 * p**2
+        + (1.0 + h) * g * jump1
+        - h * g * math.exp(m + 0.5 * d2) * jump2
+    )
 
 
 def merton_trunc_i1(
@@ -254,25 +260,25 @@ def merton_prefix_tail(
     a kernel f at a shifted strike K' with a coefficient, and dropping its
     samples past a moves its damped sum by at most
 
-        (K'^{-alpha} / pi) (4/3) int_a^inf C1 e^{-sigma^2 tau v^2/2} |f(v - i alpha)| dv,
+        (K'^{-alpha} / pi) int_a^inf C1 e^{-sigma^2 tau v^2/2} |f(v - i alpha)| dv,
 
-    4/3 being Simpson's largest weight over eta (the envelope times the
-    kernel bound decreases, so the sum over j >= m stays below the
-    integral from a).  On the contour |indicator| <= S^alpha / v,
-    |call| <= S^alpha / v^2 and |damped| <= S^alpha e^{delta^2 alpha^2/2}
-    e^{-delta^2 v^2/2} / v^2, and int_a^inf e^{-b v^2} v^{-p} dv <=
-    e^{-b a^2} / (2 b a^{p+1}).  I1 is the indicator term at K; I2 the
-    three terms of :func:`merton_i2_terms`, a zero coefficient adding no
-    tail; the ratio divides sigma^2 I1 + I2 by S (sigma^2 + quad moment).
-    Works in logs, so a large C1 cannot overflow.
+    each trapezoid weight past j = 0 being the spacing (the envelope times
+    the kernel bound decreases, so the sum over j >= m stays below the
+    integral from a, at any spacing).  On the contour |indicator| <=
+    S^alpha / v, |call| <= S^alpha / v^2 and |damped| <= S^alpha
+    e^{delta^2 alpha^2/2} e^{-delta^2 v^2/2} / v^2, and int_a^inf e^{-b v^2}
+    v^{-p} dv <= e^{-b a^2} / (2 b a^{p+1}).  I1 is the indicator term at
+    K; I2 the three terms of :func:`merton_i2_terms`, a zero coefficient
+    adding no tail; the ratio divides sigma^2 I1 + I2 by S (sigma^2 +
+    quad moment).  Works in logs, so a large C1 cannot overflow.
     """
     a = np.asarray(a, dtype=float)
     sigma2, d2 = params.sigma**2, params.delta**2
     b = 0.5 * sigma2 * tau
     log_a = np.log(a)
     a2 = a * a
-    # (4/3) C1 S^alpha / pi, over S
-    lead = math.log(4.0 / (3.0 * math.pi)) + log_c1 + (alpha - 1.0) * math.log(spot)
+    # C1 S^alpha / pi, over S
+    lead = -math.log(math.pi) + log_c1 + (alpha - 1.0) * math.log(spot)
     i1 = lead - b * a2 - math.log(2.0 * b) - 2.0 * log_a
     i2 = np.full(a.shape, -np.inf)
     for term in merton_i2_terms(params, 1.0):
@@ -286,6 +292,57 @@ def merton_prefix_tail(
         i2 = np.logaddexp(i2, lead + log_coef - b_t * a2 - math.log(2.0 * b_t) - 3.0 * log_a)
     ratio = np.logaddexp(math.log(sigma2) + i1, i2) - math.log(sigma2 + mmm.quad_exp_moment)
     return np.maximum(np.maximum(i1, i2), ratio)
+
+
+def merton_alias_profile(
+    params: MertonParams, mmm: MmmQuantities, tau: float, alpha: float
+) -> tuple[np.ndarray, list[tuple[float, np.ndarray]]]:
+    """Constants of the aliasing bound for I1, I2 and the hedge ratio.
+
+    Each transform term (coefficient c, shifted strike K' = K s) moves,
+    over S, by at most
+
+        |c| a e^{A(alpha - 1)}
+        + |c| b(beta) E[(S_T/S)^{1+beta}] (K'/S)^{-beta} e^{A(1 + beta - alpha)}
+
+    with A = :func:`alias_log_factor` at the spacing.  Its K-normalized
+    transform is below S/K' deep in the money (a call is below S) and
+    below E[S_T^{1+beta}] K'^{-1-beta} far out (S_T 1{S_T > K} and
+    (S_T - K)^+ are below S_T^{1+beta} / K^beta).  The indicator and call
+    kinds have a = b = 1; the damped kind convolves the call with a
+    N(0, delta^2) log-strike shift, so a = e^{delta^2/2} and b(beta) =
+    e^{(1+beta)^2 delta^2/2}.  The moment is :func:`merton_log_c1` at
+    1 + beta without its guard.  Returns the beta grid and, for I1, I2
+    and the ratio, log of sum |c| a and log of sum |c| b(beta)
+    E[(S_T/S)^{1+beta}] s^{-beta} over their terms.
+    """
+    beta = alpha - 1.0 + ALIAS_RATES
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_mgf = _log_mgf(params, mmm, tau, 1.0 + beta, np.exp)
+    # an overflowed moment (inf, or 0 * inf at gamma = 0) bounds nothing
+    log_mgf = np.where(np.isnan(log_mgf), np.inf, log_mgf)
+    d2 = params.delta**2
+    i2 = []
+    for term in merton_i2_terms(params, 1.0):
+        if term.coefficient == 0.0:
+            continue
+        log_coef = math.log(abs(term.coefficient))
+        right = log_coef + log_mgf - beta * math.log(term.strike)
+        if term.kernel == KERNEL_DAMPED:
+            i2.append((log_coef + 0.5 * d2, right + 0.5 * d2 * (1.0 + beta) ** 2))
+        else:
+            i2.append((log_coef, right))
+    i1 = (0.0, log_mgf)
+    if i2:
+        itm, right = zip(*i2)
+        i2 = (float(np.logaddexp.reduce(itm)), np.logaddexp.reduce(right))
+    else:
+        i2 = (-math.inf, np.full(beta.shape, -np.inf))
+    # the ratio divides sigma^2 I1 + I2 by sigma^2 + quad moment
+    log_sigma2 = 2.0 * math.log(params.sigma)
+    log_denom = math.log(params.sigma**2 + mmm.quad_exp_moment)
+    ratio = tuple(np.logaddexp(log_sigma2 + a, b) - log_denom for a, b in zip(i1, i2))
+    return beta, [i1, i2, ratio]
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from levyhedge import (
     merton_trunc_i1,
     merton_trunc_i2,
     mmm_quantities,
-    simpson_weights,
+    trapezoid_weights,
     vg_c2,
     vg_char_fn,
     vg_mmm_measure,
@@ -96,10 +96,10 @@ def test_criterion_2_fft_correctness():
         n *= 2
     eta = 0.025
     j = np.arange(64)
-    expected = (eta / 3.0) * (3.0 + (-1.0) ** (j + 1) - (j == 0))
-    weights_ok = np.array_equal(simpson_weights(64, eta), expected)
+    expected = eta * (1.0 - 0.5 * (j == 0))
+    weights_ok = np.array_equal(trapezoid_weights(64, eta), expected)
     ok = worst < 1e-12 and weights_ok
-    _report(2, "FFT vs naive DFT and Simpson weights", ok, f"max err {worst:.2e}")
+    _report(2, "FFT vs naive DFT and trapezoid weights", ok, f"max err {worst:.2e}")
     assert worst < 1e-12
     assert weights_ok
 

@@ -320,3 +320,31 @@ def test_run_config_grids_and_overrides(capsys):
     # the transform path follows the strike count; there is no mode key
     assert main(["validate", "--set", "model.kind=merton", "--set", "mode=auto"]) == EXIT_USAGE
     assert "unknown config keys: mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jumps", ["inf", "nan", "0.1,-inf"])
+def test_impact_rejects_non_finite_jumps(tmp_path, capsys, jumps):
+    cfg = _write(tmp_path, "m.cfg", MERTON_CFG + "query.t = 0.5\nquery.strike = 1\n")
+    assert main(["impact", "--config", cfg, "--y", jumps]) == EXIT_USAGE
+    assert "error: jump sizes must be finite" in capsys.readouterr().err
+
+
+def test_curve_reports_cell_grid(tmp_path, capsys):
+    # the n and eta columns give the grid each cell summed: every stride-th
+    # point of the configured one; direct sums take each strike's own
+    # stride, a grid the finest of its slice
+    cases = (
+        (MERTON_CFG, "query.t = 0.5\nquery.strike_grid = 1,20\n", [(8192, 0.05), (4096, 0.1)]),
+        (NIKKEI_CFG, "query.t = 0.5\nquery.strike_grid = 12000,14000\n", [(4096, 0.1)] * 2),
+        (NIKKEI_CFG, "query.t = 0.5\nquery.strike_grid = 12000:16000:1000\n", [(4096, 0.1)] * 5),
+    )
+    for base, grids, grid_cells in cases:
+        cfg_text = base + grids
+        assert main(["curve", "--config", _write(tmp_path, "c.cfg", cfg_text)]) == EXIT_OK
+        rows = _rows(capsys.readouterr().out)
+        cfg = build_run_config(parse_key_values(cfg_text, "inline"))
+        expected = lrm_strike_sweep(
+            cfg.model, cfg.fft, t=0.5, T=cfg.maturity, spot=cfg.spot, strikes=cfg.strikes
+        )
+        assert [(int(row["n"]), float(row["eta"])) for row in rows] == grid_cells
+        assert [(cfg.fft.n // r.stride, cfg.fft.eta * r.stride) for r in expected] == grid_cells

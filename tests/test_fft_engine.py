@@ -10,8 +10,8 @@ from levyhedge import (
     carr_madan_grid,
     direct_simpson_sum,
     mmm_quantities,
-    simpson_weights,
     tail_condition_check,
+    trapezoid_weights,
 )
 from levyhedge.fft_engine import damped_sum_complex, row_layout
 from levyhedge.merton import merton_char_fn
@@ -33,19 +33,19 @@ def test_fft_matches_naive_all_sizes():
         n *= 2
 
 
-def test_simpson_weights_values():
+def test_trapezoid_weights_values():
     eta = 0.025
-    w = simpson_weights(4, eta)
-    assert w == pytest.approx([eta / 3, 4 * eta / 3, 2 * eta / 3, 4 * eta / 3])
+    w = trapezoid_weights(4, eta)
+    assert w == pytest.approx([eta / 2, eta, eta, eta])
     for n in (2, 8, 64):
-        assert simpson_weights(n, eta)[0] == pytest.approx(eta / 3, rel=1e-15)
+        assert trapezoid_weights(n, eta)[0] == pytest.approx(eta / 2, rel=1e-15)
 
 
-def test_simpson_weights_total_measure():
-    # for even n the weights sum to n*eta - eta/3 exactly
+def test_trapezoid_weights_total_measure():
+    # the weights sum to n*eta - eta/2
     n, eta = 4096, 0.025
-    total = simpson_weights(n, eta).sum()
-    assert total == pytest.approx(n * eta - eta / 3.0, rel=1e-12)
+    total = trapezoid_weights(n, eta).sum()
+    assert total == pytest.approx(n * eta - eta / 2.0, rel=1e-12)
     assert abs(total - n * eta) <= eta
 
 
@@ -77,7 +77,7 @@ def test_grid_equals_direct_at_every_node():
     n, eta, alpha = 256, 0.25, 1.75
     psi = rng.normal(size=n) + 1j * rng.normal(size=n)
     grid = carr_madan_grid(psi, alpha, eta)
-    scale = np.sum(np.abs(psi * simpson_weights(n, eta)))
+    scale = np.sum(np.abs(psi * trapezoid_weights(n, eta)))
     # skip index 0: its node sits exactly on the -pi/eta boundary that
     # direct queries must stay strictly inside
     for idx in range(1, n, 7):
@@ -95,7 +95,7 @@ def test_grid_bit_identical_to_formula():
     for n, eta, alpha in cases:
         psi = rng.normal(size=n) + 1j * rng.normal(size=n)
         j = np.arange(n)
-        f_raw = np.fft.fft(((-1.0) ** j) * psi * simpson_weights(n, eta))
+        f_raw = np.fft.fft(((-1.0) ** j) * psi * trapezoid_weights(n, eta))
         k = -math.pi / eta + (2.0 * math.pi / (n * eta)) * j
         for _ in range(2):  # fresh tables, then cached ones
             grid = carr_madan_grid(psi, alpha, eta)
@@ -117,7 +117,7 @@ def test_direct_sum_matches_naive_reference():
         psi = rng.normal(size=n) + 1j * rng.normal(size=n)
         got = direct_simpson_sum(psi, alpha, eta, k)
         assert got.shape == k.shape
-        scale = np.sum(np.abs(psi * simpson_weights(n, eta)))
+        scale = np.sum(np.abs(psi * trapezoid_weights(n, eta)))
         for x, value in zip(k, got):
             naive = math.exp(-alpha * x) / math.pi * damped_sum_complex(psi, eta, x).real
             assert abs(value - naive) <= 1e-12 * scale * math.exp(-alpha * x) / math.pi
@@ -141,7 +141,7 @@ def test_direct_sum_rows_match_naive_prefix():
         for x, count, value in zip(k, rows, got):
             own = psi[: min(int(count) * c, n)]
             naive = math.exp(-alpha * x) / math.pi * damped_sum_complex(own, eta, x).real
-            scale = np.sum(np.abs(own * simpson_weights(own.size, eta)))
+            scale = np.sum(np.abs(own * trapezoid_weights(own.size, eta)))
             assert abs(value - naive) <= 1e-12 * scale * math.exp(-alpha * x) / math.pi
             assert direct_simpson_sum(own, alpha, eta, [x], n, [count])[0] == value
         # the full grid is the prefix of length n

@@ -26,16 +26,23 @@ from levyhedge import (
     lrm_strike_sweep,
 )
 from levyhedge.core import levy_char_fn
-from levyhedge.fft_engine import direct_simpson_sum
+from levyhedge.fft_engine import (
+    alias_log_factor,
+    coarsest_shift,
+    direct_simpson_sum,
+    trapezoid_weights,
+)
 from levyhedge.lrm import MODE_DIRECT_SUM, MODE_FFT_GRID, LevySample, TransformContext
 from levyhedge.merton import (
     ROUNDING,
+    merton_alias_profile,
     merton_exponent,
     merton_i2_terms,
     merton_log_c1,
     merton_prefix_tail,
 )
 from levyhedge.oracle import oracle_lrm, quad_i1, quad_i2_definition
+from levyhedge.variance_gamma import vg_alias_profile
 
 from conftest import NIKKEI_SPOT
 
@@ -406,9 +413,166 @@ def test_grown_sample_keeps_bits(merton_bench, fft_bench):
 
 
 def test_vg_slice_uses_all_samples(nikkei, fft_bench):
-    # the polynomial variance-gamma envelope certifies no prefix
+    # the polynomial variance-gamma envelope certifies no prefix: at any
+    # stride the sample and every strike's sums span all of N eta
     sample = LevySample(nikkei, fft_bench, NIKKEI_SPOT)
-    assert sample.psi.size == fft_bench.n
+    assert sample.psi.size << sample.shift == fft_bench.n
     bounds = TransformContext(sample, 0.5).trunc_bounds
-    rows = bounds.rows(np.array([12000.0, 14000.0, 16000.0]))
+    strikes = np.array([12000.0, 14000.0, 16000.0])
+    rows = bounds.rows(strikes)
     assert np.all(rows * bounds.row_length == fft_bench.n)
+    shifts, rows = bounds.strided_rows(strikes)
+    assert np.all(bounds.extents(shifts, rows) == fft_bench.n - (1 << shifts))
+
+
+def _alias_bound(profile, beta, alpha, eta, log_moneyness):
+    """The certified aliasing bound of one (log_itm, log_right) profile
+    entry at spacing eta and log(K/S), over S."""
+    log_itm, log_right = profile
+    itm = math.exp(log_itm + alias_log_factor(alpha - 1.0, eta))
+    right = np.min(log_right + alias_log_factor(1.0 + beta - alpha, eta) - beta * log_moneyness)
+    return itm + math.exp(right)
+
+
+def test_alias_bound_holds(merton_bench, random_merton_models, fft_bench):
+    # every stride's sums stay within the certified aliasing bounds of the
+    # configured grid's sums over the same prefix (the bounds at both
+    # spacings), at every stride up to the cap.  On top comes the two
+    # sums' rounding: each term is off by about ulp times the size of the
+    # exponents it went through (tau Psi, the phase v k, the Gaussian
+    # delta^2 v^2 / 2), and deep in the money K^{1-alpha} and the
+    # cancelling phases lift that to 5e-11 on one model, far above its
+    # certified 1e-19
+    cfg, spot = fft_bench, 1.0
+    v = cfg.eta * np.arange(cfg.n)
+    for model in [merton_bench] + list(random_merton_models):
+        sample = LevySample(model, cfg, spot)
+        psi, factors = sample.prefix(cfg.n)
+        for tau in (0.05, 0.5, 1.0):
+            bounds = TransformContext(sample, tau).trunc_bounds
+            beta, profile = merton_alias_profile(model, sample.mmm, tau, cfg.alpha)
+            phi = levy_char_fn(psi, tau)
+            strikes = np.array([1e-3, 0.5, 1.0, 2.0]) * spot
+            for strike, rows in zip(strikes, bounds.rows(strikes)):
+                m = int(rows) * bounds.row_length
+                for s in range(1, coarsest_shift(cfg) + 1):
+                    eta = cfg.eta * (1 << s)
+                    moved, allowed = [0.0, 0.0], [1e-15, 1e-15]
+                    for q, eta_q in ((0, cfg.eta), (0, eta), (1, cfg.eta), (1, eta)):
+                        allowed[q] += spot * _alias_bound(
+                            profile[q], beta, cfg.alpha, eta_q, math.log(strike / spot)
+                        )
+                    for q, (kind, coef, shift) in zip((0, 1, 1, 1), _kind_terms(model)):
+                        if coef == 0.0:
+                            continue
+                        samples = (phi * factors[kind])[:m]
+                        log_k = math.log(strike * shift)
+                        fine = direct_simpson_sum(samples, cfg.alpha, cfg.eta, [log_k], cfg.n)[0]
+                        coarse = direct_simpson_sum(
+                            samples[:: 1 << s], cfg.alpha, eta, [log_k], cfg.n >> s
+                        )[0]
+                        weight = abs(coef) * strike * shift
+                        moved[q] += weight * abs(fine - coarse)
+                        exponents = 1.0 + np.abs(tau * psi[:m]) + np.abs(v[:m] * log_k)
+                        if kind == "damped":
+                            exponents += 0.5 * model.delta**2 * (v[:m] ** 2 + cfg.alpha**2)
+                        terms = np.abs(samples) * trapezoid_weights(m, cfg.eta) * exponents
+                        rounding = 8.0 * ROUNDING * math.exp(-cfg.alpha * log_k) / math.pi
+                        allowed[q] += weight * rounding * np.sum(terms)
+                    assert moved[0] <= allowed[0] and moved[1] <= allowed[1]
+
+
+def test_alias_bound_not_below_measured(nikkei):
+    # the in-the-money images of the call transform at alpha = 1.3,
+    # eta = 0.2, K = 1e-3 S: the certified bound against the sum at
+    # eta = 0.025 over the same span, whose images are e^{-75} S away
+    cfg = FftConfig(n=2**14, eta=0.025, alpha=1.3)
+    sample = LevySample(nikkei, cfg, NIKKEI_SPOT)
+    strike, tau, s = 1e-3 * NIKKEI_SPOT, 0.5, 3
+    psi, factors = sample.prefix(cfg.n)
+    calls = levy_char_fn(psi, tau) * factors["call"]
+    log_k = [math.log(strike)]
+    fine = direct_simpson_sum(calls, cfg.alpha, cfg.eta, log_k)[0]
+    coarse = direct_simpson_sum(calls[:: 1 << s], cfg.alpha, 0.2, log_k, cfg.n >> s)[0]
+    measured = strike * abs(coarse - fine) / NIKKEI_SPOT
+    predicted = math.exp(alias_log_factor(cfg.alpha - 1.0, 0.2))
+    assert predicted == pytest.approx(8.07e-5, rel=1e-3)
+    assert 0.999 * predicted <= measured <= predicted
+    # and the whole I2 bound covers the measured I2 alias
+    beta, profile = vg_alias_profile(nikkei, sample.mmm, tau, cfg.alpha)
+    kernels = levy_char_fn(psi, tau) * factors["kernel"]
+    constant = sample.vg_weights.constant
+
+    def i2(eta, step):
+        def one(x):
+            return direct_simpson_sum(x[::step], cfg.alpha, eta, log_k, cfg.n // step)[0]
+
+        return strike * (one(kernels) - constant * one(calls))
+
+    moved = abs(i2(0.2, 1 << s) - i2(cfg.eta, 1)) / NIKKEI_SPOT
+    x = math.log(strike / NIKKEI_SPOT)
+    bound = _alias_bound(profile[0], beta, cfg.alpha, 0.2, x)
+    assert moved <= bound + _alias_bound(profile[0], beta, cfg.alpha, cfg.eta, x)
+
+
+def test_strides_are_batch_independent(merton_bench, nikkei, fft_bench):
+    # a strike's stride depends on its slice and itself only: a direct-sum
+    # batch mixing strides equals per-strike quotes bit for bit
+    for model, spot, strikes in (
+        (merton_bench, 1.0, [1.0, 20.0, math.exp(63.0), math.exp(62.5)]),
+        (nikkei, NIKKEI_SPOT, [14000.0] + [NIKKEI_SPOT * math.exp(x) for x in (25.0, 60.0)]),
+    ):
+        sweep = lrm_strike_sweep(model, fft_bench, t=0.5, T=1.0, spot=spot, strikes=strikes)
+        assert sweep == [lrm(_q(0.5, k, spot=spot), model, fft_bench) for k in strikes]
+        assert all(r.mode == MODE_DIRECT_SUM for r in sweep)
+        assert len({r.stride for r in sweep}) >= 2
+    assert [r.stride for r in sweep] == [4, 2, 1]
+
+
+def test_extreme_strikes_still_accepted(merton_bench, fft_bench):
+    # log-strikes beyond +-pi/eta_s of a coarser stride fall back to a
+    # finer one, down to the configured grid, which refuses as before
+    edge = math.pi / fft_bench.eta
+    for log_k, stride in ((31.0, 4), (31.5, 2), (62.0, 2), (63.0, 1), (edge - 1e-9, 1)):
+        res = lrm(_q(0.5, math.exp(log_k)), merton_bench, fft_bench)
+        assert res.stride == stride and math.isfinite(res.lrm)
+    with pytest.raises(InvalidParameterError, match="outside the representable range"):
+        lrm(_q(0.5, math.exp(edge + 1e-9)), merton_bench, fft_bench)
+
+
+def test_strided_samples_match_fresh(merton_bench, nikkei, fft_bench):
+    # every 2^s-th point of the configured grid has the bits of a fresh
+    # sample at spacing 2^s eta, and a shared sample's views hold them too
+    for model, spot in ((merton_bench, 1.3), (nikkei, NIKKEI_SPOT)):
+        full_psi, full = LevySample(model, fft_bench, spot).prefix(fft_bench.n)
+        shared = LevySample(model, fft_bench, spot)
+        for s in (1, 2, 3):
+            n = fft_bench.n >> s
+            coarse = FftConfig(n=n, eta=fft_bench.eta * (1 << s), alpha=fft_bench.alpha)
+            fresh_psi, fresh = LevySample(model, coarse, spot).prefix(n)
+            view_psi, view = shared.strided(s, n)
+            assert np.array_equal(full_psi[:: 1 << s], fresh_psi)
+            assert np.array_equal(view_psi, fresh_psi)
+            for kind in fresh:
+                assert np.array_equal(full[kind][:: 1 << s], fresh[kind])
+                assert np.array_equal(view[kind], fresh[kind])
+
+
+def test_vg_quotes_take_coarse_strides(vg_bench, nikkei, fft_bench):
+    # the gain: at the money variance gamma sums every fourth point
+    for model, spot in ((vg_bench, 1.0), (nikkei, NIKKEI_SPOT)):
+        assert lrm(_q(0.5, spot, spot=spot), model, fft_bench).stride >= 4
+
+
+def test_moneyness_query_rejects_non_finite(merton_bench, fft_bench):
+    with pytest.raises(InvalidParameterError, match="moneyness must be finite"):
+        MoneynessQuery(math.inf, 0.5)
+    with pytest.raises(InvalidParameterError, match="tau must be finite"):
+        MoneynessQuery(1.0, math.nan)
+    with pytest.raises(InvalidParameterError, match="tau must be finite"):
+        MoneynessQuery(1.0, math.inf)
+    with pytest.raises(InvalidParameterError, match="moneyness must be finite"):
+        lrm_by_moneyness(math.nan, merton_bench, fft_bench, tau=0.5)
+    for y in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidParameterError, match="jump size y must be finite"):
+            jump_impact(y, 1.0, 0.5, merton_bench, fft_bench)
