@@ -29,7 +29,6 @@ from .core import (
     mmm_quantities,
     quadratic_exp_moment,
     validate_assumptions,
-    vg_cgm_from_kmd,
 )
 from .fft_engine import (
     CarrMadanGrid,
@@ -54,28 +53,17 @@ from .lrm import (
     lrm_strike_sweep,
 )
 from .merton import (
-    GaussianJumpComponent,
-    GaussianJumpMixture,
     I2Term,
-    MertonI2Decomposition,
     merton_c1,
-    merton_char_fn,
     merton_exponent,
     merton_i2_terms,
-    merton_mmm_measure,
     merton_trunc_i1,
     merton_trunc_i2,
 )
 from .variance_gamma import (
     CgmComponent,
     CgmComponentPair,
-    VgI2Weights,
     vg_c2,
-    vg_char_fn,
-    vg_exponent,
-    vg_i2_weights,
-    vg_kernel,
-    vg_kernel_bound,
     vg_mmm_measure,
     vg_trunc,
 )

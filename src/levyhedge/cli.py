@@ -324,10 +324,7 @@ def cmd_curve(cfg: RunConfig) -> int:
     slices = [TransformContext(sample, time_to_maturity(t, cfg.maturity)) for t in cfg.t_values]
     reach = [ctx.reach(cfg.strikes) for ctx in slices]
     sample.cover(min(shift for shift, _ in reach), max(last for _, last in reach))
-    per_slice = []
-    for i, ctx in enumerate(slices):
-        per_slice.append(ctx.evaluate(cfg.strikes))
-        slices[i] = None  # its arrays and grids are done with
+    per_slice = [ctx.evaluate(cfg.strikes) for ctx in slices]
     elapsed = time.perf_counter() - started
 
     handle, owned = _open_output(cfg)

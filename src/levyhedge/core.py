@@ -437,10 +437,3 @@ def mmm_quantities(model: Model, *, validate: bool = True) -> MmmQuantities:
 
     raise ModelMismatchError(f"unsupported model type {type(model).__name__}")
 
-
-def vg_cgm_from_kmd(kappa: float, m: float, delta: float) -> tuple[float, float, float]:
-    """Map the time-changed-BM parameters to (C, G, M)."""
-    _require(kappa > 0.0, "kappa must be > 0")
-    _require(delta > 0.0, "delta must be > 0")
-    p = VgParams(kappa=kappa, m=m, delta=delta)
-    return p.C, p.G, p.M

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ROUNDING, FftSizeError, InvalidParameterError, _require
+from .core import ROUNDING, FftSizeError, InvalidParameterError, _require, _require_finite
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,10 @@ class FftConfig:
     def __post_init__(self) -> None:
         if self.n < 2 or (self.n & (self.n - 1)) != 0:
             raise FftSizeError(f"n = {self.n} is not a power of two >= 2")
+        _require_finite("eta", self.eta)
         _require(self.eta > 0.0, "eta must be > 0")
         _require(1.0 < self.alpha <= 2.0, "alpha must lie in (1, 2]")
+        _require_finite("eps", self.eps)
         _require(self.eps > 0.0, "eps must be > 0")
 
     @property
@@ -219,18 +221,6 @@ def _grid_tables(n: int, eta: float, alpha: float) -> tuple[np.ndarray, np.ndarr
     for table in (signed_weights, k, damping):
         table.flags.writeable = False
     return signed_weights, k, damping
-
-
-def damped_sum_complex(psi_samples: np.ndarray, eta: float, k: float) -> complex:
-    """Raw weighted sum sum_j e^{-i eta j k} psi_j w_j (no damping factor),
-    with one exponential per sample.
-
-    The naive O(N) reference that tests hold :func:`direct_simpson_sum`
-    to; no production path calls it."""
-    psi = np.asarray(psi_samples, dtype=complex)
-    terms = np.exp(-1j * eta * k * np.arange(psi.size))
-    terms *= psi * trapezoid_weights(psi.size, eta)
-    return complex(terms.sum())
 
 
 def row_layout(n: int) -> tuple[int, int]:

@@ -11,8 +11,10 @@ gamma model sigma = 0, so I1 never enters and is skipped entirely.
 
 The models are Levy, so phi_tau = exp(tau Psi): the exponent Psi and the
 tau-free kernel factors are sampled on the contour once per (model,
-config, spot), and each time slice costs one exponential plus one
-multiply per kernel kind.  Within a slice the strike enters only through
+config, spot), and each evaluation of a time slice costs one
+exponential plus one multiply per kernel kind, over the points its
+strikes read.  A slice keeps nothing between evaluations, so no result
+depends on the calls before it.  Within a slice the strike enters only through
 the e^{-i eta j k} phase, so ``TransformContext.evaluate`` takes all
 strikes of a slice as one array: single quotes, strike sweeps, ``curve``
 slices and jump impacts all go through it.  The path follows the strike
@@ -49,7 +51,8 @@ less than rounding (``merton_prefix_tail``).  The direct path gives each
 strike its own stride and rows; the grid path runs one FFT at the
 finest stride of the batch, over its longest span, zero-padded to that
 stride's point count.  The shared sample is taken at the stride and
-length the slices ask for.  Variance gamma, whose polynomial envelope
+length the slices ask for; ``LevySample`` alone keeps track of which
+points it holds.  Variance gamma, whose polynomial envelope
 certifies no prefix, sums the whole span at its stride.
 """
 
@@ -73,12 +76,12 @@ from .core import (
     TailConditionError,
     _require,
     _require_finite,
+    cgm_exp_moment,
     levy_char_fn,
     mmm_quantities,
     time_to_maturity,
 )
 from .fft_engine import (
-    CarrMadanGrid,
     FftConfig,
     alias_floors,
     carr_madan_grid,
@@ -88,7 +91,6 @@ from .fft_engine import (
     tail_condition_check,
 )
 from .merton import (
-    KERNEL_DAMPED,
     gaussian_damping,
     merton_alias_profile,
     merton_exponent,
@@ -102,7 +104,6 @@ from .variance_gamma import (
     VgContourLogs,
     vg_alias_profile,
     vg_c2,
-    vg_i2_weights,
     vg_mmm_measure,
     vg_trunc,
 )
@@ -161,7 +162,9 @@ class LevySample:
     ``indicator`` e^{i zeta log S} / (i zeta - 1) (times phi: psi1,
     stock-or-nothing), ``call`` indicator / (i zeta) (psi2), ``damped``
     call times the Gaussian factor (Merton shifted-strike terms) and
-    ``kernel`` call times the jump-kernel weight (variance gamma).
+    ``kernel`` call times the jump-kernel weight (variance gamma).  The
+    Merton kinds of I2 are the ``I2Term.kernel`` values; for variance
+    gamma, ``exp_moment`` = int (e^x - 1) nu(dx) scales the call kind.
 
     Both hold every 2^shift-th point of the configured grid, the first
     ``psi.size`` of them.  At construction ``shift`` is the coarsest stride
@@ -184,10 +187,6 @@ class LevySample:
         self.shift = coarsest_shift(config)
         points = config.n >> self.shift
         self._sample(row_layout(points)[0] if isinstance(model, MertonParams) else points)
-
-    def prefix(self, m: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """psi and the kernel factors at the first m points of the configured grid."""
-        return self.strided(0, m)
 
     def strided(self, shift: int, m: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """psi and the kernel factors at the first m points of every
@@ -229,7 +228,7 @@ class LevySample:
             # Psi and the jump kernel share the four contour logs
             logs = VgContourLogs(zeta, model.G, model.M)
             self.psi = logs.exponent(vg_mmm_measure(model, self.mmm.h), self.mmm.mu_star)
-            self.vg_weights = vg_i2_weights(model)
+            self.exp_moment = cgm_exp_moment(model.C, model.G, model.M)
             self.factors = {"call": call, "kernel": logs.kernel(model.C) * call}
 
 
@@ -256,7 +255,7 @@ class SliceBounds:
     ):
         _require(tau >= TAU_MIN, f"tau must be >= {TAU_MIN:g}")
         self.model, self.config, self.tau, self.spot = model, config, tau, spot
-        self.row_length, self.layout_rows = row_layout(config.n)
+        self.row_length = row_layout(config.n)[0]
         shifts = range(1, coarsest_shift(config) + 1)
         self._row_lengths = np.array([row_layout(config.n >> s)[0] for s in range(len(shifts) + 1)])
         # per stride 2^s, filled on first use: a strike K sums the first
@@ -342,10 +341,10 @@ class SliceBounds:
 
 
 class TransformContext:
-    """One time slice of a :class:`LevySample`: phi_tau = exp(tau psi)
-    times each kernel factor, at the finest stride and over the longest
-    span its strikes have asked for, with the slice's bounds.  Grids are
-    built lazily, one FFT per kind, stride and prefix."""
+    """One time slice of a :class:`LevySample`: its tau and its bounds.
+    Each :meth:`evaluate` computes phi_tau = exp(tau psi) times each kernel
+    factor once, over every point its strikes read, and keeps nothing, so
+    a result does not depend on what the slice evaluated before."""
 
     def __init__(self, sample: LevySample, tau: float):
         self.sample = sample
@@ -355,10 +354,6 @@ class TransformContext:
         # the exp() guard of the whole grid, and it fires before the C1 guard
         levy_char_fn(sample.psi[:1], tau)
         self.trunc_bounds = SliceBounds(sample.model, sample.mmm, sample.config, tau, sample.spot)
-        self._shift = 0
-        self._held = 0
-        self._arrays: dict[str, np.ndarray] = {}
-        self._grids: dict[tuple[str, int, int], CarrMadanGrid] = {}
 
     def reach(self, strikes: Sequence[float]) -> tuple[int, int]:
         """The finest stride exponent and the last configured-grid index
@@ -387,9 +382,10 @@ class TransformContext:
         shifts, rows = bounds.strided_rows(strikes)
         extents = bounds.extents(shifts, rows)
         fine = int(shifts.min())
-        points = (int(extents.max()) >> fine) + 1
         # one evaluation of phi over every point any strike reads
-        self._strided_arrays(fine, points)
+        psi, factors = sample.strided(fine, (int(extents.max()) >> fine) + 1)
+        phi = levy_char_fn(psi, self.tau)
+        arrays = {kind: phi * factor for kind, factor in factors.items()}
         if mode == MODE_DIRECT_SUM:
             strides = 1 << shifts
         else:
@@ -401,36 +397,34 @@ class TransformContext:
             joint = np.concatenate(at)
             if mode == MODE_DIRECT_SUM:
                 copies = len(at)
-                values = self._direct_sums(
-                    kind, joint, np.tile(shifts, copies), np.tile(rows, copies),
-                    np.tile(extents, copies),
+                values = _direct_sums(
+                    arrays[kind], fine, config, joint, np.tile(shifts, copies),
+                    np.tile(rows, copies), np.tile(extents, copies),
                 )
             else:
-                values = self._grid_sums(kind, joint, fine, points)
+                values = _grid_sums(arrays[kind], fine, config, joint)
             return np.split(values, len(at))
 
         if isinstance(sample.model, MertonParams):
             i1 = strikes * sums("indicator", strikes)[0]
             # at unit strike the terms give the coefficients and the
             # strike shift factors; terms of one kind share a pass
-            terms = merton_i2_terms(sample.model, 1.0).terms
+            terms = merton_i2_terms(sample.model, 1.0)
             shifted = [strikes * term.strike for term in terms]
-            kinds = ["damped" if term.kernel == KERNEL_DAMPED else "call" for term in terms]
-            values = [None] * len(terms)
-            for kind in dict.fromkeys(kinds):
-                group = [i for i, other in enumerate(kinds) if other == kind]
-                for i, value in zip(group, sums(kind, *(shifted[i] for i in group))):
-                    values[i] = value
+            values = {}
+            for kind in dict.fromkeys(term.kernel for term in terms):
+                group = [i for i, term in enumerate(terms) if term.kernel == kind]
+                values.update(zip(group, sums(kind, *(shifted[i] for i in group))))
             i2 = 0.0
-            for term, at, value in zip(terms, shifted, values):
-                i2 = i2 + term.coefficient * at * value
+            for i, term in enumerate(terms):
+                i2 = i2 + term.coefficient * shifted[i] * values[i]
             sigma2 = sample.model.sigma**2
             numerator = sigma2 * i1 + i2
         else:
             i1 = None
             kernel_part = strikes * sums("kernel", strikes)[0]
             call_part = strikes * sums("call", strikes)[0]
-            i2 = numerator = kernel_part - sample.vg_weights.constant * call_part
+            i2 = numerator = kernel_part - sample.exp_moment * call_part
             sigma2 = 0.0
         ratio = numerator / (sample.spot * (sigma2 + sample.mmm.quad_exp_moment))
         i1_values = [None] * strikes.size if i1 is None else i1.tolist()
@@ -450,53 +444,35 @@ class TransformContext:
             )
         ]
 
-    def _strided_arrays(self, shift: int, m: int) -> dict[str, np.ndarray]:
-        """phi times each kernel factor at the first m points of stride
-        2^shift: views of the arrays held, which are computed again
-        (elementwise, so with the same bits) when they are coarser or
-        shorter than that."""
-        fine = min(shift, self._shift) if self._held else shift
-        held = ((self._held - 1) << (self._shift - fine)) + 1 if self._held else 0
-        need = ((m - 1) << (shift - fine)) + 1
-        if need > held or fine < self._shift:
-            psi, factors = self.sample.strided(fine, max(need, held))
-            phi = levy_char_fn(psi, self.tau)
-            self._arrays = {kind: phi * factor for kind, factor in factors.items()}
-            self._shift, self._held = fine, psi.size
-        step = 1 << (shift - self._shift)
-        view = slice(0, (m - 1) * step + 1, step)
-        return {kind: array[view] for kind, array in self._arrays.items()}
 
-    def _direct_sums(
-        self, kind: str, strikes: np.ndarray, shifts: np.ndarray, rows: np.ndarray,
-        extents: np.ndarray,
-    ) -> np.ndarray:
-        """The damped transform of one kernel kind at log(strikes), each
-        strike summed exactly over its own stride and rows."""
-        cfg = self.sample.config
-        out = np.empty(strikes.shape)
-        for s in set(shifts.tolist()):
-            group = shifts == s
-            samples = self._strided_arrays(s, (int(extents[group].max()) >> s) + 1)[kind]
-            # math.log, not np.log: the two can differ in the last bit, and
-            # direct-sum values (single quotes, impact tables) stay bit-stable
-            log_k = [math.log(x) for x in strikes[group].tolist()]
-            out[group] = direct_simpson_sum(
-                samples, cfg.alpha, cfg.eta * (1 << s), log_k, cfg.n >> s, rows[group]
-            )
-        return out
+def _direct_sums(
+    samples: np.ndarray, fine: int, config: FftConfig, strikes: np.ndarray, shifts: np.ndarray,
+    rows: np.ndarray, extents: np.ndarray,
+) -> np.ndarray:
+    """The damped transform at log(strikes) of one kernel kind's samples
+    at stride 2^fine, each strike summed exactly over its own stride and
+    rows."""
+    out = np.empty(strikes.shape)
+    for s in set(shifts.tolist()):
+        group = shifts == s
+        step = 1 << (s - fine)
+        view = samples[: (int(extents[group].max()) >> s) * step + 1 : step]
+        # math.log, not np.log: the two can differ in the last bit, and
+        # direct-sum values (single quotes, impact tables) stay bit-stable
+        log_k = [math.log(x) for x in strikes[group].tolist()]
+        out[group] = direct_simpson_sum(
+            view, config.alpha, config.eta * (1 << s), log_k, config.n >> s, rows[group]
+        )
+    return out
 
-    def _grid_sums(self, kind: str, strikes: np.ndarray, shift: int, m: int) -> np.ndarray:
-        """The damped transform of one kernel kind at log(strikes), read
-        off one FFT grid at stride 2^shift over the first m points."""
-        cfg = self.sample.config
-        key = (kind, shift, m)
-        if key not in self._grids:
-            samples = self._strided_arrays(shift, m)[kind]
-            self._grids[key] = carr_madan_grid(
-                samples, cfg.alpha, cfg.eta * (1 << shift), cfg.n >> shift
-            )
-        return self._grids[key].at(np.log(strikes))
+
+def _grid_sums(
+    samples: np.ndarray, shift: int, config: FftConfig, strikes: np.ndarray
+) -> np.ndarray:
+    """The damped transform at log(strikes) of one kernel kind's samples
+    at stride 2^shift, read off one FFT grid."""
+    grid = carr_madan_grid(samples, config.alpha, config.eta * (1 << shift), config.n >> shift)
+    return grid.at(np.log(strikes))
 
 
 def _strike_array(strikes: Sequence[float]) -> np.ndarray:
@@ -564,14 +540,6 @@ def lrm(query: MarketQuery, model: Model, config: FftConfig) -> LrmResult:
     return _slice(query, model, config).evaluate([query.strike])[0]
 
 
-def sweep_slice(
-    sample: LevySample, *, t: float, T: float, strikes: Sequence[float]
-) -> list[LrmResult]:
-    """Hedge ratios for many strikes on one time slice of a shared sample
-    (and the per-kind FFT grids on the grid path)."""
-    return TransformContext(sample, time_to_maturity(t, T)).evaluate(strikes)
-
-
 def lrm_strike_sweep(
     model: Model,
     config: FftConfig,
@@ -583,7 +551,8 @@ def lrm_strike_sweep(
 ) -> list[LrmResult]:
     """Hedge ratios for many strikes on one time slice, sharing the
     sampled arrays (and the per-kind FFT grids on the grid path)."""
-    return sweep_slice(LevySample(model, config, spot), t=t, T=T, strikes=strikes)
+    sample = LevySample(model, config, spot)
+    return TransformContext(sample, time_to_maturity(t, T)).evaluate(strikes)
 
 
 def lrm_by_moneyness(

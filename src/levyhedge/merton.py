@@ -1,21 +1,23 @@
-"""Merton jump-diffusion specifics.
+"""Merton jump-diffusion specifics on the production path.
 
 Under the minimal martingale measure the Gaussian jump measure turns into
-a two-component Gaussian mixture, the characteristic function stays in
-closed form, and the jump term of the hedge numerator splits into three
-damped Fourier transforms (two of them carrying an extra Gaussian factor
-exp(-delta^2 z^2 / 2)).  The module also provides the envelope constant
+a two-component Gaussian mixture, the Levy exponent Psi stays in closed
+form (a slice's characteristic function is exp(tau Psi)), and the jump
+term of the hedge numerator splits into three damped Fourier transforms,
+two of them carrying an extra Gaussian factor exp(-delta^2 z^2 / 2)
+(``merton_i2_terms``).  The module also provides the envelope constant
 C1 with |phi_tau(v - i alpha)| <= C1 exp(-sigma^2 v^2 tau / 2), the
-frequency truncation points derived from it, and the tail bound that
-stops each time slice's sums where the dropped samples fall below
-rounding.
+frequency truncation points derived from it, the aliasing constants, and
+the tail bound that stops each time slice's sums where the dropped
+samples fall below rounding.  The mixture's density and the
+characteristic function of a horizon tau live in ``levyhedge.oracle``,
+which checks them against quadrature.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -28,70 +30,14 @@ from .core import (  # noqa: F401  (ROUNDING: re-exported next to the prefix tai
     OverflowGuardError,
     _EXP_GUARD,
     _require,
-    levy_char_fn,
 )
 from .fft_engine import ALIAS_RATES
 
-KERNEL_PLAIN = "plain"
+KERNEL_PLAIN = "call"
 KERNEL_DAMPED = "damped"
 
 ComplexLike = Union[complex, np.ndarray]
 FloatLike = Union[float, np.ndarray]
-
-
-@dataclass(frozen=True)
-class GaussianJumpComponent:
-    """One weighted Gaussian piece of a jump measure."""
-
-    intensity: float
-    mean: float
-    variance: float
-
-    def density(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        z = (x - self.mean) ** 2 / (2.0 * self.variance)
-        return self.intensity / math.sqrt(2.0 * math.pi * self.variance) * np.exp(-z)
-
-
-@dataclass(frozen=True)
-class GaussianJumpMixture:
-    """Jump measure after the martingale measure change."""
-
-    components: tuple[GaussianJumpComponent, ...]
-
-    def density(self, x: np.ndarray) -> np.ndarray:
-        return sum(c.density(x) for c in self.components)
-
-    @property
-    def total_intensity(self) -> float:
-        return sum(c.intensity for c in self.components)
-
-
-def merton_levy_density(params: MertonParams, x: np.ndarray) -> np.ndarray:
-    """Levy density gamma * N(m, delta^2) of the original measure."""
-    return GaussianJumpComponent(params.gamma, params.m, params.delta**2).density(x)
-
-
-def merton_mmm_measure(params: MertonParams, h: float) -> GaussianJumpMixture:
-    """Tilted jump measure (1 - h(e^x - 1)) nu(dx) as a Gaussian mixture.
-
-    The e^x reweighting of a Gaussian density is again Gaussian with the
-    mean shifted by delta^2 and the mass scaled by e^{m + delta^2/2}, so
-    the result has exactly two components:
-
-        ((1+h) gamma, m, delta^2)  and
-        (-h gamma e^{m + delta^2/2}, m + delta^2, delta^2).
-
-    Both intensities are nonnegative because h lies in (-1, 0].
-    """
-    _require(-1.0 < h <= 0.0, f"Girsanov slope h = {h:g} outside (-1, 0]")
-    g, m, d2 = params.gamma, params.m, params.delta**2
-    return GaussianJumpMixture(
-        (
-            GaussianJumpComponent((1.0 + h) * g, m, d2),
-            GaussianJumpComponent(-h * g * math.exp(m + 0.5 * d2), m + d2, d2),
-        )
-    )
 
 
 def _check_contour(zeta: np.ndarray) -> None:
@@ -128,14 +74,6 @@ def merton_exponent(zeta: ComplexLike, params: MertonParams, mmm: MmmQuantities)
         - h * g * math.exp(m + 0.5 * d2) * jump2
     )
     return out if np.ndim(zeta) else complex(out)
-
-
-def merton_char_fn(
-    zeta: ComplexLike, tau: float, params: MertonParams, mmm: MmmQuantities
-) -> ComplexLike:
-    """Characteristic function exp(tau Psi(zeta)) of the log price over a
-    horizon tau, taken under the minimal martingale measure."""
-    return levy_char_fn(merton_exponent(zeta, params, mmm), tau)
 
 
 def gaussian_damping(zeta: ComplexLike, delta: float) -> ComplexLike:
@@ -345,24 +283,16 @@ def merton_alias_profile(
     return beta, [i1, i2, ratio]
 
 
-@dataclass(frozen=True)
-class I2Term:
-    """One (coefficient, shifted strike, kernel) term of the jump integral."""
+class I2Term(NamedTuple):
+    """One (coefficient, shifted strike, kernel) term of the jump integral;
+    ``kernel`` is the ``LevySample`` factor kind the term transforms."""
 
     coefficient: float
     strike: float
     kernel: str  # KERNEL_PLAIN -> psi2, KERNEL_DAMPED -> psi2 * gaussian_damping
 
 
-@dataclass(frozen=True)
-class MertonI2Decomposition:
-    terms: tuple[I2Term, I2Term, I2Term]
-
-    def __iter__(self):
-        return iter(self.terms)
-
-
-def merton_i2_terms(params: MertonParams, strike: float) -> MertonI2Decomposition:
+def merton_i2_terms(params: MertonParams, strike: float) -> tuple[I2Term, I2Term, I2Term]:
     """Split the jump term into three damped Fourier transforms:
 
         gamma e^{2m + 3 delta^2/2} f~(K e^{-m - delta^2})
@@ -374,10 +304,8 @@ def merton_i2_terms(params: MertonParams, strike: float) -> MertonI2Decompositio
     """
     _require(strike > 0.0, "strike must be > 0")
     g, m, d2 = params.gamma, params.m, params.delta**2
-    return MertonI2Decomposition(
-        (
-            I2Term(g * math.exp(2.0 * m + 1.5 * d2), strike * math.exp(-m - d2), KERNEL_DAMPED),
-            I2Term(-g * math.exp(m), strike * math.exp(-m), KERNEL_DAMPED),
-            I2Term(g * (1.0 - math.exp(m + 0.5 * d2)), strike, KERNEL_PLAIN),
-        )
+    return (
+        I2Term(g * math.exp(2.0 * m + 1.5 * d2), strike * math.exp(-m - d2), KERNEL_DAMPED),
+        I2Term(-g * math.exp(m), strike * math.exp(-m), KERNEL_DAMPED),
+        I2Term(g * (1.0 - math.exp(m + 0.5 * d2)), strike, KERNEL_PLAIN),
     )

@@ -4,8 +4,12 @@ Everything here recomputes a production quantity by a different route:
 adaptive quadrature (QUADPACK via scipy) instead of the weighted Fourier
 sums, a literal O(N^2) DFT instead of numpy's FFT, and direct
 numerical integration of the jump measure instead of the closed-form
-characteristic exponents.  Nothing on the production path imports this
-module.
+characteristic exponents.  It also holds the closed forms that only
+these checks use: the tilted Merton mixture and both models' jump
+densities, the characteristic functions of a horizon tau, the variance
+gamma exponent and kernel at arbitrary zeta, and the naive weighted sum
+the direct sums are held to.  Nothing on the production path imports
+this module.
 
 Infinite jump-measure domains are mapped to (0, 1) before the adaptive
 rule runs: the full line through x = log(u / (1-u)) and half lines
@@ -29,26 +33,23 @@ from scipy.interpolate import CubicSpline
 from .core import (
     MarketQuery,
     MertonParams,
+    MmmQuantities,
     Model,
     ModelMismatchError,
     QuadratureConvergenceError,
     VgParams,
+    _require,
     cgm_exp_moment,
+    levy_char_fn,
     mmm_quantities,
 )
-from .merton import (
-    GaussianJumpMixture,
-    merton_c1,
-    merton_char_fn,
-    merton_levy_density,
-)
+from .fft_engine import trapezoid_weights
+from .merton import ComplexLike, merton_c1, merton_exponent
 from .variance_gamma import (
     CgmComponent,
     CgmComponentPair,
+    VgContourLogs,
     vg_c2,
-    vg_char_fn,
-    vg_kernel,
-    vg_levy_density,
     vg_mmm_measure,
 )
 
@@ -122,6 +123,142 @@ def _quad_complex(fn, a: float, b: float, spec: QuadratureSpec) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# closed forms off the production path
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class GaussianJumpComponent:
+    """One weighted Gaussian piece of a jump measure."""
+
+    intensity: float
+    mean: float
+    variance: float
+
+    def density(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        z = (x - self.mean) ** 2 / (2.0 * self.variance)
+        return self.intensity / math.sqrt(2.0 * math.pi * self.variance) * np.exp(-z)
+
+
+@dataclass(frozen=True)
+class GaussianJumpMixture:
+    """Jump measure after the martingale measure change."""
+
+    components: tuple[GaussianJumpComponent, ...]
+
+    def density(self, x: np.ndarray) -> np.ndarray:
+        return sum(c.density(x) for c in self.components)
+
+    @property
+    def total_intensity(self) -> float:
+        return sum(c.intensity for c in self.components)
+
+
+def merton_levy_density(params: MertonParams, x: np.ndarray) -> np.ndarray:
+    """Levy density gamma * N(m, delta^2) of the original measure."""
+    return GaussianJumpComponent(params.gamma, params.m, params.delta**2).density(x)
+
+
+def merton_mmm_measure(params: MertonParams, h: float) -> GaussianJumpMixture:
+    """Tilted jump measure (1 - h(e^x - 1)) nu(dx) as a Gaussian mixture.
+
+    The e^x reweighting of a Gaussian density is again Gaussian with the
+    mean shifted by delta^2 and the mass scaled by e^{m + delta^2/2}, so
+    the result has exactly two components:
+
+        ((1+h) gamma, m, delta^2)  and
+        (-h gamma e^{m + delta^2/2}, m + delta^2, delta^2).
+
+    Both intensities are nonnegative because h lies in (-1, 0].
+    """
+    _require(-1.0 < h <= 0.0, f"Girsanov slope h = {h:g} outside (-1, 0]")
+    g, m, d2 = params.gamma, params.m, params.delta**2
+    return GaussianJumpMixture(
+        (
+            GaussianJumpComponent((1.0 + h) * g, m, d2),
+            GaussianJumpComponent(-h * g * math.exp(m + 0.5 * d2), m + d2, d2),
+        )
+    )
+
+
+def merton_char_fn(
+    zeta: ComplexLike, tau: float, params: MertonParams, mmm: MmmQuantities
+) -> ComplexLike:
+    """Characteristic function exp(tau Psi(zeta)) of the log price over a
+    horizon tau, taken under the minimal martingale measure."""
+    return levy_char_fn(merton_exponent(zeta, params, mmm), tau)
+
+
+def cgm_density(measure, x: np.ndarray) -> np.ndarray:
+    """Density C (1_{x<0} e^{Gx} + 1_{x>0} e^{-Mx}) / |x| of a
+    :class:`CgmComponent`, or the sum over a :class:`CgmComponentPair`."""
+    if isinstance(measure, CgmComponentPair):
+        return cgm_density(measure.first, x) + cgm_density(measure.second, x)
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    neg = x < 0.0
+    pos = x > 0.0
+    out[neg] = measure.C * np.exp(measure.G * x[neg]) / (-x[neg])
+    out[pos] = measure.C * np.exp(-measure.M * x[pos]) / x[pos]
+    return out
+
+
+def vg_levy_density(params: VgParams, x: np.ndarray) -> np.ndarray:
+    return cgm_density(CgmComponent(params.C, params.G, params.M), x)
+
+
+def vg_kernel(zeta: ComplexLike, C: float, G: float, M: float) -> ComplexLike:
+    """int e^{i zeta x} (e^x - 1) nu_{C,G,M}(dx) as the Frullani log
+
+        C log( (M - i zeta) (G + i zeta) / ((M-1-i zeta)(G+1+i zeta)) ),
+
+    computed as a sum of principal logs of right-half-plane factors so no
+    argument wrapping can occur.  (Contour samples take the kernel as
+    :meth:`VgContourLogs.kernel`, the same quantity with less rounding.)
+    """
+    logs = VgContourLogs(zeta, G, M)
+    out = C * (logs.log_m - logs.log_m1 + logs.log_g - logs.log_g1)
+    return out if np.ndim(zeta) else complex(out)
+
+
+def vg_exponent(
+    zeta: ComplexLike, params: VgParams, mmm: CgmComponentPair, mu_star: float
+) -> ComplexLike:
+    """Levy exponent Psi of the log price under the tilted measure, so
+    that phi_tau = exp(tau Psi):
+
+        Psi(z) = -w1 log[(1 + i z/G)(1 - i z/M)] - w2 log[(1 + i z/(G+1))(1 - i z/(M-1))]
+                 + i z (mu* + sum of component means)
+
+    with w1 = (1+h)C and w2 = -hC read off the component pair.
+    """
+    out = VgContourLogs(zeta, mmm.first.G, mmm.first.M).exponent(mmm, mu_star)
+    return out if np.ndim(zeta) else complex(out)
+
+
+def vg_char_fn(
+    zeta: ComplexLike,
+    tau: float,
+    params: VgParams,
+    mmm: CgmComponentPair,
+    mu_star: float,
+) -> ComplexLike:
+    """Characteristic function exp(tau Psi(zeta)) of the log price over
+    tau under the tilted measure."""
+    return levy_char_fn(vg_exponent(zeta, params, mmm, mu_star), tau)
+
+
+def damped_sum_complex(psi_samples: np.ndarray, eta: float, k: float) -> complex:
+    """Raw weighted sum sum_j e^{-i eta j k} psi_j w_j (no damping factor),
+    with one exponential per sample: the naive O(N) reference that the
+    factored :func:`levyhedge.fft_engine.direct_simpson_sum` is held to."""
+    psi = np.asarray(psi_samples, dtype=complex)
+    terms = np.exp(-1j * eta * k * np.arange(psi.size))
+    terms *= psi * trapezoid_weights(psi.size, eta)
+    return complex(terms.sum())
+
+
+# ---------------------------------------------------------------------------
 # jump-measure integrals
 # ---------------------------------------------------------------------------
 
@@ -130,8 +267,10 @@ def _density_of(measure) -> Callable[[float], float]:
         return lambda x: float(merton_levy_density(measure, np.asarray(x)))
     if isinstance(measure, VgParams):
         return lambda x: float(vg_levy_density(measure, np.asarray(x)))
-    if isinstance(measure, (GaussianJumpMixture, CgmComponentPair, CgmComponent)):
+    if isinstance(measure, GaussianJumpMixture):
         return lambda x: float(measure.density(np.asarray(x)))
+    if isinstance(measure, (CgmComponentPair, CgmComponent)):
+        return lambda x: float(cgm_density(measure, np.asarray(x)))
     raise ModelMismatchError(f"no density for {type(measure).__name__}")
 
 

@@ -1,11 +1,15 @@
-"""Variance gamma specifics.
+"""Variance gamma specifics on the production path.
 
-The tilted jump measure is a pair of CGM densities, the characteristic
-function is a product of two complex-power factors times a linear drift
-factor, and the jump term of the hedge numerator needs only two damped
-Fourier transforms: one with the kernel-weighted samples, one plain.
-The decay envelope here is polynomial, C2 |v|^{-2 C tau}, which drives
-the truncation solver.
+The tilted jump measure is a pair of CGM densities, the Levy exponent is
+a sum of four principal logs plus a linear drift term, and the jump term
+of the hedge numerator needs only two damped Fourier transforms: one
+with the kernel-weighted samples, one plain, scaled by the first
+exponential moment.  ``VgContourLogs`` takes the exponent and the kernel
+from the same four logs.  The decay envelope here is polynomial,
+C2 |v|^{-2 C tau}, which drives the truncation solver.  The densities,
+the kernel at arbitrary zeta and the characteristic function of a
+horizon tau live in ``levyhedge.oracle``, which checks them against
+quadrature.
 
 All complex powers are taken on the principal branch.  For contours
 Im(zeta) = -alpha with alpha in (1, 2] and M > 4 every base factor stays
@@ -30,7 +34,6 @@ from .core import (
     _require,
     cgm_exp_moment,
     cgm_linear_moment,
-    levy_char_fn,
 )
 from .fft_engine import ALIAS_RATES
 
@@ -50,20 +53,8 @@ class CgmComponent:
     G: float
     M: float
 
-    def density(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        neg = x < 0.0
-        pos = x > 0.0
-        out[neg] = self.C * np.exp(self.G * x[neg]) / (-x[neg])
-        out[pos] = self.C * np.exp(-self.M * x[pos]) / x[pos]
-        return out
-
     def linear_moment(self) -> float:
         return cgm_linear_moment(self.C, self.G, self.M)
-
-    def exp_moment(self) -> float:
-        return cgm_exp_moment(self.C, self.G, self.M)
 
 
 @dataclass(frozen=True)
@@ -76,13 +67,6 @@ class CgmComponentPair:
     @property
     def components(self) -> tuple[CgmComponent, CgmComponent]:
         return (self.first, self.second)
-
-    def density(self, x: np.ndarray) -> np.ndarray:
-        return self.first.density(x) + self.second.density(x)
-
-
-def vg_levy_density(params: VgParams, x: np.ndarray) -> np.ndarray:
-    return CgmComponent(params.C, params.G, params.M).density(x)
 
 
 def vg_mmm_measure(params: VgParams, h: float) -> CgmComponentPair:
@@ -159,54 +143,6 @@ class VgContourLogs:
         return out + self.iz * drift
 
 
-def vg_kernel(zeta: ComplexLike, C: float, G: float, M: float) -> ComplexLike:
-    """int e^{i zeta x} (e^x - 1) nu_{C,G,M}(dx) as the Frullani log
-
-        C log( (M - i zeta) (G + i zeta) / ((M-1-i zeta)(G+1+i zeta)) ),
-
-    computed as a sum of principal logs of right-half-plane factors so no
-    argument wrapping can occur.  (Contour samples take the kernel as
-    :meth:`VgContourLogs.kernel`, the same quantity with less rounding.)
-    """
-    logs = VgContourLogs(zeta, G, M)
-    out = C * (logs.log_m - logs.log_m1 + logs.log_g - logs.log_g1)
-    return out if np.ndim(zeta) else complex(out)
-
-
-def vg_kernel_bound(C: float, G: float, M: float, alpha: float) -> float:
-    """Uniform modulus bound C (1/(G+alpha) + 1/(M-alpha-1)) of the kernel
-    along the contour Im(zeta) = -alpha."""
-    _require(M - alpha - 1.0 > 0.0, "need M > alpha + 1")
-    return C * (1.0 / (G + alpha) + 1.0 / (M - alpha - 1.0))
-
-
-def vg_exponent(
-    zeta: ComplexLike, params: VgParams, mmm: CgmComponentPair, mu_star: float
-) -> ComplexLike:
-    """Levy exponent Psi of the log price under the tilted measure, so
-    that phi_tau = exp(tau Psi):
-
-        Psi(z) = -w1 log[(1 + i z/G)(1 - i z/M)] - w2 log[(1 + i z/(G+1))(1 - i z/(M-1))]
-                 + i z (mu* + sum of component means)
-
-    with w1 = (1+h)C and w2 = -hC read off the component pair.
-    """
-    out = VgContourLogs(zeta, mmm.first.G, mmm.first.M).exponent(mmm, mu_star)
-    return out if np.ndim(zeta) else complex(out)
-
-
-def vg_char_fn(
-    zeta: ComplexLike,
-    tau: float,
-    params: VgParams,
-    mmm: CgmComponentPair,
-    mu_star: float,
-) -> ComplexLike:
-    """Characteristic function exp(tau Psi(zeta)) of the log price over
-    tau under the tilted measure."""
-    return levy_char_fn(vg_exponent(zeta, params, mmm, mu_star), tau)
-
-
 def vg_c2(
     params: VgParams,
     mmm: CgmComponentPair,
@@ -274,35 +210,6 @@ def vg_alias_profile(
         log_right = np.logaddexp(log_right, math.log(constant) + log_mgf)
     log_quad = math.log(mmm.quad_exp_moment)
     return beta, [(log_itm, log_right), (log_itm - log_quad, log_right - log_quad)]
-
-
-@dataclass(frozen=True)
-class VgI2Weights:
-    """Recipe for the two-transform jump term.
-
-    The kernel-weighted transform uses psi2 samples multiplied by
-    :meth:`kernel_factor`; the plain call transform f(K) is then scaled
-    by ``constant`` (the first exponential moment of the original
-    measure) and subtracted.
-    """
-
-    constant: float
-    C: float
-    G: float
-    M: float
-
-    def kernel_factor(self, zeta: ComplexLike) -> ComplexLike:
-        return vg_kernel(zeta, self.C, self.G, self.M)
-
-
-def vg_i2_weights(params: VgParams) -> VgI2Weights:
-    """I2 = (1/pi) int K^{-i zeta + 1} kernel(zeta) psi2(zeta) dv - constant * f(K)."""
-    return VgI2Weights(
-        constant=cgm_exp_moment(params.C, params.G, params.M),
-        C=params.C,
-        G=params.G,
-        M=params.M,
-    )
 
 
 def vg_trunc(

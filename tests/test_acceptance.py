@@ -16,24 +16,24 @@ from levyhedge import (
     lrm_strike_sweep,
     martingale_drift,
     merton_c1,
-    merton_char_fn,
     merton_trunc_i1,
     merton_trunc_i2,
     mmm_quantities,
     trapezoid_weights,
     vg_c2,
-    vg_char_fn,
     vg_mmm_measure,
     vg_trunc,
 )
 from levyhedge.lrm import MODE_FFT_GRID, MoneynessQuery
-from levyhedge.merton import merton_mmm_measure
 from levyhedge.oracle import (
     i1_tail_mass,
     i2_tail_mass,
     lk_char_fn,
+    merton_char_fn,
+    merton_mmm_measure,
     naive_dft,
     oracle_lrm,
+    vg_char_fn,
 )
 
 from conftest import NIKKEI_SPOT

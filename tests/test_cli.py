@@ -122,6 +122,14 @@ def test_validate_malformed_config(tmp_path, capsys):
     assert main(["validate", "--set", "model.kind=unknown"]) == EXIT_USAGE
     assert main(["validate", "--config", str(tmp_path / "missing.cfg")]) == EXIT_USAGE
     assert main(["validate", "--set", "bogus.key=1", "--set", "model.kind=merton"]) == EXIT_USAGE
+    # an infinite spacing would pass the tail check with N*eta = inf
+    cfg = _write(tmp_path, "m.cfg", MERTON_CFG + "query.t = 0.5\nquery.strike = 1\n")
+    capsys.readouterr()
+    for command in ("validate", "curve"):
+        assert main([command, "--config", cfg, "--set", "fft.eta=inf"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: eta must be finite")
+        assert "tail condition" not in captured.out
 
 
 def test_curve_strike_sweep(tmp_path, capsys):

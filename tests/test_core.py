@@ -13,10 +13,8 @@ from levyhedge import (
     mmm_quantities,
     quadratic_exp_moment,
     validate_assumptions,
-    vg_cgm_from_kmd,
 )
-from levyhedge.merton import merton_mmm_measure
-from levyhedge.oracle import levy_moment
+from levyhedge.oracle import levy_moment, merton_mmm_measure
 
 from conftest import NIKKEI_CGM
 
@@ -114,14 +112,16 @@ def test_validate_merton_positive_drift_fails():
 
 
 def test_cgm_from_kmd_benchmark_values():
-    c, g, m = vg_cgm_from_kmd(0.15, -0.2, 0.45)
+    p = VgParams(kappa=0.15, m=-0.2, delta=0.45)
+    c, g, m = p.C, p.G, p.M
     assert c == pytest.approx(6.6666667, abs=1e-6)
     assert g == pytest.approx(7.1866395, abs=1e-6)
     assert m == pytest.approx(9.1619481, abs=1e-6)
 
 
 def test_cgm_symmetric_when_m_zero():
-    c, g, m = vg_cgm_from_kmd(0.2, 0.0, 0.3)
+    p = VgParams(kappa=0.2, m=0.0, delta=0.3)
+    c, g, m = p.C, p.G, p.M
     assert g == pytest.approx(m, rel=1e-15)
     # symmetric tails fail the drift condition
     assert not validate_assumptions(VgParams(kappa=0.2, m=0.0, delta=0.3)).passed

@@ -13,9 +13,8 @@ from levyhedge import (
     tail_condition_check,
     trapezoid_weights,
 )
-from levyhedge.fft_engine import damped_sum_complex, row_layout
-from levyhedge.merton import merton_char_fn
-from levyhedge.oracle import naive_dft
+from levyhedge.fft_engine import row_layout
+from levyhedge.oracle import damped_sum_complex, merton_char_fn, naive_dft
 
 
 def test_fft_matches_naive_small():
@@ -226,3 +225,8 @@ def test_fft_config_validation():
         FftConfig(n=64, eta=0.1, alpha=0.5)
     with pytest.raises(InvalidParameterError):
         FftConfig(n=64, eta=0.1, alpha=1.75, eps=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(InvalidParameterError, match="eta must be finite"):
+            FftConfig(n=64, eta=bad)
+        with pytest.raises(InvalidParameterError, match="eps must be finite"):
+            FftConfig(n=64, eta=0.1, eps=bad)

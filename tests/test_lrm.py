@@ -272,6 +272,17 @@ def test_small_sweep_equals_single_queries(merton_bench, nikkei, fft_bench):
         assert all(r.mode == MODE_DIRECT_SUM for r in sweep)
 
 
+def test_slice_evaluation_is_stateless(merton_bench, nikkei, fft_bench):
+    # a slice keeps nothing between evaluations: 1, 29 and 1 strikes on one
+    # slice give the bits of each batch on a fresh slice
+    for model, spot in ((merton_bench, 1.0), (nikkei, NIKKEI_SPOT)):
+        ctx = TransformContext(LevySample(model, fft_bench, spot), 0.5)
+        for strikes in ([1.1 * spot], list(np.linspace(0.6, 1.9, 29) * spot), [0.7 * spot]):
+            fresh = TransformContext(LevySample(model, fft_bench, spot), 0.5)
+            assert ctx.evaluate(strikes) == fresh.evaluate(strikes)
+        assert set(vars(ctx)) == {"sample", "tau", "trunc_bounds"}
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
 @pytest.mark.parametrize("n_strikes", [3, 6])
 def test_sweep_rejects_invalid_strikes(merton_bench, fft_bench, bad, n_strikes):
@@ -313,6 +324,20 @@ def test_repeated_sweep_reuses_freed_heap():
         [sys.executable, "-c", _SWEEP_FAULTS], env=env, capture_output=True, text=True, check=True
     )
     assert int(out.stdout) < 100
+
+
+def test_production_imports_skip_oracle():
+    # the package and its CLI run on numpy alone; scipy backs the oracle
+    src = str(Path(levyhedge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys, levyhedge, levyhedge.cli; "
+        "print('scipy' in sys.modules, 'levyhedge.oracle' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False", "False"]
 
 
 def test_tail_condition_failure(merton_bench):
@@ -360,7 +385,7 @@ def test_prefix_tail_bound_holds(merton_bench, random_merton_models, fft_bench):
     cfg, spot = fft_bench, 1.0
     for index, model in enumerate([merton_bench] + list(random_merton_models)):
         sample = LevySample(model, cfg, spot)
-        psi, factors = sample.prefix(cfg.n)
+        psi, factors = sample.strided(0, cfg.n)
         for tau in (0.05, 0.5, 1.0):
             bounds = TransformContext(sample, tau).trunc_bounds
             phi = levy_char_fn(psi, tau)
@@ -394,14 +419,14 @@ def test_grown_sample_keeps_bits(merton_bench, fft_bench):
     # 2^14 complex points on, which must not change a product's bits)
     cfg = fft_bench
     full = LevySample(merton_bench, cfg, 1.3)
-    full_psi, full_factors = full.prefix(cfg.n)
+    full_psi, full_factors = full.strided(0, cfg.n)
     assert np.array_equal(full_psi, merton_exponent(cfg.zeta_grid(), merton_bench, full.mmm))
     grown = LevySample(merton_bench, cfg, 1.3)
     assert grown.psi.size < cfg.n
     for m in (300, 2304, 5000, cfg.n - 1, cfg.n):
-        fresh_psi, fresh = LevySample(merton_bench, cfg, 1.3).prefix(m)
+        fresh_psi, fresh = LevySample(merton_bench, cfg, 1.3).strided(0, m)
         assert fresh_psi.size == m
-        for psi, factors in (grown.prefix(m), (full_psi[:m], full_factors)):
+        for psi, factors in (grown.strided(0, m), (full_psi[:m], full_factors)):
             assert np.array_equal(psi, fresh_psi)
             for kind in ("indicator", "call", "damped"):
                 assert np.array_equal(factors[kind][:m], fresh[kind])
@@ -447,7 +472,7 @@ def test_alias_bound_holds(merton_bench, random_merton_models, fft_bench):
     v = cfg.eta * np.arange(cfg.n)
     for model in [merton_bench] + list(random_merton_models):
         sample = LevySample(model, cfg, spot)
-        psi, factors = sample.prefix(cfg.n)
+        psi, factors = sample.strided(0, cfg.n)
         for tau in (0.05, 0.5, 1.0):
             bounds = TransformContext(sample, tau).trunc_bounds
             beta, profile = merton_alias_profile(model, sample.mmm, tau, cfg.alpha)
@@ -489,7 +514,7 @@ def test_alias_bound_not_below_measured(nikkei):
     cfg = FftConfig(n=2**14, eta=0.025, alpha=1.3)
     sample = LevySample(nikkei, cfg, NIKKEI_SPOT)
     strike, tau, s = 1e-3 * NIKKEI_SPOT, 0.5, 3
-    psi, factors = sample.prefix(cfg.n)
+    psi, factors = sample.strided(0, cfg.n)
     calls = levy_char_fn(psi, tau) * factors["call"]
     log_k = [math.log(strike)]
     fine = direct_simpson_sum(calls, cfg.alpha, cfg.eta, log_k)[0]
@@ -501,7 +526,7 @@ def test_alias_bound_not_below_measured(nikkei):
     # and the whole I2 bound covers the measured I2 alias
     beta, profile = vg_alias_profile(nikkei, sample.mmm, tau, cfg.alpha)
     kernels = levy_char_fn(psi, tau) * factors["kernel"]
-    constant = sample.vg_weights.constant
+    constant = sample.exp_moment
 
     def i2(eta, step):
         def one(x):
@@ -544,12 +569,12 @@ def test_strided_samples_match_fresh(merton_bench, nikkei, fft_bench):
     # every 2^s-th point of the configured grid has the bits of a fresh
     # sample at spacing 2^s eta, and a shared sample's views hold them too
     for model, spot in ((merton_bench, 1.3), (nikkei, NIKKEI_SPOT)):
-        full_psi, full = LevySample(model, fft_bench, spot).prefix(fft_bench.n)
+        full_psi, full = LevySample(model, fft_bench, spot).strided(0, fft_bench.n)
         shared = LevySample(model, fft_bench, spot)
         for s in (1, 2, 3):
             n = fft_bench.n >> s
             coarse = FftConfig(n=n, eta=fft_bench.eta * (1 << s), alpha=fft_bench.alpha)
-            fresh_psi, fresh = LevySample(model, coarse, spot).prefix(n)
+            fresh_psi, fresh = LevySample(model, coarse, spot).strided(0, n)
             view_psi, view = shared.strided(s, n)
             assert np.array_equal(full_psi[:: 1 << s], fresh_psi)
             assert np.array_equal(view_psi, fresh_psi)

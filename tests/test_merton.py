@@ -8,15 +8,20 @@ from levyhedge import (
     MertonParams,
     OverflowGuardError,
     merton_c1,
-    merton_char_fn,
     merton_i2_terms,
-    merton_mmm_measure,
     merton_trunc_i1,
     merton_trunc_i2,
     mmm_quantities,
 )
 from levyhedge.merton import KERNEL_DAMPED, KERNEL_PLAIN
-from levyhedge.oracle import i1_tail_mass, i2_tail_mass, levy_moment, lk_char_fn
+from levyhedge.oracle import (
+    i1_tail_mass,
+    i2_tail_mass,
+    levy_moment,
+    lk_char_fn,
+    merton_char_fn,
+    merton_mmm_measure,
+)
 
 ALPHA = 1.75
 EPS = 1e-2

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from levyhedge import MarketQuery, MertonParams, mmm_quantities
-from levyhedge.merton import merton_mmm_measure
 from levyhedge.oracle import (
     QuadratureConvergenceError,
     QuadratureSpec,
     _quad,
     levy_moment,
     lk_char_fn,
+    merton_mmm_measure,
     naive_dft,
     oracle_lrm,
     quad_full_line,
@@ -93,8 +93,8 @@ def test_quadrature_convergence_error():
 
 
 def test_closed_char_fns_vs_lk_randomized(random_merton_models, random_vg_models):
-    from levyhedge.merton import merton_char_fn, merton_mmm_measure
-    from levyhedge.variance_gamma import vg_char_fn, vg_mmm_measure
+    from levyhedge.oracle import merton_char_fn, vg_char_fn
+    from levyhedge.variance_gamma import vg_mmm_measure
 
     z = 1.4 - 1.5j
     for model in random_merton_models[:3]:

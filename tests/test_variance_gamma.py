@@ -9,17 +9,13 @@ from levyhedge import (
     VgParams,
     mmm_quantities,
     vg_c2,
-    vg_char_fn,
-    vg_i2_weights,
-    vg_kernel,
-    vg_kernel_bound,
     vg_mmm_measure,
     vg_trunc,
 )
 from levyhedge import variance_gamma
 from levyhedge.core import cgm_exp_moment
 from levyhedge.lrm import LevySample
-from levyhedge.oracle import levy_moment, lk_char_fn
+from levyhedge.oracle import levy_moment, lk_char_fn, vg_char_fn, vg_kernel
 
 ALPHA = 1.75
 EPS = 1e-2
@@ -94,13 +90,6 @@ def test_kernel_at_zero(vg_bench):
     )
 
 
-def test_kernel_uniform_bound(nikkei):
-    bound = vg_kernel_bound(nikkei.C, nikkei.G, nikkei.M, ALPHA)
-    v = np.linspace(0.0, 500.0, 2001)
-    vals = vg_kernel(v - 1j * ALPHA, nikkei.C, nikkei.G, nikkei.M)
-    assert np.all(np.abs(vals) <= bound * (1.0 + 1e-12))
-
-
 def test_kernel_bit_identical_on_contour(nikkei, vg_bench):
     # the shared log step keeps the kernel's own arithmetic
     zeta = FftConfig(n=2**14, eta=0.025, alpha=ALPHA).zeta_grid()
@@ -139,18 +128,17 @@ def test_kernel_vs_quadrature(nikkei):
 
 def test_i2_weights_constant_sign(nikkei, vg_bench):
     for model in (nikkei, vg_bench):
-        weights = vg_i2_weights(model)
+        constant = cgm_exp_moment(model.C, model.G, model.M)
         # the constant is the first exponential moment, i.e. the drift of
         # the price SDE, nonpositive by the admissibility condition
-        assert weights.constant <= 0.0
-        assert weights.constant == pytest.approx(mmm_quantities(model).mu_s, rel=1e-14)
+        assert constant <= 0.0
+        assert constant == pytest.approx(mmm_quantities(model).mu_s, rel=1e-14)
 
 
 def test_i2_weights_symmetric_tails_positive():
     model = VgParams(kappa=0.2, m=0.0, delta=0.2)  # G == M
-    weights = vg_i2_weights(model)
     assert model.G == pytest.approx(model.M, rel=1e-14)
-    assert weights.constant > 0.0
+    assert cgm_exp_moment(model.C, model.G, model.M) > 0.0
 
 
 def test_c2_bound_property(vg_bench, nikkei, random_vg_models):
