@@ -375,10 +375,11 @@ def cmd_impact(cfg: RunConfig, jump_sizes: Sequence[float]) -> int:
     tau = cfg.maturity - t
     base_m = strike / cfg.spot
     started = time.perf_counter()
-    # every moneyness is a single-strike query on one shared unit-spot slice
+    # every moneyness is a single-strike quote on one shared unit-spot slice
     ctx = moneyness_slice(cfg.model, cfg.fft, MoneynessQuery(base_m, tau).tau)
-    before = ctx.evaluate([base_m])[0].lrm
-    afters = [ctx.evaluate([base_m * math.exp(-y)])[0].lrm for y in jump_sizes]
+    before, *afters = (
+        r.lrm for r in ctx.quotes([base_m] + [base_m * math.exp(-y) for y in jump_sizes])
+    )
     elapsed = time.perf_counter() - started
 
     handle, owned = _open_output(cfg)

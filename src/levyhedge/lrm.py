@@ -68,6 +68,7 @@ from .core import (
     ROUNDING,
     TAU_MIN,
     InvalidParameterError,
+    LevyHedgeError,
     MarketQuery,
     MertonParams,
     MmmQuantities,
@@ -184,6 +185,8 @@ class LevySample:
         self.config = config
         self.spot = spot
         self.mmm = mmm_quantities(model)
+        if not isinstance(model, MertonParams):
+            self.exp_moment = cgm_exp_moment(model.C, model.G, model.M)
         self.shift = coarsest_shift(config)
         points = config.n >> self.shift
         self._sample(row_layout(points)[0] if isinstance(model, MertonParams) else points)
@@ -228,7 +231,6 @@ class LevySample:
             # Psi and the jump kernel share the four contour logs
             logs = VgContourLogs(zeta, model.G, model.M)
             self.psi = logs.exponent(vg_mmm_measure(model, self.mmm.h), self.mmm.mu_star)
-            self.exp_moment = cgm_exp_moment(model.C, model.G, model.M)
             self.factors = {"call": call, "kernel": logs.kernel(model.C) * call}
 
 
@@ -363,6 +365,22 @@ class TransformContext:
         shifts, rows = self.trunc_bounds.strided_rows(strikes)
         return int(shifts.min()), int(self.trunc_bounds.extents(shifts, rows).max())
 
+    def quotes(self, strikes: Sequence[float]) -> list[LrmResult]:
+        """Each strike's result as a lone ``evaluate([strike])`` gives it,
+        bit for bit, from direct-sum batches of up to
+        ``_DIRECT_SUM_MAX_STRIKES`` strikes: a direct-sum strike keeps its
+        bits in any batch, and each batch computes phi once.  On an error
+        the strikes are evaluated alone in order, so the error raised is
+        the one lone quotes raise."""
+        strikes, step = list(strikes), _DIRECT_SUM_MAX_STRIKES
+        batches = [strikes[i : i + step] for i in range(0, len(strikes), step)]
+        try:
+            return [r for batch in batches for r in self.evaluate(batch)]
+        except LevyHedgeError:
+            for strike in strikes:
+                self.evaluate([strike])
+            raise
+
     def evaluate(self, strikes: Sequence[float], tail: slice = slice(None)) -> list[LrmResult]:
         """Hedge ratios, I1 and I2 for every strike of the slice, as array
         operations.  One tail check covers the largest truncation bound
@@ -402,7 +420,9 @@ class TransformContext:
                     np.tile(rows, copies), np.tile(extents, copies),
                 )
             else:
-                values = _grid_sums(arrays[kind], fine, config, joint)
+                values = carr_madan_grid(
+                    arrays[kind], config.alpha, config.eta * (1 << fine), config.n >> fine
+                ).at(np.log(joint))
             return np.split(values, len(at))
 
         if isinstance(sample.model, MertonParams):
@@ -464,15 +484,6 @@ def _direct_sums(
             view, config.alpha, config.eta * (1 << s), log_k, config.n >> s, rows[group]
         )
     return out
-
-
-def _grid_sums(
-    samples: np.ndarray, shift: int, config: FftConfig, strikes: np.ndarray
-) -> np.ndarray:
-    """The damped transform at log(strikes) of one kernel kind's samples
-    at stride 2^shift, read off one FFT grid."""
-    grid = carr_madan_grid(samples, config.alpha, config.eta * (1 << shift), config.n >> shift)
-    return grid.at(np.log(strikes))
 
 
 def _strike_array(strikes: Sequence[float]) -> np.ndarray:
@@ -581,12 +592,13 @@ def moneyness_slice(model: Model, config: FftConfig, tau: float) -> TransformCon
 def jump_impact(y: float, moneyness: float, tau: float, model: Model, config: FftConfig) -> float:
     """Hedge-ratio change caused by a log-price jump of size y: the
     moneyness m jumps to m e^{-y}, so the impact is
-    LRM(m e^{-y}) - LRM(m), two single-strike queries on one slice."""
+    LRM(m e^{-y}) - LRM(m), two single-strike quotes on one slice."""
     _require_finite("jump size y", y)
     if y == 0.0:
         raise InvalidParameterError("jump size y must be nonzero")
     before = MoneynessQuery(moneyness, tau)
     after = MoneynessQuery(moneyness * math.exp(-y), tau)
-    ctx = moneyness_slice(model, config, tau)
-    lrm_before = ctx.evaluate([before.moneyness])[0].lrm
-    return ctx.evaluate([after.moneyness])[0].lrm - lrm_before
+    lrm_before, lrm_after = moneyness_slice(model, config, tau).quotes(
+        [before.moneyness, after.moneyness]
+    )
+    return lrm_after.lrm - lrm_before.lrm

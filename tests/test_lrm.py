@@ -283,6 +283,31 @@ def test_slice_evaluation_is_stateless(merton_bench, nikkei, fft_bench):
         assert set(vars(ctx)) == {"sample", "tau", "trunc_bounds"}
 
 
+def test_quotes_equal_lone_evaluations(merton_bench, nikkei, fft_bench):
+    # quotes batch single-strike quotes to share phi, with the bits of a
+    # fresh slice per strike
+    for model, spot in ((merton_bench, 1.0), (nikkei, NIKKEI_SPOT)):
+        strikes = [spot * math.exp(-y) for y in (0.0, 0.05, -0.05, 0.2, -0.2, 1.0, -1.0, 3.0, -3.0)]
+        ctx = TransformContext(LevySample(model, fft_bench, spot), 0.5)
+        lone = [
+            TransformContext(LevySample(model, fft_bench, spot), 0.5).evaluate([k])[0]
+            for k in strikes
+        ]
+        assert ctx.quotes(strikes) == lone
+        assert all(r.mode == MODE_DIRECT_SUM for r in lone)
+    # a failing batch raises the first lone quote's error, not the batch's
+    short = FftConfig(n=64, eta=fft_bench.eta, alpha=fft_bench.alpha, eps=fft_bench.eps)
+    ctx = TransformContext(LevySample(merton_bench, short, 1.0), 0.5)
+    with pytest.raises(TailConditionError) as first:
+        ctx.evaluate([1.0])
+    with pytest.raises(TailConditionError) as batch:
+        ctx.evaluate([1.0, 0.5])
+    assert str(batch.value) != str(first.value)
+    with pytest.raises(TailConditionError) as quoted:
+        ctx.quotes([1.0, 0.5])
+    assert str(quoted.value) == str(first.value)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
 @pytest.mark.parametrize("n_strikes", [3, 6])
 def test_sweep_rejects_invalid_strikes(merton_bench, fft_bench, bad, n_strikes):
