@@ -42,10 +42,13 @@ from .core import (
 from .fft_engine import FftConfig, tail_condition_check
 from .lrm import (
     LevySample,
-    LrmResult,
     MoneynessQuery,
+    SampleBounds,
     SliceBounds,
+    SliceColumns,
     TransformContext,
+    evaluate_slices,
+    jumped_moneyness,
     moneyness_slice,
     tail_hint,
 )
@@ -273,12 +276,12 @@ def _worst_trunc_cell(cfg: RunConfig) -> tuple[float, float, float]:
     with the strike and tau of its cell.  Each cell is checked as a
     MarketQuery first (finite t, T, spot and strike, spot and strike > 0,
     tau >= TAU_MIN), the checks ``curve`` applies."""
-    mmm = mmm_quantities(cfg.model)
+    shared = SampleBounds(cfg.model, mmm_quantities(cfg.model), cfg.fft, cfg.spot)
     worst: Optional[tuple[float, float, float]] = None
     for t in cfg.t_values:
         queries = [MarketQuery(t, cfg.maturity, cfg.spot, strike) for strike in cfg.strikes]
         strikes = np.array([query.strike for query in queries])
-        bounds = SliceBounds(cfg.model, mmm, cfg.fft, queries[0].tau, cfg.spot)(strikes).max(axis=0)
+        bounds = SliceBounds(shared, queries[0].tau)(strikes).max(axis=0)
         i = int(np.argmax(bounds))
         if worst is None or bounds[i] > worst[0]:
             worst = (float(bounds[i]), queries[i].strike, queries[i].tau)
@@ -317,48 +320,56 @@ def _open_output(cfg: RunConfig):
 def cmd_curve(cfg: RunConfig) -> int:
     _require_query(cfg)
     started = time.perf_counter()
-    # every time slice is exp(tau Psi) over one shared contour sample,
-    # taken once at the finest stride and over the longest span any slice
-    # reads; each slice then works on views of it
+    # every time slice is exp(tau Psi) over one shared contour sample; the
+    # slices are evaluated together, as columns
     sample = LevySample(cfg.model, cfg.fft, cfg.spot)
     slices = [TransformContext(sample, time_to_maturity(t, cfg.maturity)) for t in cfg.t_values]
-    reach = [ctx.reach(cfg.strikes) for ctx in slices]
-    sample.cover(min(shift for shift, _ in reach), max(last for _, last in reach))
-    per_slice = [ctx.evaluate(cfg.strikes) for ctx in slices]
-    elapsed = time.perf_counter() - started
+    columns = evaluate_slices(slices, cfg.strikes)
+    computed = time.perf_counter()
 
     handle, owned = _open_output(cfg)
     try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for t, results in zip(cfg.t_values, per_slice):
-            for strike, res in zip(cfg.strikes, results):
-                writer.writerow(_row(cfg, t, strike, res))
+        handle.write(_curve_csv(cfg, columns))
     finally:
         if owned:
             handle.close()
+    finished = time.perf_counter()
     cells = len(cfg.t_values) * len(cfg.strikes)
-    print(f"curve: {cells} cells in {elapsed:.3f} s", file=sys.stderr)
+    elapsed = finished - started
+    print(
+        f"curve: {cells} cells in {elapsed:.3f} s ({finished - computed:.3f} s writing CSV, "
+        f"{cells / elapsed:.0f} cells/s)",
+        file=sys.stderr,
+    )
     return EXIT_OK
 
 
-def _row(cfg: RunConfig, t: float, strike: float, res: LrmResult) -> list[str]:
-    return [
-        cfg.kind,
-        _fmt(t),
-        _fmt(cfg.maturity - t),
-        _fmt(cfg.spot),
-        _fmt(strike),
-        _fmt(strike / cfg.spot),
-        _fmt(cfg.fft.alpha),
-        str(cfg.fft.n // res.stride),
-        _fmt(cfg.fft.eta * res.stride),
-        _fmt(res.trunc_a),
-        res.mode,
-        "" if res.i1 is None else _fmt(res.i1),
-        _fmt(res.i2),
-        _fmt(res.lrm),
-    ]
+def _curve_csv(cfg: RunConfig, columns: SliceColumns) -> str:
+    """The CSV_COLUMNS header and one line per (t, K) cell, t-major.  Each
+    field is formatted once where it can change: per run, per slice, per
+    strike, per grid stride, and only trunc_bound, i1, i2 and lrm per
+    cell.  No field holds a comma, a quote or a line break, so the lines
+    are joined as they are, which is what csv.writer would write."""
+    spot, fft = _fmt(cfg.spot), cfg.fft
+    by_strike = [f"{_fmt(k)},{_fmt(k / cfg.spot)},{_fmt(fft.alpha)}," for k in cfg.strikes]
+    by_stride = {
+        stride: f"{fft.n // stride},{_fmt(fft.eta * stride)},"
+        for stride in set(columns.stride.ravel().tolist())
+    }
+    blank = [""] * len(cfg.strikes)
+    lines = [",".join(CSV_COLUMNS) + "\n"]
+    for row, t in enumerate(cfg.t_values):
+        head = f"{cfg.kind},{_fmt(t)},{_fmt(cfg.maturity - t)},{spot},"
+        i1 = blank if columns.i1 is None else map(_fmt, columns.i1[row].tolist())
+        lines += [
+            f"{head}{strike}{by_stride[stride]}{_fmt(trunc)},{columns.mode},{i1_text},"
+            f"{_fmt(i2)},{_fmt(value)}\n"
+            for strike, stride, trunc, i1_text, i2, value in zip(
+                by_strike, columns.stride[row].tolist(), columns.trunc_a[row].tolist(), i1,
+                columns.i2[row].tolist(), columns.lrm[row].tolist(),
+            )
+        ]
+    return "".join(lines)
 
 
 def cmd_impact(cfg: RunConfig, jump_sizes: Sequence[float]) -> int:
@@ -377,9 +388,11 @@ def cmd_impact(cfg: RunConfig, jump_sizes: Sequence[float]) -> int:
     started = time.perf_counter()
     # every moneyness is a single-strike quote on one shared unit-spot slice
     ctx = moneyness_slice(cfg.model, cfg.fft, MoneynessQuery(base_m, tau).tau)
-    before, *afters = (
-        r.lrm for r in ctx.quotes([base_m] + [base_m * math.exp(-y) for y in jump_sizes])
-    )
+    try:
+        jumped = [jumped_moneyness(base_m, y) for y in jump_sizes]
+    except InvalidParameterError as exc:
+        raise ConfigError(str(exc))
+    before, *afters = (r.lrm for r in ctx.quotes([base_m] + jumped))
     elapsed = time.perf_counter() - started
 
     handle, owned = _open_output(cfg)
@@ -388,16 +401,9 @@ def cmd_impact(cfg: RunConfig, jump_sizes: Sequence[float]) -> int:
         writer.writerow(
             ("y", "moneyness_before", "moneyness_after", "lrm_before", "lrm_after", "impact")
         )
-        for y, after in zip(jump_sizes, afters):
+        for y, moneyness, after in zip(jump_sizes, jumped, afters):
             writer.writerow(
-                [
-                    _fmt(y),
-                    _fmt(base_m),
-                    _fmt(base_m * math.exp(-y)),
-                    _fmt(before),
-                    _fmt(after),
-                    _fmt(after - before),
-                ]
+                [_fmt(x) for x in (y, base_m, moneyness, before, after, after - before)]
             )
     finally:
         if owned:

@@ -45,8 +45,9 @@ geometric sum over the images on one side, for a function that decays
 like e^{-d k} (in K-normalized form) on that side: d = alpha - 1 toward
 the in-the-money pole at zeta = -i, d = 1 + beta - alpha toward the
 right tail, where a moment E[S_T^{1+beta}] bounds the function.  The
-model modules supply those constants; ``lrm.SliceBounds`` turns them
-into the coarsest stride each strike may take.
+model modules supply those constants; :class:`AliasFloors` and
+``lrm.SliceBounds`` turn them into the coarsest stride each strike may
+take.
 """
 
 from __future__ import annotations
@@ -113,32 +114,45 @@ def alias_log_factor(distance, eta: float):
 ALIAS_RATES = np.geomspace(2.0**-6, 2.0**6, 97)
 
 
-def alias_floors(profile, beta: np.ndarray, alpha: float, etas) -> list[float]:
-    """Per spacing eta of ``etas``: the smallest log(K/S) from which every
-    bound (log_itm, log_right) of ``profile``,
+class AliasFloors:
+    """The tau-free half of the aliasing bound, built once per (model,
+    grid): per spacing eta of ``etas`` (the strides s = 1, 2, ...), the
+    image sums A(alpha - 1) and A(1 + beta - alpha) (A =
+    :func:`alias_log_factor`) and what the in-the-money images of each
+    bound leave of 2^-53, given the in-the-money logs ``log_itms`` of
+    the bounds.  Calling it with the bounds' right-tail logs of one
+    slice gives, per spacing, the smallest log(K/S) from which every
+    bound
 
         e^{log_itm + A(alpha - 1)} + e^{log_right(beta) + A(1 + beta - alpha) - beta log(K/S)}
 
-    (over S, A = :func:`alias_log_factor` at eta), stays at or below 2^-53
-    for some beta of the grid; inf where the in-the-money images alone
-    reach it.  The right-tail images fall with K, so every larger strike
-    passes.
+    (over S) stays at or below 2^-53 for some beta of the grid; inf where
+    the in-the-money images alone reach it.  The right-tail images fall
+    with K, so every larger strike passes.
     """
-    floors = []
-    for eta in etas:
-        itm = float(alias_log_factor(alpha - 1.0, eta))
-        right = alias_log_factor(1.0 + beta - alpha, eta)
-        floor = -math.inf
-        for log_itm, log_right in profile:
-            budget = ROUNDING - math.exp(log_itm + itm)
-            if budget <= 0.0:
-                floor = math.inf
-                break
-            floor = max(floor, float(np.min((log_right + right - math.log(budget)) / beta)))
-        floors.append(floor)
-    return floors
+
+    def __init__(self, log_itms, beta: np.ndarray, alpha: float, etas):
+        self.beta = beta
+        self._right = np.array([alias_log_factor(1.0 + beta - alpha, eta) for eta in etas])
+        itms = [float(alias_log_factor(alpha - 1.0, eta)) for eta in etas]
+        budgets = [[ROUNDING - math.exp(log_itm + itm) for log_itm in log_itms] for itm in itms]
+        # False where the in-the-money images alone use up 2^-53
+        self._open = [min(row) > 0.0 for row in budgets]
+        self._log_budgets = np.array(
+            [[math.log(b) if b > 0.0 else math.nan for b in row] for row in budgets]
+        )
+
+    def __call__(self, log_rights) -> list[float]:
+        """Per spacing, the floor of the bounds whose right-tail logs (one
+        array over beta per bound) are ``log_rights``."""
+        if not self._open:
+            return []
+        margins = np.asarray(log_rights) + self._right[:, None, :] - self._log_budgets[:, :, None]
+        lowest = np.min(margins / self.beta, axis=-1).tolist()
+        return [max(-math.inf, *row) if ok else math.inf for ok, row in zip(self._open, lowest)]
 
 
+@functools.lru_cache(maxsize=8)
 def coarsest_shift(config: FftConfig) -> int:
     """Largest s such that every 2^s-th point of the configured grid (at
     least two points) keeps the in-the-money image of I1,
@@ -155,7 +169,8 @@ def coarsest_shift(config: FftConfig) -> int:
 
 @dataclass(frozen=True)
 class CarrMadanGrid:
-    """Transform values on the log-strike grid k_l = -pi/eta + l * 2pi/(N eta)."""
+    """Transform values on the log-strike grid k_l = -pi/eta + l * 2pi/(N eta),
+    one row per grid for a block of grids."""
 
     k: np.ndarray
     values: np.ndarray
@@ -163,13 +178,18 @@ class CarrMadanGrid:
     eta: float
 
     def at(self, k) -> np.ndarray:
-        """Linear interpolation at the log-strikes k, one np.interp for all
-        (monotone-preserving: within the bracketing grid values)."""
-        return np.interp(_log_strikes(k, self.eta), self.k, self.values)
+        """Linear interpolation at the log-strikes k, one np.interp per grid
+        (monotone-preserving: within the bracketing grid values).  A block
+        of grids gives one row of values per grid, all at the same k."""
+        k = checked_log_strikes(k, self.eta)
+        if self.values.ndim == 1:
+            return np.interp(k, self.k, self.values)
+        return np.array([np.interp(k, self.k, row) for row in self.values])
 
 
-def _log_strikes(k, eta: float) -> np.ndarray:
-    """k as a float array, every entry inside |k| < pi/eta."""
+def checked_log_strikes(k, eta: float) -> np.ndarray:
+    """k as a float array, every entry inside |k| < pi/eta (the log-strikes
+    a grid or direct sum of spacing eta can evaluate)."""
     k = np.asarray(k, dtype=float)
     outside = ~(np.abs(k) < math.pi / eta)
     if outside.any():
@@ -192,18 +212,28 @@ def carr_madan_grid(
     samples may be a prefix of an N = n point grid (n defaults to their
     count); the FFT zero-pads them to N.  The samples may also be every
     2^s-th point of a finer grid, given with its spacing eta and its
-    point count n.  The name is historical: the weights are trapezoid.
+    point count n.  A 2-D block of samples, one grid per row, takes one
+    ``np.fft.fft(axis=-1)`` for all rows and must name n; each row has
+    the bits of its own 1-D call.  The name is historical: the weights
+    are trapezoid.
     """
     psi = np.asarray(psi_samples, dtype=complex)
-    n = psi.size if n is None else n
-    if psi.ndim != 1 or psi.size == 0 or psi.size > n or (n & (n - 1)) != 0:
+    if n is None and psi.ndim == 1:
+        n = psi.size
+    if (
+        n is None
+        or psi.ndim not in (1, 2)
+        or psi.size == 0
+        or psi.shape[-1] > n
+        or (n & (n - 1)) != 0
+    ):
         raise FftSizeError(f"sample shape {psi.shape} is not a prefix of one power-of-two axis")
     _require(eta > 0.0, "eta must be > 0")
     _require(1.0 < alpha <= 2.0, "alpha must lie in (1, 2]")
     if not np.all(np.isfinite(psi)):
         raise InvalidParameterError("psi samples must be finite")
     signed_weights, k, damping = _grid_tables(n, eta, alpha)
-    f_raw = np.fft.fft(psi * signed_weights[: psi.size], n)
+    f_raw = np.fft.fft(psi * signed_weights[: psi.shape[-1]], n, axis=-1)
     return CarrMadanGrid(k=k, values=damping * f_raw.real, alpha=alpha, eta=eta)
 
 
@@ -212,9 +242,11 @@ def _grid_tables(n: int, eta: float, alpha: float) -> tuple[np.ndarray, np.ndarr
     """Signed weights (-1)^j w_j, log-strikes k_l and damping e^{-alpha k_l}/pi
     of one grid, read-only because every grid of the same (n, eta, alpha)
     shares them.  The sign flip is exact, so psi (-1)^j w_j has the bits of
-    ((-1)^j psi) w_j."""
+    ((-1)^j psi) w_j.  The weights are held as complex w + 0i, the value a
+    complex product casts a real weight to, so the product keeps its bits
+    and skips the cast."""
     j = np.arange(n)
-    signed_weights = ((-1.0) ** j) * trapezoid_weights(n, eta)
+    signed_weights = (((-1.0) ** j) * trapezoid_weights(n, eta)).astype(complex)
     k = -math.pi / eta + (2.0 * math.pi / (n * eta)) * j
     with np.errstate(over="ignore"):
         damping = np.exp(-alpha * k) / math.pi
@@ -255,7 +287,7 @@ def direct_simpson_sum(
     its count, so the result has the same bits whatever the prefix and
     the other log-strikes.
     """
-    k = _log_strikes(k, eta)
+    k = checked_log_strikes(k, eta)
     psi = np.asarray(psi_samples, dtype=complex).reshape(-1)
     m = psi.size
     n = m if n is None else n

@@ -14,19 +14,24 @@ tau-free kernel factors are sampled on the contour once per (model,
 config, spot), and each evaluation of a time slice costs one
 exponential plus one multiply per kernel kind, over the points its
 strikes read.  A slice keeps nothing between evaluations, so no result
-depends on the calls before it.  Within a slice the strike enters only through
-the e^{-i eta j k} phase, so ``TransformContext.evaluate`` takes all
-strikes of a slice as one array: single quotes, strike sweeps, ``curve``
-slices and jump impacts all go through it.  The path follows the strike
-count: up to four strikes take exact direct sums (O(sqrt N)
-exponentials plus O(N) multiply-adds per strike), more share one FFT
-grid per kernel kind, read by one interpolation per (kind, strike
-shift).  ``LrmResult.mode`` reports which path ran.
+depends on the calls before it.  Within a slice the strike enters only
+through the e^{-i eta j k} phase, so one evaluator,
+:func:`evaluate_slices`, takes one strike array on a list of slices of
+one sample and returns columns (one row per slice, one column per
+strike): ``curve`` calls it with every slice of its surface, single
+quotes, strike sweeps and jump impacts with one slice through
+``TransformContext.evaluate``, which alone builds ``LrmResult``.  The
+path follows the strike count: up to four strikes take exact direct
+sums (O(sqrt N) exponentials plus O(N) multiply-adds per strike), more
+share one FFT grid per kernel kind and slice, read by one interpolation
+per kind, and grid slices of one stride share each ``np.fft.fft`` call
+in blocks.  ``LrmResult.mode`` reports which path ran.
 
 Each strike sums every 2^s-th sample of the configured grid: the same
 span N eta at spacing 2^s eta over N / 2^s points, with trapezoid
 weights.  It takes the largest s whose aliasing bound moves I1 and I2
-by at most 2^-53 S and the ratio by at most 2^-53 (``SliceBounds``).
+by at most 2^-53 S and the ratio by at most 2^-53 (``SliceBounds``; its
+tau-free half, ``SampleBounds``, is built once per sample).
 The bound has three terms, each summed over the images that Poisson
 summation puts 2 pi / eta_s apart in log-strike:
 
@@ -48,9 +53,9 @@ A Merton strike then sums only a prefix of its samples: the Gaussian
 envelope certifies how many rows of the direct sum's layout of N / 2^s
 points it takes before the dropped tail moves I1, I2 and the ratio by
 less than rounding (``merton_prefix_tail``).  The direct path gives each
-strike its own stride and rows; the grid path runs one FFT at the
-finest stride of the batch, over its longest span, zero-padded to that
-stride's point count.  The shared sample is taken at the stride and
+strike its own stride and rows; the grid path runs one FFT per slice at
+its finest stride, over its longest span, zero-padded to that stride's
+point count.  The shared sample is taken at the stride and
 length the slices ask for; ``LevySample`` alone keeps track of which
 points it holds.  Variance gamma, whose polynomial envelope
 certifies no prefix, sums the whole span at its stride.
@@ -60,7 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -83,17 +88,18 @@ from .core import (
     time_to_maturity,
 )
 from .fft_engine import (
+    AliasFloors,
     FftConfig,
-    alias_floors,
     carr_madan_grid,
+    checked_log_strikes,
     coarsest_shift,
     direct_simpson_sum,
     row_layout,
     tail_condition_check,
 )
 from .merton import (
+    MertonAliasProfile,
     gaussian_damping,
-    merton_alias_profile,
     merton_exponent,
     merton_i2_terms,
     merton_log_c1,
@@ -102,8 +108,8 @@ from .merton import (
     merton_trunc_i2,
 )
 from .variance_gamma import (
+    VgAliasProfile,
     VgContourLogs,
-    vg_alias_profile,
     vg_c2,
     vg_mmm_measure,
     vg_trunc,
@@ -115,6 +121,10 @@ MODE_DIRECT_SUM = "direct-sum"
 # a handful of strikes is cheaper by direct summation than by building
 # interpolation grids
 _DIRECT_SUM_MAX_STRIKES = 4
+# grid slices of one stride share an FFT call in blocks of up to this many
+# FFT points (0.25 MB complex): 4 slices at n = 4096, 2 at n = 8192.  Twice
+# that ran no faster on the curve benchmark and held 1 MB more at peak
+_BLOCK_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -175,7 +185,8 @@ class LevySample:
     when a slice asks for points it does not hold.  Every sample is
     elementwise in zeta, and (2^s eta) j rounds the same product as
     eta (2^s j), so every point keeps its bits whatever the stride and
-    the length it was sampled at.
+    the length it was sampled at.  ``bounds`` is the tau-free half of
+    every slice's bounds (:class:`SampleBounds`).
     """
 
     def __init__(self, model: Model, config: FftConfig, spot: float):
@@ -190,6 +201,7 @@ class LevySample:
         self.shift = coarsest_shift(config)
         points = config.n >> self.shift
         self._sample(row_layout(points)[0] if isinstance(model, MertonParams) else points)
+        self.bounds = SampleBounds(model, self.mmm, config, spot)
 
     def strided(self, shift: int, m: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """psi and the kernel factors at the first m points of every
@@ -234,6 +246,47 @@ class LevySample:
             self.factors = {"call": call, "kernel": logs.kernel(model.C) * call}
 
 
+class SampleBounds:
+    """The tau-free half of every slice's bounds, built once per
+    :class:`LevySample`: the direct-sum row layout of each stride, the
+    Merton I2 terms at unit strike (``terms``) and the range of their log
+    strike shifts, the aliasing tables of each stride
+    (:class:`AliasFloors`) and the model's alias profile
+    (``MertonAliasProfile`` / ``VgAliasProfile``), whose right tail
+    ``log_right(tau)`` is all a slice adds."""
+
+    def __init__(self, model: Model, mmm: MmmQuantities, config: FftConfig, spot: float):
+        self.model, self.mmm, self.config, self.spot = model, mmm, config, spot
+        top = coarsest_shift(config)
+        layouts = [row_layout(config.n >> s) for s in range(top + 1)]
+        self.row_lengths = np.array([c for c, _ in layouts])
+        self.layout_rows = [r for _, r in layouts]
+        etas = [config.eta * (1 << s) for s in range(1, top + 1)]
+        # a hair inside +-pi/eta_s, so that the log of a shifted strike
+        # cannot round onto the edge
+        self._edges = [math.pi / eta * (1.0 - 1e-12) for eta in etas]
+        if isinstance(model, MertonParams):
+            self.alias = MertonAliasProfile(model, mmm, config.alpha)
+            # the I2 terms at unit strike: coefficients and strike shift factors
+            self.terms = merton_i2_terms(model, 1.0)
+            log_shifts = [0.0] + [math.log(t.strike) for t in self.terms]
+        else:
+            self.pair = vg_mmm_measure(model, mmm.h)
+            self.alias = VgAliasProfile(model, mmm, config.alpha)
+            log_shifts = [0.0]
+        self._log_shift_range = (min(log_shifts), max(log_shifts))
+        self.floors = AliasFloors(self.alias.log_itm, self.alias.beta, config.alpha, etas)
+
+    def reach(self, strikes: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The tau-free half of a stride choice: log(K/S) per strike and,
+        per stride s >= 1, whether every log-strike the strike needs lies
+        inside +-pi/eta_s."""
+        log_k = np.log(strikes)
+        lo, hi = self._log_shift_range
+        reach = np.maximum(-(log_k + lo), log_k + hi)
+        return log_k - math.log(self.spot), [reach < edge for edge in self._edges]
+
+
 class SliceBounds:
     """Bounds of one time slice, for all its strikes at once: the
     frequency truncation points (I1, I2) for Merton or (I2,) for
@@ -250,36 +303,26 @@ class SliceBounds:
     +-pi/eta_s; the configured grid, s = 0, needs no certificate.  A
     Merton strike then sums the fewest rows whose dropped tail stays
     below rounding; variance gamma sums every row.  Both depend on the
-    slice and the strike only, never on the other strikes of a batch."""
+    slice and the strike only, never on the other strikes of a batch.
+    The tau-free parts come from the sample's :class:`SampleBounds`."""
 
-    def __init__(
-        self, model: Model, mmm: MmmQuantities, config: FftConfig, tau: float, spot: float
-    ):
+    def __init__(self, shared: SampleBounds, tau: float):
         _require(tau >= TAU_MIN, f"tau must be >= {TAU_MIN:g}")
-        self.model, self.config, self.tau, self.spot = model, config, tau, spot
+        self.shared, self.tau = shared, tau
+        model, mmm, config = shared.model, shared.mmm, shared.config
         self.row_length = row_layout(config.n)[0]
-        shifts = range(1, coarsest_shift(config) + 1)
-        self._row_lengths = np.array([row_layout(config.n >> s)[0] for s in range(len(shifts) + 1)])
         # per stride 2^s, filled on first use: a strike K sums the first
         # i + 1 rows once K >= _row_strikes[s][i] (nonincreasing); None:
         # every strike sums every row
         self._row_strikes = None
         if isinstance(model, MertonParams):
-            self._mmm = mmm
             self._log_c1 = merton_log_c1(model, mmm, tau, config.alpha)
             self.envelope = math.exp(self._log_c1)
             self._row_strikes = {}
-            beta, profile = merton_alias_profile(model, mmm, tau, config.alpha)
-            self._log_shifts = [0.0] + [math.log(t.strike) for t in merton_i2_terms(model, 1.0)]
         else:
-            pair = vg_mmm_measure(model, mmm.h)
-            self.envelope = vg_c2(model, pair, mmm.mu_star, tau, config.alpha)
-            beta, profile = vg_alias_profile(model, mmm, tau, config.alpha)
-            self._log_shifts = [0.0]
+            self.envelope = vg_c2(model, shared.pair, mmm.mu_star, tau, config.alpha)
         # stride 2^s, s >= 1, needs log(K/S) >= _alias_floors[s - 1]
-        self._alias_floors = alias_floors(
-            profile, beta, config.alpha, [config.eta * (1 << s) for s in shifts]
-        )
+        self._alias_floors = shared.floors(shared.alias.log_right(tau))
 
     def _prefix_strikes(self, shift: int) -> np.ndarray:
         """Per row of the layout of n / 2^shift points: the smallest strike
@@ -287,12 +330,12 @@ class SliceBounds:
         a row end a = (rows * c - 1) eta is K^{1-alpha} e^{G(a)}; it is
         below rounding once log K >= (G(a) - log ROUNDING) / (alpha - 1)."""
         if shift not in self._row_strikes:
-            config = self.config
+            shared, config = self.shared, self.shared.config
             c, r = row_layout(config.n >> shift)
             ends = c * np.arange(1, r + 1) - 1
             tail = merton_prefix_tail(
-                (config.eta * (1 << shift)) * ends,
-                self.tau, self.spot, config.alpha, self._log_c1, self.model, self._mmm,
+                (config.eta * (1 << shift)) * ends, self.tau, shared.spot, config.alpha,
+                self._log_c1, shared.model, shared.mmm,
             )
             with np.errstate(over="ignore"):
                 self._row_strikes[shift] = np.exp(
@@ -303,27 +346,28 @@ class SliceBounds:
     def __call__(self, strikes: np.ndarray) -> np.ndarray:
         """Truncation points, one row per bound ((I1, I2) or (I2,)) and one
         column per strike."""
-        args = (self.config.eps, self.tau, strikes, self.spot, self.config.alpha, self.envelope)
-        if isinstance(self.model, MertonParams):
-            return np.stack((merton_trunc_i1(*args, self.model), merton_trunc_i2(*args, self.model)))
-        return np.stack((vg_trunc(*args, self.model),))
+        shared, config = self.shared, self.shared.config
+        args = (config.eps, self.tau, strikes, shared.spot, config.alpha, self.envelope)
+        if isinstance(shared.model, MertonParams):
+            return np.stack(
+                (merton_trunc_i1(*args, shared.model), merton_trunc_i2(*args, shared.model))
+            )
+        return np.stack((vg_trunc(*args, shared.model),))
 
     def rows(self, strikes: np.ndarray) -> np.ndarray:
         """Rows of the configured grid's direct-sum layout each strike sums."""
         return self._rows(strikes, 0)
 
-    def strided_rows(self, strikes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def strided_rows(
+        self, strikes: np.ndarray, reach: Optional[tuple[np.ndarray, list[np.ndarray]]] = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Each strike's stride exponent s and the rows of the direct-sum
-        layout of n / 2^s points it sums."""
-        log_k = np.log(strikes)
-        reach = np.maximum(-(log_k + min(self._log_shifts)), log_k + max(self._log_shifts))
-        log_moneyness = log_k - math.log(self.spot)
+        layout of n / 2^s points it sums; ``reach`` is
+        ``SampleBounds.reach(strikes)``, taken here when not given."""
+        log_moneyness, inside = self.shared.reach(strikes) if reach is None else reach
         shifts = np.zeros(strikes.shape, dtype=int)
-        for s, floor in enumerate(self._alias_floors, start=1):
-            # a hair inside +-pi/eta_s, so that the log of a shifted strike
-            # cannot round onto the edge
-            edge = math.pi / (self.config.eta * (1 << s)) * (1.0 - 1e-12)
-            shifts[(shifts == s - 1) & (log_moneyness >= floor) & (reach < edge)] = s
+        for s, (floor, ok) in enumerate(zip(self._alias_floors, inside), start=1):
+            shifts[(shifts == s - 1) & (log_moneyness >= floor) & ok] = s
         rows = np.empty(strikes.shape, dtype=int)
         for s in set(shifts.tolist()):
             group = shifts == s
@@ -332,10 +376,10 @@ class SliceBounds:
 
     def extents(self, shifts: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The last configured-grid index each strike's rows reach."""
-        return (rows * self._row_lengths[shifts] - 1) << shifts
+        return (rows * self.shared.row_lengths[shifts] - 1) << shifts
 
     def _rows(self, strikes: np.ndarray, shift: int) -> np.ndarray:
-        layout_rows = row_layout(self.config.n >> shift)[1]
+        layout_rows = self.shared.layout_rows[shift]
         if self._row_strikes is None:
             return np.full(strikes.shape, layout_rows)
         first = np.searchsorted(-self._prefix_strikes(shift), -strikes)
@@ -344,9 +388,11 @@ class SliceBounds:
 
 class TransformContext:
     """One time slice of a :class:`LevySample`: its tau and its bounds.
-    Each :meth:`evaluate` computes phi_tau = exp(tau psi) times each kernel
+    :meth:`evaluate` computes phi_tau = exp(tau psi) times each kernel
     factor once, over every point its strikes read, and keeps nothing, so
-    a result does not depend on what the slice evaluated before."""
+    a result does not depend on what the slice evaluated before.  It and
+    :meth:`quotes` go through :func:`evaluate_slices`, the evaluator of
+    every caller, and build ``LrmResult`` from its columns."""
 
     def __init__(self, sample: LevySample, tau: float):
         self.sample = sample
@@ -355,15 +401,7 @@ class TransformContext:
         # which every prefix holds, has the largest Re(tau psi), so this is
         # the exp() guard of the whole grid, and it fires before the C1 guard
         levy_char_fn(sample.psi[:1], tau)
-        self.trunc_bounds = SliceBounds(sample.model, sample.mmm, sample.config, tau, sample.spot)
-
-    def reach(self, strikes: Sequence[float]) -> tuple[int, int]:
-        """The finest stride exponent and the last configured-grid index
-        that evaluating ``strikes`` reads (``LevySample.cover`` arguments),
-        so that a shared sample can be taken once for many slices."""
-        strikes = _strike_array(strikes)
-        shifts, rows = self.trunc_bounds.strided_rows(strikes)
-        return int(shifts.min()), int(self.trunc_bounds.extents(shifts, rows).max())
+        self.trunc_bounds = SliceBounds(sample.bounds, tau)
 
     def quotes(self, strikes: Sequence[float]) -> list[LrmResult]:
         """Each strike's result as a lone ``evaluate([strike])`` gives it,
@@ -381,88 +419,205 @@ class TransformContext:
                 self.evaluate([strike])
             raise
 
-    def evaluate(self, strikes: Sequence[float], tail: slice = slice(None)) -> list[LrmResult]:
-        """Hedge ratios, I1 and I2 for every strike of the slice, as array
-        operations.  One tail check covers the largest truncation bound
-        over all strikes, of the per-strike bounds (I1, I2) that ``tail``
-        selects.  Up to ``_DIRECT_SUM_MAX_STRIKES`` strikes take exact
-        direct sums, each over its own stride and rows; more share one
-        interpolated FFT grid per kernel kind, at the finest stride of the
-        batch and over its longest span."""
+    def evaluate(self, strikes: Sequence[float]) -> list[LrmResult]:
+        """Hedge ratios, I1 and I2 for every strike of the slice
+        (:func:`evaluate_slices` on this slice alone), one ``LrmResult``
+        per strike."""
         strikes = _strike_array(strikes)
         if strikes.size == 0:
             return []
-        sample, config, bounds = self.sample, self.sample.config, self.trunc_bounds
-        trunc = bounds(strikes)[tail].max(axis=0)
-        worst = int(np.argmax(trunc))
-        _check_tail(config, float(trunc[worst]), float(strikes[worst]), self.tau)
-        mode = MODE_DIRECT_SUM if strikes.size <= _DIRECT_SUM_MAX_STRIKES else MODE_FFT_GRID
-        shifts, rows = bounds.strided_rows(strikes)
-        extents = bounds.extents(shifts, rows)
-        fine = int(shifts.min())
-        # one evaluation of phi over every point any strike reads
-        psi, factors = sample.strided(fine, (int(extents.max()) >> fine) + 1)
-        phi = levy_char_fn(psi, self.tau)
-        arrays = {kind: phi * factor for kind, factor in factors.items()}
-        if mode == MODE_DIRECT_SUM:
-            strides = 1 << shifts
-        else:
-            strides = np.full(strikes.shape, 1 << fine)
-
-        def sums(kind: str, *at: np.ndarray) -> list[np.ndarray]:
-            """One kernel kind's damped transform at each strike array of
-            ``at`` (the strikes, or a multiple of them), in one pass."""
-            joint = np.concatenate(at)
-            if mode == MODE_DIRECT_SUM:
-                copies = len(at)
-                values = _direct_sums(
-                    arrays[kind], fine, config, joint, np.tile(shifts, copies),
-                    np.tile(rows, copies), np.tile(extents, copies),
-                )
-            else:
-                values = carr_madan_grid(
-                    arrays[kind], config.alpha, config.eta * (1 << fine), config.n >> fine
-                ).at(np.log(joint))
-            return np.split(values, len(at))
-
-        if isinstance(sample.model, MertonParams):
-            i1 = strikes * sums("indicator", strikes)[0]
-            # at unit strike the terms give the coefficients and the
-            # strike shift factors; terms of one kind share a pass
-            terms = merton_i2_terms(sample.model, 1.0)
-            shifted = [strikes * term.strike for term in terms]
-            values = {}
-            for kind in dict.fromkeys(term.kernel for term in terms):
-                group = [i for i, term in enumerate(terms) if term.kernel == kind]
-                values.update(zip(group, sums(kind, *(shifted[i] for i in group))))
-            i2 = 0.0
-            for i, term in enumerate(terms):
-                i2 = i2 + term.coefficient * shifted[i] * values[i]
-            sigma2 = sample.model.sigma**2
-            numerator = sigma2 * i1 + i2
-        else:
-            i1 = None
-            kernel_part = strikes * sums("kernel", strikes)[0]
-            call_part = strikes * sums("call", strikes)[0]
-            i2 = numerator = kernel_part - sample.exp_moment * call_part
-            sigma2 = 0.0
-        ratio = numerator / (sample.spot * (sigma2 + sample.mmm.quad_exp_moment))
-        i1_values = [None] * strikes.size if i1 is None else i1.tolist()
+        columns = evaluate_slices([self], strikes)
+        config = self.sample.config
+        i1_values = [None] * strikes.size if columns.i1 is None else columns.i1[0].tolist()
         return [
             LrmResult(
                 lrm=value,
                 i1=i1_value,
                 i2=i2_value,
                 trunc_a=trunc_a,
-                mode=mode,
+                mode=columns.mode,
                 config=config,
                 out_of_range=not (0.0 <= value <= 1.0),
                 stride=stride,
             )
             for value, i1_value, i2_value, trunc_a, stride in zip(
-                ratio.tolist(), i1_values, i2.tolist(), trunc.tolist(), strides.tolist()
+                columns.lrm[0].tolist(), i1_values, columns.i2[0].tolist(),
+                columns.trunc_a[0].tolist(), columns.stride[0].tolist(),
             )
         ]
+
+
+@dataclass(frozen=True)
+class SliceColumns:
+    """Results of one strike array on a run of time slices, one row per
+    slice and one column per strike.  ``i1`` is None for variance gamma;
+    a column the call did not ask for (``part``) is None too."""
+
+    lrm: Optional[np.ndarray]
+    i1: Optional[np.ndarray]
+    i2: Optional[np.ndarray]
+    trunc_a: np.ndarray
+    stride: np.ndarray
+    mode: str
+
+
+class _SlicePlan(NamedTuple):
+    """What one slice reads: per strike its truncation point, stride
+    exponent, rows and last configured-grid index; the finest stride
+    exponent, and the points of that stride the slice reads."""
+
+    trunc: np.ndarray
+    shifts: np.ndarray
+    rows: np.ndarray
+    extents: np.ndarray
+    fine: int
+    points: int
+
+
+def evaluate_slices(
+    slices: Sequence[TransformContext], strikes: Sequence[float], part: str = "lrm"
+) -> SliceColumns:
+    """Hedge ratios, I1 and I2 of the same strikes on every slice of one
+    :class:`LevySample`, as columns: ``part`` "lrm" computes all three,
+    "i1" the stock-or-nothing term alone and "i2" the jump term alone,
+    each from only the kernel kinds it needs.
+
+    Each slice's truncation points, strides and rows are computed once.
+    A slice's tail check covers its largest truncation bound over all
+    strikes, of the bounds (I1, I2) its part reads.  Up to
+    ``_DIRECT_SUM_MAX_STRIKES`` strikes take exact direct sums, each over
+    its own stride and rows; more share one interpolated FFT grid per
+    kernel kind and slice, at the finest stride of the slice and over
+    its longest span.  Grid slices of one stride are transformed in
+    blocks of up to ``_BLOCK_POINTS`` FFT points, one ``carr_madan_grid``
+    call per block and kind, every row zero past its own slice's span,
+    so each cell has the bits of its slice alone.  The shared sample is
+    covered once, at the finest stride and the longest span any slice
+    reads.  Slices are checked in order, each before the next: its tail,
+    then the log-strike range of its transforms, so an error is the one
+    the first failing slice raises alone.  ``strikes`` must not be empty.
+    """
+    strikes = _strike_array(strikes)
+    _require(strikes.size > 0, "need at least one strike")
+    sample = slices[0].sample
+    _require(all(ctx.sample is sample for ctx in slices), "slices must share one LevySample")
+    config, model = sample.config, sample.model
+    tail = {"lrm": slice(None), "i1": slice(0, 1), "i2": slice(-1, None)}[part]
+    mode = MODE_DIRECT_SUM if strikes.size <= _DIRECT_SUM_MAX_STRIKES else MODE_FFT_GRID
+
+    # the strike arrays each kernel kind is transformed at, in one pass per
+    # kind; at unit strike the Merton terms give the coefficients and the
+    # strike shift factors
+    if isinstance(model, MertonParams):
+        terms = sample.bounds.terms
+        shifted = [strikes * term.strike for term in terms]
+        at = {"indicator": [strikes]} if part != "i2" else {}
+        if part != "i1":
+            for term, strike_array in zip(terms, shifted):
+                at.setdefault(term.kernel, []).append(strike_array)
+    else:
+        at = {"kernel": [strikes], "call": [strikes]}
+    joint = {kind: np.concatenate(arrays) for kind, arrays in at.items()}
+
+    reach = sample.bounds.reach(strikes)
+    plans = []
+    for ctx in slices:
+        bounds = ctx.trunc_bounds
+        shifts, rows = bounds.strided_rows(strikes, reach)
+        extents = bounds.extents(shifts, rows)
+        fine = int(shifts.min())
+        points = (int(extents.max()) >> fine) + 1
+        trunc = bounds(strikes)[tail].max(axis=0)
+        plans.append(_SlicePlan(trunc, shifts, rows, extents, fine, points))
+    sample.cover(min(p.fine for p in plans), max(int(p.extents.max()) for p in plans))
+
+    values = {kind: np.empty((len(slices), array.size)) for kind, array in joint.items()}
+    if mode == MODE_FFT_GRID:
+        log_joint = {kind: np.log(array) for kind, array in joint.items()}
+        # every log-strike of every kind, in the order the grids check them
+        log_all, checked = np.concatenate(list(log_joint.values())), set()
+    for i, (ctx, plan) in enumerate(zip(slices, plans)):
+        worst = int(np.argmax(plan.trunc))
+        _check_tail(config, float(plan.trunc[worst]), float(strikes[worst]), ctx.tau)
+        if mode == MODE_FFT_GRID:
+            # the range check the slice's grids make, made before the next
+            # slice's tail check; it depends on the stride alone
+            if plan.fine not in checked:
+                checked_log_strikes(log_all, config.eta * (1 << plan.fine))
+                checked.add(plan.fine)
+            continue
+        psi, factors = sample.strided(plan.fine, plan.points)
+        phi = levy_char_fn(psi, ctx.tau)
+        for kind, array in joint.items():
+            copies = len(at[kind])
+            values[kind][i] = _direct_sums(
+                phi * factors[kind], plan.fine, config, array, np.tile(plan.shifts, copies),
+                np.tile(plan.rows, copies), np.tile(plan.extents, copies),
+            )
+    if mode == MODE_FFT_GRID:
+        _grid_blocks(slices, plans, log_joint, values)
+        fines = np.array([[p.fine] for p in plans])
+        strides = np.repeat(1 << fines, strikes.size, axis=1)
+    else:
+        strides = np.array([1 << p.shifts for p in plans])
+    # each kind's values at the strike arrays of at[kind], in their order
+    width = strikes.size
+    split = {
+        kind: [values[kind][:, j * width : (j + 1) * width] for j in range(len(arrays))]
+        for kind, arrays in at.items()
+    }
+
+    lrm_values = i1 = i2 = None
+    if isinstance(model, MertonParams):
+        if part != "i2":
+            i1 = strikes * split["indicator"][0]
+        if part != "i1":
+            i2 = 0.0
+            for term, strike_array in zip(terms, shifted):
+                i2 = i2 + term.coefficient * strike_array * split[term.kernel].pop(0)
+        sigma2 = model.sigma**2
+        if part == "lrm":
+            numerator = sigma2 * i1 + i2
+    else:
+        kernel_part = strikes * split["kernel"][0]
+        call_part = strikes * split["call"][0]
+        i2 = numerator = kernel_part - sample.exp_moment * call_part
+        sigma2 = 0.0
+    if part == "lrm":
+        lrm_values = numerator / (sample.spot * (sigma2 + sample.mmm.quad_exp_moment))
+    trunc = np.array([p.trunc for p in plans])
+    return SliceColumns(lrm_values, i1, i2, trunc, strides, mode)
+
+
+def _grid_blocks(
+    slices: Sequence[TransformContext], plans: list[_SlicePlan],
+    log_joint: dict[str, np.ndarray], values: dict[str, np.ndarray],
+) -> None:
+    """Grid-path values of every slice, per kernel kind at its log-strikes
+    ``log_joint[kind]``, into the slice's row of ``values[kind]``: the
+    slices of one finest stride in blocks of up to ``_BLOCK_POINTS`` FFT
+    points, one ``carr_madan_grid`` call per block and kind."""
+    sample = slices[0].sample
+    config = sample.config
+    by_stride: dict[int, list[int]] = {}
+    for i, plan in enumerate(plans):
+        by_stride.setdefault(plan.fine, []).append(i)
+    for fine, members in by_stride.items():
+        n = config.n >> fine
+        size = max(1, _BLOCK_POINTS // n)
+        for start in range(0, len(members), size):
+            block = members[start : start + size]
+            counts = [plans[i].points for i in block]
+            psi, factors = sample.strided(fine, max(counts))
+            phis = [levy_char_fn(psi[:m], slices[i].tau) for i, m in zip(block, counts)]
+            # one buffer for every kind: a row past its slice's points stays 0
+            samples = np.zeros((len(block), max(counts)), dtype=complex)
+            for kind in log_joint:
+                for row, phi, m in zip(samples, phis, counts):
+                    np.multiply(phi, factors[kind][:m], out=row[:m])
+                grid = carr_madan_grid(samples, config.alpha, config.eta * (1 << fine), n)
+                for i, row in zip(block, grid.at(log_joint[kind])):
+                    values[kind][i] = row
 
 
 def _direct_sums(
@@ -526,14 +681,15 @@ def _slice(query: MarketQuery, model: Model, config: FftConfig) -> TransformCont
 
 def i1(query: MarketQuery, model: Model, config: FftConfig) -> float:
     """Stock-or-nothing expectation E[1_{S_T > K} S_T | now] via the
-    damped transform of psi1.  Defined for the diffusive model only; for
-    variance gamma it is multiplied by sigma^2 = 0 and never computed."""
+    damped transform of psi1, and only that transform: the bits of
+    ``lrm(...).i1``.  Defined for the diffusive model only; for variance
+    gamma it is multiplied by sigma^2 = 0 and never computed."""
     if not isinstance(model, MertonParams):
         raise ModelMismatchError(
             "I1 applies to the Merton model only; the sigma^2 I1 term vanishes "
             "for pure-jump models"
         )
-    return _slice(query, model, config).evaluate([query.strike], tail=slice(0, 1))[0].i1
+    return evaluate_slices([_slice(query, model, config)], [query.strike], "i1").i1.item()
 
 
 def i2(query: MarketQuery, model: Model, config: FftConfig) -> float:
@@ -542,12 +698,14 @@ def i2(query: MarketQuery, model: Model, config: FftConfig) -> float:
     Merton: three weighted transforms at shifted strikes (two damped, one
     plain).  Variance gamma: kernel-weighted transform minus the
     first-exponential-moment constant times the plain call transform.
+    Only these transforms run, with the bits of ``lrm(...).i2``.
     """
-    return _slice(query, model, config).evaluate([query.strike], tail=slice(-1, None))[0].i2
+    return evaluate_slices([_slice(query, model, config)], [query.strike], "i2").i2.item()
 
 
 def lrm(query: MarketQuery, model: Model, config: FftConfig) -> LrmResult:
-    """Hedge ratio for a single (t, K, S) query."""
+    """Hedge ratio for a single (t, K, S) query: one direct-sum strike on
+    a fresh slice, through :func:`evaluate_slices` like every caller."""
     return _slice(query, model, config).evaluate([query.strike])[0]
 
 
@@ -597,8 +755,19 @@ def jump_impact(y: float, moneyness: float, tau: float, model: Model, config: Ff
     if y == 0.0:
         raise InvalidParameterError("jump size y must be nonzero")
     before = MoneynessQuery(moneyness, tau)
-    after = MoneynessQuery(moneyness * math.exp(-y), tau)
+    after = MoneynessQuery(jumped_moneyness(moneyness, y), tau)
     lrm_before, lrm_after = moneyness_slice(model, config, tau).quotes(
         [before.moneyness, after.moneyness]
     )
     return lrm_after.lrm - lrm_before.lrm
+
+
+def jumped_moneyness(moneyness: float, y: float) -> float:
+    """The moneyness m e^{-y} after a log-price jump of size y; a jump
+    whose e^{-y} overflows is refused."""
+    try:
+        return moneyness * math.exp(-y)
+    except OverflowError:
+        raise InvalidParameterError(
+            f"jump size y = {y:g} overflows the jumped moneyness m e^-y"
+        ) from None

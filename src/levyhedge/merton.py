@@ -106,12 +106,17 @@ def _log_mgf(params: MertonParams, mmm: MmmQuantities, tau: float, p, exp):
     """tau Psi(-i p) = log E[(S_T / S)^p] under the minimal martingale
     measure, unguarded; ``exp`` is math.exp for a scalar p, np.exp for an
     array."""
+    return tau * _mgf_rate(params, mmm, p, exp)
+
+
+def _mgf_rate(params: MertonParams, mmm: MmmQuantities, p, exp):
+    """Psi(-i p), the tau-free factor of :func:`_log_mgf`."""
     g, m, d2, sigma2 = params.gamma, params.m, params.delta**2, params.sigma**2
     h = mmm.h
     m2 = m + d2
     jump1 = exp(m * p + 0.5 * p**2 * d2) - 1.0 - p * m
     jump2 = exp(m2 * p + 0.5 * p**2 * d2) - 1.0 - p * m2
-    return tau * (
+    return (
         p * mmm.mu_star
         + 0.5 * sigma2 * p**2
         + (1.0 + h) * g * jump1
@@ -254,33 +259,52 @@ def merton_alias_profile(
     and the ratio, log of sum |c| a and log of sum |c| b(beta)
     E[(S_T/S)^{1+beta}] s^{-beta} over their terms.
     """
-    beta = alpha - 1.0 + ALIAS_RATES
-    with np.errstate(over="ignore", invalid="ignore"):
-        log_mgf = _log_mgf(params, mmm, tau, 1.0 + beta, np.exp)
-    # an overflowed moment (inf, or 0 * inf at gamma = 0) bounds nothing
-    log_mgf = np.where(np.isnan(log_mgf), np.inf, log_mgf)
-    d2 = params.delta**2
-    i2 = []
-    for term in merton_i2_terms(params, 1.0):
-        if term.coefficient == 0.0:
-            continue
-        log_coef = math.log(abs(term.coefficient))
-        right = log_coef + log_mgf - beta * math.log(term.strike)
-        if term.kernel == KERNEL_DAMPED:
-            i2.append((log_coef + 0.5 * d2, right + 0.5 * d2 * (1.0 + beta) ** 2))
-        else:
-            i2.append((log_coef, right))
-    i1 = (0.0, log_mgf)
-    if i2:
-        itm, right = zip(*i2)
-        i2 = (float(np.logaddexp.reduce(itm)), np.logaddexp.reduce(right))
-    else:
-        i2 = (-math.inf, np.full(beta.shape, -np.inf))
-    # the ratio divides sigma^2 I1 + I2 by sigma^2 + quad moment
-    log_sigma2 = 2.0 * math.log(params.sigma)
-    log_denom = math.log(params.sigma**2 + mmm.quad_exp_moment)
-    ratio = tuple(np.logaddexp(log_sigma2 + a, b) - log_denom for a, b in zip(i1, i2))
-    return beta, [i1, i2, ratio]
+    profile = MertonAliasProfile(params, mmm, alpha)
+    return profile.beta, list(zip(profile.log_itm, profile.log_right(tau)))
+
+
+class MertonAliasProfile:
+    """:func:`merton_alias_profile` split at tau: ``beta`` and ``log_itm``
+    (I1, I2, ratio) are tau-free, built once per model; ``log_right(tau)``
+    gives the right-tail logs of one slice, with the bits of the whole
+    computation."""
+
+    def __init__(self, params: MertonParams, mmm: MmmQuantities, alpha: float):
+        self.beta = beta = alpha - 1.0 + ALIAS_RATES
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._rate = _mgf_rate(params, mmm, 1.0 + beta, np.exp)
+        d2 = params.delta**2
+        # per nonzero I2 term: log |c|, beta log s and the damped kind's
+        # (1+beta)^2 delta^2/2 (None for the call kind)
+        self._terms = []
+        itm = []
+        for term in merton_i2_terms(params, 1.0):
+            if term.coefficient == 0.0:
+                continue
+            log_coef = math.log(abs(term.coefficient))
+            damped = term.kernel == KERNEL_DAMPED
+            damping = 0.5 * d2 * (1.0 + beta) ** 2 if damped else None
+            self._terms.append((log_coef, beta * math.log(term.strike), damping))
+            itm.append(log_coef + 0.5 * d2 if damped else log_coef)
+        i2_itm = float(np.logaddexp.reduce(itm)) if itm else -math.inf
+        # the ratio divides sigma^2 I1 + I2 by sigma^2 + quad moment
+        self._log_sigma2 = 2.0 * math.log(params.sigma)
+        self._log_denom = math.log(params.sigma**2 + mmm.quad_exp_moment)
+        ratio_itm = np.logaddexp(self._log_sigma2 + 0.0, i2_itm) - self._log_denom
+        self.log_itm = [0.0, i2_itm, ratio_itm]
+
+    def log_right(self, tau: float) -> list[np.ndarray]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_mgf = tau * self._rate
+        # an overflowed moment (inf, or 0 * inf at gamma = 0) bounds nothing
+        log_mgf = np.where(np.isnan(log_mgf), np.inf, log_mgf)
+        rights = []
+        for log_coef, shift, damping in self._terms:
+            right = log_coef + log_mgf - shift
+            rights.append(right if damping is None else right + damping)
+        i2 = np.logaddexp.reduce(rights) if rights else np.full(self.beta.shape, -np.inf)
+        ratio = np.logaddexp(self._log_sigma2 + log_mgf, i2) - self._log_denom
+        return [log_mgf, i2, ratio]
 
 
 class I2Term(NamedTuple):

@@ -185,31 +185,48 @@ def vg_alias_profile(
     (the tilted pair's second component), which also keeps the kernel
     integral finite.
     """
-    C, G, M = params.C, params.G, params.M
-    beta = alpha - 1.0 + ALIAS_RATES[ALIAS_RATES < M - 1.0 - alpha]
-    p = 1.0 + beta
-    pair = vg_mmm_measure(params, mmm.h)
-    log_mgf = 0.0
-    drift = mmm.mu_star
-    for comp in pair.components:
-        log_mgf = log_mgf - comp.C * (np.log1p(p / comp.G) + np.log1p(-p / comp.M))
-        drift -= comp.linear_moment()
-    log_mgf = tau * (log_mgf + p * drift)
+    profile = VgAliasProfile(params, mmm, alpha)
+    return profile.beta, list(zip(profile.log_itm, profile.log_right(tau)))
 
-    def log_kernel(b):
-        # log of C [log((M-1-b)/(M-2-b)) + log((G+2+b)/(G+1+b))]
-        return math.log(C) + np.log(
-            np.log((M - 1.0 - b) / (M - 2.0 - b)) + np.log((G + 2.0 + b) / (G + 1.0 + b))
-        )
 
-    log_itm = float(log_kernel(0.0))
-    log_right = log_mgf + log_kernel(beta)
-    constant = abs(cgm_exp_moment(C, G, M))
-    if constant > 0.0:
-        log_itm = float(np.logaddexp(log_itm, math.log(constant)))
-        log_right = np.logaddexp(log_right, math.log(constant) + log_mgf)
-    log_quad = math.log(mmm.quad_exp_moment)
-    return beta, [(log_itm, log_right), (log_itm - log_quad, log_right - log_quad)]
+class VgAliasProfile:
+    """:func:`vg_alias_profile` split at tau: ``beta`` and ``log_itm`` (I2,
+    ratio) are tau-free, built once per model; ``log_right(tau)`` gives
+    the right-tail logs of one slice, with the bits of the whole
+    computation."""
+
+    def __init__(self, params: VgParams, mmm: MmmQuantities, alpha: float):
+        C, G, M = params.C, params.G, params.M
+        self.beta = beta = alpha - 1.0 + ALIAS_RATES[ALIAS_RATES < M - 1.0 - alpha]
+        p = 1.0 + beta
+        log_mgf = 0.0
+        drift = mmm.mu_star
+        for comp in vg_mmm_measure(params, mmm.h).components:
+            log_mgf = log_mgf - comp.C * (np.log1p(p / comp.G) + np.log1p(-p / comp.M))
+            drift -= comp.linear_moment()
+        self._rate = log_mgf + p * drift
+
+        def log_kernel(b):
+            # log of C [log((M-1-b)/(M-2-b)) + log((G+2+b)/(G+1+b))]
+            return math.log(C) + np.log(
+                np.log((M - 1.0 - b) / (M - 2.0 - b)) + np.log((G + 2.0 + b) / (G + 1.0 + b))
+            )
+
+        log_itm = float(log_kernel(0.0))
+        self._log_kernel = log_kernel(beta)
+        constant = abs(cgm_exp_moment(C, G, M))
+        self._log_constant = math.log(constant) if constant > 0.0 else None
+        if self._log_constant is not None:
+            log_itm = float(np.logaddexp(log_itm, self._log_constant))
+        self._log_quad = math.log(mmm.quad_exp_moment)
+        self.log_itm = [log_itm, log_itm - self._log_quad]
+
+    def log_right(self, tau: float) -> list[np.ndarray]:
+        log_mgf = tau * self._rate
+        log_right = log_mgf + self._log_kernel
+        if self._log_constant is not None:
+            log_right = np.logaddexp(log_right, self._log_constant + log_mgf)
+        return [log_right, log_right - self._log_quad]
 
 
 def vg_trunc(

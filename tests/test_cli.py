@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 
 import pytest
 
@@ -26,6 +27,28 @@ fft.n = 16384
 fft.eta = 0.025
 fft.alpha = 1.75
 fft.eps = 0.01
+query.T = 1
+query.spot = 1
+"""
+
+# the random Merton pool model of the benchmark (drawn as conftest draws)
+# whose curve slices take strides 1, 2 and 4
+POOL_M07_CFG = """
+model.kind = merton
+model.mu = -4.458045754926255
+model.sigma = 0.27144499968954855
+model.gamma = 1.7423072206462715
+model.m = 0.36116203539425684
+model.delta = 0.6870599913102832
+query.T = 1
+query.spot = 1
+"""
+
+VG_CFG = """
+model.kind = vg
+model.kappa = 0.15
+model.m = -0.2
+model.delta = 0.45
 query.T = 1
 query.spot = 1
 """
@@ -146,6 +169,9 @@ def test_curve_strike_sweep(tmp_path, capsys):
     assert all(b < a for a, b in zip(lrms, lrms[1:]))
     assert all(r["mode"] == "fft-grid" for r in rows)
     assert "cells in" in captured.err
+    assert re.fullmatch(
+        r"curve: 29 cells in \d+\.\d{3} s \(\d+\.\d{3} s writing CSV, \d+ cells/s\)\n", captured.err
+    )
 
 
 def test_curve_time_grid(tmp_path, capsys):
@@ -177,31 +203,51 @@ def test_curve_vg_nikkei(tmp_path, capsys):
 
 
 def test_curve_byte_stability(tmp_path, capsys):
-    cfg = _write(
-        tmp_path,
-        "m.cfg",
-        MERTON_CFG + "query.t_grid = 0.1,0.5,0.9\nquery.strike_grid = 1:2:0.5\n",
+    # two runs to files and one to stdout write the same bytes: the
+    # header, then rows whose i1 is empty for variance gamma
+    cases = (
+        (MERTON_CFG, "query.t_grid = 0.1,0.5,0.9\nquery.strike_grid = 1:2:0.5\n"),
+        (NIKKEI_CFG, "query.t_grid = 0.2,0.6\nquery.strike_grid = 12000:18000:1000\n"),
     )
-    out1 = tmp_path / "a.csv"
-    out2 = tmp_path / "b.csv"
-    assert main(["curve", "--config", cfg, "--set", f"output={out1}"]) == EXIT_OK
-    assert main(["curve", "--config", cfg, "--set", f"output={out2}"]) == EXIT_OK
-    capsys.readouterr()
-    assert out1.read_bytes() == out2.read_bytes()
-    assert len(out1.read_bytes()) > 0
+    for base, grids in cases:
+        cfg = _write(tmp_path, "m.cfg", base + grids)
+        out1 = tmp_path / "a.csv"
+        out2 = tmp_path / "b.csv"
+        assert main(["curve", "--config", cfg, "--set", f"output={out1}"]) == EXIT_OK
+        assert main(["curve", "--config", cfg, "--set", f"output={out2}"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["curve", "--config", cfg]) == EXIT_OK
+        printed = capsys.readouterr().out.encode("utf-8")
+        assert out1.read_bytes() == out2.read_bytes() == printed
+        assert len(out1.read_bytes()) > 0
+        header, *lines = printed.decode("utf-8").split("\n")
+        assert header == ",".join(CSV_COLUMNS)
+        assert lines.pop() == "" and len(lines) > 0
+        i1_fields = [line.split(",")[CSV_COLUMNS.index("i1")] for line in lines]
+        assert all((field == "") == (base is NIKKEI_CFG) for field in i1_fields)
+
+
+T20 = "query.t_grid = 0:0.95:0.05\n"
 
 
 @pytest.mark.parametrize(
-    "base, grids",
+    "base, grids, grid_points",
     [
-        (MERTON_CFG, "query.t_grid = 0.1,0.5,0.9\nquery.strike_grid = 1:2:0.25\n"),
-        (MERTON_CFG, "query.t_grid = 0:0.6:0.3\nquery.strike_grid = 0.9,1.1\n"),
-        (NIKKEI_CFG, "query.t_grid = 0.2,0.6\nquery.strike_grid = 12000,15000,18000\n"),
+        (MERTON_CFG, "query.t_grid = 0.1,0.5,0.9\nquery.strike_grid = 1:2:0.25\n", None),
+        (MERTON_CFG, "query.t_grid = 0:0.6:0.3\nquery.strike_grid = 0.9,1.1\n", None),
+        (NIKKEI_CFG, "query.t_grid = 0.2,0.6\nquery.strike_grid = 12000,15000,18000\n", None),
+        (POOL_M07_CFG, T20 + "query.strike_grid = 1:8:0.25\n", {4096, 8192, 16384}),
+        (VG_CFG, T20 + "query.strike_grid = 0.7:1.3:0.05\n", None),
+        (POOL_M07_CFG, T20 + "query.strike_grid = 0.85,1,1.15\n", {4096, 8192, 16384}),
     ],
-    ids=["merton-grid", "merton-direct", "nikkei-direct"],
+    ids=[
+        "merton-grid", "merton-direct", "nikkei-direct", "merton-strides-grid", "vg-grid",
+        "merton-strides-direct",
+    ],
 )
-def test_curve_cells_equal_strike_sweep(tmp_path, capsys, base, grids):
-    # the shared contour sample gives the same bits as a fresh one per slice
+def test_curve_cells_equal_strike_sweep(tmp_path, capsys, base, grids, grid_points):
+    # the shared contour sample, and grid slices transformed in blocks, give
+    # every cell the bits of a fresh sweep of its slice alone
     cfg_text = base + grids
     assert main(["curve", "--config", _write(tmp_path, "c.cfg", cfg_text)]) == EXIT_OK
     rows = _rows(capsys.readouterr().out)
@@ -216,6 +262,9 @@ def test_curve_cells_equal_strike_sweep(tmp_path, capsys, base, grids):
         i1_cell = None if row["i1"] == "" else float(row["i1"])
         assert (i1_cell, float(row["i2"]), float(row["lrm"])) == (res.i1, res.i2, res.lrm)
         assert (float(row["trunc_bound"]), row["mode"]) == (res.trunc_a, res.mode)
+        assert int(row["n"]) == cfg.fft.n // res.stride
+    if grid_points is not None:
+        assert {int(row["n"]) for row in rows} == grid_points
 
 
 def test_curve_overflow_guard_exit(tmp_path, capsys):
@@ -304,6 +353,10 @@ def test_impact_usage_errors(tmp_path, capsys):
     assert main(["impact", "--config", cfg]) == EXIT_USAGE  # empty jump list
     assert main(["impact", "--config", cfg, "--y", "0"]) == EXIT_USAGE
     assert main(["impact", "--config", cfg, "--y", "abc"]) == EXIT_USAGE
+    # e^{-y} overflows: the jump is named, no traceback
+    capsys.readouterr()
+    assert main(["impact", "--config", cfg, "--y", "0.1,-1000"]) == EXIT_USAGE
+    assert "error: jump size y = -1000 overflows" in capsys.readouterr().err
     grid_cfg = _write(
         tmp_path, "g.cfg", MERTON_CFG + "query.t_grid = 0.1,0.5\nquery.strike = 1\n"
     )

@@ -164,6 +164,32 @@ def test_grid_prefix_equals_zero_padded():
         carr_madan_grid(padded, 1.75, 0.1, m)
 
 
+def test_grid_block_rows_equal_single_grids():
+    # a block of prefixes, each row zero past its own prefix, gives every
+    # row the bits of its own zero-padded 1-D grid, values and interpolation
+    rng = np.random.default_rng(41)
+    n, sizes = 1024, (320, 1024, 17, 700)
+    rows = [rng.normal(size=m) + 1j * rng.normal(size=m) for m in sizes]
+    block = np.zeros((len(rows), max(sizes)), dtype=complex)
+    for out, row in zip(block, rows):
+        out[: row.size] = row
+    grid = carr_madan_grid(block, 1.75, 0.1, n)
+    k = np.linspace(-3.0, 3.0, 11)
+    values = grid.at(k)
+    for i, row in enumerate(rows):
+        alone = carr_madan_grid(row, 1.75, 0.1, n)
+        assert np.array_equal(grid.values[i], alone.values)
+        assert np.array_equal(values[i], alone.at(k))
+    # a block must name its point count; its rows keep the finiteness check
+    with pytest.raises(FftSizeError):
+        carr_madan_grid(block, 1.75, 0.1)
+    with pytest.raises(FftSizeError):
+        carr_madan_grid(block, 1.75, 0.1, 512)
+    block[2, 5] = np.inf
+    with pytest.raises(InvalidParameterError):
+        carr_madan_grid(block, 1.75, 0.1, n)
+
+
 def test_direct_sum_real_for_real_symmetric_samples():
     eta = 0.1
     v = eta * np.arange(128)

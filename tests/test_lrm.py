@@ -73,6 +73,28 @@ def test_i1_matches_quadrature(merton_bench, fft_bench):
     assert abs(fft_val - ref) / abs(ref) < 1e-4
 
 
+def test_i1_i2_sum_only_their_kernel_kinds(merton_bench, fft_bench, monkeypatch):
+    # i1 transforms the indicator kind alone, i2 the two jump kinds, lrm
+    # all three, each with the bits lrm reports
+    module = sys.modules["levyhedge.lrm"]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return direct_simpson_sum(*args, **kwargs)
+
+    monkeypatch.setattr(module, "direct_simpson_sum", counting)
+    query = _q(0.5, 1.13)
+    counts = []
+    for fn in (i1, i2, lrm):
+        calls.clear()
+        value = fn(query, merton_bench, fft_bench)
+        counts.append(len(calls))
+    assert counts == [1, 2, 3]
+    assert i1(query, merton_bench, fft_bench) == value.i1
+    assert i2(query, merton_bench, fft_bench) == value.i2
+
+
 def test_i1_rejects_vg(vg_bench, fft_bench):
     with pytest.raises(ModelMismatchError):
         i1(_q(0.5, 1.0), vg_bench, fft_bench)
@@ -626,3 +648,6 @@ def test_moneyness_query_rejects_non_finite(merton_bench, fft_bench):
     for y in (math.inf, -math.inf, math.nan):
         with pytest.raises(InvalidParameterError, match="jump size y must be finite"):
             jump_impact(y, 1.0, 0.5, merton_bench, fft_bench)
+    # a finite jump whose e^{-y} overflows
+    with pytest.raises(InvalidParameterError, match="jump size y = -1000 overflows"):
+        jump_impact(-1000.0, 1.0, 0.5, merton_bench, fft_bench)
