@@ -35,7 +35,6 @@ from .core import (
     Model,
     TailConditionError,
     VgParams,
-    mmm_quantities,
     time_to_maturity,
     validate_assumptions,
 )
@@ -43,8 +42,6 @@ from .fft_engine import FftConfig, tail_condition_check
 from .lrm import (
     LevySample,
     MoneynessQuery,
-    SampleBounds,
-    SliceBounds,
     SliceColumns,
     TransformContext,
     evaluate_slices,
@@ -275,13 +272,16 @@ def _worst_trunc_cell(cfg: RunConfig) -> tuple[float, float, float]:
     """Largest truncation requirement across the configured grid cells,
     with the strike and tau of its cell.  Each cell is checked as a
     MarketQuery first (finite t, T, spot and strike, spot and strike > 0,
-    tau >= TAU_MIN), the checks ``curve`` applies."""
-    shared = SampleBounds(cfg.model, mmm_quantities(cfg.model), cfg.fft, cfg.spot)
-    worst: Optional[tuple[float, float, float]] = None
+    tau >= TAU_MIN), the checks ``curve`` applies, and each slice is built
+    as ``curve`` builds it, so its guards raise what ``curve`` raises."""
+    sample, worst = None, None
     for t in cfg.t_values:
         queries = [MarketQuery(t, cfg.maturity, cfg.spot, strike) for strike in cfg.strikes]
         strikes = np.array([query.strike for query in queries])
-        bounds = SliceBounds(shared, queries[0].tau)(strikes).max(axis=0)
+        if sample is None:
+            # after the first cells' checks, which name a bad spot first
+            sample = LevySample(cfg.model, cfg.fft, cfg.spot)
+        bounds = TransformContext(sample, queries[0].tau).trunc(strikes).max(axis=0)
         i = int(np.argmax(bounds))
         if worst is None or bounds[i] > worst[0]:
             worst = (float(bounds[i]), queries[i].strike, queries[i].tau)

@@ -46,8 +46,8 @@ like e^{-d k} (in K-normalized form) on that side: d = alpha - 1 toward
 the in-the-money pole at zeta = -i, d = 1 + beta - alpha toward the
 right tail, where a moment E[S_T^{1+beta}] bounds the function.  The
 model modules supply those constants; :class:`AliasFloors` and
-``lrm.SliceBounds`` turn them into the coarsest stride each strike may
-take.
+``lrm.TransformContext`` turn them into the coarsest stride each strike
+may take.
 """
 
 from __future__ import annotations

@@ -9,31 +9,33 @@ taken under the tilted measure and both computed from damped Fourier
 transforms of the characteristic function.  For the pure-jump variance
 gamma model sigma = 0, so I1 never enters and is skipped entirely.
 
-The models are Levy, so phi_tau = exp(tau Psi): the exponent Psi and the
-tau-free kernel factors are sampled on the contour once per (model,
-config, spot), and each evaluation of a time slice costs one
-exponential plus one multiply per kernel kind, over the points its
-strikes read.  A slice keeps nothing between evaluations, so no result
-depends on the calls before it.  Within a slice the strike enters only
-through the e^{-i eta j k} phase, so one evaluator,
-:func:`evaluate_slices`, takes one strike array on a list of slices of
-one sample and returns columns (one row per slice, one column per
-strike): ``curve`` calls it with every slice of its surface, single
-quotes, strike sweeps and jump impacts with one slice through
-``TransformContext.evaluate``, which alone builds ``LrmResult``.  The
-path follows the strike count: up to four strikes take exact direct
-sums (O(sqrt N) exponentials plus O(N) multiply-adds per strike), more
-share one FFT grid per kernel kind and slice, read by one interpolation
-per kind, and grid slices of one stride share each ``np.fft.fft`` call
-in blocks.  ``LrmResult.mode`` reports which path ran.
+The models are Levy, so phi_tau = exp(tau Psi).  ``LevySample`` is the
+tau-free half of one (model, config, spot): it samples Psi and the
+kernel factors on the contour and holds the tau-free half of the
+bounds.  ``TransformContext`` is one time slice of it: tau and the rest
+of the bounds.  Neither keeps sampled arrays, so no result depends on
+the calls before it.  Within a slice the strike enters only through the
+e^{-i eta j k} phase, so one evaluator, :func:`evaluate_slices`, takes
+one strike array on a list of slices of one sample and returns columns
+(one row per slice, one column per strike): ``curve`` calls it with
+every slice of its surface, single quotes, strike sweeps and jump
+impacts with one slice through ``TransformContext.evaluate`` and
+``quotes``, which alone build ``LrmResult``.  Each call samples once,
+and each slice costs one exponential plus one multiply per kernel kind,
+over the points its strikes read.  The path follows the strike count:
+up to four strikes take exact direct sums (O(sqrt N) exponentials plus
+O(N) multiply-adds per strike), more share one FFT grid per kernel kind
+and slice, read by one interpolation per kind, and grid slices of one
+stride share each ``np.fft.fft`` call in blocks.  ``LrmResult.mode``
+reports which path ran.
 
 Each strike sums every 2^s-th sample of the configured grid: the same
 span N eta at spacing 2^s eta over N / 2^s points, with trapezoid
 weights.  It takes the largest s whose aliasing bound moves I1 and I2
-by at most 2^-53 S and the ratio by at most 2^-53 (``SliceBounds``; its
-tau-free half, ``SampleBounds``, is built once per sample).
-The bound has three terms, each summed over the images that Poisson
-summation puts 2 pi / eta_s apart in log-strike:
+by at most 2^-53 S and the ratio by at most 2^-53
+(``TransformContext.strided_rows``).  The bound has three terms, each
+summed over the images that Poisson summation puts 2 pi / eta_s apart
+in log-strike:
 
 * the in-the-money pole at zeta = -i, S e^{-2 pi (alpha - 1) / eta_s}
   per unit coefficient (strike- and model-free for I1; the Merton
@@ -42,7 +44,7 @@ summation puts 2 pi / eta_s apart in log-strike:
 * the pole at zeta = 0 of the call kinds, K e^{-2 pi alpha / eta_s} with
   the opposite sign, which the same bound covers (a call is below S);
 * the right tail, E[S_T^{1+beta}] K^{-beta} e^{-2 pi (1 + beta - alpha) / eta_s},
-  minimized over beta (``merton_alias_profile``, ``vg_alias_profile``).
+  minimized over beta (``MertonAliasProfile``, ``VgAliasProfile``).
 
 Every log-strike a strike needs, the Merton shifted ones included, must
 also lie inside +-pi/eta_s, or the strike takes a finer stride; stride
@@ -55,10 +57,10 @@ points it takes before the dropped tail moves I1, I2 and the ratio by
 less than rounding (``merton_prefix_tail``).  The direct path gives each
 strike its own stride and rows; the grid path runs one FFT per slice at
 its finest stride, over its longest span, zero-padded to that stride's
-point count.  The shared sample is taken at the stride and
-length the slices ask for; ``LevySample`` alone keeps track of which
-points it holds.  Variance gamma, whose polynomial envelope
-certifies no prefix, sums the whole span at its stride.
+point count.  Both read strided views of the call's one sample, taken
+at the finest stride and over the longest span any slice reads.
+Variance gamma, whose polynomial envelope certifies no prefix, sums the
+whole span at its stride.
 """
 
 from __future__ import annotations
@@ -76,7 +78,6 @@ from .core import (
     LevyHedgeError,
     MarketQuery,
     MertonParams,
-    MmmQuantities,
     Model,
     ModelMismatchError,
     TailConditionError,
@@ -127,8 +128,7 @@ _DIRECT_SUM_MAX_STRIKES = 4
 _BLOCK_POINTS = 1 << 14
 
 
-@dataclass(frozen=True)
-class LrmResult:
+class LrmResult(NamedTuple):
     """Hedge ratio with its building blocks and diagnostics.
 
     The ratio is never clamped: values outside [0, 1] are reported with
@@ -166,97 +166,50 @@ class MoneynessQuery:
 
 
 class LevySample:
-    """Contour samples shared by every time slice of one (model, config, spot).
+    """The tau-free half of every time slice of one (model, config, spot).
 
-    ``psi`` is the Levy exponent, so a slice's characteristic function is
-    exp(tau psi).  ``factors`` holds the tau-free kernel factors:
-    ``indicator`` e^{i zeta log S} / (i zeta - 1) (times phi: psi1,
-    stock-or-nothing), ``call`` indicator / (i zeta) (psi2), ``damped``
-    call times the Gaussian factor (Merton shifted-strike terms) and
-    ``kernel`` call times the jump-kernel weight (variance gamma).  The
-    Merton kinds of I2 are the ``I2Term.kernel`` values; for variance
-    gamma, ``exp_moment`` = int (e^x - 1) nu(dx) scales the call kind.
+    :meth:`sample` takes the Levy exponent psi, so a slice's
+    characteristic function is exp(tau psi), and the tau-free kernel
+    factors: ``indicator`` e^{i zeta log S} / (i zeta - 1) (times phi:
+    psi1, stock-or-nothing), ``call`` indicator / (i zeta) (psi2),
+    ``damped`` call times the Gaussian factor (Merton shifted-strike
+    terms) and ``kernel`` call times the jump-kernel weight (variance
+    gamma).  The Merton kinds of I2 are the ``I2Term.kernel`` values; for
+    variance gamma, ``exp_moment`` = int (e^x - 1) nu(dx) scales the call
+    kind.  Every sample is elementwise in zeta, and (2^s eta) j rounds the
+    same product as eta (2^s j), so every point keeps its bits whatever
+    the stride and the length it was sampled at.  Nothing sampled is kept.
 
-    Both hold every 2^shift-th point of the configured grid, the first
-    ``psi.size`` of them.  At construction ``shift`` is the coarsest stride
-    any strike may take (``coarsest_shift``), over the whole span N eta
-    for variance gamma and one row of the direct-sum layout for Merton.
-    :meth:`strided` samples again, at a finer stride or over a longer span,
-    when a slice asks for points it does not hold.  Every sample is
-    elementwise in zeta, and (2^s eta) j rounds the same product as
-    eta (2^s j), so every point keeps its bits whatever the stride and
-    the length it was sampled at.  ``bounds`` is the tau-free half of
-    every slice's bounds (:class:`SampleBounds`).
+    It also holds the tau-free half of every slice's bounds: the
+    direct-sum row layout of each stride, the Merton I2 terms at unit
+    strike (``terms``) and the range of their log strike shifts, the
+    aliasing tables of each stride (:class:`AliasFloors`) and the model's
+    alias profile (``MertonAliasProfile`` / ``VgAliasProfile``), whose
+    right tail ``log_right(tau)`` is all a slice adds, and ``psi0``, psi
+    at zeta = -i alpha, the point of the contour where Re psi peaks.
     """
 
     def __init__(self, model: Model, config: FftConfig, spot: float):
         _require_finite("spot", spot)
         _require(spot > 0.0, "spot must be > 0")
-        self.model = model
-        self.config = config
-        self.spot = spot
-        self.mmm = mmm_quantities(model)
-        if not isinstance(model, MertonParams):
-            self.exp_moment = cgm_exp_moment(model.C, model.G, model.M)
-        self.shift = coarsest_shift(config)
-        points = config.n >> self.shift
-        self._sample(row_layout(points)[0] if isinstance(model, MertonParams) else points)
-        self.bounds = SampleBounds(model, self.mmm, config, spot)
-
-    def strided(self, shift: int, m: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """psi and the kernel factors at the first m points of every
-        2^shift-th point of the configured grid (views of the held arrays)."""
-        self.cover(shift, (m - 1) << shift)
-        step = 1 << (shift - self.shift)
-        view = slice(0, (m - 1) * step + 1, step)
-        return self.psi[view], {kind: factor[view] for kind, factor in self.factors.items()}
-
-    def cover(self, shift: int, last: int) -> None:
-        """Hold every 2^shift-th point of the configured grid up to index
-        ``last``, sampling again (finer, or longer) if the held points do not."""
-        fine = min(shift, self.shift)
-        held = ((self.psi.size - 1) << (self.shift - fine)) + 1
-        need = (last >> fine) + 1
-        if fine < self.shift or need > held:
-            if fine == self.shift:
-                # at least doubling, so a run of growing slices samples O(log N) times
-                held *= 2
-            self.shift = fine
-            self._sample(min(self.config.n >> fine, max(need, held)))
-
-    def _sample(self, m: int) -> None:
-        model, config = self.model, self.config
-        # the first m points of every 2^shift-th point of config.zeta_grid(),
-        # with its bits: 2^shift eta is exact
-        zeta = (config.eta * (1 << self.shift)) * np.arange(m) - 1j * config.alpha
-        iz = 1j * zeta
-        indicator = np.exp(iz * math.log(self.spot)) / (iz - 1.0)
-        call = indicator / iz
+        self.model, self.config, self.spot = model, config, spot
+        self.mmm = mmm = mmm_quantities(model)
+        # j = 0 of every sample, with its bits
+        zeta0 = config.eta * np.arange(1) - 1j * config.alpha
         if isinstance(model, MertonParams):
-            self.psi = merton_exponent(zeta, model, self.mmm)
-            # the temporary on the left: numpy may multiply a large
-            # temporary in place, and a complex product's bits follow its
-            # operand order, so this order holds at every size
-            damped = gaussian_damping(zeta, model.delta) * call
-            self.factors = {"indicator": indicator, "call": call, "damped": damped}
+            self.psi0 = complex(merton_exponent(zeta0, model, mmm)[0])
+            self.alias = MertonAliasProfile(model, mmm, config.alpha)
+            # the I2 terms at unit strike: coefficients and strike shift factors
+            self.terms = merton_i2_terms(model, 1.0)
+            log_shifts = [0.0] + [math.log(t.strike) for t in self.terms]
         else:
-            # Psi and the jump kernel share the four contour logs
-            logs = VgContourLogs(zeta, model.G, model.M)
-            self.psi = logs.exponent(vg_mmm_measure(model, self.mmm.h), self.mmm.mu_star)
-            self.factors = {"call": call, "kernel": logs.kernel(model.C) * call}
-
-
-class SampleBounds:
-    """The tau-free half of every slice's bounds, built once per
-    :class:`LevySample`: the direct-sum row layout of each stride, the
-    Merton I2 terms at unit strike (``terms``) and the range of their log
-    strike shifts, the aliasing tables of each stride
-    (:class:`AliasFloors`) and the model's alias profile
-    (``MertonAliasProfile`` / ``VgAliasProfile``), whose right tail
-    ``log_right(tau)`` is all a slice adds."""
-
-    def __init__(self, model: Model, mmm: MmmQuantities, config: FftConfig, spot: float):
-        self.model, self.mmm, self.config, self.spot = model, mmm, config, spot
+            self.exp_moment = cgm_exp_moment(model.C, model.G, model.M)
+            self.pair = vg_mmm_measure(model, mmm.h)
+            logs = VgContourLogs(zeta0, model.G, model.M)
+            self.psi0 = complex(logs.exponent(self.pair, mmm.mu_star)[0])
+            self.alias = VgAliasProfile(model, mmm, config.alpha)
+            log_shifts = [0.0]
+        self._log_shift_range = (min(log_shifts), max(log_shifts))
         top = coarsest_shift(config)
         layouts = [row_layout(config.n >> s) for s in range(top + 1)]
         self.row_lengths = np.array([c for c, _ in layouts])
@@ -265,17 +218,28 @@ class SampleBounds:
         # a hair inside +-pi/eta_s, so that the log of a shifted strike
         # cannot round onto the edge
         self._edges = [math.pi / eta * (1.0 - 1e-12) for eta in etas]
-        if isinstance(model, MertonParams):
-            self.alias = MertonAliasProfile(model, mmm, config.alpha)
-            # the I2 terms at unit strike: coefficients and strike shift factors
-            self.terms = merton_i2_terms(model, 1.0)
-            log_shifts = [0.0] + [math.log(t.strike) for t in self.terms]
-        else:
-            self.pair = vg_mmm_measure(model, mmm.h)
-            self.alias = VgAliasProfile(model, mmm, config.alpha)
-            log_shifts = [0.0]
-        self._log_shift_range = (min(log_shifts), max(log_shifts))
         self.floors = AliasFloors(self.alias.log_itm, self.alias.beta, config.alpha, etas)
+
+    def sample(self, shift: int, m: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """psi and the kernel factors at the first m points of every
+        2^shift-th point of the configured grid, sampled afresh."""
+        model, config = self.model, self.config
+        # with the bits of config.zeta_grid(): 2^shift eta is exact
+        zeta = (config.eta * (1 << shift)) * np.arange(m) - 1j * config.alpha
+        iz = 1j * zeta
+        indicator = np.exp(iz * math.log(self.spot)) / (iz - 1.0)
+        call = indicator / iz
+        if isinstance(model, MertonParams):
+            psi = merton_exponent(zeta, model, self.mmm)
+            # the temporary on the left: numpy may multiply a large
+            # temporary in place, and a complex product's bits follow its
+            # operand order, so this order holds at every size
+            damped = gaussian_damping(zeta, model.delta) * call
+            return psi, {"indicator": indicator, "call": call, "damped": damped}
+        # Psi and the jump kernel share the four contour logs
+        logs = VgContourLogs(zeta, model.G, model.M)
+        psi = logs.exponent(self.pair, self.mmm.mu_star)
+        return psi, {"call": call, "kernel": logs.kernel(model.C) * call}
 
     def reach(self, strikes: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """The tau-free half of a stride choice: log(K/S) per strike and,
@@ -287,16 +251,17 @@ class SampleBounds:
         return log_k - math.log(self.spot), [reach < edge for edge in self._edges]
 
 
-class SliceBounds:
-    """Bounds of one time slice, for all its strikes at once: the
-    frequency truncation points (I1, I2) for Merton or (I2,) for
-    variance gamma, and each strike's grid: a stride 2^s over the
-    configured grid and the rows of the direct-sum layout of its
-    n / 2^s points it sums.
+class TransformContext:
+    """One time slice of a :class:`LevySample`: its tau and its bounds,
+    for all its strikes at once: the frequency truncation points (I1, I2)
+    for Merton or (I2,) for variance gamma (:meth:`trunc`), and each
+    strike's grid: a stride 2^s over the configured grid and the rows of
+    the direct-sum layout of its n / 2^s points it sums
+    (:meth:`strided_rows`).
 
     A strike takes the largest s up to ``coarsest_shift`` whose aliasing
-    bound (``merton_alias_profile`` / ``vg_alias_profile``, three terms:
-    the in-the-money pole at zeta = -i, the pole at zeta = 0 of the call
+    bound (``MertonAliasProfile`` / ``VgAliasProfile``, three terms: the
+    in-the-money pole at zeta = -i, the pole at zeta = 0 of the call
     kinds, which the same S/K' bound covers, and the right tail) moves I1
     and I2 by at most 2^-53 S and the ratio by at most 2^-53, and whose
     log-strikes, the Merton shifted ones included, all lie inside
@@ -304,13 +269,21 @@ class SliceBounds:
     Merton strike then sums the fewest rows whose dropped tail stays
     below rounding; variance gamma sums every row.  Both depend on the
     slice and the strike only, never on the other strikes of a batch.
-    The tau-free parts come from the sample's :class:`SampleBounds`."""
 
-    def __init__(self, shared: SampleBounds, tau: float):
+    :meth:`evaluate` and :meth:`quotes` go through :func:`evaluate_slices`,
+    the evaluator of every caller, and build ``LrmResult`` from its
+    columns.  A slice keeps no sampled arrays, so a result does not depend
+    on what the slice evaluated before."""
+
+    def __init__(self, sample: LevySample, tau: float):
+        self.sample = sample
+        self.tau = tau
+        # |phi_tau(v - i alpha)| <= phi_tau(-i alpha): the j = 0 sample has
+        # the largest Re(tau psi), so this is the exp() guard of the whole
+        # grid, and it fires before the C1 guard
+        levy_char_fn(sample.psi0, tau)
         _require(tau >= TAU_MIN, f"tau must be >= {TAU_MIN:g}")
-        self.shared, self.tau = shared, tau
-        model, mmm, config = shared.model, shared.mmm, shared.config
-        self.row_length = row_layout(config.n)[0]
+        model, mmm, config = sample.model, sample.mmm, sample.config
         # per stride 2^s, filled on first use: a strike K sums the first
         # i + 1 rows once K >= _row_strikes[s][i] (nonincreasing); None:
         # every strike sums every row
@@ -320,9 +293,9 @@ class SliceBounds:
             self.envelope = math.exp(self._log_c1)
             self._row_strikes = {}
         else:
-            self.envelope = vg_c2(model, shared.pair, mmm.mu_star, tau, config.alpha)
+            self.envelope = vg_c2(model, sample.pair, mmm.mu_star, tau, config.alpha)
         # stride 2^s, s >= 1, needs log(K/S) >= _alias_floors[s - 1]
-        self._alias_floors = shared.floors(shared.alias.log_right(tau))
+        self._alias_floors = sample.floors(sample.alias.log_right(tau))
 
     def _prefix_strikes(self, shift: int) -> np.ndarray:
         """Per row of the layout of n / 2^shift points: the smallest strike
@@ -330,12 +303,12 @@ class SliceBounds:
         a row end a = (rows * c - 1) eta is K^{1-alpha} e^{G(a)}; it is
         below rounding once log K >= (G(a) - log ROUNDING) / (alpha - 1)."""
         if shift not in self._row_strikes:
-            shared, config = self.shared, self.shared.config
+            sample, config = self.sample, self.sample.config
             c, r = row_layout(config.n >> shift)
             ends = c * np.arange(1, r + 1) - 1
             tail = merton_prefix_tail(
-                (config.eta * (1 << shift)) * ends, self.tau, shared.spot, config.alpha,
-                self._log_c1, shared.model, shared.mmm,
+                (config.eta * (1 << shift)) * ends, self.tau, sample.spot, config.alpha,
+                self._log_c1, sample.model, sample.mmm,
             )
             with np.errstate(over="ignore"):
                 self._row_strikes[shift] = np.exp(
@@ -343,16 +316,16 @@ class SliceBounds:
                 )
         return self._row_strikes[shift]
 
-    def __call__(self, strikes: np.ndarray) -> np.ndarray:
+    def trunc(self, strikes: np.ndarray) -> np.ndarray:
         """Truncation points, one row per bound ((I1, I2) or (I2,)) and one
         column per strike."""
-        shared, config = self.shared, self.shared.config
-        args = (config.eps, self.tau, strikes, shared.spot, config.alpha, self.envelope)
-        if isinstance(shared.model, MertonParams):
+        sample, config = self.sample, self.sample.config
+        args = (config.eps, self.tau, strikes, sample.spot, config.alpha, self.envelope)
+        if isinstance(sample.model, MertonParams):
             return np.stack(
-                (merton_trunc_i1(*args, shared.model), merton_trunc_i2(*args, shared.model))
+                (merton_trunc_i1(*args, sample.model), merton_trunc_i2(*args, sample.model))
             )
-        return np.stack((vg_trunc(*args, shared.model),))
+        return np.stack((vg_trunc(*args, sample.model),))
 
     def rows(self, strikes: np.ndarray) -> np.ndarray:
         """Rows of the configured grid's direct-sum layout each strike sums."""
@@ -363,8 +336,8 @@ class SliceBounds:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Each strike's stride exponent s and the rows of the direct-sum
         layout of n / 2^s points it sums; ``reach`` is
-        ``SampleBounds.reach(strikes)``, taken here when not given."""
-        log_moneyness, inside = self.shared.reach(strikes) if reach is None else reach
+        ``LevySample.reach(strikes)``, taken here when not given."""
+        log_moneyness, inside = self.sample.reach(strikes) if reach is None else reach
         shifts = np.zeros(strikes.shape, dtype=int)
         for s, (floor, ok) in enumerate(zip(self._alias_floors, inside), start=1):
             shifts[(shifts == s - 1) & (log_moneyness >= floor) & ok] = s
@@ -376,44 +349,26 @@ class SliceBounds:
 
     def extents(self, shifts: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The last configured-grid index each strike's rows reach."""
-        return (rows * self.shared.row_lengths[shifts] - 1) << shifts
+        return (rows * self.sample.row_lengths[shifts] - 1) << shifts
 
     def _rows(self, strikes: np.ndarray, shift: int) -> np.ndarray:
-        layout_rows = self.shared.layout_rows[shift]
+        layout_rows = self.sample.layout_rows[shift]
         if self._row_strikes is None:
             return np.full(strikes.shape, layout_rows)
         first = np.searchsorted(-self._prefix_strikes(shift), -strikes)
         return np.minimum(first + 1, layout_rows)
 
-
-class TransformContext:
-    """One time slice of a :class:`LevySample`: its tau and its bounds.
-    :meth:`evaluate` computes phi_tau = exp(tau psi) times each kernel
-    factor once, over every point its strikes read, and keeps nothing, so
-    a result does not depend on what the slice evaluated before.  It and
-    :meth:`quotes` go through :func:`evaluate_slices`, the evaluator of
-    every caller, and build ``LrmResult`` from its columns."""
-
-    def __init__(self, sample: LevySample, tau: float):
-        self.sample = sample
-        self.tau = tau
-        # |phi_tau(v - i alpha)| <= phi_tau(-i alpha): the j = 0 sample,
-        # which every prefix holds, has the largest Re(tau psi), so this is
-        # the exp() guard of the whole grid, and it fires before the C1 guard
-        levy_char_fn(sample.psi[:1], tau)
-        self.trunc_bounds = SliceBounds(sample.bounds, tau)
-
     def quotes(self, strikes: Sequence[float]) -> list[LrmResult]:
         """Each strike's result as a lone ``evaluate([strike])`` gives it,
-        bit for bit, from direct-sum batches of up to
-        ``_DIRECT_SUM_MAX_STRIKES`` strikes: a direct-sum strike keeps its
-        bits in any batch, and each batch computes phi once.  On an error
-        the strikes are evaluated alone in order, so the error raised is
-        the one lone quotes raise."""
-        strikes, step = list(strikes), _DIRECT_SUM_MAX_STRIKES
-        batches = [strikes[i : i + step] for i in range(0, len(strikes), step)]
+        bit for bit, from one direct-sum call at any strike count: a
+        direct-sum strike keeps its bits in any batch, and the call
+        computes phi once.  On an error the strikes are evaluated alone in
+        order, so the error raised is the one lone quotes raise."""
+        strikes = list(strikes)
+        if not strikes:
+            return []
         try:
-            return [r for batch in batches for r in self.evaluate(batch)]
+            return self._results(evaluate_slices([self], strikes, mode=MODE_DIRECT_SUM))
         except LevyHedgeError:
             for strike in strikes:
                 self.evaluate([strike])
@@ -426,9 +381,12 @@ class TransformContext:
         strikes = _strike_array(strikes)
         if strikes.size == 0:
             return []
-        columns = evaluate_slices([self], strikes)
+        return self._results(evaluate_slices([self], strikes))
+
+    def _results(self, columns: SliceColumns) -> list[LrmResult]:
         config = self.sample.config
-        i1_values = [None] * strikes.size if columns.i1 is None else columns.i1[0].tolist()
+        width = columns.lrm.shape[1]
+        i1_values = [None] * width if columns.i1 is None else columns.i1[0].tolist()
         return [
             LrmResult(
                 lrm=value,
@@ -475,7 +433,8 @@ class _SlicePlan(NamedTuple):
 
 
 def evaluate_slices(
-    slices: Sequence[TransformContext], strikes: Sequence[float], part: str = "lrm"
+    slices: Sequence[TransformContext], strikes: Sequence[float], part: str = "lrm",
+    mode: Optional[str] = None,
 ) -> SliceColumns:
     """Hedge ratios, I1 and I2 of the same strikes on every slice of one
     :class:`LevySample`, as columns: ``part`` "lrm" computes all three,
@@ -484,18 +443,19 @@ def evaluate_slices(
 
     Each slice's truncation points, strides and rows are computed once.
     A slice's tail check covers its largest truncation bound over all
-    strikes, of the bounds (I1, I2) its part reads.  Up to
-    ``_DIRECT_SUM_MAX_STRIKES`` strikes take exact direct sums, each over
-    its own stride and rows; more share one interpolated FFT grid per
-    kernel kind and slice, at the finest stride of the slice and over
-    its longest span.  Grid slices of one stride are transformed in
-    blocks of up to ``_BLOCK_POINTS`` FFT points, one ``carr_madan_grid``
-    call per block and kind, every row zero past its own slice's span,
-    so each cell has the bits of its slice alone.  The shared sample is
-    covered once, at the finest stride and the longest span any slice
-    reads.  Slices are checked in order, each before the next: its tail,
-    then the log-strike range of its transforms, so an error is the one
-    the first failing slice raises alone.  ``strikes`` must not be empty.
+    strikes, of the bounds (I1, I2) its part reads.  Unless ``mode``
+    names the path, up to ``_DIRECT_SUM_MAX_STRIKES`` strikes take exact
+    direct sums, each over its own stride and rows; more share one
+    interpolated FFT grid per kernel kind and slice, at the finest stride
+    of the slice and over its longest span.  Grid slices of one stride
+    are transformed in blocks of up to ``_BLOCK_POINTS`` FFT points, one
+    ``carr_madan_grid`` call per block and kind, every row zero past its
+    own slice's span, so each cell has the bits of its slice alone.  The
+    call samples once, at the finest stride and over the longest span any
+    slice reads, and both paths read strided views of that sample.
+    Slices are checked in order, each before the next: its tail, then the
+    log-strike range of its transforms, so an error is the one the first
+    failing slice raises alone.  ``strikes`` must not be empty.
     """
     strikes = _strike_array(strikes)
     _require(strikes.size > 0, "need at least one strike")
@@ -503,13 +463,14 @@ def evaluate_slices(
     _require(all(ctx.sample is sample for ctx in slices), "slices must share one LevySample")
     config, model = sample.config, sample.model
     tail = {"lrm": slice(None), "i1": slice(0, 1), "i2": slice(-1, None)}[part]
-    mode = MODE_DIRECT_SUM if strikes.size <= _DIRECT_SUM_MAX_STRIKES else MODE_FFT_GRID
+    if mode is None:
+        mode = MODE_DIRECT_SUM if strikes.size <= _DIRECT_SUM_MAX_STRIKES else MODE_FFT_GRID
 
     # the strike arrays each kernel kind is transformed at, in one pass per
     # kind; at unit strike the Merton terms give the coefficients and the
     # strike shift factors
     if isinstance(model, MertonParams):
-        terms = sample.bounds.terms
+        terms = sample.terms
         shifted = [strikes * term.strike for term in terms]
         at = {"indicator": [strikes]} if part != "i2" else {}
         if part != "i1":
@@ -519,17 +480,24 @@ def evaluate_slices(
         at = {"kernel": [strikes], "call": [strikes]}
     joint = {kind: np.concatenate(arrays) for kind, arrays in at.items()}
 
-    reach = sample.bounds.reach(strikes)
+    reach = sample.reach(strikes)
     plans = []
     for ctx in slices:
-        bounds = ctx.trunc_bounds
-        shifts, rows = bounds.strided_rows(strikes, reach)
-        extents = bounds.extents(shifts, rows)
+        shifts, rows = ctx.strided_rows(strikes, reach)
+        extents = ctx.extents(shifts, rows)
         fine = int(shifts.min())
         points = (int(extents.max()) >> fine) + 1
-        trunc = bounds(strikes)[tail].max(axis=0)
+        trunc = ctx.trunc(strikes)[tail].max(axis=0)
         plans.append(_SlicePlan(trunc, shifts, rows, extents, fine, points))
-    sample.cover(min(p.fine for p in plans), max(int(p.extents.max()) for p in plans))
+    # one sample, at the finest stride and over the longest span any slice
+    # reads; a slice reads every 2^(s - top)-th of its points
+    top = min(p.fine for p in plans)
+    held_psi, held = sample.sample(top, (max(int(p.extents.max()) for p in plans) >> top) + 1)
+
+    def strided(shift: int, m: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        step = 1 << (shift - top)
+        view = slice(0, (m - 1) * step + 1, step)
+        return held_psi[view], {kind: factor[view] for kind, factor in held.items()}
 
     values = {kind: np.empty((len(slices), array.size)) for kind, array in joint.items()}
     if mode == MODE_FFT_GRID:
@@ -546,7 +514,7 @@ def evaluate_slices(
                 checked_log_strikes(log_all, config.eta * (1 << plan.fine))
                 checked.add(plan.fine)
             continue
-        psi, factors = sample.strided(plan.fine, plan.points)
+        psi, factors = strided(plan.fine, plan.points)
         phi = levy_char_fn(psi, ctx.tau)
         for kind, array in joint.items():
             copies = len(at[kind])
@@ -555,7 +523,7 @@ def evaluate_slices(
                 np.tile(plan.rows, copies), np.tile(plan.extents, copies),
             )
     if mode == MODE_FFT_GRID:
-        _grid_blocks(slices, plans, log_joint, values)
+        _grid_blocks(slices, plans, log_joint, values, strided)
         fines = np.array([[p.fine] for p in plans])
         strides = np.repeat(1 << fines, strikes.size, axis=1)
     else:
@@ -591,14 +559,15 @@ def evaluate_slices(
 
 def _grid_blocks(
     slices: Sequence[TransformContext], plans: list[_SlicePlan],
-    log_joint: dict[str, np.ndarray], values: dict[str, np.ndarray],
+    log_joint: dict[str, np.ndarray], values: dict[str, np.ndarray], strided,
 ) -> None:
     """Grid-path values of every slice, per kernel kind at its log-strikes
     ``log_joint[kind]``, into the slice's row of ``values[kind]``: the
     slices of one finest stride in blocks of up to ``_BLOCK_POINTS`` FFT
-    points, one ``carr_madan_grid`` call per block and kind."""
-    sample = slices[0].sample
-    config = sample.config
+    points, one ``carr_madan_grid`` call per block and kind.
+    ``strided(shift, m)`` gives psi and the kernel factors at the first m
+    points of stride 2^shift."""
+    config = slices[0].sample.config
     by_stride: dict[int, list[int]] = {}
     for i, plan in enumerate(plans):
         by_stride.setdefault(plan.fine, []).append(i)
@@ -608,7 +577,7 @@ def _grid_blocks(
         for start in range(0, len(members), size):
             block = members[start : start + size]
             counts = [plans[i].points for i in block]
-            psi, factors = sample.strided(fine, max(counts))
+            psi, factors = strided(fine, max(counts))
             phis = [levy_char_fn(psi[:m], slices[i].tau) for i, m in zip(block, counts)]
             # one buffer for every kind: a row past its slice's points stays 0
             samples = np.zeros((len(block), max(counts)), dtype=complex)

@@ -237,9 +237,7 @@ def merton_prefix_tail(
     return np.maximum(np.maximum(i1, i2), ratio)
 
 
-def merton_alias_profile(
-    params: MertonParams, mmm: MmmQuantities, tau: float, alpha: float
-) -> tuple[np.ndarray, list[tuple[float, np.ndarray]]]:
+class MertonAliasProfile:
     """Constants of the aliasing bound for I1, I2 and the hedge ratio.
 
     Each transform term (coefficient c, shifted strike K' = K s) moves,
@@ -255,19 +253,14 @@ def merton_alias_profile(
     kinds have a = b = 1; the damped kind convolves the call with a
     N(0, delta^2) log-strike shift, so a = e^{delta^2/2} and b(beta) =
     e^{(1+beta)^2 delta^2/2}.  The moment is :func:`merton_log_c1` at
-    1 + beta without its guard.  Returns the beta grid and, for I1, I2
-    and the ratio, log of sum |c| a and log of sum |c| b(beta)
-    E[(S_T/S)^{1+beta}] s^{-beta} over their terms.
+    1 + beta without its guard.
+
+    Split at tau: ``beta``, the beta grid, and ``log_itm``, for I1, I2
+    and the ratio the log of sum |c| a over their terms, are tau-free,
+    built once per model; ``log_right(tau)`` gives, for I1, I2 and the
+    ratio, the log of sum |c| b(beta) E[(S_T/S)^{1+beta}] s^{-beta} over
+    their terms at one slice.
     """
-    profile = MertonAliasProfile(params, mmm, alpha)
-    return profile.beta, list(zip(profile.log_itm, profile.log_right(tau)))
-
-
-class MertonAliasProfile:
-    """:func:`merton_alias_profile` split at tau: ``beta`` and ``log_itm``
-    (I1, I2, ratio) are tau-free, built once per model; ``log_right(tau)``
-    gives the right-tail logs of one slice, with the bits of the whole
-    computation."""
 
     def __init__(self, params: MertonParams, mmm: MmmQuantities, alpha: float):
         self.beta = beta = alpha - 1.0 + ALIAS_RATES

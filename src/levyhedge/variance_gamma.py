@@ -30,7 +30,9 @@ from .core import (
     BranchCutError,
     InvalidParameterError,
     MmmQuantities,
+    OverflowGuardError,
     VgParams,
+    _EXP_GUARD,
     _require,
     cgm_exp_moment,
     cgm_linear_moment,
@@ -156,6 +158,17 @@ def vg_c2(
 
     C2 = prod (G_j M_j)^{w_j tau} * exp{tau alpha (mu* + sum of means)}.
     """
+    return math.exp(vg_log_c2(params, mmm, mu_star, tau, alpha))
+
+
+def vg_log_c2(
+    params: VgParams,
+    mmm: CgmComponentPair,
+    mu_star: float,
+    tau: float,
+    alpha: float,
+) -> float:
+    """log C2 (see :func:`vg_c2`), refused above the exp() guard."""
     if tau < 0.0:
         raise InvalidParameterError("tau must be >= 0")
     log_c2 = 0.0
@@ -164,14 +177,14 @@ def vg_c2(
         log_c2 += tau * comp.C * math.log(comp.G * comp.M)
         drift -= comp.linear_moment()
     log_c2 += tau * alpha * drift
-    return math.exp(log_c2)
+    if log_c2 > _EXP_GUARD:
+        raise OverflowGuardError(f"C2 exponent {log_c2:.3g} exceeds {_EXP_GUARD:g}")
+    return log_c2
 
 
-def vg_alias_profile(
-    params: VgParams, mmm: MmmQuantities, tau: float, alpha: float
-) -> tuple[np.ndarray, list[tuple[float, np.ndarray]]]:
+class VgAliasProfile:
     """Constants of the aliasing bound for I2 and the hedge ratio, in the
-    form of :func:`levyhedge.merton.merton_alias_profile`.
+    form of :class:`levyhedge.merton.MertonAliasProfile`.
 
     I2 = K X_kernel(log K) - c K X_call(log K), c the first exponential
     moment.  The kernel kind is the call transform convolved with
@@ -184,16 +197,11 @@ def vg_alias_profile(
     E[(S_T/S)^{1+beta}] = e^{tau Psi(-i(1+beta))} needs 1 + beta < M - 1
     (the tilted pair's second component), which also keeps the kernel
     integral finite.
+
+    Split at tau: ``beta`` and ``log_itm`` (I2, ratio) are tau-free,
+    built once per model; ``log_right(tau)`` gives the right-tail logs
+    of one slice.
     """
-    profile = VgAliasProfile(params, mmm, alpha)
-    return profile.beta, list(zip(profile.log_itm, profile.log_right(tau)))
-
-
-class VgAliasProfile:
-    """:func:`vg_alias_profile` split at tau: ``beta`` and ``log_itm`` (I2,
-    ratio) are tau-free, built once per model; ``log_right(tau)`` gives
-    the right-tail logs of one slice, with the bits of the whole
-    computation."""
 
     def __init__(self, params: VgParams, mmm: MmmQuantities, alpha: float):
         C, G, M = params.C, params.G, params.M

@@ -273,6 +273,26 @@ def test_curve_overflow_guard_exit(tmp_path, capsys):
     cfg = _write(tmp_path, "m.cfg", long_cfg + "query.t = 0\nquery.strike = 1\n")
     assert main(["curve", "--config", cfg]) == EXIT_VALIDATION
     assert "characteristic exponent" in capsys.readouterr().err
+    # at T = 50 the Nikkei envelope C2 passes the same guard, on curve and
+    # validate alike: exit 1 and one error line, no traceback
+    nikkei_cfg = NIKKEI_CFG.replace("query.T = 1", "query.T = 50")
+    cfg = _write(tmp_path, "n.cfg", nikkei_cfg + "query.t = 0\nquery.strike = 15000\n")
+    for command in ("curve", "validate"):
+        assert main([command, "--config", cfg]) == EXIT_VALIDATION
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert errors == ["error: C2 exponent 788 exceeds 700"]
+
+
+def test_validate_overflow_matches_curve(tmp_path, capsys):
+    # validate builds its slices as curve does, so an overflowing tau
+    # prints the line curve prints
+    long_cfg = MERTON_CFG.replace("query.T = 1", "query.T = 300")
+    cfg = _write(tmp_path, "m.cfg", long_cfg + "query.t = 0\nquery.strike = 1\n")
+    lines = []
+    for command in ("curve", "validate"):
+        assert main([command, "--config", cfg]) == EXIT_VALIDATION
+        lines.append(capsys.readouterr().err)
+    assert lines[0] == lines[1] == "error: characteristic exponent real part 809 exceeds 700\n"
 
 
 def test_curve_tail_failure_exit(tmp_path, capsys):
@@ -308,8 +328,22 @@ def test_impact_table(tmp_path, capsys):
         )
 
 
+def _counting_samples(monkeypatch) -> list:
+    """The (shift, m) of every ``LevySample.sample`` call from now on."""
+    taken = []
+    sample = LevySample.sample
+
+    def counting_sample(self, shift, m):
+        taken.append((shift, m))
+        return sample(self, shift, m)
+
+    monkeypatch.setattr(LevySample, "sample", counting_sample)
+    return taken
+
+
 def test_impact_builds_one_sample(tmp_path, capsys, monkeypatch):
-    # all jump sizes share one contour sample and one time slice
+    # all jump sizes share one contour sample and one time slice, and
+    # their quotes sample the contour once
     builds = []
     init = LevySample.__init__
 
@@ -318,28 +352,24 @@ def test_impact_builds_one_sample(tmp_path, capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(LevySample, "__init__", counting_init)
+    taken = _counting_samples(monkeypatch)
     cfg = _write(tmp_path, "m.cfg", MERTON_CFG + "query.t = 0.5\nquery.strike = 1\n")
     assert main(["impact", "--config", cfg, "--y", "0.1,-0.1,0.2"]) == EXIT_OK
     assert len(_rows(capsys.readouterr().out)) == 3
     assert len(builds) == 1
+    assert len(taken) == 1
 
 
-def test_curve_grows_sample_once(tmp_path, capsys, monkeypatch):
-    # the latest t needs the longest Merton prefix and is taken first, so
-    # the shared sample grows once past its one-row start
-    sizes = []
-    sample = LevySample._sample
-
-    def counting_sample(self, m):
-        sizes.append(m)
-        sample(self, m)
-
-    monkeypatch.setattr(LevySample, "_sample", counting_sample)
+def test_curve_samples_once(tmp_path, capsys, monkeypatch):
+    # every slice of a surface reads views of one sample, taken at the
+    # finest stride and over the longest Merton prefix any slice reads
+    taken = _counting_samples(monkeypatch)
     grid = "query.t_grid = 0:0.9:0.1\nquery.strike_grid = 1:2:0.25\n"
     cfg = _write(tmp_path, "m.cfg", MERTON_CFG + grid)
     assert main(["curve", "--config", cfg]) == EXIT_OK
     assert len(_rows(capsys.readouterr().out)) == 50
-    assert len(sizes) == 2 and sizes[0] < sizes[1] < 2**14
+    [(shift, m)] = taken
+    assert 1 < m << shift < 2**14
 
 
 def test_impact_comma_list(tmp_path, capsys):

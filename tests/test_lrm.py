@@ -32,17 +32,23 @@ from levyhedge.fft_engine import (
     direct_simpson_sum,
     trapezoid_weights,
 )
-from levyhedge.lrm import MODE_DIRECT_SUM, MODE_FFT_GRID, LevySample, TransformContext
+from levyhedge.lrm import (
+    MODE_DIRECT_SUM,
+    MODE_FFT_GRID,
+    LevySample,
+    TransformContext,
+    evaluate_slices,
+)
 from levyhedge.merton import (
     ROUNDING,
-    merton_alias_profile,
+    MertonAliasProfile,
     merton_exponent,
     merton_i2_terms,
     merton_log_c1,
     merton_prefix_tail,
 )
 from levyhedge.oracle import oracle_lrm, quad_i1, quad_i2_definition
-from levyhedge.variance_gamma import vg_alias_profile
+from levyhedge.variance_gamma import VgAliasProfile
 
 from conftest import NIKKEI_SPOT
 
@@ -277,12 +283,20 @@ def test_strike_sweep_monotone_merton(merton_bench, fft_bench):
     assert all(0.0 < v < 1.0 for v in vals)
 
 
-def test_overflow_guard_on_production_path(merton_bench, fft_bench):
+def test_overflow_guard_on_production_path(merton_bench, nikkei, fft_bench):
     # the exp(tau Psi) guard fires per slice, ahead of the C1 guard
     with pytest.raises(OverflowGuardError, match="characteristic exponent"):
         lrm(_q(0.0, 1.0, T=300.0), merton_bench, fft_bench)
     with pytest.raises(OverflowGuardError, match="characteristic exponent"):
         lrm_strike_sweep(merton_bench, fft_bench, t=0.0, T=300.0, spot=1.0, strikes=[1.0] * 5)
+    # the variance-gamma envelope C2 is refused past the same exp() guard,
+    # not left to overflow math.exp
+    with pytest.raises(OverflowGuardError, match="C2 exponent 788 exceeds 700"):
+        lrm(_q(0.0, 15000.0, spot=NIKKEI_SPOT, T=50.0), nikkei, fft_bench)
+    with pytest.raises(OverflowGuardError, match="C2 exponent"):
+        lrm_strike_sweep(
+            nikkei, fft_bench, t=0.0, T=50.0, spot=NIKKEI_SPOT, strikes=[15000.0] * 5
+        )
 
 
 def test_small_sweep_equals_single_queries(merton_bench, nikkei, fft_bench):
@@ -294,20 +308,35 @@ def test_small_sweep_equals_single_queries(merton_bench, nikkei, fft_bench):
         assert all(r.mode == MODE_DIRECT_SUM for r in sweep)
 
 
+def _holds_samples(obj) -> bool:
+    """Whether any attribute of obj (or any value of a dict attribute) is a
+    complex array, the type of every contour sample."""
+    values = []
+    for value in vars(obj).values():
+        values += list(value.values()) if isinstance(value, dict) else [value]
+    return any(isinstance(v, np.ndarray) and np.iscomplexobj(v) for v in values)
+
+
 def test_slice_evaluation_is_stateless(merton_bench, nikkei, fft_bench):
     # a slice keeps nothing between evaluations: 1, 29 and 1 strikes on one
-    # slice give the bits of each batch on a fresh slice
+    # slice give the bits of each batch on a fresh slice, and after
+    # evaluate, quotes and a curve neither the slice nor its sample holds
+    # a contour sample
     for model, spot in ((merton_bench, 1.0), (nikkei, NIKKEI_SPOT)):
-        ctx = TransformContext(LevySample(model, fft_bench, spot), 0.5)
+        sample = LevySample(model, fft_bench, spot)
+        ctx = TransformContext(sample, 0.5)
         for strikes in ([1.1 * spot], list(np.linspace(0.6, 1.9, 29) * spot), [0.7 * spot]):
             fresh = TransformContext(LevySample(model, fft_bench, spot), 0.5)
             assert ctx.evaluate(strikes) == fresh.evaluate(strikes)
-        assert set(vars(ctx)) == {"sample", "tau", "trunc_bounds"}
+        ctx.quotes([0.9 * spot, spot, 1.2 * spot])
+        later = TransformContext(sample, 0.9)
+        evaluate_slices([ctx, later], list(np.linspace(0.8, 1.2, 7) * spot))
+        assert not any(_holds_samples(obj) for obj in (sample, ctx, later))
 
 
 def test_quotes_equal_lone_evaluations(merton_bench, nikkei, fft_bench):
-    # quotes batch single-strike quotes to share phi, with the bits of a
-    # fresh slice per strike
+    # quotes take every strike in one direct-sum call that computes phi
+    # once, with the bits of a fresh slice per strike
     for model, spot in ((merton_bench, 1.0), (nikkei, NIKKEI_SPOT)):
         strikes = [spot * math.exp(-y) for y in (0.0, 0.05, -0.05, 0.2, -0.2, 1.0, -1.0, 3.0, -3.0)]
         ctx = TransformContext(LevySample(model, fft_bench, spot), 0.5)
@@ -432,12 +461,12 @@ def test_prefix_tail_bound_holds(merton_bench, random_merton_models, fft_bench):
     cfg, spot = fft_bench, 1.0
     for index, model in enumerate([merton_bench] + list(random_merton_models)):
         sample = LevySample(model, cfg, spot)
-        psi, factors = sample.strided(0, cfg.n)
+        psi, factors = sample.sample(0, cfg.n)
         for tau in (0.05, 0.5, 1.0):
-            bounds = TransformContext(sample, tau).trunc_bounds
+            bounds = TransformContext(sample, tau)
             phi = levy_char_fn(psi, tau)
             strikes = np.array([0.5, 1.0, 2.0]) * spot
-            c = bounds.row_length
+            c = sample.row_lengths[0]
             log_c1 = merton_log_c1(model, sample.mmm, tau, cfg.alpha)
             for strike, rows in zip(strikes, bounds.rows(strikes)):
                 m = int(rows) * c
@@ -460,41 +489,54 @@ def test_prefix_tail_bound_holds(merton_bench, random_merton_models, fft_bench):
                     assert moved <= allowed + 1e-15
 
 
-def test_grown_sample_keeps_bits(merton_bench, fft_bench):
-    # a sample grown on demand, or taken at full size, holds the bits of
-    # one taken at the prefix length (numpy elides temporaries from
-    # 2^14 complex points on, which must not change a product's bits)
+def test_grown_sample_keeps_bits(merton_bench, nikkei, fft_bench):
+    # a sample taken at full size holds the bits of one taken at any
+    # prefix length (numpy elides temporaries from 2^14 complex points on,
+    # which must not change a product's bits), and its j = 0 point has the
+    # bits of psi0, the exp() guard of every slice
     cfg = fft_bench
-    full = LevySample(merton_bench, cfg, 1.3)
-    full_psi, full_factors = full.strided(0, cfg.n)
-    assert np.array_equal(full_psi, merton_exponent(cfg.zeta_grid(), merton_bench, full.mmm))
-    grown = LevySample(merton_bench, cfg, 1.3)
-    assert grown.psi.size < cfg.n
-    for m in (300, 2304, 5000, cfg.n - 1, cfg.n):
-        fresh_psi, fresh = LevySample(merton_bench, cfg, 1.3).strided(0, m)
-        assert fresh_psi.size == m
-        for psi, factors in (grown.strided(0, m), (full_psi[:m], full_factors)):
-            assert np.array_equal(psi, fresh_psi)
-            for kind in ("indicator", "call", "damped"):
-                assert np.array_equal(factors[kind][:m], fresh[kind])
-    # a slice of the full-size sample answers as one of a fresh sample
-    strikes = [0.9, 1.3, 1.7]
-    assert TransformContext(full, 0.5).evaluate(strikes) == TransformContext(
-        LevySample(merton_bench, cfg, 1.3), 0.5
-    ).evaluate(strikes)
+    sample = LevySample(merton_bench, cfg, 1.3)
+    full_psi, full_factors = sample.sample(0, cfg.n)
+    assert np.array_equal(full_psi, merton_exponent(cfg.zeta_grid(), merton_bench, sample.mmm))
+    for m in (1, 300, 2304, 5000, cfg.n - 1, cfg.n):
+        psi, factors = sample.sample(0, m)
+        assert psi.size == m
+        assert np.array_equal(full_psi[:m], psi)
+        for kind in ("indicator", "call", "damped"):
+            assert np.array_equal(full_factors[kind][:m], factors[kind])
+    for model, spot in ((merton_bench, 1.3), (nikkei, NIKKEI_SPOT)):
+        sample = LevySample(model, cfg, spot)
+        assert complex(sample.sample(0, cfg.n)[0][0]) == sample.psi0
 
 
 def test_vg_slice_uses_all_samples(nikkei, fft_bench):
     # the polynomial variance-gamma envelope certifies no prefix: at any
     # stride the sample and every strike's sums span all of N eta
     sample = LevySample(nikkei, fft_bench, NIKKEI_SPOT)
-    assert sample.psi.size << sample.shift == fft_bench.n
-    bounds = TransformContext(sample, 0.5).trunc_bounds
+    bounds = TransformContext(sample, 0.5)
     strikes = np.array([12000.0, 14000.0, 16000.0])
     rows = bounds.rows(strikes)
-    assert np.all(rows * bounds.row_length == fft_bench.n)
+    assert np.all(rows * sample.row_lengths[0] == fft_bench.n)
     shifts, rows = bounds.strided_rows(strikes)
     assert np.all(bounds.extents(shifts, rows) == fft_bench.n - (1 << shifts))
+    # and the evaluation samples the whole span at the finest stride
+    taken = []
+    take = sample.sample
+
+    def spying(shift, m):
+        taken.append((shift, m))
+        return take(shift, m)
+
+    sample.sample = spying
+    bounds.evaluate(strikes)
+    [(shift, m)] = taken
+    assert shift == shifts.min() and m << shift == fft_bench.n
+
+
+def _alias_profile(profile, tau):
+    """The beta grid and one (log_itm, log_right) pair per bound of an alias
+    profile at tau."""
+    return profile.beta, list(zip(profile.log_itm, profile.log_right(tau)))
 
 
 def _alias_bound(profile, beta, alpha, eta, log_moneyness):
@@ -519,14 +561,15 @@ def test_alias_bound_holds(merton_bench, random_merton_models, fft_bench):
     v = cfg.eta * np.arange(cfg.n)
     for model in [merton_bench] + list(random_merton_models):
         sample = LevySample(model, cfg, spot)
-        psi, factors = sample.strided(0, cfg.n)
+        psi, factors = sample.sample(0, cfg.n)
+        alias = MertonAliasProfile(model, sample.mmm, cfg.alpha)
         for tau in (0.05, 0.5, 1.0):
-            bounds = TransformContext(sample, tau).trunc_bounds
-            beta, profile = merton_alias_profile(model, sample.mmm, tau, cfg.alpha)
+            bounds = TransformContext(sample, tau)
+            beta, profile = _alias_profile(alias, tau)
             phi = levy_char_fn(psi, tau)
             strikes = np.array([1e-3, 0.5, 1.0, 2.0]) * spot
             for strike, rows in zip(strikes, bounds.rows(strikes)):
-                m = int(rows) * bounds.row_length
+                m = int(rows) * sample.row_lengths[0]
                 for s in range(1, coarsest_shift(cfg) + 1):
                     eta = cfg.eta * (1 << s)
                     moved, allowed = [0.0, 0.0], [1e-15, 1e-15]
@@ -561,7 +604,7 @@ def test_alias_bound_not_below_measured(nikkei):
     cfg = FftConfig(n=2**14, eta=0.025, alpha=1.3)
     sample = LevySample(nikkei, cfg, NIKKEI_SPOT)
     strike, tau, s = 1e-3 * NIKKEI_SPOT, 0.5, 3
-    psi, factors = sample.strided(0, cfg.n)
+    psi, factors = sample.sample(0, cfg.n)
     calls = levy_char_fn(psi, tau) * factors["call"]
     log_k = [math.log(strike)]
     fine = direct_simpson_sum(calls, cfg.alpha, cfg.eta, log_k)[0]
@@ -571,7 +614,7 @@ def test_alias_bound_not_below_measured(nikkei):
     assert predicted == pytest.approx(8.07e-5, rel=1e-3)
     assert 0.999 * predicted <= measured <= predicted
     # and the whole I2 bound covers the measured I2 alias
-    beta, profile = vg_alias_profile(nikkei, sample.mmm, tau, cfg.alpha)
+    beta, profile = _alias_profile(VgAliasProfile(nikkei, sample.mmm, cfg.alpha), tau)
     kernels = levy_char_fn(psi, tau) * factors["kernel"]
     constant = sample.exp_moment
 
@@ -614,15 +657,15 @@ def test_extreme_strikes_still_accepted(merton_bench, fft_bench):
 
 def test_strided_samples_match_fresh(merton_bench, nikkei, fft_bench):
     # every 2^s-th point of the configured grid has the bits of a fresh
-    # sample at spacing 2^s eta, and a shared sample's views hold them too
+    # sample at spacing 2^s eta, and so does a sample taken at stride 2^s
     for model, spot in ((merton_bench, 1.3), (nikkei, NIKKEI_SPOT)):
-        full_psi, full = LevySample(model, fft_bench, spot).strided(0, fft_bench.n)
-        shared = LevySample(model, fft_bench, spot)
+        sample = LevySample(model, fft_bench, spot)
+        full_psi, full = sample.sample(0, fft_bench.n)
         for s in (1, 2, 3):
             n = fft_bench.n >> s
             coarse = FftConfig(n=n, eta=fft_bench.eta * (1 << s), alpha=fft_bench.alpha)
-            fresh_psi, fresh = LevySample(model, coarse, spot).strided(0, n)
-            view_psi, view = shared.strided(s, n)
+            fresh_psi, fresh = LevySample(model, coarse, spot).sample(0, n)
+            view_psi, view = sample.sample(s, n)
             assert np.array_equal(full_psi[:: 1 << s], fresh_psi)
             assert np.array_equal(view_psi, fresh_psi)
             for kind in fresh:

@@ -114,8 +114,10 @@ def test_sample_takes_four_logs(nikkei, monkeypatch):
 
     monkeypatch.setattr(variance_gamma, "_principal_log", counting_log)
     sample = LevySample(nikkei, FftConfig(n=2**14, eta=0.025, alpha=ALPHA), 14841.07)
+    calls.clear()
+    psi, factors = sample.sample(0, 2**14)
     assert len(calls) == 4
-    assert np.all(np.isfinite(sample.psi)) and np.all(np.isfinite(sample.factors["kernel"]))
+    assert np.all(np.isfinite(psi)) and np.all(np.isfinite(factors["kernel"]))
 
 
 def test_kernel_vs_quadrature(nikkei):
