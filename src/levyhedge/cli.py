@@ -211,22 +211,15 @@ def build_run_config(entries: dict[str, str]) -> RunConfig:
     except InvalidParameterError as exc:
         raise ConfigError(str(exc))
 
-    if "query.t" in merged and "query.t_grid" in merged:
-        raise ConfigError("give query.t or query.t_grid, not both")
-    if "query.strike" in merged and "query.strike_grid" in merged:
-        raise ConfigError("give query.strike or query.strike_grid, not both")
-    if "query.t_grid" in merged:
-        t_values = _parse_grid(merged["query.t_grid"], "query.t_grid")
-    elif "query.t" in merged:
-        t_values = [_parse_float(merged, "query.t")]
-    else:
-        t_values = []
-    if "query.strike_grid" in merged:
-        strikes = _parse_grid(merged["query.strike_grid"], "query.strike_grid")
-    elif "query.strike" in merged:
-        strikes = [_parse_float(merged, "query.strike")]
-    else:
-        strikes = []
+    for key in ("query.t", "query.strike"):
+        if key in merged and f"{key}_grid" in merged:
+            raise ConfigError(f"give {key} or {key}_grid, not both")
+    # each as a grid, one value or none
+    t_values, strikes = (
+        _parse_grid(merged[f"{key}_grid"], f"{key}_grid") if f"{key}_grid" in merged
+        else [_parse_float(merged, key)] if key in merged else []
+        for key in ("query.t", "query.strike")
+    )
 
     maturity = _parse_float(merged, "query.T") if "query.T" in merged else 1.0
     spot = _parse_float(merged, "query.spot")

@@ -39,8 +39,8 @@ in log-strike:
 
 * the in-the-money pole at zeta = -i, S e^{-2 pi (alpha - 1) / eta_s}
   per unit coefficient (strike- and model-free for I1; the Merton
-  damped kinds carry e^{delta^2/2}, the variance-gamma kernel its
-  int |e^x - 1| e^x nu(dx));
+  damped kinds carry e^{delta^2/2}, the variance-gamma jump kind
+  int |e^x - 1| e^x nu(dx) + |int (e^x - 1) nu(dx)|);
 * the pole at zeta = 0 of the call kinds, K e^{-2 pi alpha / eta_s} with
   the opposite sign, which the same bound covers (a call is below S);
 * the right tail, E[S_T^{1+beta}] K^{-beta} e^{-2 pi (1 + beta - alpha) / eta_s},
@@ -173,12 +173,13 @@ class LevySample:
     factors: ``indicator`` e^{i zeta log S} / (i zeta - 1) (times phi:
     psi1, stock-or-nothing), ``call`` indicator / (i zeta) (psi2),
     ``damped`` call times the Gaussian factor (Merton shifted-strike
-    terms) and ``kernel`` call times the jump-kernel weight (variance
-    gamma).  The Merton kinds of I2 are the ``I2Term.kernel`` values; for
-    variance gamma, ``exp_moment`` = int (e^x - 1) nu(dx) scales the call
-    kind.  Every sample is elementwise in zeta, and (2^s eta) j rounds the
-    same product as eta (2^s j), so every point keeps its bits whatever
-    the stride and the length it was sampled at.  Nothing sampled is kept.
+    terms) and, for variance gamma, ``jump`` call times the jump kernel
+    less ``exp_moment`` = int (e^x - 1) nu(dx), so that I2 is the one
+    transform of the jump kind.  The Merton kinds of I2 are the
+    ``I2Term.kernel`` values.  Every sample is elementwise in zeta, and
+    (2^s eta) j rounds the same product as eta (2^s j), so every point
+    keeps its bits whatever the stride and the length it was sampled at.
+    Nothing sampled is kept.
 
     It also holds the tau-free half of every slice's bounds: the
     direct-sum row layout of each stride, the Merton I2 terms at unit
@@ -236,10 +237,10 @@ class LevySample:
             # operand order, so this order holds at every size
             damped = gaussian_damping(zeta, model.delta) * call
             return psi, {"indicator": indicator, "call": call, "damped": damped}
-        # Psi and the jump kernel share the four contour logs
+        # Psi and the jump kernel share the two contour logs
         logs = VgContourLogs(zeta, model.G, model.M)
         psi = logs.exponent(self.pair, self.mmm.mu_star)
-        return psi, {"call": call, "kernel": logs.kernel(model.C) * call}
+        return psi, {"jump": (logs.kernel(model.C) - self.exp_moment) * call}
 
     def reach(self, strikes: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """The tau-free half of a stride choice: log(K/S) per strike and,
@@ -477,7 +478,7 @@ def evaluate_slices(
             for term, strike_array in zip(terms, shifted):
                 at.setdefault(term.kernel, []).append(strike_array)
     else:
-        at = {"kernel": [strikes], "call": [strikes]}
+        at = {"jump": [strikes]}
     joint = {kind: np.concatenate(arrays) for kind, arrays in at.items()}
 
     reach = sample.reach(strikes)
@@ -547,9 +548,7 @@ def evaluate_slices(
         if part == "lrm":
             numerator = sigma2 * i1 + i2
     else:
-        kernel_part = strikes * split["kernel"][0]
-        call_part = strikes * split["call"][0]
-        i2 = numerator = kernel_part - sample.exp_moment * call_part
+        i2 = numerator = strikes * split["jump"][0]
         sigma2 = 0.0
     if part == "lrm":
         lrm_values = numerator / (sample.spot * (sigma2 + sample.mmm.quad_exp_moment))
@@ -665,8 +664,8 @@ def i2(query: MarketQuery, model: Model, config: FftConfig) -> float:
     """Jump term of the hedge numerator.
 
     Merton: three weighted transforms at shifted strikes (two damped, one
-    plain).  Variance gamma: kernel-weighted transform minus the
-    first-exponential-moment constant times the plain call transform.
+    plain).  Variance gamma: one transform of the call factor weighted by
+    the jump kernel less the first exponential moment.
     Only these transforms run, with the bits of ``lrm(...).i2``.
     """
     return evaluate_slices([_slice(query, model, config)], [query.strike], "i2").i2.item()

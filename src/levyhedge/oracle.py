@@ -48,7 +48,7 @@ from .merton import ComplexLike, merton_c1, merton_exponent
 from .variance_gamma import (
     CgmComponent,
     CgmComponentPair,
-    VgContourLogs,
+    _check_contour_bases,
     vg_c2,
     vg_mmm_measure,
 )
@@ -149,10 +149,6 @@ class GaussianJumpMixture:
     def density(self, x: np.ndarray) -> np.ndarray:
         return sum(c.density(x) for c in self.components)
 
-    @property
-    def total_intensity(self) -> float:
-        return sum(c.intensity for c in self.components)
-
 
 def merton_levy_density(params: MertonParams, x: np.ndarray) -> np.ndarray:
     """Levy density gamma * N(m, delta^2) of the original measure."""
@@ -207,6 +203,15 @@ def vg_levy_density(params: VgParams, x: np.ndarray) -> np.ndarray:
     return cgm_density(CgmComponent(params.C, params.G, params.M), x)
 
 
+def _vg_logs(zeta: ComplexLike, G: float, M: float) -> tuple[np.ndarray, ...]:
+    """i zeta and the principal logs of M - i zeta, M-1-i zeta, G + i zeta
+    and G+1+i zeta, each base first checked to lie in Re > 0."""
+    zeta = np.asarray(zeta, dtype=complex)
+    _check_contour_bases(zeta, G, M)
+    iz = 1j * zeta
+    return iz, np.log(M - iz), np.log(M - 1.0 - iz), np.log(G + iz), np.log(G + 1.0 + iz)
+
+
 def vg_kernel(zeta: ComplexLike, C: float, G: float, M: float) -> ComplexLike:
     """int e^{i zeta x} (e^x - 1) nu_{C,G,M}(dx) as the Frullani log
 
@@ -214,10 +219,11 @@ def vg_kernel(zeta: ComplexLike, C: float, G: float, M: float) -> ComplexLike:
 
     computed as a sum of principal logs of right-half-plane factors so no
     argument wrapping can occur.  (Contour samples take the kernel as
-    :meth:`VgContourLogs.kernel`, the same quantity with less rounding.)
+    :meth:`levyhedge.variance_gamma.VgContourLogs.kernel`, one log of the
+    ratio of the two products.)
     """
-    logs = VgContourLogs(zeta, G, M)
-    out = C * (logs.log_m - logs.log_m1 + logs.log_g - logs.log_g1)
+    _, log_m, log_m1, log_g, log_g1 = _vg_logs(zeta, G, M)
+    out = C * (log_m - log_m1 + log_g - log_g1)
     return out if np.ndim(zeta) else complex(out)
 
 
@@ -230,9 +236,15 @@ def vg_exponent(
         Psi(z) = -w1 log[(1 + i z/G)(1 - i z/M)] - w2 log[(1 + i z/(G+1))(1 - i z/(M-1))]
                  + i z (mu* + sum of component means)
 
-    with w1 = (1+h)C and w2 = -hC read off the component pair.
+    with w1 = (1+h)C and w2 = -hC read off the component pair, each
+    product taken as the sum of its factors' principal logs.
     """
-    out = VgContourLogs(zeta, mmm.first.G, mmm.first.M).exponent(mmm, mu_star)
+    first, second = mmm.components
+    iz, log_m, log_m1, log_g, log_g1 = _vg_logs(zeta, first.G, first.M)
+    out = -first.C * (log_g + log_m - math.log(first.G * first.M))
+    out = out - second.C * (log_g1 + log_m1 - math.log(second.G * second.M))
+    # compensators of the components: -int x nu_comp(dx)
+    out = out + iz * (mu_star - first.linear_moment() - second.linear_moment())
     return out if np.ndim(zeta) else complex(out)
 
 
@@ -376,18 +388,26 @@ def quad_i1(
     """
     if not isinstance(model, MertonParams):
         raise ModelMismatchError("the stock-or-nothing leg exists only for the diffusive model")
-    phi = _char_fn_of(model, query.tau)
-    k = query.log_strike
-    log_s = math.log(query.spot)
-    lead = query.strike ** (1.0 - alpha) * query.spot**alpha / math.pi
+    lead, integrand = _damped_integrand(query, model, alpha)
     cutoff = _v_cutoff(model, query.tau, alpha, lead, 0.1 * spec.abs_tol)
+    return lead * _quad(lambda v: float(integrand(v).real), 0.0, cutoff, spec)
 
-    def integrand(v: float) -> float:
+
+def _damped_integrand(
+    query: MarketQuery, model: Model, alpha: float, weight=lambda z: 1.0 / (1j * z - 1.0)
+):
+    """The lead factor K^{1-alpha} S^alpha / pi of a damped transform at
+    the query and its integrand e^{i v (log S - k)} phi_tau(z) weight(z)
+    at z = v - i alpha; the default weight 1 / (i z - 1) is the
+    stock-or-nothing one."""
+    phi = _char_fn_of(model, query.tau)
+    shift = math.log(query.spot) - query.log_strike
+
+    def integrand(v: float) -> complex:
         z = complex(v, -alpha)
-        val = np.exp(1j * v * (log_s - k)) * phi(z) / complex(alpha - 1.0, v)
-        return float(val.real)
+        return np.exp(1j * v * shift) * phi(z) * weight(z)
 
-    return lead * _quad(integrand, 0.0, cutoff, spec)
+    return query.strike ** (1.0 - alpha) * query.spot**alpha / math.pi, integrand
 
 
 def call_price_quad(
@@ -560,15 +580,7 @@ def i1_tail_mass(
     spec: QuadratureSpec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-13),
 ) -> float:
     """| (1/pi) int_a^inf ... dv | of the stock-or-nothing integrand."""
-    phi = _char_fn_of(model, query.tau)
-    k = query.log_strike
-    log_s = math.log(query.spot)
-    lead = query.strike ** (1.0 - alpha) * query.spot**alpha / math.pi
-
-    def integrand(v: float) -> complex:
-        z = complex(v, -alpha)
-        return np.exp(1j * v * (log_s - k)) * phi(z) / complex(alpha - 1.0, v)
-
+    lead, integrand = _damped_integrand(query, model, alpha)
     return abs(lead * _tail_complex(integrand, a, spec))
 
 
@@ -581,17 +593,10 @@ def i2_tail_mass(
 ) -> float:
     """| (1/pi) int_a^inf K^{-i zeta + 1} w(zeta) psi2(zeta) dv | where w is
     the frequency weight of the jump term."""
-    phi = _char_fn_of(model, query.tau)
-    k = query.log_strike
-    log_s = math.log(query.spot)
-    lead = query.strike ** (1.0 - alpha) * query.spot**alpha / math.pi
+    def weight(z: complex) -> complex:
+        return _i2_frequency_weight(model, z) / ((1j * z - 1.0) * (1j * z))
 
-    def integrand(v: float) -> complex:
-        z = complex(v, -alpha)
-        iz = 1j * z
-        psi2 = phi(z) / ((iz - 1.0) * iz)
-        return np.exp(1j * v * (log_s - k)) * _i2_frequency_weight(model, z) * psi2
-
+    lead, integrand = _damped_integrand(query, model, alpha, weight)
     return abs(lead * _tail_complex(integrand, a, spec))
 
 

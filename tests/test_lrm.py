@@ -605,7 +605,10 @@ def test_alias_bound_not_below_measured(nikkei):
     sample = LevySample(nikkei, cfg, NIKKEI_SPOT)
     strike, tau, s = 1e-3 * NIKKEI_SPOT, 0.5, 3
     psi, factors = sample.sample(0, cfg.n)
-    calls = levy_char_fn(psi, tau) * factors["call"]
+    # the call factor of the sample's inputs: spot and the contour
+    iz = 1j * cfg.zeta_grid()
+    call = np.exp(iz * math.log(NIKKEI_SPOT)) / (iz - 1.0) / iz
+    calls = levy_char_fn(psi, tau) * call
     log_k = [math.log(strike)]
     fine = direct_simpson_sum(calls, cfg.alpha, cfg.eta, log_k)[0]
     coarse = direct_simpson_sum(calls[:: 1 << s], cfg.alpha, 0.2, log_k, cfg.n >> s)[0]
@@ -615,14 +618,10 @@ def test_alias_bound_not_below_measured(nikkei):
     assert 0.999 * predicted <= measured <= predicted
     # and the whole I2 bound covers the measured I2 alias
     beta, profile = _alias_profile(VgAliasProfile(nikkei, sample.mmm, cfg.alpha), tau)
-    kernels = levy_char_fn(psi, tau) * factors["kernel"]
-    constant = sample.exp_moment
+    jumps = levy_char_fn(psi, tau) * factors["jump"]
 
     def i2(eta, step):
-        def one(x):
-            return direct_simpson_sum(x[::step], cfg.alpha, eta, log_k, cfg.n // step)[0]
-
-        return strike * (one(kernels) - constant * one(calls))
+        return strike * direct_simpson_sum(jumps[::step], cfg.alpha, eta, log_k, cfg.n // step)[0]
 
     moved = abs(i2(0.2, 1 << s) - i2(cfg.eta, 1)) / NIKKEI_SPOT
     x = math.log(strike / NIKKEI_SPOT)

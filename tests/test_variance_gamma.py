@@ -6,16 +6,21 @@ import pytest
 from levyhedge import (
     BranchCutError,
     FftConfig,
+    MarketQuery,
     VgParams,
+    lrm,
     mmm_quantities,
     vg_c2,
     vg_mmm_measure,
     vg_trunc,
 )
+from conftest import NIKKEI_SPOT
 from levyhedge import variance_gamma
 from levyhedge.core import cgm_exp_moment
+from levyhedge.fft_engine import direct_simpson_sum
 from levyhedge.lrm import LevySample
-from levyhedge.oracle import levy_moment, lk_char_fn, vg_char_fn, vg_kernel
+from levyhedge.oracle import levy_moment, lk_char_fn, vg_char_fn, vg_exponent, vg_kernel
+from levyhedge.variance_gamma import VgContourLogs
 
 ALPHA = 1.75
 EPS = 1e-2
@@ -102,22 +107,110 @@ def test_kernel_bit_identical_on_contour(nikkei, vg_bench):
         assert np.array_equal(vg_kernel(zeta, C, G, M), formula)
 
 
-def test_sample_takes_four_logs(nikkei, monkeypatch):
-    # Psi and the kernel of a contour sample share M - i zeta, M-1-i zeta,
-    # G + i zeta and G+1+i zeta
-    calls = []
-    log = variance_gamma._principal_log
+def test_sample_takes_two_logs(nikkei, monkeypatch):
+    # Psi and the jump factor of a contour sample share the logs of
+    # P1 = (G + i zeta)(M - i zeta) and P2 = (G+1+i zeta)(M-1-i zeta), and
+    # the kernel is one _log1p of P1 / P2; no complex array goes to np.log
+    calls = {"log": [], "log1p": [], "np.log": []}
 
-    def counting_log(base, what):
-        calls.append(what)
-        return log(base, what)
+    def counting(name, fn):
+        def counted(x, *args, **kwargs):
+            if name != "np.log" or np.iscomplexobj(x):
+                calls[name].append(np.size(x))
+            return fn(x, *args, **kwargs)
 
-    monkeypatch.setattr(variance_gamma, "_principal_log", counting_log)
+        return counted
+
+    monkeypatch.setattr(np, "log", counting("np.log", np.log))
+    monkeypatch.setattr(variance_gamma, "_log", counting("log", variance_gamma._log))
+    monkeypatch.setattr(variance_gamma, "_log1p", counting("log1p", variance_gamma._log1p))
     sample = LevySample(nikkei, FftConfig(n=2**14, eta=0.025, alpha=ALPHA), 14841.07)
-    calls.clear()
+    for made in calls.values():
+        made.clear()
     psi, factors = sample.sample(0, 2**14)
-    assert len(calls) == 4
-    assert np.all(np.isfinite(psi)) and np.all(np.isfinite(factors["kernel"]))
+    assert calls == {"log": [2**14, 2**14], "log1p": [2**14], "np.log": []}
+    assert np.all(np.isfinite(psi)) and np.all(np.isfinite(factors["jump"]))
+
+
+def test_log_matches_numpy():
+    # the log from real parts has np.log's values to rounding, on the
+    # principal branch
+    rng = np.random.default_rng(7)
+    z = rng.normal(size=1000) * 10.0 ** rng.uniform(-3, 6, 1000) + 1j * rng.normal(size=1000)
+    z = np.concatenate((z, -z, [-1.0 + 0j, -1.0 - 0j, 1j, -1j]))
+    reference = np.log(z)
+    assert np.all(np.abs(variance_gamma._log(z) - reference) <= 4e-16 * np.abs(reference) + 1e-16)
+
+
+def _vg_models(nikkei, vg_bench, random_vg_models):
+    return [(nikkei, NIKKEI_SPOT), (vg_bench, 1.0)] + [(m, 1.0) for m in random_vg_models]
+
+
+def test_contour_logs_match_four_log_oracle(nikkei, vg_bench, random_vg_models):
+    # the two product logs give the Psi and the jump factor of the
+    # oracle's four separate logs, within 1e-13 of the terms the oracle
+    # sums: Psi crosses near 0 on the contour, and the oracle's kernel, a
+    # difference of four logs, rounds at the size of C |log| (up to 1.1e-13
+    # of the jump factor on one model, where one log of P1 / P2 rounds at
+    # 1e-17 of it)
+    cfg = FftConfig(n=2**14, eta=0.025, alpha=ALPHA)
+    zeta = cfg.zeta_grid()
+    iz = 1j * zeta
+    for model, spot in _vg_models(nikkei, vg_bench, random_vg_models):
+        sample = LevySample(model, cfg, spot)
+        psi, factors = sample.sample(0, cfg.n)
+        pair, mu_star = vg_mmm_measure(model, sample.mmm.h), sample.mmm.mu_star
+        call = np.exp(iz * math.log(spot)) / (iz - 1.0) / iz
+        C, G, M = model.C, model.G, model.M
+        constant = cgm_exp_moment(C, G, M)
+        jump = (vg_kernel(zeta, C, G, M) - constant) * call
+        logs = C * sum(np.abs(np.log(b)) for b in (M - iz, M - 1.0 - iz, G + iz, G + 1.0 + iz))
+        assert np.all(np.abs(factors["jump"] - jump) <= 1e-13 * np.abs(call) * (logs + abs(constant)))
+        exponent = vg_exponent(zeta, model, pair, mu_star)
+        assert np.abs(psi - exponent).max() <= 1e-13 * np.abs(exponent).max()
+
+
+def test_i2_is_kernel_minus_call_transform(nikkei, vg_bench, random_vg_models):
+    # I2 is one transform of the jump kind; by linearity it is the kernel
+    # transform less c times the call transform, summed here apart, at the
+    # stride lrm reports, from the oracle's four-log Psi and kernel.  Unit
+    # spot: at its own spot Nikkei is refused at tau = 0.05
+    cfg = FftConfig(n=2**14, eta=0.025, alpha=ALPHA, eps=EPS)
+    spot = 1.0
+    for model, _ in _vg_models(nikkei, vg_bench, random_vg_models):
+        mm = mmm_quantities(model)
+        pair = vg_mmm_measure(model, mm.h)
+        constant = cgm_exp_moment(model.C, model.G, model.M)
+        for tau in (0.05, 0.5):
+            for strike in (0.8, 1.0, 1.25):
+                res = lrm(MarketQuery(t=0.0, T=tau, spot=spot, strike=strike), model, cfg)
+                s = res.stride
+                zeta = (cfg.eta * s) * np.arange(cfg.n // s) - 1j * cfg.alpha
+                iz = 1j * zeta
+                phi = vg_char_fn(zeta, tau, model, pair, mm.mu_star)
+                calls = phi * (np.exp(iz * math.log(spot)) / (iz - 1.0) / iz)
+                kernels = calls * vg_kernel(zeta, model.C, model.G, model.M)
+
+                def transform(x):
+                    return strike * direct_simpson_sum(
+                        x, cfg.alpha, cfg.eta * s, [math.log(strike)], cfg.n // s
+                    )[0]
+
+                expected = transform(kernels) - constant * transform(calls)
+                assert abs(res.i2 - expected) <= 1e-13 * spot
+
+
+def test_contour_logs_branch_cut_check():
+    # the check reads the extremes of Im zeta: Re(M - 1 - i zeta) =
+    # M - 1 + Im zeta and Re(G + i zeta) = G - Im zeta, at any one point
+    G, M = 5.0, 5.0
+    with pytest.raises(BranchCutError, match=r"factor M - 1 - i\*zeta: base left"):
+        VgContourLogs(np.array([1.0 - 1.75j, 2.0 - 4.5j, 3.0 - 1.75j]), G, M)
+    with pytest.raises(BranchCutError, match=r"factor G \+ i\*zeta: base left"):
+        VgContourLogs(np.array([1.0 - 1.75j, 2.0 + 5.0j]), G, M)
+    for bad in (np.array([0.5 - 1.75j, np.nan - 1.75j]), complex(np.inf, -1.75)):
+        with pytest.raises(BranchCutError, match=r"factor M - i\*zeta: non-finite base"):
+            VgContourLogs(bad, G, M)
 
 
 def test_kernel_vs_quadrature(nikkei):
