@@ -285,32 +285,35 @@ def direct_simpson_sum(
     row the prefix reaches); a log-strike sums rows h < its count only,
     and the sum over h runs over all r rows of the layout with zeros past
     its count, so the result has the same bits whatever the prefix and
-    the other log-strikes.
+    the other log-strikes.  A 2-D stack of samples, one function per row,
+    shares the phase exponentials and gives one row of sums per function,
+    each with the bits of its own 1-D call.
     """
     k = checked_log_strikes(k, eta)
-    psi = np.asarray(psi_samples, dtype=complex).reshape(-1)
-    m = psi.size
+    psi = np.asarray(psi_samples, dtype=complex)
+    m = psi.shape[-1]
     n = m if n is None else n
     _require(m <= n, f"{m} samples exceed the {n}-point grid")
-    terms = psi * trapezoid_weights(m, eta)
     c, r = row_layout(n)
     held = -(-m // c)
-    if held * c != m:
-        terms = np.concatenate((terms, np.zeros(held * c - m, dtype=complex)))
+    # one row per function, weighted and zero-padded to whole rows
+    terms = np.zeros((psi.size // m, held * c), dtype=complex)
+    np.multiply(psi.reshape(-1, m), trapezoid_weights(m, eta), out=terms[:, :m])
     flat = k.reshape(-1)
     lo = np.exp(-1j * np.multiply.outer(eta * flat, np.arange(c)))
     hi = np.exp(-1j * np.multiply.outer(eta * flat, c * np.arange(held)))
-    by_row = np.einsum("hl,sl->sh", terms.reshape(held, c), lo) * hi
+    # (function, log-strike, row), zero past the rows the prefix holds
+    by_row = np.zeros((len(terms), flat.size, r), dtype=complex)
+    partial = np.einsum("hl,sl->sh", terms.reshape(-1, c), lo).reshape(flat.size, -1, held)
+    np.multiply(partial.transpose(1, 0, 2), hi, out=by_row[:, :, :held])
     if rows is not None:
         rows = np.asarray(rows).reshape(flat.shape)
         fewest = rows.min()
         _require(fewest >= 1 and rows.max() <= held, "row counts outside the prefix")
         if fewest < held:
-            by_row[np.arange(held) >= rows[:, None]] = 0.0
-    if held < r:
-        by_row = np.concatenate((by_row, np.zeros((flat.size, r - held), dtype=complex)), axis=1)
-    sums = by_row.sum(axis=1)
-    return np.reshape(np.exp(-alpha * flat) / math.pi * sums.real, k.shape)
+            by_row[:, np.arange(r) >= rows[:, None]] = 0.0
+    sums = by_row.sum(axis=2)
+    return np.reshape(np.exp(-alpha * flat) / math.pi * sums.real, psi.shape[:-1] + k.shape)
 
 
 def tail_condition_check(config: FftConfig, trunc_a: float) -> bool:

@@ -22,12 +22,14 @@ every slice of its surface, single quotes, strike sweeps and jump
 impacts with one slice through ``TransformContext.evaluate`` and
 ``quotes``, which alone build ``LrmResult``.  Each call samples once,
 and each slice costs one exponential plus one multiply per kernel kind,
-over the points its strikes read.  The path follows the strike count:
-up to four strikes take exact direct sums (O(sqrt N) exponentials plus
-O(N) multiply-adds per strike), more share one FFT grid per kernel kind
-and slice, read by one interpolation per kind, and grid slices of one
-stride share each ``np.fft.fft`` call in blocks.  ``LrmResult.mode``
-reports which path ran.
+over the points its strikes read.  Every kind is read at log K: I1 is
+K X_indicator(log K) and I2 K X_jump(log K), for Merton the three
+shifted-strike terms of ``merton_i2_terms`` moved to log K.  The path
+follows the strike count: up to four strikes take exact direct sums of
+every kind at once (O(sqrt N) exponentials plus O(N) multiply-adds per
+strike), more share one FFT grid per kernel kind and slice, and grid
+slices of one stride share each ``np.fft.fft`` call and interpolation
+in blocks.  ``LrmResult.mode`` reports which path ran.
 
 Each strike sums every 2^s-th sample of the configured grid: the same
 span N eta at spacing 2^s eta over N / 2^s points, with trapezoid
@@ -39,17 +41,17 @@ in log-strike:
 
 * the in-the-money pole at zeta = -i, S e^{-2 pi (alpha - 1) / eta_s}
   per unit coefficient (strike- and model-free for I1; the Merton
-  damped kinds carry e^{delta^2/2}, the variance-gamma jump kind
+  damped terms carry e^{delta^2/2}, the variance-gamma jump kind
   int |e^x - 1| e^x nu(dx) + |int (e^x - 1) nu(dx)|);
-* the pole at zeta = 0 of the call kinds, K e^{-2 pi alpha / eta_s} with
+* the pole at zeta = 0 of the call factor, K e^{-2 pi alpha / eta_s} with
   the opposite sign, which the same bound covers (a call is below S);
 * the right tail, E[S_T^{1+beta}] K^{-beta} e^{-2 pi (1 + beta - alpha) / eta_s},
   minimized over beta (``MertonAliasProfile``, ``VgAliasProfile``).
 
-Every log-strike a strike needs, the Merton shifted ones included, must
-also lie inside +-pi/eta_s, or the strike takes a finer stride; stride
-1, the configured grid, needs no certificate.  Strides depend on the
-slice and the strike only.
+Every log-strike a strike needs, the shifted ones of the Merton terms
+included, must also lie inside +-pi/eta_s, or the strike takes a finer
+stride; stride 1, the configured grid, needs no certificate.  Strides
+depend on the slice and the strike only.
 
 A Merton strike then sums only a prefix of its samples: the Gaussian
 envelope certifies how many rows of the direct sum's layout of N / 2^s
@@ -100,8 +102,8 @@ from .fft_engine import (
 )
 from .merton import (
     MertonAliasProfile,
-    gaussian_damping,
     merton_exponent,
+    merton_exponent_and_weight,
     merton_i2_terms,
     merton_log_c1,
     merton_prefix_tail,
@@ -123,8 +125,9 @@ MODE_DIRECT_SUM = "direct-sum"
 # interpolation grids
 _DIRECT_SUM_MAX_STRIKES = 4
 # grid slices of one stride share an FFT call in blocks of up to this many
-# FFT points (0.25 MB complex): 4 slices at n = 4096, 2 at n = 8192.  Twice
-# that ran no faster on the curve benchmark and held 1 MB more at peak
+# FFT points per kernel kind (0.25 MB complex): 4 slices at n = 4096, 2 at
+# n = 8192.  Twice that ran no faster on the curve benchmark and held 1 MB
+# more at peak
 _BLOCK_POINTS = 1 << 14
 
 
@@ -170,13 +173,12 @@ class LevySample:
 
     :meth:`sample` takes the Levy exponent psi, so a slice's
     characteristic function is exp(tau psi), and the tau-free kernel
-    factors: ``indicator`` e^{i zeta log S} / (i zeta - 1) (times phi:
-    psi1, stock-or-nothing), ``call`` indicator / (i zeta) (psi2),
-    ``damped`` call times the Gaussian factor (Merton shifted-strike
-    terms) and, for variance gamma, ``jump`` call times the jump kernel
-    less ``exp_moment`` = int (e^x - 1) nu(dx), so that I2 is the one
-    transform of the jump kind.  The Merton kinds of I2 are the
-    ``I2Term.kernel`` values.  Every sample is elementwise in zeta, and
+    factors: for Merton ``indicator`` e^{i zeta log S} / (i zeta - 1)
+    (times phi: psi1, stock-or-nothing), and for both models ``jump``,
+    the call factor indicator / (i zeta) (psi2) times the jump weight
+    int (e^{i zeta x} - 1)(e^x - 1) nu(dx): for variance gamma the jump
+    kernel less ``exp_moment`` = int (e^x - 1) nu(dx).  I2 is the one
+    transform of the jump kind.  Every sample is elementwise in zeta, and
     (2^s eta) j rounds the same product as eta (2^s j), so every point
     keeps its bits whatever the stride and the length it was sampled at.
     Nothing sampled is kept.
@@ -231,12 +233,9 @@ class LevySample:
         indicator = np.exp(iz * math.log(self.spot)) / (iz - 1.0)
         call = indicator / iz
         if isinstance(model, MertonParams):
-            psi = merton_exponent(zeta, model, self.mmm)
-            # the temporary on the left: numpy may multiply a large
-            # temporary in place, and a complex product's bits follow its
-            # operand order, so this order holds at every size
-            damped = gaussian_damping(zeta, model.delta) * call
-            return psi, {"indicator": indicator, "call": call, "damped": damped}
+            # Psi and the jump weight share the two exponentials
+            psi, weight = merton_exponent_and_weight(zeta, model, self.mmm)
+            return psi, {"indicator": indicator, "jump": weight * call}
         # Psi and the jump kernel share the two contour logs
         logs = VgContourLogs(zeta, model.G, model.M)
         psi = logs.exponent(self.pair, self.mmm.mu_star)
@@ -263,7 +262,7 @@ class TransformContext:
     A strike takes the largest s up to ``coarsest_shift`` whose aliasing
     bound (``MertonAliasProfile`` / ``VgAliasProfile``, three terms: the
     in-the-money pole at zeta = -i, the pole at zeta = 0 of the call
-    kinds, which the same S/K' bound covers, and the right tail) moves I1
+    factor, which the same S/K' bound covers, and the right tail) moves I1
     and I2 by at most 2^-53 S and the ratio by at most 2^-53, and whose
     log-strikes, the Merton shifted ones included, all lie inside
     +-pi/eta_s; the configured grid, s = 0, needs no certificate.  A
@@ -440,20 +439,22 @@ def evaluate_slices(
     """Hedge ratios, I1 and I2 of the same strikes on every slice of one
     :class:`LevySample`, as columns: ``part`` "lrm" computes all three,
     "i1" the stock-or-nothing term alone and "i2" the jump term alone,
-    each from only the kernel kinds it needs.
+    each from only the kernel kinds it needs, every kind at log K.
 
     Each slice's truncation points, strides and rows are computed once.
     A slice's tail check covers its largest truncation bound over all
     strikes, of the bounds (I1, I2) its part reads.  Unless ``mode``
     names the path, up to ``_DIRECT_SUM_MAX_STRIKES`` strikes take exact
-    direct sums, each over its own stride and rows; more share one
+    direct sums, each over its own stride and rows, one
+    ``direct_simpson_sum`` call per stride for every kind; more share one
     interpolated FFT grid per kernel kind and slice, at the finest stride
     of the slice and over its longest span.  Grid slices of one stride
-    are transformed in blocks of up to ``_BLOCK_POINTS`` FFT points, one
-    ``carr_madan_grid`` call per block and kind, every row zero past its
-    own slice's span, so each cell has the bits of its slice alone.  The
-    call samples once, at the finest stride and over the longest span any
-    slice reads, and both paths read strided views of that sample.
+    are transformed in blocks of up to ``_BLOCK_POINTS`` FFT points per
+    kind, one ``carr_madan_grid`` call and one interpolation per block,
+    every row zero past its own slice's span, so each cell has the bits
+    of its slice alone.  The call samples once, at the finest stride and
+    over the longest span any slice reads, and both paths read strided
+    views of that sample.
     Slices are checked in order, each before the next: its tail, then the
     log-strike range of its transforms, so an error is the one the first
     failing slice raises alone.  ``strikes`` must not be empty.
@@ -467,19 +468,17 @@ def evaluate_slices(
     if mode is None:
         mode = MODE_DIRECT_SUM if strikes.size <= _DIRECT_SUM_MAX_STRIKES else MODE_FFT_GRID
 
-    # the strike arrays each kernel kind is transformed at, in one pass per
-    # kind; at unit strike the Merton terms give the coefficients and the
-    # strike shift factors
+    # the kernel kinds the part reads, each at log K, and the strikes whose
+    # log-strikes the range checks cover: a Merton jump sum at log K is the
+    # sum of the I2 terms' sums at log(K s), each aliased unless inside
+    # +-pi/eta_s
     if isinstance(model, MertonParams):
-        terms = sample.terms
-        shifted = [strikes * term.strike for term in terms]
-        at = {"indicator": [strikes]} if part != "i2" else {}
+        kinds = {"lrm": ["indicator", "jump"], "i1": ["indicator"], "i2": ["jump"]}[part]
+        reached = [strikes] if part != "i2" else []
         if part != "i1":
-            for term, strike_array in zip(terms, shifted):
-                at.setdefault(term.kernel, []).append(strike_array)
+            reached += [strikes * term.strike for term in sample.terms]
     else:
-        at = {"jump": [strikes]}
-    joint = {kind: np.concatenate(arrays) for kind, arrays in at.items()}
+        kinds, reached = ["jump"], [strikes]
 
     reach = sample.reach(strikes)
     plans = []
@@ -495,16 +494,15 @@ def evaluate_slices(
     top = min(p.fine for p in plans)
     held_psi, held = sample.sample(top, (max(int(p.extents.max()) for p in plans) >> top) + 1)
 
-    def strided(shift: int, m: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    def strided(shift: int, m: int) -> tuple[np.ndarray, list[np.ndarray]]:
         step = 1 << (shift - top)
         view = slice(0, (m - 1) * step + 1, step)
-        return held_psi[view], {kind: factor[view] for kind, factor in held.items()}
+        return held_psi[view], [held[kind][view] for kind in kinds]
 
-    values = {kind: np.empty((len(slices), array.size)) for kind, array in joint.items()}
+    # one row per kind, slice and strike
+    values = np.empty((len(kinds), len(slices), strikes.size))
     if mode == MODE_FFT_GRID:
-        log_joint = {kind: np.log(array) for kind, array in joint.items()}
-        # every log-strike of every kind, in the order the grids check them
-        log_all, checked = np.concatenate(list(log_joint.values())), set()
+        log_all, checked = np.log(np.concatenate(reached)), set()
     for i, (ctx, plan) in enumerate(zip(slices, plans)):
         worst = int(np.argmax(plan.trunc))
         _check_tail(config, float(plan.trunc[worst]), float(strikes[worst]), ctx.tau)
@@ -517,55 +515,53 @@ def evaluate_slices(
             continue
         psi, factors = strided(plan.fine, plan.points)
         phi = levy_char_fn(psi, ctx.tau)
-        for kind, array in joint.items():
-            copies = len(at[kind])
-            values[kind][i] = _direct_sums(
-                phi * factors[kind], plan.fine, config, array, np.tile(plan.shifts, copies),
-                np.tile(plan.rows, copies), np.tile(plan.extents, copies),
+        samples = np.empty((len(kinds), plan.points), dtype=complex)
+        for row, factor in zip(samples, factors):
+            np.multiply(phi, factor, out=row)
+        # one direct sum of every kind per stride, each strike exact over
+        # its own rows
+        for s in set(plan.shifts.tolist()):
+            group = plan.shifts == s
+            # math.log, not np.log: the two can differ in the last bit, and
+            # direct-sum values (single quotes, impact tables) stay
+            # bit-stable; a stride s >= 1 keeps every reached log-strike inside
+            if s == 0 and len(reached) > 1:
+                log_reached = [math.log(x) for array in reached for x in array[group].tolist()]
+                checked_log_strikes(log_reached, config.eta)
+            log_k = [math.log(x) for x in strikes[group].tolist()]
+            step = 1 << (s - plan.fine)
+            view = samples[:, : (int(plan.extents[group].max()) >> s) * step + 1 : step]
+            values[:, i, group] = direct_simpson_sum(
+                view, config.alpha, config.eta * (1 << s), log_k, config.n >> s, plan.rows[group]
             )
     if mode == MODE_FFT_GRID:
-        _grid_blocks(slices, plans, log_joint, values, strided)
-        fines = np.array([[p.fine] for p in plans])
-        strides = np.repeat(1 << fines, strikes.size, axis=1)
+        _grid_blocks(slices, plans, np.log(strikes), values, strided)
+        strides = np.array([np.full(strikes.size, 1 << p.fine) for p in plans])
     else:
         strides = np.array([1 << p.shifts for p in plans])
-    # each kind's values at the strike arrays of at[kind], in their order
-    width = strikes.size
-    split = {
-        kind: [values[kind][:, j * width : (j + 1) * width] for j in range(len(arrays))]
-        for kind, arrays in at.items()
-    }
 
-    lrm_values = i1 = i2 = None
-    if isinstance(model, MertonParams):
-        if part != "i2":
-            i1 = strikes * split["indicator"][0]
-        if part != "i1":
-            i2 = 0.0
-            for term, strike_array in zip(terms, shifted):
-                i2 = i2 + term.coefficient * strike_array * split[term.kernel].pop(0)
-        sigma2 = model.sigma**2
-        if part == "lrm":
-            numerator = sigma2 * i1 + i2
-    else:
-        i2 = numerator = strikes * split["jump"][0]
-        sigma2 = 0.0
+    # I1 = K X_indicator(log K), I2 = K X_jump(log K)
+    column = dict(zip(kinds, strikes * values))
+    i1, i2 = column.get("indicator"), column.get("jump")
+    lrm_values = None
     if part == "lrm":
+        sigma2 = model.sigma**2 if isinstance(model, MertonParams) else 0.0
+        numerator = sigma2 * i1 + i2 if i1 is not None else i2
         lrm_values = numerator / (sample.spot * (sigma2 + sample.mmm.quad_exp_moment))
     trunc = np.array([p.trunc for p in plans])
     return SliceColumns(lrm_values, i1, i2, trunc, strides, mode)
 
 
 def _grid_blocks(
-    slices: Sequence[TransformContext], plans: list[_SlicePlan],
-    log_joint: dict[str, np.ndarray], values: dict[str, np.ndarray], strided,
+    slices: Sequence[TransformContext], plans: list[_SlicePlan], log_k: np.ndarray,
+    values: np.ndarray, strided,
 ) -> None:
-    """Grid-path values of every slice, per kernel kind at its log-strikes
-    ``log_joint[kind]``, into the slice's row of ``values[kind]``: the
-    slices of one finest stride in blocks of up to ``_BLOCK_POINTS`` FFT
-    points, one ``carr_madan_grid`` call per block and kind.
-    ``strided(shift, m)`` gives psi and the kernel factors at the first m
-    points of stride 2^shift."""
+    """Grid-path values of every slice at the log-strikes ``log_k``, into
+    ``values[:, i]`` for slice i, one row per kernel kind: the slices of
+    one finest stride in blocks of up to ``_BLOCK_POINTS`` FFT points per
+    kind, one ``carr_madan_grid`` call and one interpolation per block,
+    rows kind-major.  ``strided(shift, m)`` gives psi and the kernel
+    factors at the first m points of stride 2^shift."""
     config = slices[0].sample.config
     by_stride: dict[int, list[int]] = {}
     for i, plan in enumerate(plans):
@@ -577,36 +573,15 @@ def _grid_blocks(
             block = members[start : start + size]
             counts = [plans[i].points for i in block]
             psi, factors = strided(fine, max(counts))
-            phis = [levy_char_fn(psi[:m], slices[i].tau) for i, m in zip(block, counts)]
-            # one buffer for every kind: a row past its slice's points stays 0
-            samples = np.zeros((len(block), max(counts)), dtype=complex)
-            for kind in log_joint:
-                for row, phi, m in zip(samples, phis, counts):
-                    np.multiply(phi, factors[kind][:m], out=row[:m])
-                grid = carr_madan_grid(samples, config.alpha, config.eta * (1 << fine), n)
-                for i, row in zip(block, grid.at(log_joint[kind])):
-                    values[kind][i] = row
-
-
-def _direct_sums(
-    samples: np.ndarray, fine: int, config: FftConfig, strikes: np.ndarray, shifts: np.ndarray,
-    rows: np.ndarray, extents: np.ndarray,
-) -> np.ndarray:
-    """The damped transform at log(strikes) of one kernel kind's samples
-    at stride 2^fine, each strike summed exactly over its own stride and
-    rows."""
-    out = np.empty(strikes.shape)
-    for s in set(shifts.tolist()):
-        group = shifts == s
-        step = 1 << (s - fine)
-        view = samples[: (int(extents[group].max()) >> s) * step + 1 : step]
-        # math.log, not np.log: the two can differ in the last bit, and
-        # direct-sum values (single quotes, impact tables) stay bit-stable
-        log_k = [math.log(x) for x in strikes[group].tolist()]
-        out[group] = direct_simpson_sum(
-            view, config.alpha, config.eta * (1 << s), log_k, config.n >> s, rows[group]
-        )
-    return out
+            # a row past its slice's points stays 0
+            samples = np.zeros((len(factors), len(block), max(counts)), dtype=complex)
+            for i, rows, m in zip(block, samples.transpose(1, 0, 2), counts):
+                phi = levy_char_fn(psi[:m], slices[i].tau)
+                for row, factor in zip(rows, factors):
+                    np.multiply(phi, factor[:m], out=row[:m])
+            eta = config.eta * (1 << fine)
+            grid = carr_madan_grid(samples.reshape(-1, max(counts)), config.alpha, eta, n)
+            values[:, block] = grid.at(log_k).reshape(len(factors), len(block), -1)
 
 
 def _strike_array(strikes: Sequence[float]) -> np.ndarray:
@@ -663,10 +638,11 @@ def i1(query: MarketQuery, model: Model, config: FftConfig) -> float:
 def i2(query: MarketQuery, model: Model, config: FftConfig) -> float:
     """Jump term of the hedge numerator.
 
-    Merton: three weighted transforms at shifted strikes (two damped, one
-    plain).  Variance gamma: one transform of the call factor weighted by
-    the jump kernel less the first exponential moment.
-    Only these transforms run, with the bits of ``lrm(...).i2``.
+    One transform at log K of the call factor times the jump weight
+    int (e^{i zeta x} - 1)(e^x - 1) nu(dx): for Merton the sum of three
+    shifted-strike terms, for variance gamma the jump kernel less the
+    first exponential moment.  Only this transform runs, with the bits
+    of ``lrm(...).i2``.
     """
     return evaluate_slices([_slice(query, model, config)], [query.strike], "i2").i2.item()
 

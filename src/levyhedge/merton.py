@@ -3,9 +3,12 @@
 Under the minimal martingale measure the Gaussian jump measure turns into
 a two-component Gaussian mixture, the Levy exponent Psi stays in closed
 form (a slice's characteristic function is exp(tau Psi)), and the jump
-term of the hedge numerator splits into three damped Fourier transforms,
-two of them carrying an extra Gaussian factor exp(-delta^2 z^2 / 2)
-(``merton_i2_terms``).  The module also provides the envelope constant
+term of the hedge numerator is one damped Fourier transform at log K, of
+the call factor times a jump weight that shares Psi's two exponentials
+(``merton_exponent_and_weight``).  It equals three transforms at shifted
+strikes, two carrying a Gaussian factor exp(-delta^2 z^2 / 2)
+(``merton_i2_terms``), which the bounds take one by one.  The module
+also provides the envelope constant
 C1 with |phi_tau(v - i alpha)| <= C1 exp(-sigma^2 v^2 tau / 2), the
 frequency truncation points derived from it, the aliasing constants, and
 the tail bound that stops each time slice's sums where the dropped
@@ -59,28 +62,39 @@ def merton_exponent(zeta: ComplexLike, params: MertonParams, mmm: MmmQuantities)
 
     Accepts scalars or arrays for ``zeta`` (contour Im(zeta) in [-2, 0]).
     """
+    out = merton_exponent_and_weight(zeta, params, mmm)[0]
+    return out if np.ndim(zeta) else complex(out)
+
+
+def merton_exponent_and_weight(
+    zeta: ComplexLike, params: MertonParams, mmm: MmmQuantities
+) -> tuple[np.ndarray, np.ndarray]:
+    """Psi (:func:`merton_exponent`) and the jump weight of the original
+    measure, as arrays, from Psi's two exponentials E1 = e^{i m zeta -
+    delta^2 zeta^2/2} and E2 = e^{i (m+delta^2) zeta - delta^2 zeta^2/2}:
+
+        w(zeta) = int (e^{i zeta x} - 1)(e^x - 1) nu(dx)
+                = gamma [e^{m + delta^2/2} E2 - E1 + 1 - e^{m + delta^2/2}].
+
+    w times the call factor is the three terms of :func:`merton_i2_terms`
+    moved to log K: c s^{1 - i zeta} times a term's Gaussian factor is
+    gamma e^{m + delta^2/2} E2, -gamma E1 and gamma (1 - e^{m + delta^2/2})."""
     z = np.asarray(zeta, dtype=complex)
     _check_contour(z)
     g, m, d2, sigma2 = params.gamma, params.m, params.delta**2, params.sigma**2
     h = mmm.h
     z2 = z * z
     m2 = m + d2
-    jump1 = np.exp(1j * m * z - 0.5 * d2 * z2) - 1.0 - 1j * m * z
-    jump2 = np.exp(1j * m2 * z - 0.5 * d2 * z2) - 1.0 - 1j * m2 * z
-    out = (
+    e1 = np.exp(1j * m * z - 0.5 * d2 * z2)
+    e2 = np.exp(1j * m2 * z - 0.5 * d2 * z2)
+    lift = math.exp(m + 0.5 * d2)
+    psi = (
         1j * z * mmm.mu_star
         - 0.5 * sigma2 * z2
-        + (1.0 + h) * g * jump1
-        - h * g * math.exp(m + 0.5 * d2) * jump2
+        + (1.0 + h) * g * (e1 - 1.0 - 1j * m * z)
+        - h * g * lift * (e2 - 1.0 - 1j * m2 * z)
     )
-    return out if np.ndim(zeta) else complex(out)
-
-
-def gaussian_damping(zeta: ComplexLike, delta: float) -> ComplexLike:
-    """Factor exp(-delta^2 zeta^2 / 2) carried by the shifted-strike kernels."""
-    z = np.asarray(zeta, dtype=complex)
-    out = np.exp(-0.5 * delta * delta * z * z)
-    return out if np.ndim(zeta) else complex(out)
+    return psi, g * (lift * e2 - e1 + (1.0 - lift))
 
 
 def merton_c1(params: MertonParams, mmm: MmmQuantities, tau: float, alpha: float) -> float:
@@ -96,21 +110,17 @@ def merton_log_c1(params: MertonParams, mmm: MmmQuantities, tau: float, alpha: f
     """log C1 (see :func:`merton_c1`), refused above the exp() guard."""
     if tau < 0.0:
         raise InvalidParameterError("tau must be >= 0")
-    exponent = _log_mgf(params, mmm, tau, alpha, math.exp)
+    # tau Psi(-i alpha) = log E[(S_T / S)^alpha]
+    exponent = tau * _mgf_rate(params, mmm, alpha, math.exp)
     if exponent > _EXP_GUARD:
         raise OverflowGuardError(f"C1 exponent {exponent:.3g} exceeds {_EXP_GUARD:g}")
     return exponent
 
 
-def _log_mgf(params: MertonParams, mmm: MmmQuantities, tau: float, p, exp):
-    """tau Psi(-i p) = log E[(S_T / S)^p] under the minimal martingale
-    measure, unguarded; ``exp`` is math.exp for a scalar p, np.exp for an
-    array."""
-    return tau * _mgf_rate(params, mmm, p, exp)
-
-
 def _mgf_rate(params: MertonParams, mmm: MmmQuantities, p, exp):
-    """Psi(-i p), the tau-free factor of :func:`_log_mgf`."""
+    """Psi(-i p), so that tau Psi(-i p) = log E[(S_T / S)^p] under the
+    minimal martingale measure; ``exp`` is math.exp for a scalar p,
+    np.exp for an array."""
     g, m, d2, sigma2 = params.gamma, params.m, params.delta**2, params.sigma**2
     h = mmm.h
     m2 = m + d2
@@ -213,7 +223,9 @@ def merton_prefix_tail(
     v^{-p} dv <= e^{-b a^2} / (2 b a^{p+1}).  I1 is the indicator term at
     K; I2 the three terms of :func:`merton_i2_terms`, a zero coefficient
     adding no tail; the ratio divides sigma^2 I1 + I2 by S (sigma^2 +
-    quad moment).  Works in logs, so a large C1 cannot overflow.
+    quad moment).  The jump transform is the sum of the three term
+    transforms, so their bounds cover it unchanged.  Works in logs, so a
+    large C1 cannot overflow.
     """
     a = np.asarray(a, dtype=float)
     sigma2, d2 = params.sigma**2, params.delta**2
@@ -253,7 +265,8 @@ class MertonAliasProfile:
     kinds have a = b = 1; the damped kind convolves the call with a
     N(0, delta^2) log-strike shift, so a = e^{delta^2/2} and b(beta) =
     e^{(1+beta)^2 delta^2/2}.  The moment is :func:`merton_log_c1` at
-    1 + beta without its guard.
+    1 + beta without its guard.  The jump transform is the sum of the
+    three term transforms, so their bounds, which I2's adds, cover it.
 
     Split at tau: ``beta``, the beta grid, and ``log_itm``, for I1, I2
     and the ratio the log of sum |c| a over their terms, are tau-free,
@@ -301,12 +314,14 @@ class MertonAliasProfile:
 
 
 class I2Term(NamedTuple):
-    """One (coefficient, shifted strike, kernel) term of the jump integral;
-    ``kernel`` is the ``LevySample`` factor kind the term transforms."""
+    """One (coefficient, shifted strike, kernel) term of the jump integral:
+    ``kernel`` KERNEL_PLAIN transforms the call factor psi2, KERNEL_DAMPED
+    psi2 times exp(-delta^2 zeta^2 / 2).  The bounds take the terms one by
+    one; the production path transforms their sum at log K."""
 
     coefficient: float
     strike: float
-    kernel: str  # KERNEL_PLAIN -> psi2, KERNEL_DAMPED -> psi2 * gaussian_damping
+    kernel: str
 
 
 def merton_i2_terms(params: MertonParams, strike: float) -> tuple[I2Term, I2Term, I2Term]:

@@ -152,6 +152,26 @@ def test_direct_sum_rows_match_naive_prefix():
         direct_simpson_sum(np.ones(32), alpha, eta, [0.1], 16)
 
 
+def test_direct_sum_stack_rows_equal_single_sums():
+    # a stack of sample rows shares the phase exponentials; each row of
+    # its sums has the bits of its own 1-D call, at any prefix and rows
+    rng = np.random.default_rng(43)
+    alpha, eta = 1.75, 0.25
+    k = np.array([-3.7, 0.0, 0.41, 9.9])
+    for n in [4, 12, 64, 2**10, 2**14]:
+        c, r = row_layout(n)
+        for depth in (1, 2, 3):
+            psi = rng.normal(size=(depth, n)) + 1j * rng.normal(size=(depth, n))
+            rows = rng.integers(1, r + 1, size=k.size)
+            m = min(int(rows.max()) * c, n) - (n > 4)
+            for args in ((psi, alpha, eta, k), (psi[:, :m], alpha, eta, k, n, rows)):
+                stacked = direct_simpson_sum(*args)
+                assert stacked.shape == (depth, k.size)
+                for row, values in zip(args[0], stacked):
+                    assert np.array_equal(direct_simpson_sum(row, *args[1:]), values)
+    assert direct_simpson_sum(np.ones((2, 12)), alpha, eta, 0.3).shape == (2,)
+
+
 def test_grid_prefix_equals_zero_padded():
     # a prefix is zero-padded to the n-point FFT: the bits of the padded grid
     rng = np.random.default_rng(37)

@@ -80,8 +80,8 @@ def test_i1_matches_quadrature(merton_bench, fft_bench):
 
 
 def test_i1_i2_sum_only_their_kernel_kinds(merton_bench, fft_bench, monkeypatch):
-    # i1 transforms the indicator kind alone, i2 the two jump kinds, lrm
-    # all three, each with the bits lrm reports
+    # i1 transforms the indicator kind alone, i2 the jump kind, lrm both in
+    # one stacked direct sum, each with the bits lrm reports
     module = sys.modules["levyhedge.lrm"]
     calls = []
 
@@ -91,12 +91,14 @@ def test_i1_i2_sum_only_their_kernel_kinds(merton_bench, fft_bench, monkeypatch)
 
     monkeypatch.setattr(module, "direct_simpson_sum", counting)
     query = _q(0.5, 1.13)
-    counts = []
+    counts, kinds = [], []
     for fn in (i1, i2, lrm):
         calls.clear()
         value = fn(query, merton_bench, fft_bench)
         counts.append(len(calls))
-    assert counts == [1, 2, 3]
+        kinds += [len(args[0]) for args in calls]
+    assert counts == [1, 1, 1]
+    assert kinds == [1, 1, 2]
     assert i1(query, merton_bench, fft_bench) == value.i1
     assert i2(query, merton_bench, fft_bench) == value.i2
 
@@ -454,6 +456,20 @@ def _kind_terms(model):
     return terms
 
 
+def _term_factors(sample):
+    """The sample's factors at every configured-grid point, with the call
+    factor and the Gaussian-damped call factor of the I2 terms built from
+    the sample's inputs: its spot and the contour."""
+    cfg = sample.config
+    psi, factors = sample.sample(0, cfg.n)
+    zeta = cfg.zeta_grid()
+    iz = 1j * zeta
+    call = np.exp(iz * math.log(sample.spot)) / (iz - 1.0) / iz
+    delta = sample.model.delta
+    damped = np.exp(-0.5 * delta * delta * zeta * zeta) * call
+    return psi, {**factors, "call": call, "damped": damped}
+
+
 def test_prefix_tail_bound_holds(merton_bench, random_merton_models, fft_bench):
     # dropping the samples past a strike's prefix moves each weighted
     # transform by at most the certified S K^{1-alpha} e^{G(a)}, which is
@@ -461,7 +477,7 @@ def test_prefix_tail_bound_holds(merton_bench, random_merton_models, fft_bench):
     cfg, spot = fft_bench, 1.0
     for index, model in enumerate([merton_bench] + list(random_merton_models)):
         sample = LevySample(model, cfg, spot)
-        psi, factors = sample.sample(0, cfg.n)
+        psi, factors = _term_factors(sample)
         for tau in (0.05, 0.5, 1.0):
             bounds = TransformContext(sample, tau)
             phi = levy_char_fn(psi, tau)
@@ -487,6 +503,59 @@ def test_prefix_tail_bound_holds(merton_bench, random_merton_models, fft_bench):
                     )[0]
                     moved = abs(coef * strike * shift * (full - prefix))
                     assert moved <= allowed + 1e-15
+                # the production jump kind, the terms' sum at log K
+                samples = phi * factors["jump"]
+                log_k = [math.log(strike)]
+                full = direct_simpson_sum(samples, cfg.alpha, cfg.eta, log_k)[0]
+                prefix = direct_simpson_sum(
+                    samples[:m], cfg.alpha, cfg.eta, log_k, cfg.n, [rows]
+                )[0]
+                assert abs(strike * (full - prefix)) <= allowed + 1e-15
+
+
+def test_i2_equals_three_shifted_strike_sums(merton_bench, random_merton_models, fft_bench):
+    # the one jump transform at log K against the three I2 terms, each its
+    # own direct sum at its shifted strike over the whole configured grid
+    cfg, spot = fft_bench, 1.0
+    for model in [merton_bench] + list(random_merton_models[:5]):
+        psi, factors = _term_factors(LevySample(model, cfg, spot))
+        terms = _kind_terms(model)[1:]
+        for tau in (0.05, 0.5):
+            phi = levy_char_fn(psi, tau)
+            for strike in (0.5, 1.0, 2.0):
+                separate = sum(
+                    coef * strike * shift * direct_simpson_sum(
+                        phi * factors[kind], cfg.alpha, cfg.eta, [math.log(strike * shift)]
+                    )[0]
+                    for kind, coef, shift in terms
+                )
+                got = lrm(MarketQuery(t=0.0, T=tau, spot=spot, strike=strike), model, cfg).i2
+                assert abs(got - separate) <= 1e-12 * spot
+
+
+def test_merton_sample_takes_three_complex_exponentials(merton_bench, fft_bench, monkeypatch):
+    # the indicator factor's and Psi's two, which the jump weight shares
+    exp, taken = np.exp, []
+
+    def counting(x, *args, **kwargs):
+        taken.append(np.iscomplexobj(x))
+        return exp(x, *args, **kwargs)
+
+    sample = LevySample(merton_bench, fft_bench, 1.0)
+    monkeypatch.setattr(np, "exp", counting)
+    sample.sample(0, fft_bench.n)
+    assert taken == [True] * 3
+
+
+def test_grid_direct_gap_of_merton_sweeps(merton_bench, fft_bench):
+    # interpolating the one jump grid at log K stays within the measured
+    # gap of the three shifted-strike grids it replaced (3.59e-5)
+    for strikes in (1.0 + 0.25 * np.arange(29), 1.0 + 0.007 * np.arange(1000)):
+        grid = lrm_strike_sweep(merton_bench, fft_bench, t=0.5, T=1.0, spot=1.0, strikes=strikes)
+        ctx = TransformContext(LevySample(merton_bench, fft_bench, 1.0), 0.5)
+        direct = evaluate_slices([ctx], strikes, mode=MODE_DIRECT_SUM).lrm[0]
+        assert all(r.mode == MODE_FFT_GRID for r in grid)
+        assert np.max(np.abs([r.lrm for r in grid] - direct)) <= 3.6e-5
 
 
 def test_grown_sample_keeps_bits(merton_bench, nikkei, fft_bench):
@@ -502,7 +571,7 @@ def test_grown_sample_keeps_bits(merton_bench, nikkei, fft_bench):
         psi, factors = sample.sample(0, m)
         assert psi.size == m
         assert np.array_equal(full_psi[:m], psi)
-        for kind in ("indicator", "call", "damped"):
+        for kind in ("indicator", "jump"):
             assert np.array_equal(full_factors[kind][:m], factors[kind])
     for model, spot in ((merton_bench, 1.3), (nikkei, NIKKEI_SPOT)):
         sample = LevySample(model, cfg, spot)
@@ -561,7 +630,7 @@ def test_alias_bound_holds(merton_bench, random_merton_models, fft_bench):
     v = cfg.eta * np.arange(cfg.n)
     for model in [merton_bench] + list(random_merton_models):
         sample = LevySample(model, cfg, spot)
-        psi, factors = sample.sample(0, cfg.n)
+        psi, factors = _term_factors(sample)
         alias = MertonAliasProfile(model, sample.mmm, cfg.alpha)
         for tau in (0.05, 0.5, 1.0):
             bounds = TransformContext(sample, tau)
@@ -595,6 +664,14 @@ def test_alias_bound_holds(merton_bench, random_merton_models, fft_bench):
                         rounding = 8.0 * ROUNDING * math.exp(-cfg.alpha * log_k) / math.pi
                         allowed[q] += weight * rounding * np.sum(terms)
                     assert moved[0] <= allowed[0] and moved[1] <= allowed[1]
+                    # the production jump kind, the terms' sum at log K
+                    samples = (phi * factors["jump"])[:m]
+                    log_k = [math.log(strike)]
+                    fine = direct_simpson_sum(samples, cfg.alpha, cfg.eta, log_k, cfg.n)[0]
+                    coarse = direct_simpson_sum(
+                        samples[:: 1 << s], cfg.alpha, eta, log_k, cfg.n >> s
+                    )[0]
+                    assert strike * abs(fine - coarse) <= allowed[1]
 
 
 def test_alias_bound_not_below_measured(nikkei):

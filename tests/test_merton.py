@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from levyhedge import (
+    LevySample,
     MarketQuery,
     MertonParams,
     OverflowGuardError,
@@ -15,6 +16,7 @@ from levyhedge import (
 )
 from levyhedge.merton import KERNEL_DAMPED, KERNEL_PLAIN
 from levyhedge.oracle import (
+    _i2_frequency_weight,
     i1_tail_mass,
     i2_tail_mass,
     levy_moment,
@@ -169,6 +171,29 @@ def test_i2_terms_benchmark_values(merton_bench):
     assert coefs[2] == pytest.approx(1.0 - math.exp(0.5), rel=1e-15)
     assert strikes == pytest.approx([math.exp(-1.0), 1.0, 1.0])
     assert kinds == [KERNEL_DAMPED, KERNEL_DAMPED, KERNEL_PLAIN]
+
+
+def test_jump_factor_is_the_shifted_terms_at_log_k(merton_bench, random_merton_models, fft_bench):
+    # on the contour the jump kind is the three I2 terms moved to log K,
+    # sum_t c_t s_t^{1 - i zeta} f_t call (f_t the Gaussian factor of a
+    # damped term, else 1), and the oracle's frequency weight times call
+    zeta = fft_bench.zeta_grid()
+    iz = 1j * zeta
+    for model in [merton_bench] + list(random_merton_models):
+        sample = LevySample(model, fft_bench, 1.3)
+        _, factors = sample.sample(0, fft_bench.n)
+        call = factors["indicator"] / iz
+        terms = []
+        for term in merton_i2_terms(model, 1.0):
+            shift = np.exp((1.0 - iz) * math.log(term.strike))
+            if term.kernel == KERNEL_DAMPED:
+                shift = shift * np.exp(-0.5 * model.delta**2 * zeta * zeta)
+            terms.append(term.coefficient * shift * call)
+        # per contour point, relative to its largest term
+        scale = np.max(np.abs(terms), axis=0)
+        assert np.all(np.abs(factors["jump"] - sum(terms)) <= 1e-13 * scale)
+        weight = _i2_frequency_weight(model, zeta)
+        assert np.all(np.abs(factors["jump"] - weight * call) <= 1e-13 * scale)
 
 
 def test_i2_terms_gamma_zero():
