@@ -88,10 +88,11 @@ class RunConfig:
     output: str = "stdout"
 
 
-_MODEL_KEYS = {
-    "merton": ("model.mu", "model.sigma", "model.gamma", "model.m", "model.delta"),
-    "vg": ("model.kappa", "model.m", "model.delta"),
-    "vg-cgm": ("model.C", "model.G", "model.M"),
+# per model.kind: its constructor and the keys of its arguments, model.<argument>
+_MODELS = {
+    "merton": (MertonParams, ("model.mu", "model.sigma", "model.gamma", "model.m", "model.delta")),
+    "vg": (VgParams, ("model.kappa", "model.m", "model.delta")),
+    "vg-cgm": (VgParams.from_cgm, ("model.C", "model.G", "model.M")),
 }
 _KNOWN_KEYS = {
     "model.kind",
@@ -106,7 +107,7 @@ _KNOWN_KEYS = {
     "query.spot",
     "query.T",
     "output",
-}.union(*_MODEL_KEYS.values())
+}.union(*(keys for _, keys in _MODELS.values()))
 
 _DEFAULTS = {
     "fft.n": "16384",
@@ -134,22 +135,15 @@ def parse_key_values(text: str, source: str) -> dict[str, str]:
     return out
 
 
-def _parse_float(entries: dict[str, str], key: str) -> float:
+def _parse_number(entries: dict[str, str], key: str, parse=float):
+    """The value of ``key`` as ``parse`` (float or int) reads it."""
     try:
-        return float(entries[key])
+        return parse(entries[key])
     except KeyError:
         raise ConfigError(f"missing required key {key}")
     except ValueError:
-        raise ConfigError(f"key {key}: not a number: {entries[key]!r}")
-
-
-def _parse_int(entries: dict[str, str], key: str) -> int:
-    try:
-        return int(entries[key])
-    except KeyError:
-        raise ConfigError(f"missing required key {key}")
-    except ValueError:
-        raise ConfigError(f"key {key}: not an integer: {entries[key]!r}")
+        what = "an integer" if parse is int else "a number"
+        raise ConfigError(f"key {key}: not {what}: {entries[key]!r}")
 
 
 def _parse_grid(value: str, key: str) -> list[float]:
@@ -177,36 +171,16 @@ def build_run_config(entries: dict[str, str]) -> RunConfig:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
     kind = merged.get("model.kind")
-    if kind not in _MODEL_KEYS:
-        raise ConfigError(
-            f"model.kind must be one of merton, vg, vg-cgm (got {kind!r})"
-        )
+    if kind not in _MODELS:
+        raise ConfigError(f"model.kind must be one of {', '.join(_MODELS)} (got {kind!r})")
+    constructor, keys = _MODELS[kind]
     try:
-        if kind == "merton":
-            model: Model = MertonParams(
-                mu=_parse_float(merged, "model.mu"),
-                sigma=_parse_float(merged, "model.sigma"),
-                gamma=_parse_float(merged, "model.gamma"),
-                m=_parse_float(merged, "model.m"),
-                delta=_parse_float(merged, "model.delta"),
-            )
-        elif kind == "vg":
-            model = VgParams(
-                kappa=_parse_float(merged, "model.kappa"),
-                m=_parse_float(merged, "model.m"),
-                delta=_parse_float(merged, "model.delta"),
-            )
-        else:
-            model = VgParams.from_cgm(
-                C=_parse_float(merged, "model.C"),
-                G=_parse_float(merged, "model.G"),
-                M=_parse_float(merged, "model.M"),
-            )
+        model: Model = constructor(**{k[len("model."):]: _parse_number(merged, k) for k in keys})
         fft = FftConfig(
-            n=_parse_int(merged, "fft.n"),
-            eta=_parse_float(merged, "fft.eta"),
-            alpha=_parse_float(merged, "fft.alpha"),
-            eps=_parse_float(merged, "fft.eps"),
+            n=_parse_number(merged, "fft.n", int),
+            eta=_parse_number(merged, "fft.eta"),
+            alpha=_parse_number(merged, "fft.alpha"),
+            eps=_parse_number(merged, "fft.eps"),
         )
     except InvalidParameterError as exc:
         raise ConfigError(str(exc))
@@ -217,12 +191,12 @@ def build_run_config(entries: dict[str, str]) -> RunConfig:
     # each as a grid, one value or none
     t_values, strikes = (
         _parse_grid(merged[f"{key}_grid"], f"{key}_grid") if f"{key}_grid" in merged
-        else [_parse_float(merged, key)] if key in merged else []
+        else [_parse_number(merged, key)] if key in merged else []
         for key in ("query.t", "query.strike")
     )
 
-    maturity = _parse_float(merged, "query.T") if "query.T" in merged else 1.0
-    spot = _parse_float(merged, "query.spot")
+    maturity = _parse_number(merged, "query.T") if "query.T" in merged else 1.0
+    spot = _parse_number(merged, "query.spot")
     return RunConfig(
         kind=kind,
         model=model,

@@ -394,17 +394,15 @@ def validate_assumptions(model: Model) -> ValidationReport:
     raise ModelMismatchError(f"unsupported model type {type(model).__name__}")
 
 
-def mmm_quantities(model: Model, *, validate: bool = True) -> MmmQuantities:
+def mmm_quantities(model: Model) -> MmmQuantities:
     """Compute the measure-change quantities for a valid model.
 
-    Raises AssumptionError when ``validate`` is set and the model fails
-    :func:`validate_assumptions`.
+    Raises AssumptionError when the model fails :func:`validate_assumptions`.
     """
-    if validate:
-        report = validate_assumptions(model)
-        if not report.passed:
-            failed = "; ".join(c.detail or c.name for c in report.failures())
-            raise AssumptionError(f"model fails admissibility conditions: {failed}")
+    report = validate_assumptions(model)
+    if not report.passed:
+        failed = "; ".join(c.detail or c.name for c in report.failures())
+        raise AssumptionError(f"model fails admissibility conditions: {failed}")
 
     mu_s = martingale_drift(model)
     quad = quadratic_exp_moment(model)

@@ -24,7 +24,10 @@ impacts with one slice through ``TransformContext.evaluate`` and
 and each slice costs one exponential plus one multiply per kernel kind,
 over the points its strikes read.  Every kind is read at log K: I1 is
 K X_indicator(log K) and I2 K X_jump(log K), for Merton the three
-shifted-strike terms of ``merton_i2_terms`` moved to log K.  The path
+shifted-strike terms of ``merton_i2_terms`` moved to log K: the table
+``LevySample.kinds`` gives each kind the factors f of the log(K f) its
+sum stands for, Merton ``indicator`` (1,) and ``jump`` those of the
+terms, variance gamma ``jump`` (1,).  The path
 follows the strike count: up to four strikes take exact direct sums of
 every kind at once (O(sqrt N) exponentials plus O(N) multiply-adds per
 strike), more share one FFT grid per kernel kind and slice, and grid
@@ -51,7 +54,9 @@ in log-strike:
 Every log-strike a strike needs, the shifted ones of the Merton terms
 included, must also lie inside +-pi/eta_s, or the strike takes a finer
 stride; stride 1, the configured grid, needs no certificate.  Strides
-depend on the slice and the strike only.
+depend on the slice and the strike only.  So one range rule serves both
+paths: a strike reaching outside +-pi/eta takes stride 1 in every slice,
+and one check of the first slice's stride-1 strikes refuses it.
 
 A Merton strike then sums only a prefix of its samples: the Gaussian
 envelope certifies how many rows of the direct sum's layout of N / 2^s
@@ -129,6 +134,8 @@ _DIRECT_SUM_MAX_STRIKES = 4
 # n = 8192.  Twice that ran no faster on the curve benchmark and held 1 MB
 # more at peak
 _BLOCK_POINTS = 1 << 14
+# the SliceColumns column of each kernel kind, K X_kind(log K)
+_COLUMNS = {"indicator": "i1", "jump": "i2"}
 
 
 class LrmResult(NamedTuple):
@@ -183,10 +190,12 @@ class LevySample:
     keeps its bits whatever the stride and the length it was sampled at.
     Nothing sampled is kept.
 
-    It also holds the tau-free half of every slice's bounds: the
-    direct-sum row layout of each stride, the Merton I2 terms at unit
-    strike (``terms``) and the range of their log strike shifts, the
-    aliasing tables of each stride (:class:`AliasFloors`) and the model's
+    ``kinds`` lists the kernel kinds in the row order of
+    ``TransformContext.trunc``, each with its strike factors (module
+    docstring); ``sigma2`` is sigma^2, 0 for variance gamma.  It also
+    holds the tau-free half of every slice's bounds: the direct-sum row
+    layout of each stride, the range of the log strike factors, the
+    aliasing tables of each stride (:class:`AliasFloors`), the model's
     alias profile (``MertonAliasProfile`` / ``VgAliasProfile``), whose
     right tail ``log_right(tau)`` is all a slice adds, and ``psi0``, psi
     at zeta = -i alpha, the point of the contour where Re psi peaks.
@@ -202,16 +211,18 @@ class LevySample:
         if isinstance(model, MertonParams):
             self.psi0 = complex(merton_exponent(zeta0, model, mmm)[0])
             self.alias = MertonAliasProfile(model, mmm, config.alpha)
-            # the I2 terms at unit strike: coefficients and strike shift factors
-            self.terms = merton_i2_terms(model, 1.0)
-            log_shifts = [0.0] + [math.log(t.strike) for t in self.terms]
+            self.sigma2 = model.sigma**2
+            jump = tuple(term.strike for term in merton_i2_terms(model))
+            self.kinds = {"indicator": (1.0,), "jump": jump}
         else:
             self.exp_moment = cgm_exp_moment(model.C, model.G, model.M)
             self.pair = vg_mmm_measure(model, mmm.h)
             logs = VgContourLogs(zeta0, model.G, model.M)
             self.psi0 = complex(logs.exponent(self.pair, mmm.mu_star)[0])
             self.alias = VgAliasProfile(model, mmm, config.alpha)
-            log_shifts = [0.0]
+            self.sigma2 = 0.0
+            self.kinds = {"jump": (1.0,)}
+        log_shifts = [math.log(f) for factors in self.kinds.values() for f in factors]
         self._log_shift_range = (min(log_shifts), max(log_shifts))
         top = coarsest_shift(config)
         layouts = [row_layout(config.n >> s) for s in range(top + 1)]
@@ -272,8 +283,8 @@ class TransformContext:
 
     :meth:`evaluate` and :meth:`quotes` go through :func:`evaluate_slices`,
     the evaluator of every caller, and build ``LrmResult`` from its
-    columns.  A slice keeps no sampled arrays, so a result does not depend
-    on what the slice evaluated before."""
+    columns.  A slice keeps no sampled arrays and no memo, so a result does
+    not depend on what the slice evaluated before."""
 
     def __init__(self, sample: LevySample, tau: float):
         self.sample = sample
@@ -284,37 +295,15 @@ class TransformContext:
         levy_char_fn(sample.psi0, tau)
         _require(tau >= TAU_MIN, f"tau must be >= {TAU_MIN:g}")
         model, mmm, config = sample.model, sample.mmm, sample.config
-        # per stride 2^s, filled on first use: a strike K sums the first
-        # i + 1 rows once K >= _row_strikes[s][i] (nonincreasing); None:
-        # every strike sums every row
-        self._row_strikes = None
         if isinstance(model, MertonParams):
             self._log_c1 = merton_log_c1(model, mmm, tau, config.alpha)
             self.envelope = math.exp(self._log_c1)
-            self._row_strikes = {}
         else:
+            # no prefix certificate: every strike sums every row
+            self._log_c1 = None
             self.envelope = vg_c2(model, sample.pair, mmm.mu_star, tau, config.alpha)
         # stride 2^s, s >= 1, needs log(K/S) >= _alias_floors[s - 1]
         self._alias_floors = sample.floors(sample.alias.log_right(tau))
-
-    def _prefix_strikes(self, shift: int) -> np.ndarray:
-        """Per row of the layout of n / 2^shift points: the smallest strike
-        whose dropped tail past that row is below rounding.  The tail past
-        a row end a = (rows * c - 1) eta is K^{1-alpha} e^{G(a)}; it is
-        below rounding once log K >= (G(a) - log ROUNDING) / (alpha - 1)."""
-        if shift not in self._row_strikes:
-            sample, config = self.sample, self.sample.config
-            c, r = row_layout(config.n >> shift)
-            ends = c * np.arange(1, r + 1) - 1
-            tail = merton_prefix_tail(
-                (config.eta * (1 << shift)) * ends, self.tau, sample.spot, config.alpha,
-                self._log_c1, sample.model, sample.mmm,
-            )
-            with np.errstate(over="ignore"):
-                self._row_strikes[shift] = np.exp(
-                    (tail - math.log(ROUNDING)) / (config.alpha - 1.0)
-                )
-        return self._row_strikes[shift]
 
     def trunc(self, strikes: np.ndarray) -> np.ndarray:
         """Truncation points, one row per bound ((I1, I2) or (I2,)) and one
@@ -352,10 +341,22 @@ class TransformContext:
         return (rows * self.sample.row_lengths[shifts] - 1) << shifts
 
     def _rows(self, strikes: np.ndarray, shift: int) -> np.ndarray:
-        layout_rows = self.sample.layout_rows[shift]
-        if self._row_strikes is None:
+        """Rows of the layout of n / 2^shift points each strike sums.  The
+        Merton tail past a row end a = (rows * c - 1) eta is K^{1-alpha}
+        e^{G(a)}: below rounding once log K >= (G(a) - log ROUNDING) /
+        (alpha - 1), a bound that falls with the rows."""
+        sample, config = self.sample, self.sample.config
+        layout_rows = sample.layout_rows[shift]
+        if self._log_c1 is None:
             return np.full(strikes.shape, layout_rows)
-        first = np.searchsorted(-self._prefix_strikes(shift), -strikes)
+        ends = sample.row_lengths[shift] * np.arange(1, layout_rows + 1) - 1
+        tail = merton_prefix_tail(
+            (config.eta * (1 << shift)) * ends, self.tau, sample.spot, config.alpha,
+            self._log_c1, sample.model, sample.mmm,
+        )
+        with np.errstate(over="ignore"):
+            row_strikes = np.exp((tail - math.log(ROUNDING)) / (config.alpha - 1.0))
+        first = np.searchsorted(-row_strikes, -strikes)
         return np.minimum(first + 1, layout_rows)
 
     def quotes(self, strikes: Sequence[float]) -> list[LrmResult]:
@@ -439,7 +440,8 @@ def evaluate_slices(
     """Hedge ratios, I1 and I2 of the same strikes on every slice of one
     :class:`LevySample`, as columns: ``part`` "lrm" computes all three,
     "i1" the stock-or-nothing term alone and "i2" the jump term alone,
-    each from only the kernel kinds it needs, every kind at log K.
+    each from only the kernel kinds it needs (``LevySample.kinds``),
+    every kind at log K.
 
     Each slice's truncation points, strides and rows are computed once.
     A slice's tail check covers its largest truncation bound over all
@@ -455,30 +457,25 @@ def evaluate_slices(
     of its slice alone.  The call samples once, at the finest stride and
     over the longest span any slice reads, and both paths read strided
     views of that sample.
-    Slices are checked in order, each before the next: its tail, then the
-    log-strike range of its transforms, so an error is the one the first
-    failing slice raises alone.  ``strikes`` must not be empty.
+    Slices are checked in order, each before the next: its tail, and
+    after the first slice's the one range rule (module docstring) on its
+    stride-1 strikes, every log(K f) of the part's kinds, so an error is
+    the one the first failing slice raises alone.  ``strikes`` must not
+    be empty.
     """
     strikes = _strike_array(strikes)
     _require(strikes.size > 0, "need at least one strike")
     sample = slices[0].sample
     _require(all(ctx.sample is sample for ctx in slices), "slices must share one LevySample")
-    config, model = sample.config, sample.model
-    tail = {"lrm": slice(None), "i1": slice(0, 1), "i2": slice(-1, None)}[part]
+    config = sample.config
     if mode is None:
         mode = MODE_DIRECT_SUM if strikes.size <= _DIRECT_SUM_MAX_STRIKES else MODE_FFT_GRID
-
-    # the kernel kinds the part reads, each at log K, and the strikes whose
-    # log-strikes the range checks cover: a Merton jump sum at log K is the
-    # sum of the I2 terms' sums at log(K s), each aliased unless inside
-    # +-pi/eta_s
-    if isinstance(model, MertonParams):
-        kinds = {"lrm": ["indicator", "jump"], "i1": ["indicator"], "i2": ["jump"]}[part]
-        reached = [strikes] if part != "i2" else []
-        if part != "i1":
-            reached += [strikes * term.strike for term in sample.terms]
-    else:
-        kinds, reached = ["jump"], [strikes]
+    # every kind, or the one of the part's column, and its rows of trunc
+    names = list(sample.kinds)
+    picked = [i for i, kind in enumerate(names) if part in ("lrm", _COLUMNS[kind])]
+    _require(picked, f"part {part!r} reads no kernel kind of the model")
+    read = slice(picked[0], picked[-1] + 1)
+    kinds = names[read]
 
     reach = sample.reach(strikes)
     plans = []
@@ -487,7 +484,7 @@ def evaluate_slices(
         extents = ctx.extents(shifts, rows)
         fine = int(shifts.min())
         points = (int(extents.max()) >> fine) + 1
-        trunc = ctx.trunc(strikes)[tail].max(axis=0)
+        trunc = ctx.trunc(strikes)[read].max(axis=0)
         plans.append(_SlicePlan(trunc, shifts, rows, extents, fine, points))
     # one sample, at the finest stride and over the longest span any slice
     # reads; a slice reads every 2^(s - top)-th of its points
@@ -501,17 +498,16 @@ def evaluate_slices(
 
     # one row per kind, slice and strike
     values = np.empty((len(kinds), len(slices), strikes.size))
-    if mode == MODE_FFT_GRID:
-        log_all, checked = np.log(np.concatenate(reached)), set()
     for i, (ctx, plan) in enumerate(zip(slices, plans)):
         worst = int(np.argmax(plan.trunc))
         _check_tail(config, float(plan.trunc[worst]), float(strikes[worst]), ctx.tau)
+        if i == 0 and plan.fine == 0:
+            # outside +-pi/eta a log(K f) is past every coarser edge, so its
+            # strike takes shift 0 in every slice: one check covers them all
+            zero = strikes[plan.shifts == 0]
+            reached = [zero * f for kind in kinds for f in sample.kinds[kind]]
+            checked_log_strikes(np.log(np.concatenate(reached)), config.eta)
         if mode == MODE_FFT_GRID:
-            # the range check the slice's grids make, made before the next
-            # slice's tail check; it depends on the stride alone
-            if plan.fine not in checked:
-                checked_log_strikes(log_all, config.eta * (1 << plan.fine))
-                checked.add(plan.fine)
             continue
         psi, factors = strided(plan.fine, plan.points)
         phi = levy_char_fn(psi, ctx.tau)
@@ -523,11 +519,7 @@ def evaluate_slices(
         for s in set(plan.shifts.tolist()):
             group = plan.shifts == s
             # math.log, not np.log: the two can differ in the last bit, and
-            # direct-sum values (single quotes, impact tables) stay
-            # bit-stable; a stride s >= 1 keeps every reached log-strike inside
-            if s == 0 and len(reached) > 1:
-                log_reached = [math.log(x) for array in reached for x in array[group].tolist()]
-                checked_log_strikes(log_reached, config.eta)
+            # direct-sum values (single quotes, impact tables) stay bit-stable
             log_k = [math.log(x) for x in strikes[group].tolist()]
             step = 1 << (s - plan.fine)
             view = samples[:, : (int(plan.extents[group].max()) >> s) * step + 1 : step]
@@ -541,13 +533,12 @@ def evaluate_slices(
         strides = np.array([1 << p.shifts for p in plans])
 
     # I1 = K X_indicator(log K), I2 = K X_jump(log K)
-    column = dict(zip(kinds, strikes * values))
-    i1, i2 = column.get("indicator"), column.get("jump")
+    column = {_COLUMNS[kind]: row for kind, row in zip(kinds, strikes * values)}
+    i1, i2 = column.get("i1"), column.get("i2")
     lrm_values = None
     if part == "lrm":
-        sigma2 = model.sigma**2 if isinstance(model, MertonParams) else 0.0
-        numerator = sigma2 * i1 + i2 if i1 is not None else i2
-        lrm_values = numerator / (sample.spot * (sigma2 + sample.mmm.quad_exp_moment))
+        numerator = sample.sigma2 * i1 + i2 if i1 is not None else i2
+        lrm_values = numerator / (sample.spot * (sample.sigma2 + sample.mmm.quad_exp_moment))
     trunc = np.array([p.trunc for p in plans])
     return SliceColumns(lrm_values, i1, i2, trunc, strides, mode)
 

@@ -236,7 +236,7 @@ def merton_prefix_tail(
     lead = -math.log(math.pi) + log_c1 + (alpha - 1.0) * math.log(spot)
     i1 = lead - b * a2 - math.log(2.0 * b) - 2.0 * log_a
     i2 = np.full(a.shape, -np.inf)
-    for term in merton_i2_terms(params, 1.0):
+    for term in merton_i2_terms(params):
         if term.coefficient == 0.0:
             continue
         log_coef = math.log(abs(term.coefficient)) + (1.0 - alpha) * math.log(term.strike)
@@ -284,7 +284,7 @@ class MertonAliasProfile:
         # (1+beta)^2 delta^2/2 (None for the call kind)
         self._terms = []
         itm = []
-        for term in merton_i2_terms(params, 1.0):
+        for term in merton_i2_terms(params):
             if term.coefficient == 0.0:
                 continue
             log_coef = math.log(abs(term.coefficient))
@@ -324,7 +324,7 @@ class I2Term(NamedTuple):
     kernel: str
 
 
-def merton_i2_terms(params: MertonParams, strike: float) -> tuple[I2Term, I2Term, I2Term]:
+def merton_i2_terms(params: MertonParams) -> tuple[I2Term, I2Term, I2Term]:
     """Split the jump term into three damped Fourier transforms:
 
         gamma e^{2m + 3 delta^2/2} f~(K e^{-m - delta^2})
@@ -332,12 +332,12 @@ def merton_i2_terms(params: MertonParams, strike: float) -> tuple[I2Term, I2Term
         + gamma (1 - e^{m + delta^2/2}) f(K),
 
     where f is the call-price transform built from psi2 and f~ the same
-    transform with the Gaussian-damped kernel.
+    transform with the Gaussian-damped kernel.  Each ``strike`` is the
+    term's strike factor, its shifted strike at K = 1.
     """
-    _require(strike > 0.0, "strike must be > 0")
     g, m, d2 = params.gamma, params.m, params.delta**2
     return (
-        I2Term(g * math.exp(2.0 * m + 1.5 * d2), strike * math.exp(-m - d2), KERNEL_DAMPED),
-        I2Term(-g * math.exp(m), strike * math.exp(-m), KERNEL_DAMPED),
-        I2Term(g * (1.0 - math.exp(m + 0.5 * d2)), strike, KERNEL_PLAIN),
+        I2Term(g * math.exp(2.0 * m + 1.5 * d2), math.exp(-m - d2), KERNEL_DAMPED),
+        I2Term(-g * math.exp(m), math.exp(-m), KERNEL_DAMPED),
+        I2Term(g * (1.0 - math.exp(m + 0.5 * d2)), 1.0, KERNEL_PLAIN),
     )

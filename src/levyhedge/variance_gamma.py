@@ -71,6 +71,11 @@ class CgmComponentPair:
     def components(self) -> tuple[CgmComponent, CgmComponent]:
         return (self.first, self.second)
 
+    def drift(self, mu_star: float) -> float:
+        """mu* less both components' means: the drift of Psi once each
+        component's compensator -int x nu_comp(dx) is taken out."""
+        return mu_star - self.first.linear_moment() - self.second.linear_moment()
+
 
 def vg_mmm_measure(params: VgParams, h: float) -> CgmComponentPair:
     """Tilted measure (1 - h(e^x - 1)) nu = (1+h) nu - h e^x nu.
@@ -154,9 +159,7 @@ class VgContourLogs:
         first, second = mmm.components
         out = -first.C * (self.log_p1 - math.log(first.G * first.M))
         out = out - second.C * (self.log_p2 - math.log(second.G * second.M))
-        # compensators of the components: -int x nu_comp(dx)
-        drift = mu_star - first.linear_moment() - second.linear_moment()
-        return out + self.iz * drift
+        return out + self.iz * mmm.drift(mu_star)
 
 
 def vg_c2(
@@ -176,11 +179,9 @@ def vg_c2(
     if tau < 0.0:
         raise InvalidParameterError("tau must be >= 0")
     log_c2 = 0.0
-    drift = mu_star
     for comp in mmm.components:
         log_c2 += tau * comp.C * math.log(comp.G * comp.M)
-        drift -= comp.linear_moment()
-    log_c2 += tau * alpha * drift
+    log_c2 += tau * alpha * mmm.drift(mu_star)
     if log_c2 > _EXP_GUARD:
         raise OverflowGuardError(f"C2 exponent {log_c2:.3g} exceeds {_EXP_GUARD:g}")
     return math.exp(log_c2)
@@ -214,11 +215,10 @@ class VgAliasProfile:
         self.beta = beta = alpha - 1.0 + ALIAS_RATES[ALIAS_RATES < M - 1.0 - alpha]
         p = 1.0 + beta
         log_mgf = 0.0
-        drift = mmm.mu_star
-        for comp in vg_mmm_measure(params, mmm.h).components:
+        pair = vg_mmm_measure(params, mmm.h)
+        for comp in pair.components:
             log_mgf = log_mgf - comp.C * (np.log1p(p / comp.G) + np.log1p(-p / comp.M))
-            drift -= comp.linear_moment()
-        self._rate = log_mgf + p * drift
+        self._rate = log_mgf + p * pair.drift(mmm.mu_star)
 
         def log_kernel(b):
             # log of C [log((M-1-b)/(M-2-b)) + log((G+2+b)/(G+1+b))]

@@ -450,7 +450,7 @@ def test_black_scholes_degenerate_case(fft_bench):
 def _kind_terms(model):
     """(kind, coefficient, strike shift) of each transform: I1, then I2's three."""
     terms = [("indicator", 1.0, 1.0)]
-    for term in merton_i2_terms(model, 1.0):
+    for term in merton_i2_terms(model):
         kind = "damped" if term.kernel == "damped" else "call"
         terms.append((kind, term.coefficient, term.strike))
     return terms
@@ -729,6 +729,35 @@ def test_extreme_strikes_still_accepted(merton_bench, fft_bench):
         assert res.stride == stride and math.isfinite(res.lrm)
     with pytest.raises(InvalidParameterError, match="outside the representable range"):
         lrm(_q(0.5, math.exp(edge + 1e-9)), merton_bench, fft_bench)
+
+
+def test_one_log_strike_range_rule(fft_bench):
+    # the I2 terms shift log K up by 0.26 and 0.3: past +-pi/eta a strike
+    # takes stride 0 in every slice, and every path and slice count
+    # refuses it alike, naming its first outside log-strike, log K + 0.26
+    model = MertonParams(mu=-0.1, sigma=0.2, gamma=1.0, m=-0.3, delta=0.2)
+    edge = math.pi / fft_bench.eta
+    sample = LevySample(model, fft_bench, 1.0)
+    slices = [TransformContext(sample, tau) for tau in (0.5, 0.25)]
+
+    def calls(strike):
+        sweep = [0.9, 1.0, 1.1, 1.2, strike]
+        return (
+            lambda: [lrm(_q(0.5, strike), model, fft_bench).lrm],
+            lambda: [i2(_q(0.5, strike), model, fft_bench)],
+            lambda: [r.lrm for r in lrm_strike_sweep(
+                model, fft_bench, t=0.5, T=1.0, spot=1.0, strikes=sweep)],
+            lambda: evaluate_slices(slices, [1.0, strike]).lrm.ravel().tolist(),
+            lambda: evaluate_slices(slices, sweep).lrm.ravel().tolist(),
+        )
+
+    strike = math.exp(edge - 0.15)
+    for call in calls(strike):
+        with pytest.raises(InvalidParameterError, match=r"log-strike 125\.774 outside"):
+            call()
+    assert math.isfinite(i1(_q(0.5, strike), model, fft_bench))
+    for call in calls(math.exp(edge - 0.5)):
+        assert all(math.isfinite(x) for x in call())
 
 
 def test_strided_samples_match_fresh(merton_bench, nikkei, fft_bench):

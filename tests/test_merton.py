@@ -162,7 +162,7 @@ def test_trunc_i2_tail_below_eps(merton_bench):
 
 
 def test_i2_terms_benchmark_values(merton_bench):
-    terms = list(merton_i2_terms(merton_bench, 1.0))
+    terms = list(merton_i2_terms(merton_bench))
     coefs = [t.coefficient for t in terms]
     strikes = [t.strike for t in terms]
     kinds = [t.kernel for t in terms]
@@ -184,7 +184,7 @@ def test_jump_factor_is_the_shifted_terms_at_log_k(merton_bench, random_merton_m
         _, factors = sample.sample(0, fft_bench.n)
         call = factors["indicator"] / iz
         terms = []
-        for term in merton_i2_terms(model, 1.0):
+        for term in merton_i2_terms(model):
             shift = np.exp((1.0 - iz) * math.log(term.strike))
             if term.kernel == KERNEL_DAMPED:
                 shift = shift * np.exp(-0.5 * model.delta**2 * zeta * zeta)
@@ -198,7 +198,7 @@ def test_jump_factor_is_the_shifted_terms_at_log_k(merton_bench, random_merton_m
 
 def test_i2_terms_gamma_zero():
     model = MertonParams(mu=-0.02, sigma=0.2, gamma=0.0, m=0.0, delta=1.0)
-    assert all(t.coefficient == 0.0 for t in merton_i2_terms(model, 1.0))
+    assert all(t.coefficient == 0.0 for t in merton_i2_terms(model))
 
 
 def test_overflow_guard(merton_bench):
