@@ -4,11 +4,14 @@
 and error lines of ``levyhedge curve``, ``validate`` and ``impact``
 (timing lines dropped), on the named parameter sets and seeded samplers
 of ``tests/conftest.py``.  An error counts as its type and message.  Two
-checkouts that print the same digest give the same bits.
+checkouts that print the same digest give the same bits.  ``--dump PATH``
+also writes each hashed record to PATH as one ``label repr`` line, so two
+checkouts' dumps can be diffed to see which records moved.
 
-    python tools/output_digest.py
+    python tools/output_digest.py [--dump PATH]
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -31,6 +34,7 @@ CONFIG = FftConfig(n=2**14, eta=0.025, alpha=1.75, eps=1e-2)  # the fft_bench fi
 EDGE = [math.exp(s * (math.pi / CONFIG.eta - d)) for s in (1, -1) for d in (0.05, 0.5, 1.5)]
 MONEYNESS = [[1.0], [0.8, 1.0, 1.25], np.linspace(0.6, 1.4, 29), np.linspace(0.5, 2.0, 1000)]
 digest = hashlib.sha256()
+lines = []
 
 
 def record(label, call):
@@ -38,7 +42,8 @@ def record(label, call):
         out = call()
     except LevyHedgeError as exc:
         out = f"{type(exc).__name__}: {exc}"
-    digest.update(f"{label} {out!r}\n".encode())
+    lines.append(f"{label} {out!r}\n")
+    digest.update(lines[-1].encode())
 
 
 def cli(text):
@@ -53,6 +58,10 @@ def cli(text):
         code = main(argv)
     return code, out.getvalue(), [x for x in err.getvalue().splitlines() if x.startswith("error:")]
 
+
+parser = argparse.ArgumentParser(description="sha256 over this checkout's outputs")
+parser.add_argument("--dump", metavar="PATH", help="also write each hashed record to PATH")
+args = parser.parse_args()
 
 rngs = np.random.default_rng(20240211), np.random.default_rng(20240212)
 models = [
@@ -96,4 +105,6 @@ for keys in CLI_MODELS:
             cli(f"impact {keys} query.t=0.5 query.strike=1.1 {extra}"),
         ])
 record("bad kind", lambda: cli("validate model.kind=unknown"))
+if args.dump:
+    Path(args.dump).write_text("".join(lines), encoding="utf-8")
 print(digest.hexdigest())
