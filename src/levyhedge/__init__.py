@@ -57,15 +57,12 @@ from .merton import (
     merton_c1,
     merton_exponent,
     merton_i2_terms,
-    merton_trunc_i1,
-    merton_trunc_i2,
 )
 from .variance_gamma import (
     CgmComponent,
     CgmComponentPair,
     vg_c2,
     vg_mmm_measure,
-    vg_trunc,
 )
 
 __version__ = "0.1.0"

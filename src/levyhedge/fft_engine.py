@@ -316,6 +316,16 @@ def direct_simpson_sum(
     return np.reshape(np.exp(-alpha * flat) / math.pi * sums.real, psi.shape[:-1] + k.shape)
 
 
+def truncation_points(laws, eps: float, strikes, spot: float, alpha: float) -> np.ndarray:
+    """The frequency a past which a bound's tail stays below eps, one row
+    per law (log L, p) and one column per strike: a^p = L K^{1-alpha}
+    S^alpha / eps, taken in logs so that no factor overflows (log L = -inf
+    gives a = 0)."""
+    log_l, power = np.asarray(laws, dtype=float).T[:, :, None]
+    shared = (1.0 - alpha) * np.log(strikes) + (alpha * math.log(spot) - math.log(eps))
+    return np.exp((log_l + shared) / power)
+
+
 def tail_condition_check(config: FftConfig, trunc_a: float) -> bool:
     """True iff the grid span N*eta covers the eps-sufficient truncation
     point (inclusive boundary, matching the <= in the bound statements)."""

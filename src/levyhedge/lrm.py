@@ -104,6 +104,7 @@ from .fft_engine import (
     direct_simpson_sum,
     row_layout,
     tail_condition_check,
+    truncation_points,
 )
 from .merton import (
     MertonAliasProfile,
@@ -112,15 +113,14 @@ from .merton import (
     merton_i2_terms,
     merton_log_c1,
     merton_prefix_tail,
-    merton_trunc_i1,
-    merton_trunc_i2,
+    merton_trunc_laws,
 )
 from .variance_gamma import (
     VgAliasProfile,
     VgContourLogs,
-    vg_c2,
+    vg_log_c2,
     vg_mmm_measure,
-    vg_trunc,
+    vg_trunc_law,
 )
 
 MODE_FFT_GRID = "fft-grid"
@@ -265,7 +265,9 @@ class LevySample:
 class TransformContext:
     """One time slice of a :class:`LevySample`: its tau and its bounds,
     for all its strikes at once: the frequency truncation points (I1, I2)
-    for Merton or (I2,) for variance gamma (:meth:`trunc`), and each
+    for Merton or (I2,) for variance gamma (:meth:`trunc`, one
+    ``truncation_points`` call on the laws the slice takes from log C1 or
+    log C2 when it is built), and each
     strike's grid: a stride 2^s over the configured grid and the rows of
     the direct-sum layout of its n / 2^s points it sums
     (:meth:`strided_rows`).
@@ -294,27 +296,23 @@ class TransformContext:
         # grid, and it fires before the C1 guard
         levy_char_fn(sample.psi0, tau)
         _require(tau >= TAU_MIN, f"tau must be >= {TAU_MIN:g}")
-        model, mmm, config = sample.model, sample.mmm, sample.config
+        model, mmm, alpha = sample.model, sample.mmm, sample.config.alpha
         if isinstance(model, MertonParams):
-            self._log_c1 = merton_log_c1(model, mmm, tau, config.alpha)
-            self.envelope = math.exp(self._log_c1)
+            self._log_c1 = merton_log_c1(model, mmm, tau, alpha)
+            self._laws = merton_trunc_laws(model, self._log_c1, tau, alpha)
         else:
             # no prefix certificate: every strike sums every row
             self._log_c1 = None
-            self.envelope = vg_c2(model, sample.pair, mmm.mu_star, tau, config.alpha)
+            log_c2 = vg_log_c2(model, sample.pair, mmm.mu_star, tau, alpha)
+            self._laws = (vg_trunc_law(model, log_c2, tau, alpha),)
         # stride 2^s, s >= 1, needs log(K/S) >= _alias_floors[s - 1]
         self._alias_floors = sample.floors(sample.alias.log_right(tau))
 
     def trunc(self, strikes: np.ndarray) -> np.ndarray:
         """Truncation points, one row per bound ((I1, I2) or (I2,)) and one
-        column per strike."""
+        column per strike: :func:`truncation_points` of the slice's laws."""
         sample, config = self.sample, self.sample.config
-        args = (config.eps, self.tau, strikes, sample.spot, config.alpha, self.envelope)
-        if isinstance(sample.model, MertonParams):
-            return np.stack(
-                (merton_trunc_i1(*args, sample.model), merton_trunc_i2(*args, sample.model))
-            )
-        return np.stack((vg_trunc(*args, sample.model),))
+        return truncation_points(self._laws, config.eps, strikes, sample.spot, config.alpha)
 
     def rows(self, strikes: np.ndarray) -> np.ndarray:
         """Rows of the configured grid's direct-sum layout each strike sums."""

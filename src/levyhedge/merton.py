@@ -10,7 +10,8 @@ strikes, two carrying a Gaussian factor exp(-delta^2 z^2 / 2)
 (``merton_i2_terms``), which the bounds take one by one.  The module
 also provides the envelope constant
 C1 with |phi_tau(v - i alpha)| <= C1 exp(-sigma^2 v^2 tau / 2), the
-frequency truncation points derived from it, the aliasing constants, and
+truncation laws derived from it (the frequency truncation points are
+``fft_engine.truncation_points`` of those laws), the aliasing constants, and
 the tail bound that stops each time slice's sums where the dropped
 samples fall below rounding.  The mixture's density and the
 characteristic function of a horizon tau live in ``levyhedge.oracle``,
@@ -26,13 +27,11 @@ import numpy as np
 
 from .core import (  # noqa: F401  (ROUNDING: re-exported next to the prefix tail)
     ROUNDING,
-    TAU_MIN,
     InvalidParameterError,
     MertonParams,
     MmmQuantities,
     OverflowGuardError,
     _EXP_GUARD,
-    _require,
 )
 from .fft_engine import ALIAS_RATES
 
@@ -40,7 +39,6 @@ KERNEL_PLAIN = "call"
 KERNEL_DAMPED = "damped"
 
 ComplexLike = Union[complex, np.ndarray]
-FloatLike = Union[float, np.ndarray]
 
 
 def _check_contour(zeta: np.ndarray) -> None:
@@ -134,66 +132,27 @@ def _mgf_rate(params: MertonParams, mmm: MmmQuantities, p, exp):
     )
 
 
-def merton_trunc_i1(
-    eps: float,
-    tau: float,
-    strike: FloatLike,
-    spot: float,
-    alpha: float,
-    c1: float,
-    params: MertonParams,
-) -> FloatLike:
-    """Smallest frequency a with the stock-or-nothing tail below eps.
+def merton_trunc_laws(
+    params: MertonParams, log_c1: float, tau: float, alpha: float
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Truncation laws (log L, p) of I1 and I2 for
+    :func:`levyhedge.fft_engine.truncation_points`, from log C1
+    (:func:`merton_log_c1`): I1 has L = C1 / (pi sigma^4 tau^2) and p = 4,
+    I2 has L = 4 C1 gamma B / (5 pi sigma^4 tau^2) and p = 5 (log L = -inf
+    at gamma = 0), where
 
-    Closed form of the quartic sufficient condition
-
-        (K/pi (K/S)^{-alpha} C1)^{1/4} / (sigma sqrt(tau) eps^{1/4}) <= a.
-
-    Returned as the exact equality point; rounding up to a grid multiple
-    is the caller's job.  ``strike`` may be an array (one point per strike).
+        B = e^{(alpha+1)m + (alpha^2/2 + alpha + 1/2) delta^2}
+            + e^{m alpha + delta^2 alpha^2 / 2} + |1 - e^{m + delta^2/2}|.
     """
-    _require(eps > 0.0, "eps must be > 0")
-    _require(tau >= TAU_MIN, f"tau must be >= {TAU_MIN:g}")
-    lead = strike / math.pi * (strike / spot) ** (-alpha) * c1
-    return lead**0.25 / (params.sigma * math.sqrt(tau) * eps**0.25)
-
-
-def merton_trunc_i2(
-    eps: float,
-    tau: float,
-    strike: FloatLike,
-    spot: float,
-    alpha: float,
-    c1: float,
-    params: MertonParams,
-) -> FloatLike:
-    """Smallest frequency a with the jump-term tail below eps (quintic law):
-
-        a^5 >= 4 C1 gamma K (K/S)^{-alpha} B / (5 pi sigma^4 tau^2 eps),
-
-    B = e^{(alpha+1)m + (alpha^2/2 + alpha + 1/2) delta^2}
-        + e^{m alpha + delta^2 alpha^2 / 2} + |1 - e^{m + delta^2/2}|.
-
-    ``strike`` may be an array (one point per strike).
-    """
-    _require(eps > 0.0, "eps must be > 0")
-    _require(tau >= TAU_MIN, f"tau must be >= {TAU_MIN:g}")
     m, d2, a = params.m, params.delta**2, alpha
     bracket = (
         math.exp((a + 1.0) * m + (0.5 * a * a + a + 0.5) * d2)
         + math.exp(m * a + 0.5 * d2 * a * a)
         + abs(1.0 - math.exp(m + 0.5 * d2))
     )
-    rhs = (
-        4.0
-        * c1
-        * params.gamma
-        * strike
-        * (strike / spot) ** (-a)
-        * bracket
-        / (5.0 * math.pi * params.sigma**4 * tau**2 * eps)
-    )
-    return rhs ** (1.0 / 5.0)
+    log_i1 = log_c1 - math.log(math.pi) - 4.0 * math.log(params.sigma) - 2.0 * math.log(tau)
+    log_i2 = log_i1 + math.log(0.8 * params.gamma * bracket) if params.gamma > 0.0 else -math.inf
+    return (log_i1, 4.0), (log_i2, 5.0)
 
 
 def merton_prefix_tail(

@@ -7,7 +7,8 @@ times the jump kernel less the first exponential moment, since the
 transform is linear.  ``VgContourLogs`` takes the exponent and the
 kernel from the logs of two products of bases, two complex logs per
 contour point.  The decay envelope here is polynomial,
-C2 |v|^{-2 C tau}, which drives the truncation solver.  The densities,
+C2 |v|^{-2 C tau}, which gives the truncation law (``vg_trunc_law``; the
+points are ``fft_engine.truncation_points`` of it).  The densities,
 the kernel at arbitrary zeta and the characteristic function of a
 horizon tau live in ``levyhedge.oracle``, which checks them against
 quadrature.
@@ -27,7 +28,6 @@ from typing import Union
 import numpy as np
 
 from .core import (
-    TAU_MIN,
     BranchCutError,
     InvalidParameterError,
     MmmQuantities,
@@ -173,9 +173,15 @@ def vg_c2(
 
         |phi_tau(v - i alpha)| <= C2 |v|^{-2 C tau},
 
-    C2 = prod (G_j M_j)^{w_j tau} * exp{tau alpha (mu* + sum of means)},
-    refused when its log exceeds the exp() guard.
+    C2 = prod (G_j M_j)^{w_j tau} * exp{tau alpha (mu* + sum of means)}.
     """
+    return math.exp(vg_log_c2(params, mmm, mu_star, tau, alpha))
+
+
+def vg_log_c2(
+    params: VgParams, mmm: CgmComponentPair, mu_star: float, tau: float, alpha: float
+) -> float:
+    """log C2 (see :func:`vg_c2`), refused above the exp() guard."""
     if tau < 0.0:
         raise InvalidParameterError("tau must be >= 0")
     log_c2 = 0.0
@@ -184,7 +190,21 @@ def vg_c2(
     log_c2 += tau * alpha * mmm.drift(mu_star)
     if log_c2 > _EXP_GUARD:
         raise OverflowGuardError(f"C2 exponent {log_c2:.3g} exceeds {_EXP_GUARD:g}")
-    return math.exp(log_c2)
+    return log_c2
+
+
+def vg_trunc_law(params: VgParams, log_c2: float, tau: float, alpha: float) -> tuple[float, float]:
+    """Truncation law (log L, p) of I2 for
+    :func:`levyhedge.fft_engine.truncation_points`, from log C2
+    (:func:`vg_log_c2`): p = 2 C tau + 1 and
+
+        L = C C2 [1/(G+alpha) + 1/(M-alpha-1) + |log(MG/((M-1)(G+1)))|] / (pi p),
+
+    where M > 4 (:func:`vg_mmm_measure`) keeps M - alpha - 1 > 1."""
+    c, g, m = params.C, params.G, params.M
+    p = 2.0 * c * tau + 1.0
+    bracket = 1.0 / (g + alpha) + 1.0 / (m - alpha - 1.0) + abs(cgm_exp_moment(c, g, m)) / c
+    return log_c2 + math.log(c * bracket / (math.pi * p)), p
 
 
 class VgAliasProfile:
@@ -237,41 +257,3 @@ class VgAliasProfile:
         log_mgf = tau * self._rate
         log_right = np.logaddexp(log_mgf + self._log_kernel, self._log_constant + log_mgf)
         return [log_right, log_right - self._log_quad]
-
-
-def vg_trunc(
-    eps: float,
-    tau: float,
-    strike: Union[float, np.ndarray],
-    spot: float,
-    alpha: float,
-    c2: float,
-    params: VgParams,
-) -> Union[float, np.ndarray]:
-    """Smallest frequency a with the jump-term tail below eps:
-
-        a^{2 C tau + 1} >= C C2 K^{1-alpha} S^alpha
-                           [1/(G+alpha) + 1/(M-alpha-1) + |log(MG/((M-1)(G+1)))|]
-                           / (pi eps (2 C tau + 1)).
-
-    ``strike`` may be an array (one point per strike).
-    """
-    _require(eps > 0.0, "eps must be > 0")
-    _require(tau >= TAU_MIN, f"tau must be >= {TAU_MIN:g}")
-    c, g, m = params.C, params.G, params.M
-    _require(m - alpha - 1.0 > 0.0, "need M > alpha + 1")
-    p = 2.0 * c * tau + 1.0
-    bracket = (
-        1.0 / (g + alpha)
-        + 1.0 / (m - alpha - 1.0)
-        + abs(cgm_exp_moment(c, g, m)) / c
-    )
-    rhs = (
-        c
-        * c2
-        * strike ** (1.0 - alpha)
-        * spot**alpha
-        * bracket
-        / (math.pi * eps * p)
-    )
-    return rhs ** (1.0 / p)

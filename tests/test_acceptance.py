@@ -15,16 +15,11 @@ from levyhedge import (
     lrm_by_moneyness,
     lrm_strike_sweep,
     martingale_drift,
-    merton_c1,
-    merton_trunc_i1,
-    merton_trunc_i2,
     mmm_quantities,
     trapezoid_weights,
-    vg_c2,
     vg_mmm_measure,
-    vg_trunc,
 )
-from levyhedge.lrm import MODE_FFT_GRID, MoneynessQuery
+from levyhedge.lrm import MODE_FFT_GRID, LevySample, MoneynessQuery, TransformContext
 from levyhedge.oracle import (
     i1_tail_mass,
     i2_tail_mass,
@@ -104,17 +99,10 @@ def test_criterion_2_fft_correctness():
     assert weights_ok
 
 
-def _merton_bounds(model, mm, tau, strike, spot):
-    c1 = merton_c1(model, mm, tau, ALPHA)
-    return (
-        merton_trunc_i1(EPS, tau, strike, spot, ALPHA, c1, model),
-        merton_trunc_i2(EPS, tau, strike, spot, ALPHA, c1, model),
-    )
-
-
-def _vg_bound(model, mm, pair, tau, strike, spot):
-    c2 = vg_c2(model, pair, mm.mu_star, tau, ALPHA)
-    return vg_trunc(EPS, tau, strike, spot, ALPHA, c2, model)
+def _bounds(model, tau, strike, spot):
+    # the slice's truncation points of one strike: (I1, I2) or (I2,)
+    config = FftConfig(n=2**14, eta=0.025, alpha=ALPHA, eps=EPS)
+    return tuple(TransformContext(LevySample(model, config, spot), tau).trunc([strike])[:, 0])
 
 
 def test_criterion_3_truncation_reproduction(merton_bench, vg_bench, nikkei):
@@ -122,47 +110,38 @@ def test_criterion_3_truncation_reproduction(merton_bench, vg_bench, nikkei):
     k_grid = [1.0 + 0.25 * i for i in range(29)]
     worst = 0.0
 
-    mm_m = mmm_quantities(merton_bench)
     for t in t_grid:
-        worst = max(worst, *_merton_bounds(merton_bench, mm_m, 1.0 - t, 1.0, 1.0))
+        worst = max(worst, *_bounds(merton_bench, 1.0 - t, 1.0, 1.0))
     for strike in k_grid:
-        worst = max(worst, *_merton_bounds(merton_bench, mm_m, 0.5, strike, 1.0))
+        worst = max(worst, *_bounds(merton_bench, 0.5, strike, 1.0))
 
-    mm_v = mmm_quantities(vg_bench)
-    pair_v = vg_mmm_measure(vg_bench, mm_v.h)
     for t in t_grid:
-        worst = max(worst, _vg_bound(vg_bench, mm_v, pair_v, 1.0 - t, 1.0, 1.0))
+        worst = max(worst, *_bounds(vg_bench, 1.0 - t, 1.0, 1.0))
     for strike in k_grid:
-        worst = max(worst, _vg_bound(vg_bench, mm_v, pair_v, 0.5, strike, 1.0))
+        worst = max(worst, *_bounds(vg_bench, 0.5, strike, 1.0))
 
-    mm_n = mmm_quantities(nikkei)
-    pair_n = vg_mmm_measure(nikkei, mm_n.h)
     for strike in range(10000, 21000, 1000):
-        worst = max(
-            worst, _vg_bound(nikkei, mm_n, pair_n, 0.5, float(strike), NIKKEI_SPOT)
-        )
+        worst = max(worst, *_bounds(nikkei, 0.5, float(strike), NIKKEI_SPOT))
 
     bounds_ok = worst <= SPAN
 
     # numerically integrated tails beyond the solved thresholds
     tails = []
     q_m = MarketQuery(t=0.5, T=1.0, spot=1.0, strike=1.0)
-    a1, a2 = _merton_bounds(merton_bench, mm_m, 0.5, 1.0, 1.0)
+    a1, a2 = _bounds(merton_bench, 0.5, 1.0, 1.0)
     tails.append(i1_tail_mass(a1, q_m, merton_bench, ALPHA))
     tails.append(i2_tail_mass(a2, q_m, merton_bench, ALPHA))
     q_m_short = MarketQuery(t=0.95, T=1.0, spot=1.0, strike=1.0)
-    b1, b2 = _merton_bounds(merton_bench, mm_m, 0.05, 1.0, 1.0)
+    b1, b2 = _bounds(merton_bench, 0.05, 1.0, 1.0)
     tails.append(i1_tail_mass(b1, q_m_short, merton_bench, ALPHA))
     tails.append(i2_tail_mass(b2, q_m_short, merton_bench, ALPHA))
     q_v = MarketQuery(t=0.5, T=1.0, spot=1.0, strike=1.0)
     tails.append(
-        i2_tail_mass(_vg_bound(vg_bench, mm_v, pair_v, 0.5, 1.0, 1.0), q_v, vg_bench, ALPHA)
+        i2_tail_mass(_bounds(vg_bench, 0.5, 1.0, 1.0)[0], q_v, vg_bench, ALPHA)
     )
     q_n = MarketQuery(t=0.5, T=1.0, spot=NIKKEI_SPOT, strike=14000.0)
     tails.append(
-        i2_tail_mass(
-            _vg_bound(nikkei, mm_n, pair_n, 0.5, 14000.0, NIKKEI_SPOT), q_n, nikkei, ALPHA
-        )
+        i2_tail_mass(_bounds(nikkei, 0.5, 14000.0, NIKKEI_SPOT)[0], q_n, nikkei, ALPHA)
     )
     tails_ok = max(tails) < EPS
 

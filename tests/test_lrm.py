@@ -24,8 +24,12 @@ from levyhedge import (
     lrm,
     lrm_by_moneyness,
     lrm_strike_sweep,
+    merton_c1,
+    mmm_quantities,
+    vg_c2,
+    vg_mmm_measure,
 )
-from levyhedge.core import levy_char_fn
+from levyhedge.core import cgm_exp_moment, levy_char_fn
 from levyhedge.fft_engine import (
     alias_log_factor,
     coarsest_shift,
@@ -434,6 +438,54 @@ def test_trunc_bound_echo(merton_bench, nikkei, fft_bench):
     assert res.trunc_a == pytest.approx(26.07, abs=0.05)
     res_n = lrm(_q(0.5, 14000.0, spot=NIKKEI_SPOT), nikkei, fft_bench)
     assert res_n.trunc_a == pytest.approx(188.7, abs=0.5)
+
+
+def _closed_form_trunc(model, tau, strikes, spot, config):
+    # the linear-space closed forms of the three truncation laws, as stated
+    # before they became one law in logs: (I1, I2) for Merton, (I2,) for VG
+    eps, alpha = config.eps, config.alpha
+    mm = mmm_quantities(model)
+    if isinstance(model, MertonParams):
+        c1 = merton_c1(model, mm, tau, alpha)
+        lead = strikes / math.pi * (strikes / spot) ** (-alpha) * c1
+        a1 = lead**0.25 / (model.sigma * math.sqrt(tau) * eps**0.25)
+        m, d2, a = model.m, model.delta**2, alpha
+        bracket = (
+            math.exp((a + 1.0) * m + (0.5 * a * a + a + 0.5) * d2)
+            + math.exp(m * a + 0.5 * d2 * a * a)
+            + abs(1.0 - math.exp(m + 0.5 * d2))
+        )
+        rhs = (
+            4.0 * c1 * model.gamma * strikes * (strikes / spot) ** (-a) * bracket
+            / (5.0 * math.pi * model.sigma**4 * tau**2 * eps)
+        )
+        return np.stack((a1, rhs ** (1.0 / 5.0)))
+    c, g, m = model.C, model.G, model.M
+    c2 = vg_c2(model, vg_mmm_measure(model, mm.h), mm.mu_star, tau, alpha)
+    p = 2.0 * c * tau + 1.0
+    bracket = 1.0 / (g + alpha) + 1.0 / (m - alpha - 1.0) + abs(cgm_exp_moment(c, g, m)) / c
+    rhs = c * c2 * strikes ** (1.0 - alpha) * spot**alpha * bracket / (math.pi * eps * p)
+    return np.stack((rhs ** (1.0 / p),))
+
+
+def test_truncation_law_matches_closed_forms(
+    merton_bench, vg_bench, nikkei, random_merton_models, random_vg_models, fft_bench
+):
+    # one law in logs, a^p = L K^{1-alpha} S^alpha / eps, gives every bound
+    # of the linear-space closed forms to rounding, on 53 models
+    cases = [(merton_bench, 1.0), (vg_bench, 1.0), (nikkei, NIKKEI_SPOT)]
+    cases += [(model, 1.0) for model in random_merton_models + random_vg_models]
+    cells = 0
+    for model, spot in cases:
+        sample = LevySample(model, fft_bench, spot)
+        strikes = spot * np.array([0.5, 1.0, 2.0])
+        for tau in (0.05, 0.5, 1.0):
+            got = TransformContext(sample, tau).trunc(strikes)
+            want = _closed_form_trunc(model, tau, strikes, spot, fft_bench)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+            cells += got.size
+    assert cells == 3 * 3 * (2 * 26 + 27)
 
 
 def test_black_scholes_degenerate_case(fft_bench):

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from levyhedge import (
+    FftConfig,
     LevySample,
     MarketQuery,
     MertonParams,
     OverflowGuardError,
+    TransformContext,
     merton_c1,
     merton_i2_terms,
-    merton_trunc_i1,
-    merton_trunc_i2,
     mmm_quantities,
 )
 from levyhedge.merton import KERNEL_DAMPED, KERNEL_PLAIN
@@ -113,51 +113,45 @@ def test_c1_benchmark_value(merton_bench):
     assert c1 == pytest.approx(3.8495, abs=1e-3)
 
 
+def _trunc(model, tau, strike, eps=EPS, spot=1.0):
+    # the slice's truncation points (I1, I2) of one strike
+    config = FftConfig(n=2**14, eta=0.025, alpha=ALPHA, eps=eps)
+    return TransformContext(LevySample(model, config, spot), tau).trunc([strike])[:, 0]
+
+
 def test_trunc_i1_benchmark_bound(merton_bench):
-    mm = mmm_quantities(merton_bench)
-    c1 = merton_c1(merton_bench, mm, 0.5, ALPHA)
-    a = merton_trunc_i1(EPS, 0.5, 1.0, 1.0, ALPHA, c1, merton_bench)
+    a = _trunc(merton_bench, 0.5, 1.0)[0]
     assert a <= 409.6
     assert a == pytest.approx(23.53, abs=0.05)
 
 
 def test_trunc_i1_eps_quarter_power(merton_bench):
-    mm = mmm_quantities(merton_bench)
-    c1 = merton_c1(merton_bench, mm, 0.5, ALPHA)
-    a1 = merton_trunc_i1(EPS, 0.5, 1.0, 1.0, ALPHA, c1, merton_bench)
-    a2 = merton_trunc_i1(16.0 * EPS, 0.5, 1.0, 1.0, ALPHA, c1, merton_bench)
+    a1 = _trunc(merton_bench, 0.5, 1.0)[0]
+    a2 = _trunc(merton_bench, 0.5, 1.0, eps=16.0 * EPS)[0]
     assert a2 == pytest.approx(0.5 * a1, rel=1e-12)
 
 
 def test_trunc_i1_tail_below_eps(merton_bench):
-    mm = mmm_quantities(merton_bench)
-    c1 = merton_c1(merton_bench, mm, 0.5, ALPHA)
     query = MarketQuery(t=0.5, T=1.0, spot=1.0, strike=2.0)
-    a = merton_trunc_i1(EPS, 0.5, 2.0, 1.0, ALPHA, c1, merton_bench)
+    a = _trunc(merton_bench, 0.5, 2.0)[0]
     assert i1_tail_mass(a, query, merton_bench, ALPHA) < EPS
 
 
 def test_trunc_i2_benchmark_bound(merton_bench):
-    mm = mmm_quantities(merton_bench)
-    c1 = merton_c1(merton_bench, mm, 0.5, ALPHA)
-    a = merton_trunc_i2(EPS, 0.5, 1.0, 1.0, ALPHA, c1, merton_bench)
+    a = _trunc(merton_bench, 0.5, 1.0)[1]
     assert a <= 409.6
     assert a == pytest.approx(26.07, abs=0.05)
 
 
 def test_trunc_i2_eps_fifth_power(merton_bench):
-    mm = mmm_quantities(merton_bench)
-    c1 = merton_c1(merton_bench, mm, 0.5, ALPHA)
-    a1 = merton_trunc_i2(EPS, 0.5, 1.0, 1.0, ALPHA, c1, merton_bench)
-    a2 = merton_trunc_i2(32.0 * EPS, 0.5, 1.0, 1.0, ALPHA, c1, merton_bench)
+    a1 = _trunc(merton_bench, 0.5, 1.0)[1]
+    a2 = _trunc(merton_bench, 0.5, 1.0, eps=32.0 * EPS)[1]
     assert a2 == pytest.approx(0.5 * a1, rel=1e-12)
 
 
 def test_trunc_i2_tail_below_eps(merton_bench):
-    mm = mmm_quantities(merton_bench)
-    c1 = merton_c1(merton_bench, mm, 0.5, ALPHA)
     query = MarketQuery(t=0.5, T=1.0, spot=1.0, strike=1.0)
-    a = merton_trunc_i2(EPS, 0.5, 1.0, 1.0, ALPHA, c1, merton_bench)
+    a = _trunc(merton_bench, 0.5, 1.0)[1]
     assert i2_tail_mass(a, query, merton_bench, ALPHA) < EPS
 
 

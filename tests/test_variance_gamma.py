@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,18 +8,18 @@ from levyhedge import (
     BranchCutError,
     FftConfig,
     MarketQuery,
+    OverflowGuardError,
     VgParams,
     lrm,
     mmm_quantities,
     vg_c2,
     vg_mmm_measure,
-    vg_trunc,
 )
 from conftest import NIKKEI_SPOT
 from levyhedge import variance_gamma
 from levyhedge.core import cgm_exp_moment
 from levyhedge.fft_engine import direct_simpson_sum
-from levyhedge.lrm import LevySample
+from levyhedge.lrm import LevySample, TransformContext
 from levyhedge.oracle import levy_moment, lk_char_fn, vg_char_fn, vg_exponent, vg_kernel
 from levyhedge.variance_gamma import VgContourLogs
 
@@ -255,30 +256,27 @@ def test_c2_small_tau_limit(vg_bench):
     assert vg_c2(vg_bench, pair, mm.mu_star, 0.0, ALPHA) == 1.0
 
 
+def _trunc(model, tau, strike, spot=1.0, eps=EPS):
+    # the slice's truncation point (I2) of one strike
+    config = FftConfig(n=2**14, eta=0.025, alpha=ALPHA, eps=eps)
+    return TransformContext(LevySample(model, config, spot), tau).trunc([strike])[0, 0]
+
+
 def test_trunc_benchmark_bounds(vg_bench, nikkei):
-    mm = mmm_quantities(vg_bench)
-    pair = vg_mmm_measure(vg_bench, mm.h)
-    c2 = vg_c2(vg_bench, pair, mm.mu_star, 0.5, ALPHA)
-    a = vg_trunc(EPS, 0.5, 1.0, 1.0, ALPHA, c2, vg_bench)
+    a = _trunc(vg_bench, 0.5, 1.0)
     assert a <= 409.6
     assert a == pytest.approx(8.10, abs=0.05)
 
-    mm_n = mmm_quantities(nikkei)
-    pair_n = vg_mmm_measure(nikkei, mm_n.h)
-    c2_n = vg_c2(nikkei, pair_n, mm_n.mu_star, 0.5, ALPHA)
-    a_n = vg_trunc(EPS, 0.5, 14000.0, 14841.07, ALPHA, c2_n, nikkei)
+    a_n = _trunc(nikkei, 0.5, 14000.0, 14841.07)
     assert a_n <= 409.6
     assert a_n == pytest.approx(188.7, abs=0.5)
 
 
 def test_trunc_eps_power_law(vg_bench):
-    mm = mmm_quantities(vg_bench)
-    pair = vg_mmm_measure(vg_bench, mm.h)
-    c2 = vg_c2(vg_bench, pair, mm.mu_star, 0.5, ALPHA)
     p = 2.0 * vg_bench.C * 0.5 + 1.0
     lam = 7.0
-    a1 = vg_trunc(EPS, 0.5, 1.0, 1.0, ALPHA, c2, vg_bench)
-    a2 = vg_trunc(EPS / lam, 0.5, 1.0, 1.0, ALPHA, c2, vg_bench)
+    a1 = _trunc(vg_bench, 0.5, 1.0)
+    a2 = _trunc(vg_bench, 0.5, 1.0, eps=EPS / lam)
     assert a2 == pytest.approx(a1 * lam ** (1.0 / p), rel=1e-12)
 
 
@@ -286,17 +284,11 @@ def test_trunc_tail_below_eps(vg_bench, nikkei):
     from levyhedge import MarketQuery
     from levyhedge.oracle import i2_tail_mass
 
-    mm = mmm_quantities(vg_bench)
-    pair = vg_mmm_measure(vg_bench, mm.h)
-    c2 = vg_c2(vg_bench, pair, mm.mu_star, 0.5, ALPHA)
-    a = vg_trunc(EPS, 0.5, 1.0, 1.0, ALPHA, c2, vg_bench)
+    a = _trunc(vg_bench, 0.5, 1.0)
     q = MarketQuery(t=0.5, T=1.0, spot=1.0, strike=1.0)
     assert i2_tail_mass(a, q, vg_bench, ALPHA) < EPS
 
-    mm_n = mmm_quantities(nikkei)
-    pair_n = vg_mmm_measure(nikkei, mm_n.h)
-    c2_n = vg_c2(nikkei, pair_n, mm_n.mu_star, 0.5, ALPHA)
-    a_n = vg_trunc(EPS, 0.5, 14000.0, 14841.07, ALPHA, c2_n, nikkei)
+    a_n = _trunc(nikkei, 0.5, 14000.0, 14841.07)
     q_n = MarketQuery(t=0.5, T=1.0, spot=14841.07, strike=14000.0)
     assert i2_tail_mass(a_n, q_n, nikkei, ALPHA) < EPS
 
@@ -307,14 +299,28 @@ def test_nikkei_short_horizon_exceeds_span(nikkei):
     # rejected instead of silently under-truncated
     from levyhedge import FftConfig, MarketQuery, TailConditionError, lrm
 
-    mm = mmm_quantities(nikkei)
-    pair = vg_mmm_measure(nikkei, mm.h)
-    c2 = vg_c2(nikkei, pair, mm.mu_star, 0.05, ALPHA)
-    a = vg_trunc(EPS, 0.05, 14000.0, 14841.07, ALPHA, c2, nikkei)
+    a = _trunc(nikkei, 0.05, 14000.0, 14841.07)
     assert a > 2**14 * 0.025
     cfg = FftConfig(n=2**14, eta=0.025, alpha=ALPHA, eps=EPS)
     with pytest.raises(TailConditionError):
         lrm(MarketQuery(t=0.95, T=1.0, spot=14841.07, strike=14000.0), nikkei, cfg)
+
+
+def test_long_maturity_truncation_point_is_finite(nikkei, fft_bench):
+    # the truncation law is taken in logs: at T = 44.4 the product
+    # C C2 K^{1-alpha} S^alpha / eps overflows a double, yet the point is
+    # about 25; from T = 44.45 on the C2 guard refuses the slice
+    def quote(T):
+        query = MarketQuery(t=0.0, T=T, spot=NIKKEI_SPOT, strike=15000.0)
+        return lrm(query, nikkei, fft_bench)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = quote(44.4)
+    assert math.isfinite(res.trunc_a) and res.trunc_a < 30.0
+    assert res.lrm == pytest.approx(quote(44.3).lrm, abs=1e-3)
+    with pytest.raises(OverflowGuardError, match="C2 exponent"):
+        quote(44.45)
 
 
 def test_branch_continuity_along_contour(nikkei, vg_bench):
