@@ -240,18 +240,25 @@ def _worst_trunc_cell(cfg: RunConfig) -> tuple[float, float, float]:
     with the strike and tau of its cell.  Each cell is checked as a
     MarketQuery first (finite t, T, spot and strike, spot and strike > 0,
     tau >= TAU_MIN), the checks ``curve`` applies, and each slice is built
-    as ``curve`` builds it, so its guards raise what ``curve`` raises."""
-    sample, worst = None, None
+    as ``curve`` builds it, so its guards raise what ``curve`` raises.
+    Then, as ``curve`` does once the first slice passes its tail check,
+    the log-strike range rule (``LevySample.check_range``)."""
+    sample, first, worst = None, None, None
     for t in cfg.t_values:
         queries = [MarketQuery(t, cfg.maturity, cfg.spot, strike) for strike in cfg.strikes]
         strikes = np.array([query.strike for query in queries])
         if sample is None:
             # after the first cells' checks, which name a bad spot first
             sample = LevySample(cfg.model, cfg.fft, cfg.spot)
-        bounds = TransformContext(sample, queries[0].tau).trunc(strikes).max(axis=0)
+        ctx = TransformContext(sample, queries[0].tau)
+        bounds = ctx.trunc(strikes).max(axis=0)
+        first = first or (ctx, strikes, bounds.max())
         i = int(np.argmax(bounds))
         if worst is None or bounds[i] > worst[0]:
             worst = (float(bounds[i]), queries[i].strike, queries[i].tau)
+    ctx, strikes, bound = first
+    if tail_condition_check(cfg.fft, bound):
+        sample.check_range(strikes, ctx.strided_rows(strikes)[0])
     return worst
 
 

@@ -261,6 +261,15 @@ class LevySample:
         reach = np.maximum(-(log_k + lo), log_k + hi)
         return log_k - math.log(self.spot), [reach < edge for edge in self._edges]
 
+    def check_range(self, strikes: np.ndarray, shifts: np.ndarray, kinds=None) -> None:
+        """The one range rule (module docstring) on the first slice's stride
+        exponents ``shifts``: every log(K f) of the ``kinds`` (default: all)
+        of a stride-1 strike must lie inside +-pi/eta.  With no stride-1
+        strike it checks nothing, and a caller may skip it."""
+        zero = strikes[shifts == 0]
+        reached = [zero * f for kind in kinds or self.kinds for f in self.kinds[kind]]
+        checked_log_strikes(np.log(np.concatenate(reached)), self.config.eta)
+
 
 class TransformContext:
     """One time slice of a :class:`LevySample`: its tau and its bounds,
@@ -500,11 +509,7 @@ def evaluate_slices(
         worst = int(np.argmax(plan.trunc))
         _check_tail(config, float(plan.trunc[worst]), float(strikes[worst]), ctx.tau)
         if i == 0 and plan.fine == 0:
-            # outside +-pi/eta a log(K f) is past every coarser edge, so its
-            # strike takes shift 0 in every slice: one check covers them all
-            zero = strikes[plan.shifts == 0]
-            reached = [zero * f for kind in kinds for f in sample.kinds[kind]]
-            checked_log_strikes(np.log(np.concatenate(reached)), config.eta)
+            sample.check_range(strikes, plan.shifts, kinds)
         if mode == MODE_FFT_GRID:
             continue
         psi, factors = strided(plan.fine, plan.points)

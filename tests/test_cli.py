@@ -295,6 +295,21 @@ def test_validate_overflow_matches_curve(tmp_path, capsys):
     assert lines[0] == lines[1] == "error: characteristic exponent real part 809 exceeds 700\n"
 
 
+def test_validate_range_matches_curve(tmp_path, capsys):
+    # validate applies curve's log-strike range rule: an I2 term of this
+    # model shifts log K up by 0.26, past pi/eta for the second strike
+    keys = MERTON_CFG.replace("model.mu = -0.7", "model.mu = -0.1").replace(
+        "model.m = 0", "model.m = -0.3").replace("model.delta = 1", "model.delta = 0.2")
+    strike = math.exp(math.pi / 0.025 - 0.15)
+    cfg = _write(tmp_path, "m.cfg", keys + f"query.t = 0.5\nquery.strike_grid = 1,{strike!r}\n")
+    lines = []
+    for command in ("curve", "validate"):
+        assert main([command, "--config", cfg]) == EXIT_VALIDATION
+        lines.append(capsys.readouterr().err)
+    assert lines[0] == lines[1]
+    assert lines[0].startswith("error: log-strike 125.774 outside the representable range")
+
+
 def test_curve_tail_failure_exit(tmp_path, capsys):
     cfg = _write(
         tmp_path,
