@@ -258,7 +258,7 @@ def _worst_trunc_cell(cfg: RunConfig) -> tuple[float, float, float]:
             worst = (float(bounds[i]), queries[i].strike, queries[i].tau)
     ctx, strikes, bound = first
     if tail_condition_check(cfg.fft, bound):
-        sample.check_range(strikes, ctx.strided_rows(strikes)[0])
+        sample.check_range(strikes, ctx.strided_rows(strikes)[0], sample.kinds)
     return worst
 
 

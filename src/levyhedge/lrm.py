@@ -261,13 +261,13 @@ class LevySample:
         reach = np.maximum(-(log_k + lo), log_k + hi)
         return log_k - math.log(self.spot), [reach < edge for edge in self._edges]
 
-    def check_range(self, strikes: np.ndarray, shifts: np.ndarray, kinds=None) -> None:
+    def check_range(self, strikes: np.ndarray, shifts: np.ndarray, kinds) -> None:
         """The one range rule (module docstring) on the first slice's stride
-        exponents ``shifts``: every log(K f) of the ``kinds`` (default: all)
-        of a stride-1 strike must lie inside +-pi/eta.  With no stride-1
-        strike it checks nothing, and a caller may skip it."""
+        exponents ``shifts``: every log(K f) of the ``kinds`` of a stride-1
+        strike must lie inside +-pi/eta.  With no stride-1 strike it checks
+        nothing, and a caller may skip it."""
         zero = strikes[shifts == 0]
-        reached = [zero * f for kind in kinds or self.kinds for f in self.kinds[kind]]
+        reached = [zero * f for kind in kinds for f in self.kinds[kind]]
         checked_log_strikes(np.log(np.concatenate(reached)), self.config.eta)
 
 

@@ -19,7 +19,7 @@ from levyhedge import (
     trapezoid_weights,
     vg_mmm_measure,
 )
-from levyhedge.lrm import MODE_FFT_GRID, LevySample, MoneynessQuery, TransformContext
+from levyhedge.lrm import MODE_FFT_GRID, MoneynessQuery
 from levyhedge.oracle import (
     i1_tail_mass,
     i2_tail_mass,
@@ -31,7 +31,7 @@ from levyhedge.oracle import (
     vg_char_fn,
 )
 
-from conftest import NIKKEI_SPOT
+from conftest import NIKKEI_SPOT, trunc_points
 
 TAUS = (0.05, 0.25, 0.5, 1.0)
 ALPHA = 1.75
@@ -99,49 +99,43 @@ def test_criterion_2_fft_correctness():
     assert weights_ok
 
 
-def _bounds(model, tau, strike, spot):
-    # the slice's truncation points of one strike: (I1, I2) or (I2,)
-    config = FftConfig(n=2**14, eta=0.025, alpha=ALPHA, eps=EPS)
-    return tuple(TransformContext(LevySample(model, config, spot), tau).trunc([strike])[:, 0])
-
-
 def test_criterion_3_truncation_reproduction(merton_bench, vg_bench, nikkei):
     t_grid = [round(0.05 * i, 2) for i in range(20)]
     k_grid = [1.0 + 0.25 * i for i in range(29)]
     worst = 0.0
 
     for t in t_grid:
-        worst = max(worst, *_bounds(merton_bench, 1.0 - t, 1.0, 1.0))
+        worst = max(worst, *trunc_points(merton_bench, 1.0 - t, 1.0, 1.0))
     for strike in k_grid:
-        worst = max(worst, *_bounds(merton_bench, 0.5, strike, 1.0))
+        worst = max(worst, *trunc_points(merton_bench, 0.5, strike, 1.0))
 
     for t in t_grid:
-        worst = max(worst, *_bounds(vg_bench, 1.0 - t, 1.0, 1.0))
+        worst = max(worst, *trunc_points(vg_bench, 1.0 - t, 1.0, 1.0))
     for strike in k_grid:
-        worst = max(worst, *_bounds(vg_bench, 0.5, strike, 1.0))
+        worst = max(worst, *trunc_points(vg_bench, 0.5, strike, 1.0))
 
     for strike in range(10000, 21000, 1000):
-        worst = max(worst, *_bounds(nikkei, 0.5, float(strike), NIKKEI_SPOT))
+        worst = max(worst, *trunc_points(nikkei, 0.5, float(strike), NIKKEI_SPOT))
 
     bounds_ok = worst <= SPAN
 
     # numerically integrated tails beyond the solved thresholds
     tails = []
     q_m = MarketQuery(t=0.5, T=1.0, spot=1.0, strike=1.0)
-    a1, a2 = _bounds(merton_bench, 0.5, 1.0, 1.0)
+    a1, a2 = trunc_points(merton_bench, 0.5, 1.0, 1.0)
     tails.append(i1_tail_mass(a1, q_m, merton_bench, ALPHA))
     tails.append(i2_tail_mass(a2, q_m, merton_bench, ALPHA))
     q_m_short = MarketQuery(t=0.95, T=1.0, spot=1.0, strike=1.0)
-    b1, b2 = _bounds(merton_bench, 0.05, 1.0, 1.0)
+    b1, b2 = trunc_points(merton_bench, 0.05, 1.0, 1.0)
     tails.append(i1_tail_mass(b1, q_m_short, merton_bench, ALPHA))
     tails.append(i2_tail_mass(b2, q_m_short, merton_bench, ALPHA))
     q_v = MarketQuery(t=0.5, T=1.0, spot=1.0, strike=1.0)
     tails.append(
-        i2_tail_mass(_bounds(vg_bench, 0.5, 1.0, 1.0)[0], q_v, vg_bench, ALPHA)
+        i2_tail_mass(trunc_points(vg_bench, 0.5, 1.0, 1.0)[0], q_v, vg_bench, ALPHA)
     )
     q_n = MarketQuery(t=0.5, T=1.0, spot=NIKKEI_SPOT, strike=14000.0)
     tails.append(
-        i2_tail_mass(_bounds(nikkei, 0.5, 14000.0, NIKKEI_SPOT)[0], q_n, nikkei, ALPHA)
+        i2_tail_mass(trunc_points(nikkei, 0.5, 14000.0, NIKKEI_SPOT)[0], q_n, nikkei, ALPHA)
     )
     tails_ok = max(tails) < EPS
 

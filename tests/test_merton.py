@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from levyhedge import (
-    FftConfig,
     LevySample,
     MarketQuery,
     MertonParams,
     OverflowGuardError,
-    TransformContext,
     merton_c1,
     merton_i2_terms,
     mmm_quantities,
@@ -24,6 +22,8 @@ from levyhedge.oracle import (
     merton_char_fn,
     merton_mmm_measure,
 )
+
+from conftest import trunc_points
 
 ALPHA = 1.75
 EPS = 1e-2
@@ -113,45 +113,39 @@ def test_c1_benchmark_value(merton_bench):
     assert c1 == pytest.approx(3.8495, abs=1e-3)
 
 
-def _trunc(model, tau, strike, eps=EPS, spot=1.0):
-    # the slice's truncation points (I1, I2) of one strike
-    config = FftConfig(n=2**14, eta=0.025, alpha=ALPHA, eps=eps)
-    return TransformContext(LevySample(model, config, spot), tau).trunc([strike])[:, 0]
-
-
 def test_trunc_i1_benchmark_bound(merton_bench):
-    a = _trunc(merton_bench, 0.5, 1.0)[0]
+    a = trunc_points(merton_bench, 0.5, 1.0)[0]
     assert a <= 409.6
     assert a == pytest.approx(23.53, abs=0.05)
 
 
 def test_trunc_i1_eps_quarter_power(merton_bench):
-    a1 = _trunc(merton_bench, 0.5, 1.0)[0]
-    a2 = _trunc(merton_bench, 0.5, 1.0, eps=16.0 * EPS)[0]
+    a1 = trunc_points(merton_bench, 0.5, 1.0)[0]
+    a2 = trunc_points(merton_bench, 0.5, 1.0, eps=16.0 * EPS)[0]
     assert a2 == pytest.approx(0.5 * a1, rel=1e-12)
 
 
 def test_trunc_i1_tail_below_eps(merton_bench):
     query = MarketQuery(t=0.5, T=1.0, spot=1.0, strike=2.0)
-    a = _trunc(merton_bench, 0.5, 2.0)[0]
+    a = trunc_points(merton_bench, 0.5, 2.0)[0]
     assert i1_tail_mass(a, query, merton_bench, ALPHA) < EPS
 
 
 def test_trunc_i2_benchmark_bound(merton_bench):
-    a = _trunc(merton_bench, 0.5, 1.0)[1]
+    a = trunc_points(merton_bench, 0.5, 1.0)[1]
     assert a <= 409.6
     assert a == pytest.approx(26.07, abs=0.05)
 
 
 def test_trunc_i2_eps_fifth_power(merton_bench):
-    a1 = _trunc(merton_bench, 0.5, 1.0)[1]
-    a2 = _trunc(merton_bench, 0.5, 1.0, eps=32.0 * EPS)[1]
+    a1 = trunc_points(merton_bench, 0.5, 1.0)[1]
+    a2 = trunc_points(merton_bench, 0.5, 1.0, eps=32.0 * EPS)[1]
     assert a2 == pytest.approx(0.5 * a1, rel=1e-12)
 
 
 def test_trunc_i2_tail_below_eps(merton_bench):
     query = MarketQuery(t=0.5, T=1.0, spot=1.0, strike=1.0)
-    a = _trunc(merton_bench, 0.5, 1.0)[1]
+    a = trunc_points(merton_bench, 0.5, 1.0)[1]
     assert i2_tail_mass(a, query, merton_bench, ALPHA) < EPS
 
 

@@ -15,11 +15,11 @@ from levyhedge import (
     vg_c2,
     vg_mmm_measure,
 )
-from conftest import NIKKEI_SPOT
+from conftest import NIKKEI_SPOT, trunc_points
 from levyhedge import variance_gamma
 from levyhedge.core import cgm_exp_moment
 from levyhedge.fft_engine import direct_simpson_sum
-from levyhedge.lrm import LevySample, TransformContext
+from levyhedge.lrm import LevySample
 from levyhedge.oracle import levy_moment, lk_char_fn, vg_char_fn, vg_exponent, vg_kernel
 from levyhedge.variance_gamma import VgContourLogs
 
@@ -256,18 +256,12 @@ def test_c2_small_tau_limit(vg_bench):
     assert vg_c2(vg_bench, pair, mm.mu_star, 0.0, ALPHA) == 1.0
 
 
-def _trunc(model, tau, strike, spot=1.0, eps=EPS):
-    # the slice's truncation point (I2) of one strike
-    config = FftConfig(n=2**14, eta=0.025, alpha=ALPHA, eps=eps)
-    return TransformContext(LevySample(model, config, spot), tau).trunc([strike])[0, 0]
-
-
 def test_trunc_benchmark_bounds(vg_bench, nikkei):
-    a = _trunc(vg_bench, 0.5, 1.0)
+    a = trunc_points(vg_bench, 0.5, 1.0)[0]
     assert a <= 409.6
     assert a == pytest.approx(8.10, abs=0.05)
 
-    a_n = _trunc(nikkei, 0.5, 14000.0, 14841.07)
+    a_n = trunc_points(nikkei, 0.5, 14000.0, 14841.07)[0]
     assert a_n <= 409.6
     assert a_n == pytest.approx(188.7, abs=0.5)
 
@@ -275,8 +269,8 @@ def test_trunc_benchmark_bounds(vg_bench, nikkei):
 def test_trunc_eps_power_law(vg_bench):
     p = 2.0 * vg_bench.C * 0.5 + 1.0
     lam = 7.0
-    a1 = _trunc(vg_bench, 0.5, 1.0)
-    a2 = _trunc(vg_bench, 0.5, 1.0, eps=EPS / lam)
+    a1 = trunc_points(vg_bench, 0.5, 1.0)[0]
+    a2 = trunc_points(vg_bench, 0.5, 1.0, eps=EPS / lam)[0]
     assert a2 == pytest.approx(a1 * lam ** (1.0 / p), rel=1e-12)
 
 
@@ -284,11 +278,11 @@ def test_trunc_tail_below_eps(vg_bench, nikkei):
     from levyhedge import MarketQuery
     from levyhedge.oracle import i2_tail_mass
 
-    a = _trunc(vg_bench, 0.5, 1.0)
+    a = trunc_points(vg_bench, 0.5, 1.0)[0]
     q = MarketQuery(t=0.5, T=1.0, spot=1.0, strike=1.0)
     assert i2_tail_mass(a, q, vg_bench, ALPHA) < EPS
 
-    a_n = _trunc(nikkei, 0.5, 14000.0, 14841.07)
+    a_n = trunc_points(nikkei, 0.5, 14000.0, 14841.07)[0]
     q_n = MarketQuery(t=0.5, T=1.0, spot=14841.07, strike=14000.0)
     assert i2_tail_mass(a_n, q_n, nikkei, ALPHA) < EPS
 
@@ -299,7 +293,7 @@ def test_nikkei_short_horizon_exceeds_span(nikkei):
     # rejected instead of silently under-truncated
     from levyhedge import FftConfig, MarketQuery, TailConditionError, lrm
 
-    a = _trunc(nikkei, 0.05, 14000.0, 14841.07)
+    a = trunc_points(nikkei, 0.05, 14000.0, 14841.07)[0]
     assert a > 2**14 * 0.025
     cfg = FftConfig(n=2**14, eta=0.025, alpha=ALPHA, eps=EPS)
     with pytest.raises(TailConditionError):
