@@ -240,9 +240,8 @@ def _worst_trunc_cell(cfg: RunConfig) -> tuple[float, float, float]:
     with the strike and tau of its cell.  Each cell is checked as a
     MarketQuery first (finite t, T, spot and strike, spot and strike > 0,
     tau >= TAU_MIN), the checks ``curve`` applies, and each slice is built
-    as ``curve`` builds it, so its guards raise what ``curve`` raises.
-    Then, as ``curve`` does once the first slice passes its tail check,
-    the log-strike range rule (``LevySample.check_range``)."""
+    as ``curve`` builds it, so its guards and, once the first slice passes
+    its tail check, the log-strike range rule raise what ``curve`` raises."""
     sample, first, worst = None, None, None
     for t in cfg.t_values:
         queries = [MarketQuery(t, cfg.maturity, cfg.spot, strike) for strike in cfg.strikes]

@@ -48,6 +48,10 @@ right tail, where a moment E[S_T^{1+beta}] bounds the function.  The
 model modules supply those constants; :class:`AliasFloors` and
 ``lrm.TransformContext`` turn them into the coarsest stride each strike
 may take.
+
+Truncation.  Each bound of the model modules is a law (log L, p): its
+tail past a stays below eps once a^p = L K^{1-alpha} S^alpha / eps,
+which ``truncation_points`` solves for every strike at once.
 """
 
 from __future__ import annotations

@@ -274,12 +274,10 @@ class LevySample:
 class TransformContext:
     """One time slice of a :class:`LevySample`: its tau and its bounds,
     for all its strikes at once: the frequency truncation points (I1, I2)
-    for Merton or (I2,) for variance gamma (:meth:`trunc`, one
-    ``truncation_points`` call on the laws the slice takes from log C1 or
-    log C2 when it is built), and each
-    strike's grid: a stride 2^s over the configured grid and the rows of
-    the direct-sum layout of its n / 2^s points it sums
-    (:meth:`strided_rows`).
+    for Merton or (I2,) for variance gamma (:meth:`trunc`, from the laws
+    of log C1 or log C2), and each strike's grid: a stride 2^s over the
+    configured grid and the rows of the direct-sum layout of its n / 2^s
+    points it sums (:meth:`strided_rows`).
 
     A strike takes the largest s up to ``coarsest_shift`` whose aliasing
     bound (``MertonAliasProfile`` / ``VgAliasProfile``, three terms: the

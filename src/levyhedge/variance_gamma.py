@@ -173,7 +173,8 @@ def vg_c2(
 
         |phi_tau(v - i alpha)| <= C2 |v|^{-2 C tau},
 
-    C2 = prod (G_j M_j)^{w_j tau} * exp{tau alpha (mu* + sum of means)}.
+    C2 = prod (G_j M_j)^{w_j tau} * exp{tau alpha (mu* + sum of means)};
+    :func:`vg_log_c2` refuses it above the exp() guard.
     """
     return math.exp(vg_log_c2(params, mmm, mu_star, tau, alpha))
 
