@@ -44,10 +44,11 @@ N eta and puts the images half as far away.  ``alias_log_factor`` is the
 geometric sum over the images on one side, for a function that decays
 like e^{-d k} (in K-normalized form) on that side: d = alpha - 1 toward
 the in-the-money pole at zeta = -i, d = 1 + beta - alpha toward the
-right tail, where a moment E[S_T^{1+beta}] bounds the function.  The
-model modules supply those constants; :class:`AliasFloors` and
-``lrm.TransformContext`` turn them into the coarsest stride each strike
-may take.
+right tail, where a moment E[S_T^{1+beta}] bounds the function.  That
+moment is S^{1+beta} e^{tau Psi(-i(1+beta))}, read from the same exponent
+Psi the sums sample; the model modules supply the tau-free constants
+around it, and :class:`AliasFloors` and ``lrm.TransformContext`` turn
+them into the coarsest stride each strike may take.
 
 Truncation.  Each bound of the model modules is a law (log L, p): its
 tail past a stays below eps once a^p = L K^{1-alpha} S^alpha / eps,
@@ -119,41 +120,40 @@ ALIAS_RATES = np.geomspace(2.0**-6, 2.0**6, 97)
 
 
 class AliasFloors:
-    """The tau-free half of the aliasing bound, built once per (model,
-    grid): per spacing eta of ``etas`` (the strides s = 1, 2, ...), the
-    image sums A(alpha - 1) and A(1 + beta - alpha) (A =
-    :func:`alias_log_factor`) and what the in-the-money images of each
-    bound leave of 2^-53, given the in-the-money logs ``log_itms`` of
-    the bounds.  Calling it with the bounds' right-tail logs of one
-    slice gives, per spacing, the smallest log(K/S) from which every
-    bound
+    """The aliasing bound of every stride, built once per (model, grid):
+    per spacing eta of ``etas`` (the strides s = 1, 2, ...) and per bound,
+    the image sums A(alpha - 1) and A(1 + beta - alpha) (A =
+    :func:`alias_log_factor`) taken with the bound's in-the-money log
+    (``log_itms``) and tau-free right-tail log over ``beta`` (one row of
+    ``log_rights``), and the moment rates ``rate`` = Re Psi(-i(1+beta)),
+    which every term of every bound shares.  Called with a slice's tau, it
+    gives per spacing the smallest log(K/S) from which every bound
 
-        e^{log_itm + A(alpha - 1)} + e^{log_right(beta) + A(1 + beta - alpha) - beta log(K/S)}
+        e^{log_itm + A(alpha - 1)}
+        + e^{tau rate + log_right + A(1 + beta - alpha) - beta log(K/S)}
 
     (over S) stays at or below 2^-53 for some beta of the grid; inf where
-    the in-the-money images alone reach it.  The right-tail images fall
-    with K, so every larger strike passes.
+    the in-the-money images alone reach it.  An overflowed moment (inf, or
+    NaN from 0 * inf) bounds nothing.  The right-tail images fall with K,
+    so every larger strike passes.
     """
 
-    def __init__(self, log_itms, beta: np.ndarray, alpha: float, etas):
-        self.beta = beta
-        self._right = np.array([alias_log_factor(1.0 + beta - alpha, eta) for eta in etas])
-        itms = [float(alias_log_factor(alpha - 1.0, eta)) for eta in etas]
-        budgets = [[ROUNDING - math.exp(log_itm + itm) for log_itm in log_itms] for itm in itms]
-        # False where the in-the-money images alone use up 2^-53
-        self._open = [min(row) > 0.0 for row in budgets]
-        self._log_budgets = np.array(
-            [[math.log(b) if b > 0.0 else math.nan for b in row] for row in budgets]
-        )
+    def __init__(self, log_itms, log_rights, rate, beta: np.ndarray, alpha: float, etas):
+        self.beta, self.rate = beta, rate
+        # axes (spacing, bound, beta)
+        etas = np.reshape(etas, (-1, 1, 1))
+        itm = np.exp(np.reshape(log_itms, (-1, 1)) + alias_log_factor(alpha - 1.0, etas))
+        # -inf where the in-the-money images alone use up 2^-53: no beta passes
+        with np.errstate(divide="ignore"):
+            log_budgets = np.log(np.maximum(ROUNDING - itm, 0.0))
+        self._margins = log_rights + alias_log_factor(1.0 + beta - alpha, etas) - log_budgets
 
-    def __call__(self, log_rights) -> list[float]:
-        """Per spacing, the floor of the bounds whose right-tail logs (one
-        array over beta per bound) are ``log_rights``."""
-        if not self._open:
-            return []
-        margins = np.asarray(log_rights) + self._right[:, None, :] - self._log_budgets[:, :, None]
-        lowest = np.min(margins / self.beta, axis=-1).tolist()
-        return [max(-math.inf, *row) if ok else math.inf for ok, row in zip(self._open, lowest)]
+    def __call__(self, tau: float) -> list[float]:
+        """Per spacing, the floor of the slice tau."""
+        with np.errstate(invalid="ignore"):
+            margins = tau * self.rate + self._margins
+        margins[np.isnan(margins)] = np.inf
+        return np.max(np.min(margins / self.beta, axis=-1), axis=-1).tolist()
 
 
 @functools.lru_cache(maxsize=8)

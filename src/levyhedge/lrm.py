@@ -49,7 +49,9 @@ in log-strike:
 * the pole at zeta = 0 of the call factor, K e^{-2 pi alpha / eta_s} with
   the opposite sign, which the same bound covers (a call is below S);
 * the right tail, E[S_T^{1+beta}] K^{-beta} e^{-2 pi (1 + beta - alpha) / eta_s},
-  minimized over beta (``MertonAliasProfile``, ``VgAliasProfile``).
+  minimized over beta: the moment is e^{tau Psi(-i(1+beta))}, from the
+  exponent the sums sample, beside the tau-free tables of
+  ``merton_alias_tables`` and ``vg_alias_tables``.
 
 Every log-strike a strike needs, the shifted ones of the Merton terms
 included, must also lie inside +-pi/eta_s, or the strike takes a finer
@@ -107,17 +109,16 @@ from .fft_engine import (
     truncation_points,
 )
 from .merton import (
-    MertonAliasProfile,
+    merton_alias_tables,
     merton_exponent,
     merton_exponent_and_weight,
     merton_i2_terms,
-    merton_log_c1,
     merton_prefix_tail,
     merton_trunc_laws,
 )
 from .variance_gamma import (
-    VgAliasProfile,
     VgContourLogs,
+    vg_alias_tables,
     vg_log_c2,
     vg_mmm_measure,
     vg_trunc_law,
@@ -194,11 +195,13 @@ class LevySample:
     ``TransformContext.trunc``, each with its strike factors (module
     docstring); ``sigma2`` is sigma^2, 0 for variance gamma.  It also
     holds the tau-free half of every slice's bounds: the direct-sum row
-    layout of each stride, the range of the log strike factors, the
-    aliasing tables of each stride (:class:`AliasFloors`), the model's
-    alias profile (``MertonAliasProfile`` / ``VgAliasProfile``), whose
-    right tail ``log_right(tau)`` is all a slice adds, and ``psi0``, psi
-    at zeta = -i alpha, the point of the contour where Re psi peaks.
+    layout of each stride, the range of the log strike factors, and the
+    aliasing bound of each stride (:class:`AliasFloors`), to which a slice
+    adds only tau.  One exponent call gives ``psi0``, psi at zeta = -i
+    alpha, the point of the contour where Re psi peaks (so tau Re psi0 is
+    log C1 and the exp() guard of every slice), and the moment rates Re
+    psi(-i(1+beta)) over the beta grid of the model's alias tables
+    (``merton_alias_tables`` / ``vg_alias_tables``).
     """
 
     def __init__(self, model: Model, config: FftConfig, spot: float):
@@ -206,22 +209,26 @@ class LevySample:
         _require(spot > 0.0, "spot must be > 0")
         self.model, self.config, self.spot = model, config, spot
         self.mmm = mmm = mmm_quantities(model)
-        # j = 0 of every sample, with its bits
+        # one exponent call: zeta = -i alpha, with the bits of j = 0 of every
+        # sample, then the moment points -i(1+beta)
         zeta0 = config.eta * np.arange(1) - 1j * config.alpha
         if isinstance(model, MertonParams):
-            self.psi0 = complex(merton_exponent(zeta0, model, mmm)[0])
-            self.alias = MertonAliasProfile(model, mmm, config.alpha)
+            beta, log_itms, log_rights = merton_alias_tables(model, mmm, config.alpha)
+            # the moments overflow at large beta (inf, or 0 * inf at gamma = 0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                psi = merton_exponent(np.concatenate((zeta0, -1j * (1.0 + beta))), model, mmm)
             self.sigma2 = model.sigma**2
             jump = tuple(term.strike for term in merton_i2_terms(model))
             self.kinds = {"indicator": (1.0,), "jump": jump}
         else:
             self.exp_moment = cgm_exp_moment(model.C, model.G, model.M)
             self.pair = vg_mmm_measure(model, mmm.h)
-            logs = VgContourLogs(zeta0, model.G, model.M)
-            self.psi0 = complex(logs.exponent(self.pair, mmm.mu_star)[0])
-            self.alias = VgAliasProfile(model, mmm, config.alpha)
+            beta, log_itms, log_rights = vg_alias_tables(model, mmm, config.alpha)
+            logs = VgContourLogs(np.concatenate((zeta0, -1j * (1.0 + beta))), model.G, model.M)
+            psi = logs.exponent(self.pair, mmm.mu_star)
             self.sigma2 = 0.0
             self.kinds = {"jump": (1.0,)}
+        self.psi0 = complex(psi[0])
         log_shifts = [math.log(f) for factors in self.kinds.values() for f in factors]
         self._log_shift_range = (min(log_shifts), max(log_shifts))
         top = coarsest_shift(config)
@@ -232,7 +239,7 @@ class LevySample:
         # a hair inside +-pi/eta_s, so that the log of a shifted strike
         # cannot round onto the edge
         self._edges = [math.pi / eta * (1.0 - 1e-12) for eta in etas]
-        self.floors = AliasFloors(self.alias.log_itm, self.alias.beta, config.alpha, etas)
+        self.floors = AliasFloors(log_itms, log_rights, psi[1:].real, beta, config.alpha, etas)
 
     def sample(self, shift: int, m: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """psi and the kernel factors at the first m points of every
@@ -275,15 +282,15 @@ class TransformContext:
     """One time slice of a :class:`LevySample`: its tau and its bounds,
     for all its strikes at once: the frequency truncation points (I1, I2)
     for Merton or (I2,) for variance gamma (:meth:`trunc`, from the laws
-    of log C1 or log C2), and each strike's grid: a stride 2^s over the
-    configured grid and the rows of the direct-sum layout of its n / 2^s
-    points it sums (:meth:`strided_rows`).
+    of log C1 = tau Re psi0 or of log C2), and each strike's grid: a
+    stride 2^s over the configured grid and the rows of the direct-sum
+    layout of its n / 2^s points it sums (:meth:`strided_rows`).
 
     A strike takes the largest s up to ``coarsest_shift`` whose aliasing
-    bound (``MertonAliasProfile`` / ``VgAliasProfile``, three terms: the
-    in-the-money pole at zeta = -i, the pole at zeta = 0 of the call
-    factor, which the same S/K' bound covers, and the right tail) moves I1
-    and I2 by at most 2^-53 S and the ratio by at most 2^-53, and whose
+    bound (``LevySample.floors`` at tau, three terms: the in-the-money
+    pole at zeta = -i, the pole at zeta = 0 of the call factor, which the
+    same S/K' bound covers, and the right tail) moves I1 and I2 by at
+    most 2^-53 S and the ratio by at most 2^-53, and whose
     log-strikes, the Merton shifted ones included, all lie inside
     +-pi/eta_s; the configured grid, s = 0, needs no certificate.  A
     Merton strike then sums the fewest rows whose dropped tail stays
@@ -300,12 +307,12 @@ class TransformContext:
         self.tau = tau
         # |phi_tau(v - i alpha)| <= phi_tau(-i alpha): the j = 0 sample has
         # the largest Re(tau psi), so this is the exp() guard of the whole
-        # grid, and it fires before the C1 guard
+        # grid, and of log C1 = tau Re psi0
         levy_char_fn(sample.psi0, tau)
         _require(tau >= TAU_MIN, f"tau must be >= {TAU_MIN:g}")
         model, mmm, alpha = sample.model, sample.mmm, sample.config.alpha
         if isinstance(model, MertonParams):
-            self._log_c1 = merton_log_c1(model, mmm, tau, alpha)
+            self._log_c1 = tau * sample.psi0.real
             self._laws = merton_trunc_laws(model, self._log_c1, tau, alpha)
         else:
             # no prefix certificate: every strike sums every row
@@ -313,7 +320,7 @@ class TransformContext:
             log_c2 = vg_log_c2(model, sample.pair, mmm.mu_star, tau, alpha)
             self._laws = (vg_trunc_law(model, log_c2, tau, alpha),)
         # stride 2^s, s >= 1, needs log(K/S) >= _alias_floors[s - 1]
-        self._alias_floors = sample.floors(sample.alias.log_right(tau))
+        self._alias_floors = sample.floors(tau)
 
     def trunc(self, strikes: np.ndarray) -> np.ndarray:
         """Truncation points, one row per bound ((I1, I2) or (I2,)) and one

@@ -7,11 +7,13 @@ term of the hedge numerator is one damped Fourier transform at log K, of
 the call factor times a jump weight that shares Psi's two exponentials
 (``merton_exponent_and_weight``).  It equals three transforms at shifted
 strikes, two carrying a Gaussian factor exp(-delta^2 z^2 / 2)
-(``merton_i2_terms``), which the bounds take one by one.  The module
-also provides the envelope constant
-C1 with |phi_tau(v - i alpha)| <= C1 exp(-sigma^2 v^2 tau / 2), the
-truncation laws derived from it (the frequency truncation points are
-``fft_engine.truncation_points`` of those laws), the aliasing constants, and
+(``merton_i2_terms``), which the bounds take one by one.  Every bound
+reads Psi itself: the envelope constant C1 = e^{tau Psi(-i alpha)} with
+|phi_tau(v - i alpha)| <= C1 exp(-sigma^2 v^2 tau / 2) and the moments
+E[(S_T/S)^{1+beta}] = e^{tau Psi(-i(1+beta))} of the aliasing bound.  The
+module provides the truncation laws derived from C1 (the frequency
+truncation points are ``fft_engine.truncation_points`` of those laws),
+the tau-free tables of the aliasing bound (``merton_alias_tables``), and
 the tail bound that stops each time slice's sums where the dropped
 samples fall below rounding.  The mixture's density and the
 characteristic function of a horizon tau live in ``levyhedge.oracle``,
@@ -25,28 +27,13 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .core import (  # noqa: F401  (ROUNDING: re-exported next to the prefix tail)
-    ROUNDING,
-    InvalidParameterError,
-    MertonParams,
-    MmmQuantities,
-    OverflowGuardError,
-    _EXP_GUARD,
-)
+from .core import MertonParams, MmmQuantities, levy_char_fn
 from .fft_engine import ALIAS_RATES
 
 KERNEL_PLAIN = "call"
 KERNEL_DAMPED = "damped"
 
 ComplexLike = Union[complex, np.ndarray]
-
-
-def _check_contour(zeta: np.ndarray) -> None:
-    im = np.imag(zeta)
-    if np.any(im > 1e-12) or np.any(im < -2.0 - 1e-12):
-        raise InvalidParameterError(
-            "characteristic function is evaluated on contours Im(zeta) in [-2, 0]"
-        )
 
 
 def merton_exponent(zeta: ComplexLike, params: MertonParams, mmm: MmmQuantities) -> ComplexLike:
@@ -58,7 +45,9 @@ def merton_exponent(zeta: ComplexLike, params: MertonParams, mmm: MmmQuantities)
         - h gamma e^{m + delta^2/2}
           (e^{i (m+delta^2) zeta - zeta^2 delta^2/2} - 1 - i (m+delta^2) zeta)
 
-    Accepts scalars or arrays for ``zeta`` (contour Im(zeta) in [-2, 0]).
+    Psi is entire, so ``zeta`` (scalar or array) may be any complex point:
+    the contour, and the imaginary axis, where tau Psi(-i p) = log
+    E[(S_T / S)^p] gives the moments of the bounds.
     """
     out = merton_exponent_and_weight(zeta, params, mmm)[0]
     return out if np.ndim(zeta) else complex(out)
@@ -78,7 +67,6 @@ def merton_exponent_and_weight(
     moved to log K: c s^{1 - i zeta} times a term's Gaussian factor is
     gamma e^{m + delta^2/2} E2, -gamma E1 and gamma (1 - e^{m + delta^2/2})."""
     z = np.asarray(zeta, dtype=complex)
-    _check_contour(z)
     g, m, d2, sigma2 = params.gamma, params.m, params.delta**2, params.sigma**2
     h = mmm.h
     z2 = z * z
@@ -98,48 +86,20 @@ def merton_exponent_and_weight(
 def merton_c1(params: MertonParams, mmm: MmmQuantities, tau: float, alpha: float) -> float:
     """Envelope constant: |phi_tau(v - i alpha)| <= C1 e^{-sigma^2 v^2 tau/2}.
 
-    C1 = exp{ tau [ alpha mu* + sigma^2 alpha^2 / 2
-                    + int (e^{alpha x} - 1 - alpha x) tilted-nu(dx) ] }.
+    C1 = |phi_tau(-i alpha)| = e^{tau Psi(-i alpha)} = E[(S_T / S)^alpha],
+    refused above the exp() guard (:func:`levyhedge.core.levy_char_fn`).
     """
-    return math.exp(merton_log_c1(params, mmm, tau, alpha))
-
-
-def merton_log_c1(params: MertonParams, mmm: MmmQuantities, tau: float, alpha: float) -> float:
-    """log C1 (see :func:`merton_c1`), refused above the exp() guard."""
-    if tau < 0.0:
-        raise InvalidParameterError("tau must be >= 0")
-    # tau Psi(-i alpha) = log E[(S_T / S)^alpha]
-    exponent = tau * _mgf_rate(params, mmm, alpha, math.exp)
-    if exponent > _EXP_GUARD:
-        raise OverflowGuardError(f"C1 exponent {exponent:.3g} exceeds {_EXP_GUARD:g}")
-    return exponent
-
-
-def _mgf_rate(params: MertonParams, mmm: MmmQuantities, p, exp):
-    """Psi(-i p), so that tau Psi(-i p) = log E[(S_T / S)^p] under the
-    minimal martingale measure; ``exp`` is math.exp for a scalar p,
-    np.exp for an array."""
-    g, m, d2, sigma2 = params.gamma, params.m, params.delta**2, params.sigma**2
-    h = mmm.h
-    m2 = m + d2
-    jump1 = exp(m * p + 0.5 * p**2 * d2) - 1.0 - p * m
-    jump2 = exp(m2 * p + 0.5 * p**2 * d2) - 1.0 - p * m2
-    return (
-        p * mmm.mu_star
-        + 0.5 * sigma2 * p**2
-        + (1.0 + h) * g * jump1
-        - h * g * math.exp(m + 0.5 * d2) * jump2
-    )
+    return abs(levy_char_fn(merton_exponent(-1j * alpha, params, mmm), tau))
 
 
 def merton_trunc_laws(
     params: MertonParams, log_c1: float, tau: float, alpha: float
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Truncation laws (log L, p) of I1 and I2 for
-    :func:`levyhedge.fft_engine.truncation_points`, from log C1
-    (:func:`merton_log_c1`): I1 has L = C1 / (pi sigma^4 tau^2) and p = 4,
-    I2 has L = 4 C1 gamma B / (5 pi sigma^4 tau^2) and p = 5 (log L = -inf
-    at gamma = 0), where
+    :func:`levyhedge.fft_engine.truncation_points`, from log C1 = tau Re
+    Psi(-i alpha) (:func:`merton_c1`): I1 has L = C1 / (pi sigma^4 tau^2)
+    and p = 4, I2 has L = 4 C1 gamma B / (5 pi sigma^4 tau^2) and p = 5
+    (log L = -inf at gamma = 0), where
 
         B = e^{(alpha+1)m + (alpha^2/2 + alpha + 1/2) delta^2}
             + e^{m alpha + delta^2 alpha^2 / 2} + |1 - e^{m + delta^2/2}|.
@@ -208,8 +168,13 @@ def merton_prefix_tail(
     return np.maximum(np.maximum(i1, i2), ratio)
 
 
-class MertonAliasProfile:
-    """Constants of the aliasing bound for I1, I2 and the hedge ratio.
+def merton_alias_tables(
+    params: MertonParams, mmm: MmmQuantities, alpha: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tau-free constants of the aliasing bound for I1, I2 and the
+    hedge ratio (:class:`levyhedge.fft_engine.AliasFloors`): the beta
+    grid, and per bound its in-the-money log and its right-tail log over
+    beta.
 
     Each transform term (coefficient c, shifted strike K' = K s) moves,
     over S, by at most
@@ -222,54 +187,31 @@ class MertonAliasProfile:
     below E[S_T^{1+beta}] K'^{-1-beta} far out (S_T 1{S_T > K} and
     (S_T - K)^+ are below S_T^{1+beta} / K^beta).  The indicator and call
     kinds have a = b = 1; the damped kind convolves the call with a
-    N(0, delta^2) log-strike shift, so a = e^{delta^2/2} and b(beta) =
-    e^{(1+beta)^2 delta^2/2}.  The moment is :func:`merton_log_c1` at
-    1 + beta without its guard.  The jump transform is the sum of the
-    three term transforms, so their bounds, which I2's adds, cover it.
+    N(0, delta^2) log-strike shift, so b(beta) = e^{(1+beta)^2 delta^2/2}
+    and a = b(0).  The jump transform is the sum of the three term
+    transforms, so their bounds, which I2's adds, cover it.
 
-    Split at tau: ``beta``, the beta grid, and ``log_itm``, for I1, I2
-    and the ratio the log of sum |c| a over their terms, are tau-free,
-    built once per model; ``log_right(tau)`` gives, for I1, I2 and the
-    ratio, the log of sum |c| b(beta) E[(S_T/S)^{1+beta}] s^{-beta} over
-    their terms at one slice.
+    Every term shares the moment e^{tau Psi(-i(1+beta))}, which the
+    caller adds: a bound's right-tail log is the log of sum |c| b(beta)
+    s^{-beta} over its terms, and its in-the-money log the same sum at
+    beta = 0 (I1 has the one term c = s = 1; the ratio divides sigma^2 I1
+    + I2 by sigma^2 + quad moment).
     """
-
-    def __init__(self, params: MertonParams, mmm: MmmQuantities, alpha: float):
-        self.beta = beta = alpha - 1.0 + ALIAS_RATES
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._rate = _mgf_rate(params, mmm, 1.0 + beta, np.exp)
-        d2 = params.delta**2
-        # per nonzero I2 term: log |c|, beta log s and the damped kind's
-        # (1+beta)^2 delta^2/2 (None for the call kind)
-        self._terms = []
-        itm = []
-        for term in merton_i2_terms(params):
-            if term.coefficient == 0.0:
-                continue
-            log_coef = math.log(abs(term.coefficient))
-            damped = term.kernel == KERNEL_DAMPED
-            damping = 0.5 * d2 * (1.0 + beta) ** 2 if damped else None
-            self._terms.append((log_coef, beta * math.log(term.strike), damping))
-            itm.append(log_coef + 0.5 * d2 if damped else log_coef)
-        i2_itm = float(np.logaddexp.reduce(itm)) if itm else -math.inf
-        # the ratio divides sigma^2 I1 + I2 by sigma^2 + quad moment
-        self._log_sigma2 = 2.0 * math.log(params.sigma)
-        self._log_denom = math.log(params.sigma**2 + mmm.quad_exp_moment)
-        ratio_itm = np.logaddexp(self._log_sigma2 + 0.0, i2_itm) - self._log_denom
-        self.log_itm = [0.0, i2_itm, ratio_itm]
-
-    def log_right(self, tau: float) -> list[np.ndarray]:
-        with np.errstate(over="ignore", invalid="ignore"):
-            log_mgf = tau * self._rate
-        # an overflowed moment (inf, or 0 * inf at gamma = 0) bounds nothing
-        log_mgf = np.where(np.isnan(log_mgf), np.inf, log_mgf)
-        rights = []
-        for log_coef, shift, damping in self._terms:
-            right = log_coef + log_mgf - shift
-            rights.append(right if damping is None else right + damping)
-        i2 = np.logaddexp.reduce(rights) if rights else np.full(self.beta.shape, -np.inf)
-        ratio = np.logaddexp(self._log_sigma2 + log_mgf, i2) - self._log_denom
-        return [log_mgf, i2, ratio]
+    beta = alpha - 1.0 + ALIAS_RATES
+    # beta = 0, the in-the-money constants, then the grid
+    b = np.concatenate(([0.0], beta))
+    d2 = params.delta**2
+    terms = [
+        math.log(abs(t.coefficient)) - b * math.log(t.strike)
+        + (0.5 * d2 * (1.0 + b) ** 2 if t.kernel == KERNEL_DAMPED else 0.0)
+        for t in merton_i2_terms(params)
+        if t.coefficient != 0.0
+    ]
+    i2 = np.logaddexp.reduce(terms) if terms else np.full(b.shape, -np.inf)
+    log_denom = math.log(params.sigma**2 + mmm.quad_exp_moment)
+    ratio = np.logaddexp(2.0 * math.log(params.sigma), i2) - log_denom
+    tables = np.array([np.zeros(b.shape), i2, ratio])
+    return beta, tables[:, 0], tables[:, 1:]
 
 
 class I2Term(NamedTuple):

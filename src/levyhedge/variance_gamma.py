@@ -8,15 +8,19 @@ transform is linear.  ``VgContourLogs`` takes the exponent and the
 kernel from the logs of two products of bases, two complex logs per
 contour point.  The decay envelope here is polynomial,
 C2 |v|^{-2 C tau}, which gives the truncation law (``vg_trunc_law``; the
-points are ``fft_engine.truncation_points`` of it).  The densities,
+points are ``fft_engine.truncation_points`` of it).  The aliasing bound
+reads the same exponent on the imaginary axis, E[(S_T/S)^{1+beta}] =
+e^{tau Psi(-i(1+beta))}, beside the tau-free tables of
+``vg_alias_tables``.  The densities,
 the kernel at arbitrary zeta and the characteristic function of a
 horizon tau live in ``levyhedge.oracle``, which checks them against
 quadrature.
 
 All complex powers are taken on the principal branch.  For contours
 Im(zeta) = -alpha with alpha in (1, 2] and M > 4 every base factor stays
-in the right half-plane; this is asserted at evaluation time rather than
-assumed.
+in the right half-plane, and so it does at the imaginary-axis points
+zeta = -i(1+beta) of the aliasing bound while 1 + beta < M - 1; this is
+asserted at evaluation time rather than assumed.
 """
 
 from __future__ import annotations
@@ -208,9 +212,13 @@ def vg_trunc_law(params: VgParams, log_c2: float, tau: float, alpha: float) -> t
     return log_c2 + math.log(c * bracket / (math.pi * p)), p
 
 
-class VgAliasProfile:
-    """Constants of the aliasing bound for I2 and the hedge ratio, in the
-    form of :class:`levyhedge.merton.MertonAliasProfile`.
+def vg_alias_tables(
+    params: VgParams, mmm: MmmQuantities, alpha: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tau-free constants of the aliasing bound for I2 and the hedge
+    ratio, in the form of :func:`levyhedge.merton.merton_alias_tables`:
+    the beta grid, and per bound its in-the-money log and its right-tail
+    log over beta, to which the caller adds tau Psi(-i(1+beta)).
 
     I2 = K X_jump(log K) = K X_kernel(log K) - c K X_call(log K), c the
     first exponential moment: one transform of the jump kind, whose
@@ -224,37 +232,16 @@ class VgAliasProfile:
     the constants of the Merton call kind.  The moment
     E[(S_T/S)^{1+beta}] = e^{tau Psi(-i(1+beta))} needs 1 + beta < M - 1
     (the tilted pair's second component), which also keeps the kernel
-    integral finite.
-
-    Split at tau: ``beta`` and ``log_itm`` (I2, ratio) are tau-free,
-    built once per model; ``log_right(tau)`` gives the right-tail logs
-    of one slice.
+    integral finite, so the grid stops there.
     """
-
-    def __init__(self, params: VgParams, mmm: MmmQuantities, alpha: float):
-        C, G, M = params.C, params.G, params.M
-        self.beta = beta = alpha - 1.0 + ALIAS_RATES[ALIAS_RATES < M - 1.0 - alpha]
-        p = 1.0 + beta
-        log_mgf = 0.0
-        pair = vg_mmm_measure(params, mmm.h)
-        for comp in pair.components:
-            log_mgf = log_mgf - comp.C * (np.log1p(p / comp.G) + np.log1p(-p / comp.M))
-        self._rate = log_mgf + p * pair.drift(mmm.mu_star)
-
-        def log_kernel(b):
-            # log of C [log((M-1-b)/(M-2-b)) + log((G+2+b)/(G+1+b))]
-            return math.log(C) + np.log(
-                np.log((M - 1.0 - b) / (M - 2.0 - b)) + np.log((G + 2.0 + b) / (G + 1.0 + b))
-            )
-
-        self._log_kernel = log_kernel(beta)
-        constant = abs(cgm_exp_moment(C, G, M))
-        self._log_constant = math.log(constant) if constant > 0.0 else -math.inf
-        log_itm = float(np.logaddexp(log_kernel(0.0), self._log_constant))
-        self._log_quad = math.log(mmm.quad_exp_moment)
-        self.log_itm = [log_itm, log_itm - self._log_quad]
-
-    def log_right(self, tau: float) -> list[np.ndarray]:
-        log_mgf = tau * self._rate
-        log_right = np.logaddexp(log_mgf + self._log_kernel, self._log_constant + log_mgf)
-        return [log_right, log_right - self._log_quad]
+    C, G, M = params.C, params.G, params.M
+    beta = alpha - 1.0 + ALIAS_RATES[ALIAS_RATES < M - 1.0 - alpha]
+    # beta = 0, the in-the-money constants, then the grid
+    b = np.concatenate(([0.0], beta))
+    kernel = math.log(C) + np.log(
+        np.log((M - 1.0 - b) / (M - 2.0 - b)) + np.log((G + 2.0 + b) / (G + 1.0 + b))
+    )
+    constant = abs(cgm_exp_moment(C, G, M))
+    i2 = np.logaddexp(kernel, math.log(constant) if constant > 0.0 else -math.inf)
+    tables = np.array([i2, i2 - math.log(mmm.quad_exp_moment)])
+    return beta, tables[:, 0], tables[:, 1:]

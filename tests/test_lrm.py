@@ -10,6 +10,7 @@ import pytest
 
 import levyhedge
 from levyhedge import (
+    BranchCutError,
     FftConfig,
     InvalidParameterError,
     MarketQuery,
@@ -29,8 +30,9 @@ from levyhedge import (
     vg_c2,
     vg_mmm_measure,
 )
-from levyhedge.core import cgm_exp_moment, levy_char_fn
+from levyhedge.core import ROUNDING, cgm_exp_moment, levy_char_fn
 from levyhedge.fft_engine import (
+    ALIAS_RATES,
     alias_log_factor,
     coarsest_shift,
     direct_simpson_sum,
@@ -44,15 +46,13 @@ from levyhedge.lrm import (
     evaluate_slices,
 )
 from levyhedge.merton import (
-    ROUNDING,
-    MertonAliasProfile,
+    merton_alias_tables,
     merton_exponent,
     merton_i2_terms,
-    merton_log_c1,
     merton_prefix_tail,
 )
 from levyhedge.oracle import oracle_lrm, quad_i1, quad_i2_definition
-from levyhedge.variance_gamma import VgAliasProfile
+from levyhedge.variance_gamma import VgContourLogs, vg_alias_tables
 
 from conftest import NIKKEI_SPOT
 
@@ -535,7 +535,7 @@ def test_prefix_tail_bound_holds(merton_bench, random_merton_models, fft_bench):
             phi = levy_char_fn(psi, tau)
             strikes = np.array([0.5, 1.0, 2.0]) * spot
             c = sample.row_lengths[0]
-            log_c1 = merton_log_c1(model, sample.mmm, tau, cfg.alpha)
+            log_c1 = tau * sample.psi0.real
             for strike, rows in zip(strikes, bounds.rows(strikes)):
                 m = int(rows) * c
                 tail = merton_prefix_tail(
@@ -654,10 +654,12 @@ def test_vg_slice_uses_all_samples(nikkei, fft_bench):
     assert shift == shifts.min() and m << shift == fft_bench.n
 
 
-def _alias_profile(profile, tau):
-    """The beta grid and one (log_itm, log_right) pair per bound of an alias
-    profile at tau."""
-    return profile.beta, list(zip(profile.log_itm, profile.log_right(tau)))
+def _alias_profile(tables, rate, tau):
+    """The beta grid and one (log_itm, log_right) pair per bound of a
+    model's alias tables at tau, each right tail with the moment
+    e^{tau rate} of the sample's rates."""
+    beta, log_itms, log_rights = tables
+    return beta, list(zip(log_itms, tau * rate + log_rights))
 
 
 def _alias_bound(profile, beta, alpha, eta, log_moneyness):
@@ -683,10 +685,10 @@ def test_alias_bound_holds(merton_bench, random_merton_models, fft_bench):
     for model in [merton_bench] + list(random_merton_models):
         sample = LevySample(model, cfg, spot)
         psi, factors = _term_factors(sample)
-        alias = MertonAliasProfile(model, sample.mmm, cfg.alpha)
+        tables = merton_alias_tables(model, sample.mmm, cfg.alpha)
         for tau in (0.05, 0.5, 1.0):
             bounds = TransformContext(sample, tau)
-            beta, profile = _alias_profile(alias, tau)
+            beta, profile = _alias_profile(tables, sample.floors.rate, tau)
             phi = levy_char_fn(psi, tau)
             strikes = np.array([1e-3, 0.5, 1.0, 2.0]) * spot
             for strike, rows in zip(strikes, bounds.rows(strikes)):
@@ -746,7 +748,8 @@ def test_alias_bound_not_below_measured(nikkei):
     assert predicted == pytest.approx(8.07e-5, rel=1e-3)
     assert 0.999 * predicted <= measured <= predicted
     # and the whole I2 bound covers the measured I2 alias
-    beta, profile = _alias_profile(VgAliasProfile(nikkei, sample.mmm, cfg.alpha), tau)
+    tables = vg_alias_tables(nikkei, sample.mmm, cfg.alpha)
+    beta, profile = _alias_profile(tables, sample.floors.rate, tau)
     jumps = levy_char_fn(psi, tau) * factors["jump"]
 
     def i2(eta, step):
@@ -756,6 +759,76 @@ def test_alias_bound_not_below_measured(nikkei):
     x = math.log(strike / NIKKEI_SPOT)
     bound = _alias_bound(profile[0], beta, cfg.alpha, 0.2, x)
     assert moved <= bound + _alias_bound(profile[0], beta, cfg.alpha, cfg.eta, x)
+
+
+def _merton_log_moment(model, mm, p):
+    """Psi(-i p) for real p, log E[(S_T / S)^p] per unit time, in the real
+    arithmetic of its closed form."""
+    g, m, d2, h = model.gamma, model.m, model.delta**2, mm.h
+    m2 = m + d2
+    jump1 = np.exp(m * p + 0.5 * p**2 * d2) - 1.0 - p * m
+    jump2 = np.exp(m2 * p + 0.5 * p**2 * d2) - 1.0 - p * m2
+    return (
+        p * mm.mu_star
+        + 0.5 * model.sigma**2 * p**2
+        + (1.0 + h) * g * jump1
+        - h * g * math.exp(m + 0.5 * d2) * jump2
+    )
+
+
+def _vg_log_moment(model, mm, p):
+    """Psi(-i p) for real p: -C_j [log1p(p/G_j) + log1p(-p/M_j)] summed
+    over the tilted pair, plus p times its drift."""
+    pair = vg_mmm_measure(model, mm.h)
+    out = p * pair.drift(mm.mu_star)
+    for comp in pair.components:
+        out = out - comp.C * (np.log1p(p / comp.G) + np.log1p(-p / comp.M))
+    return out
+
+
+def test_moment_rates_read_the_exponent(
+    merton_bench, nikkei, random_merton_models, random_vg_models, fft_bench
+):
+    # the sample's moment rates, read from the contour exponent at
+    # zeta = -i(1+beta), are the real-axis log-moment closed forms over
+    # the whole beta grid, and log C1 is tau Re psi0
+    cfg = fft_bench
+    for model in [merton_bench, nikkei] + list(random_merton_models) + list(random_vg_models):
+        sample = LevySample(model, cfg, 1.0)
+        merton = isinstance(model, MertonParams)
+        log_moment = _merton_log_moment if merton else _vg_log_moment
+        with np.errstate(over="ignore"):
+            expected = log_moment(model, sample.mmm, 1.0 + sample.floors.beta)
+        np.testing.assert_allclose(sample.floors.rate, expected, rtol=1e-12, atol=0.0)
+        assert sample.psi0.real == pytest.approx(
+            log_moment(model, sample.mmm, cfg.alpha), rel=1e-12, abs=0.0
+        )
+        for tau in (0.05, 0.5, 1.0):
+            ctx = TransformContext(sample, tau)
+            if merton:
+                assert ctx._log_c1 == tau * sample.psi0.real
+
+
+def test_alias_floors_degenerate_tables(merton_bench, nikkei, fft_bench):
+    # gamma = 0: the Merton moment is 0 * inf at large beta, which bounds
+    # nothing, so no floor is NaN
+    bs = MertonParams(mu=-0.02, sigma=0.2, gamma=0.0, m=0.0, delta=1.0)
+    sample = LevySample(bs, fft_bench, 1.0)
+    assert np.isnan(sample.floors.rate).any()
+    for tau in (0.05, 0.5, 1.0):
+        floors = sample.floors(tau)
+        assert len(floors) == coarsest_shift(fft_bench)
+        assert not np.isnan(floors).any()
+    # a grid with no stride past its own has no floors
+    coarse = FftConfig(n=2**12, eta=0.1)
+    assert coarsest_shift(coarse) == 0
+    assert LevySample(merton_bench, coarse, 1.0).floors(0.5) == []
+    # variance gamma's moment point -i(1+beta) needs 1 + beta < M - 1: at
+    # beta = M - 2 the base M - 1 - i zeta leaves the right half-plane
+    beta = LevySample(nikkei, fft_bench, NIKKEI_SPOT).floors.beta
+    assert beta.size < ALIAS_RATES.size and beta.max() < nikkei.M - 2.0
+    with pytest.raises(BranchCutError):
+        VgContourLogs(np.array([-1j * (nikkei.M - 1.0)]), nikkei.G, nikkei.M)
 
 
 def test_strides_are_batch_independent(merton_bench, nikkei, fft_bench):
