@@ -39,31 +39,15 @@ from .fft_engine import (
     trapezoid_weights,
 )
 from .lrm import (
-    MODE_DIRECT_SUM,
-    MODE_FFT_GRID,
     LevySample,
     LrmResult,
-    MoneynessQuery,
     TransformContext,
-    i1,
-    i2,
     jump_impact,
     lrm,
-    lrm_by_moneyness,
     lrm_strike_sweep,
 )
-from .merton import (
-    I2Term,
-    merton_c1,
-    merton_exponent,
-    merton_i2_terms,
-)
-from .variance_gamma import (
-    CgmComponent,
-    CgmComponentPair,
-    vg_c2,
-    vg_mmm_measure,
-)
+from .merton import merton_exponent, merton_i2_terms
+from .variance_gamma import vg_mmm_measure
 
 __version__ = "0.1.0"
 

@@ -41,9 +41,9 @@ from .core import (
 from .fft_engine import FftConfig, tail_condition_check
 from .lrm import (
     LevySample,
-    MoneynessQuery,
     SliceColumns,
     TransformContext,
+    check_moneyness,
     evaluate_slices,
     jumped_moneyness,
     moneyness_slice,
@@ -257,7 +257,7 @@ def _worst_trunc_cell(cfg: RunConfig) -> tuple[float, float, float]:
             worst = (float(bounds[i]), queries[i].strike, queries[i].tau)
     ctx, strikes, bound = first
     if tail_condition_check(cfg.fft, bound):
-        sample.check_range(strikes, ctx.strided_rows(strikes)[0], sample.kinds)
+        sample.check_range(strikes, ctx.strided_rows(strikes)[0])
     return worst
 
 
@@ -359,8 +359,9 @@ def cmd_impact(cfg: RunConfig, jump_sizes: Sequence[float]) -> int:
     tau = cfg.maturity - t
     base_m = strike / cfg.spot
     started = time.perf_counter()
+    check_moneyness(base_m, tau)
     # every moneyness is a single-strike quote on one shared unit-spot slice
-    ctx = moneyness_slice(cfg.model, cfg.fft, MoneynessQuery(base_m, tau).tau)
+    ctx = moneyness_slice(cfg.model, cfg.fft, tau)
     try:
         jumped = [jumped_moneyness(base_m, y) for y in jump_sizes]
     except InvalidParameterError as exc:

@@ -76,7 +76,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -88,7 +88,6 @@ from .core import (
     MarketQuery,
     MertonParams,
     Model,
-    ModelMismatchError,
     TailConditionError,
     _require,
     _require_finite,
@@ -135,8 +134,6 @@ _DIRECT_SUM_MAX_STRIKES = 4
 # n = 8192.  Twice that ran no faster on the curve benchmark and held 1 MB
 # more at peak
 _BLOCK_POINTS = 1 << 14
-# the SliceColumns column of each kernel kind, K X_kind(log K)
-_COLUMNS = {"indicator": "i1", "jump": "i2"}
 
 
 class LrmResult(NamedTuple):
@@ -156,24 +153,6 @@ class LrmResult(NamedTuple):
     config: FftConfig
     out_of_range: bool
     stride: int
-
-
-@dataclass(frozen=True)
-class MoneynessQuery:
-    """Strike-over-spot ratio plus time to maturity; the hedge ratio
-    depends on (t, S, K) only through these two numbers."""
-
-    moneyness: float
-    tau: float
-
-    def __post_init__(self) -> None:
-        _require_finite("moneyness", self.moneyness)
-        _require(self.moneyness > 0.0, "moneyness must be > 0")
-        _require_finite("tau", self.tau)
-        if self.tau < TAU_MIN:
-            raise InvalidParameterError(
-                f"tau = {self.tau:g} below the supported minimum {TAU_MIN:g}"
-            )
 
 
 class LevySample:
@@ -268,13 +247,13 @@ class LevySample:
         reach = np.maximum(-(log_k + lo), log_k + hi)
         return log_k - math.log(self.spot), [reach < edge for edge in self._edges]
 
-    def check_range(self, strikes: np.ndarray, shifts: np.ndarray, kinds) -> None:
+    def check_range(self, strikes: np.ndarray, shifts: np.ndarray) -> None:
         """The one range rule (module docstring) on the first slice's stride
-        exponents ``shifts``: every log(K f) of the ``kinds`` of a stride-1
-        strike must lie inside +-pi/eta.  With no stride-1 strike it checks
-        nothing, and a caller may skip it."""
+        exponents ``shifts``: every log(K f) of a stride-1 strike must lie
+        inside +-pi/eta.  With no stride-1 strike it checks nothing, and a
+        caller may skip it."""
         zero = strikes[shifts == 0]
-        reached = [zero * f for kind in kinds for f in self.kinds[kind]]
+        reached = [zero * f for factors in self.kinds.values() for f in factors]
         checked_log_strikes(np.log(np.concatenate(reached)), self.config.eta)
 
 
@@ -421,12 +400,11 @@ class TransformContext:
 @dataclass(frozen=True)
 class SliceColumns:
     """Results of one strike array on a run of time slices, one row per
-    slice and one column per strike.  ``i1`` is None for variance gamma;
-    a column the call did not ask for (``part``) is None too."""
+    slice and one column per strike.  ``i1`` is None for variance gamma."""
 
-    lrm: Optional[np.ndarray]
+    lrm: np.ndarray
     i1: Optional[np.ndarray]
-    i2: Optional[np.ndarray]
+    i2: np.ndarray
     trunc_a: np.ndarray
     stride: np.ndarray
     mode: str
@@ -446,23 +424,21 @@ class _SlicePlan(NamedTuple):
 
 
 def evaluate_slices(
-    slices: Sequence[TransformContext], strikes: Sequence[float], part: str = "lrm",
-    mode: Optional[str] = None,
+    slices: Sequence[TransformContext], strikes: Sequence[float], mode: Optional[str] = None,
 ) -> SliceColumns:
     """Hedge ratios, I1 and I2 of the same strikes on every slice of one
-    :class:`LevySample`, as columns: ``part`` "lrm" computes all three,
-    "i1" the stock-or-nothing term alone and "i2" the jump term alone,
-    each from only the kernel kinds it needs (``LevySample.kinds``),
-    every kind at log K.
+    :class:`LevySample`, as columns, from every kernel kind of
+    ``LevySample.kinds``, each at log K.
 
     Each slice's truncation points, strides and rows are computed once.
     A slice's tail check covers its largest truncation bound over all
-    strikes, of the bounds (I1, I2) its part reads.  Unless ``mode``
-    names the path, up to ``_DIRECT_SUM_MAX_STRIKES`` strikes take exact
-    direct sums, each over its own stride and rows, one
-    ``direct_simpson_sum`` call per stride for every kind; more share one
-    interpolated FFT grid per kernel kind and slice, at the finest stride
-    of the slice and over its longest span.  Grid slices of one stride
+    strikes and bounds.  Unless ``mode`` (``MODE_DIRECT_SUM`` or
+    ``MODE_FFT_GRID``; anything else is refused) names the path, up to
+    ``_DIRECT_SUM_MAX_STRIKES`` strikes take exact direct sums, each over
+    its own stride and rows, one ``direct_simpson_sum`` call per stride
+    for every kind; more share one interpolated FFT grid per kernel kind
+    and slice, at the finest stride of the slice and over its longest
+    span.  Grid slices of one stride
     are transformed in blocks of up to ``_BLOCK_POINTS`` FFT points per
     kind, one ``carr_madan_grid`` call and one interpolation per block,
     every row zero past its own slice's span, so each cell has the bits
@@ -471,9 +447,8 @@ def evaluate_slices(
     views of that sample.
     Slices are checked in order, each before the next: its tail, and
     after the first slice's the one range rule (module docstring) on its
-    stride-1 strikes, every log(K f) of the part's kinds, so an error is
-    the one the first failing slice raises alone.  ``strikes`` must not
-    be empty.
+    stride-1 strikes, so an error is the one the first failing slice
+    raises alone.  ``strikes`` must not be empty.
     """
     strikes = _strike_array(strikes)
     _require(strikes.size > 0, "need at least one strike")
@@ -482,12 +457,8 @@ def evaluate_slices(
     config = sample.config
     if mode is None:
         mode = MODE_DIRECT_SUM if strikes.size <= _DIRECT_SUM_MAX_STRIKES else MODE_FFT_GRID
-    # every kind, or the one of the part's column, and its rows of trunc
-    names = list(sample.kinds)
-    picked = [i for i, kind in enumerate(names) if part in ("lrm", _COLUMNS[kind])]
-    _require(picked, f"part {part!r} reads no kernel kind of the model")
-    read = slice(picked[0], picked[-1] + 1)
-    kinds = names[read]
+    _require(mode in (MODE_DIRECT_SUM, MODE_FFT_GRID), f"unknown mode {mode!r}")
+    kinds = list(sample.kinds)
 
     reach = sample.reach(strikes)
     plans = []
@@ -496,7 +467,7 @@ def evaluate_slices(
         extents = ctx.extents(shifts, rows)
         fine = int(shifts.min())
         points = (int(extents.max()) >> fine) + 1
-        trunc = ctx.trunc(strikes)[read].max(axis=0)
+        trunc = ctx.trunc(strikes).max(axis=0)
         plans.append(_SlicePlan(trunc, shifts, rows, extents, fine, points))
     # one sample, at the finest stride and over the longest span any slice
     # reads; a slice reads every 2^(s - top)-th of its points
@@ -514,7 +485,7 @@ def evaluate_slices(
         worst = int(np.argmax(plan.trunc))
         _check_tail(config, float(plan.trunc[worst]), float(strikes[worst]), ctx.tau)
         if i == 0 and plan.fine == 0:
-            sample.check_range(strikes, plan.shifts, kinds)
+            sample.check_range(strikes, plan.shifts)
         if mode == MODE_FFT_GRID:
             continue
         psi, factors = strided(plan.fine, plan.points)
@@ -541,12 +512,10 @@ def evaluate_slices(
         strides = np.array([1 << p.shifts for p in plans])
 
     # I1 = K X_indicator(log K), I2 = K X_jump(log K)
-    column = {_COLUMNS[kind]: row for kind, row in zip(kinds, strikes * values)}
-    i1, i2 = column.get("i1"), column.get("i2")
-    lrm_values = None
-    if part == "lrm":
-        numerator = sample.sigma2 * i1 + i2 if i1 is not None else i2
-        lrm_values = numerator / (sample.spot * (sample.sigma2 + sample.mmm.quad_exp_moment))
+    column = dict(zip(kinds, strikes * values))
+    i1, i2 = column.get("indicator"), column["jump"]
+    numerator = sample.sigma2 * i1 + i2 if i1 is not None else i2
+    lrm_values = numerator / (sample.spot * (sample.sigma2 + sample.mmm.quad_exp_moment))
     trunc = np.array([p.trunc for p in plans])
     return SliceColumns(lrm_values, i1, i2, trunc, strides, mode)
 
@@ -617,39 +586,12 @@ def tail_hint(config: FftConfig, trunc_a: float) -> str:
     return hint
 
 
-def _slice(query: MarketQuery, model: Model, config: FftConfig) -> TransformContext:
-    return TransformContext(LevySample(model, config, query.spot), query.tau)
-
-
-def i1(query: MarketQuery, model: Model, config: FftConfig) -> float:
-    """Stock-or-nothing expectation E[1_{S_T > K} S_T | now] via the
-    damped transform of psi1, and only that transform: the bits of
-    ``lrm(...).i1``.  Defined for the diffusive model only; for variance
-    gamma it is multiplied by sigma^2 = 0 and never computed."""
-    if not isinstance(model, MertonParams):
-        raise ModelMismatchError(
-            "I1 applies to the Merton model only; the sigma^2 I1 term vanishes "
-            "for pure-jump models"
-        )
-    return evaluate_slices([_slice(query, model, config)], [query.strike], "i1").i1.item()
-
-
-def i2(query: MarketQuery, model: Model, config: FftConfig) -> float:
-    """Jump term of the hedge numerator.
-
-    One transform at log K of the call factor times the jump weight
-    int (e^{i zeta x} - 1)(e^x - 1) nu(dx): for Merton the sum of three
-    shifted-strike terms, for variance gamma the jump kernel less the
-    first exponential moment.  Only this transform runs, with the bits
-    of ``lrm(...).i2``.
-    """
-    return evaluate_slices([_slice(query, model, config)], [query.strike], "i2").i2.item()
-
-
 def lrm(query: MarketQuery, model: Model, config: FftConfig) -> LrmResult:
-    """Hedge ratio for a single (t, K, S) query: one direct-sum strike on
-    a fresh slice, through :func:`evaluate_slices` like every caller."""
-    return _slice(query, model, config).evaluate([query.strike])[0]
+    """Hedge ratio, I1 and I2 for a single (t, K, S) query: one
+    direct-sum strike on a fresh slice, through :func:`evaluate_slices`
+    like every caller."""
+    ctx = TransformContext(LevySample(model, config, query.spot), query.tau)
+    return ctx.evaluate([query.strike])[0]
 
 
 def lrm_strike_sweep(
@@ -667,27 +609,20 @@ def lrm_strike_sweep(
     return TransformContext(sample, time_to_maturity(t, T)).evaluate(strikes)
 
 
-def lrm_by_moneyness(
-    moneyness_query: Union[MoneynessQuery, float],
-    model: Model,
-    config: FftConfig,
-    tau: Optional[float] = None,
-) -> float:
-    """Hedge ratio as a function of moneyness alone: spot normalized to 1
-    and the strike set to K/S.  Identical (up to arithmetic reordering)
-    to the (S, K) evaluation with the same tau."""
-    if isinstance(moneyness_query, MoneynessQuery):
-        mq = moneyness_query
-    else:
-        if tau is None:
-            raise InvalidParameterError("tau is required with a bare moneyness value")
-        mq = MoneynessQuery(moneyness=float(moneyness_query), tau=tau)
-    return moneyness_slice(model, config, mq.tau).evaluate([mq.moneyness])[0].lrm
-
-
 def moneyness_slice(model: Model, config: FftConfig, tau: float) -> TransformContext:
-    """The time slice tau at unit spot, where a strike is a moneyness K/S."""
+    """The time slice tau at unit spot, where a strike is a moneyness K/S;
+    the hedge ratio depends on (t, S, K) only through K/S and tau."""
     return TransformContext(LevySample(model, config, 1.0), time_to_maturity(0.0, tau))
+
+
+def check_moneyness(moneyness: float, tau: float) -> None:
+    """Refuse a moneyness K/S that is not finite and > 0, or a tau that is
+    not finite and >= TAU_MIN, in that order."""
+    _require_finite("moneyness", moneyness)
+    _require(moneyness > 0.0, "moneyness must be > 0")
+    _require_finite("tau", tau)
+    if tau < TAU_MIN:
+        raise InvalidParameterError(f"tau = {tau:g} below the supported minimum {TAU_MIN:g}")
 
 
 def jump_impact(y: float, moneyness: float, tau: float, model: Model, config: FftConfig) -> float:
@@ -697,11 +632,10 @@ def jump_impact(y: float, moneyness: float, tau: float, model: Model, config: Ff
     _require_finite("jump size y", y)
     if y == 0.0:
         raise InvalidParameterError("jump size y must be nonzero")
-    before = MoneynessQuery(moneyness, tau)
-    after = MoneynessQuery(jumped_moneyness(moneyness, y), tau)
-    lrm_before, lrm_after = moneyness_slice(model, config, tau).quotes(
-        [before.moneyness, after.moneyness]
-    )
+    check_moneyness(moneyness, tau)
+    jumped = jumped_moneyness(moneyness, y)
+    check_moneyness(jumped, tau)
+    lrm_before, lrm_after = moneyness_slice(model, config, tau).quotes([moneyness, jumped])
     return lrm_after.lrm - lrm_before.lrm
 
 

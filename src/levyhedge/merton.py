@@ -27,7 +27,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .core import MertonParams, MmmQuantities, levy_char_fn
+from .core import MertonParams, MmmQuantities
 from .fft_engine import ALIAS_RATES
 
 KERNEL_PLAIN = "call"
@@ -83,23 +83,15 @@ def merton_exponent_and_weight(
     return psi, g * (lift * e2 - e1 + (1.0 - lift))
 
 
-def merton_c1(params: MertonParams, mmm: MmmQuantities, tau: float, alpha: float) -> float:
-    """Envelope constant: |phi_tau(v - i alpha)| <= C1 e^{-sigma^2 v^2 tau/2}.
-
-    C1 = |phi_tau(-i alpha)| = e^{tau Psi(-i alpha)} = E[(S_T / S)^alpha],
-    refused above the exp() guard (:func:`levyhedge.core.levy_char_fn`).
-    """
-    return abs(levy_char_fn(merton_exponent(-1j * alpha, params, mmm), tau))
-
-
 def merton_trunc_laws(
     params: MertonParams, log_c1: float, tau: float, alpha: float
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Truncation laws (log L, p) of I1 and I2 for
-    :func:`levyhedge.fft_engine.truncation_points`, from log C1 = tau Re
-    Psi(-i alpha) (:func:`merton_c1`): I1 has L = C1 / (pi sigma^4 tau^2)
-    and p = 4, I2 has L = 4 C1 gamma B / (5 pi sigma^4 tau^2) and p = 5
-    (log L = -inf at gamma = 0), where
+    :func:`levyhedge.fft_engine.truncation_points`, from the envelope
+    |phi_tau(v - i alpha)| <= C1 e^{-sigma^2 v^2 tau/2}, log C1 = tau Re
+    Psi(-i alpha): I1 has L = C1 / (pi sigma^4 tau^2) and p = 4, I2 has
+    L = 4 C1 gamma B / (5 pi sigma^4 tau^2) and p = 5 (log L = -inf at
+    gamma = 0), where
 
         B = e^{(alpha+1)m + (alpha^2/2 + alpha + 1/2) delta^2}
             + e^{m alpha + delta^2 alpha^2 / 2} + |1 - e^{m + delta^2/2}|.

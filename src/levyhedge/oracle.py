@@ -6,10 +6,10 @@ sums, a literal O(N^2) DFT instead of numpy's FFT, and direct
 numerical integration of the jump measure instead of the closed-form
 characteristic exponents.  It also holds the closed forms that only
 these checks use: the tilted Merton mixture and both models' jump
-densities, the characteristic functions of a horizon tau, the variance
-gamma exponent and kernel at arbitrary zeta, and the naive weighted sum
-the direct sums are held to.  Nothing on the production path imports
-this module.
+densities, the characteristic functions of a horizon tau and their
+envelope constants C1 and C2, the variance gamma exponent and kernel at
+any zeta, and the naive weighted sum the direct sums are held to.
+Nothing on the production path imports this module.
 
 Infinite jump-measure domains are mapped to (0, 1) before the adaptive
 rule runs: the full line through x = log(u / (1-u)) and half lines
@@ -44,12 +44,12 @@ from .core import (
     mmm_quantities,
 )
 from .fft_engine import trapezoid_weights
-from .merton import ComplexLike, merton_c1, merton_exponent
+from .merton import ComplexLike, merton_exponent
 from .variance_gamma import (
     CgmComponent,
     CgmComponentPair,
     _check_contour_bases,
-    vg_c2,
+    vg_log_c2,
     vg_mmm_measure,
 )
 
@@ -185,6 +185,15 @@ def merton_char_fn(
     return levy_char_fn(merton_exponent(zeta, params, mmm), tau)
 
 
+def merton_c1(params: MertonParams, mmm: MmmQuantities, tau: float, alpha: float) -> float:
+    """Envelope constant: |phi_tau(v - i alpha)| <= C1 e^{-sigma^2 v^2 tau/2}.
+
+    C1 = |phi_tau(-i alpha)| = e^{tau Psi(-i alpha)} = E[(S_T / S)^alpha],
+    refused above the exp() guard (:func:`levyhedge.core.levy_char_fn`).
+    """
+    return abs(levy_char_fn(merton_exponent(-1j * alpha, params, mmm), tau))
+
+
 def cgm_density(measure, x: np.ndarray) -> np.ndarray:
     """Density C (1_{x<0} e^{Gx} + 1_{x>0} e^{-Mx}) / |x| of a
     :class:`CgmComponent`, or the sum over a :class:`CgmComponentPair`."""
@@ -258,6 +267,23 @@ def vg_char_fn(
     """Characteristic function exp(tau Psi(zeta)) of the log price over
     tau under the tilted measure."""
     return levy_char_fn(vg_exponent(zeta, params, mmm, mu_star), tau)
+
+
+def vg_c2(
+    params: VgParams,
+    mmm: CgmComponentPair,
+    mu_star: float,
+    tau: float,
+    alpha: float,
+) -> float:
+    """Envelope constant of the polynomial decay bound
+
+        |phi_tau(v - i alpha)| <= C2 |v|^{-2 C tau},
+
+    C2 = prod (G_j M_j)^{w_j tau} * exp{tau alpha (mu* + sum of means)};
+    :func:`vg_log_c2` refuses it above the exp() guard.
+    """
+    return math.exp(vg_log_c2(params, mmm, mu_star, tau, alpha))
 
 
 def damped_sum_complex(psi_samples: np.ndarray, eta: float, k: float) -> complex:

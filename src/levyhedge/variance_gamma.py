@@ -166,27 +166,12 @@ class VgContourLogs:
         return out + self.iz * mmm.drift(mu_star)
 
 
-def vg_c2(
-    params: VgParams,
-    mmm: CgmComponentPair,
-    mu_star: float,
-    tau: float,
-    alpha: float,
-) -> float:
-    """Envelope constant of the polynomial decay bound
-
-        |phi_tau(v - i alpha)| <= C2 |v|^{-2 C tau},
-
-    C2 = prod (G_j M_j)^{w_j tau} * exp{tau alpha (mu* + sum of means)};
-    :func:`vg_log_c2` refuses it above the exp() guard.
-    """
-    return math.exp(vg_log_c2(params, mmm, mu_star, tau, alpha))
-
-
 def vg_log_c2(
     params: VgParams, mmm: CgmComponentPair, mu_star: float, tau: float, alpha: float
 ) -> float:
-    """log C2 (see :func:`vg_c2`), refused above the exp() guard."""
+    """log C2 of the polynomial decay bound |phi_tau(v - i alpha)| <= C2
+    |v|^{-2 C tau}, C2 = prod (G_j M_j)^{w_j tau} * exp{tau alpha (mu* + sum
+    of means)}, refused above the exp() guard."""
     if tau < 0.0:
         raise InvalidParameterError("tau must be >= 0")
     log_c2 = 0.0

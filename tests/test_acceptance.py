@@ -12,14 +12,13 @@ from levyhedge import (
     FftConfig,
     MarketQuery,
     lrm,
-    lrm_by_moneyness,
     lrm_strike_sweep,
     martingale_drift,
     mmm_quantities,
     trapezoid_weights,
     vg_mmm_measure,
 )
-from levyhedge.lrm import MODE_FFT_GRID, MoneynessQuery
+from levyhedge.lrm import MODE_FFT_GRID
 from levyhedge.oracle import (
     i1_tail_mass,
     i2_tail_mass,
@@ -254,13 +253,13 @@ def test_criterion_6_property_suite(merton_bench, vg_bench, nikkei, fft_bench):
             m = rng.uniform(0.6, 1.8)
             tau = rng.uniform(0.25, 1.0)
             lhs = lrm(MarketQuery(t=0.0, T=tau, spot=spot, strike=m * spot), model, fft_bench).lrm
-            rhs = lrm_by_moneyness(MoneynessQuery(m, tau), model, fft_bench)
+            rhs = lrm(MarketQuery(t=0.0, T=tau, spot=1.0, strike=m), model, fft_bench).lrm
             worst_mon = max(worst_mon, abs(lhs - rhs))
     moneyness_ok = worst_mon < 1e-8
 
     # deep in-the-money limit
     itm = [
-        lrm_by_moneyness(0.01, model, fft_bench, tau=0.5)
+        lrm(MarketQuery(t=0.0, T=0.5, spot=1.0, strike=0.01), model, fft_bench).lrm
         for model in (merton_bench, vg_bench)
     ]
     itm_ok = all(0.97 <= v <= 1.0 for v in itm)

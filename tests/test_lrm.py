@@ -15,19 +15,12 @@ from levyhedge import (
     InvalidParameterError,
     MarketQuery,
     MertonParams,
-    ModelMismatchError,
-    MoneynessQuery,
     OverflowGuardError,
     TailConditionError,
-    i1,
-    i2,
     jump_impact,
     lrm,
-    lrm_by_moneyness,
     lrm_strike_sweep,
-    merton_c1,
     mmm_quantities,
-    vg_c2,
     vg_mmm_measure,
 )
 from levyhedge.core import ROUNDING, cgm_exp_moment, levy_char_fn
@@ -51,7 +44,7 @@ from levyhedge.merton import (
     merton_i2_terms,
     merton_prefix_tail,
 )
-from levyhedge.oracle import oracle_lrm, quad_i1, quad_i2_definition
+from levyhedge.oracle import merton_c1, oracle_lrm, quad_i1, quad_i2_definition, vg_c2
 from levyhedge.variance_gamma import VgContourLogs, vg_alias_tables
 
 from conftest import NIKKEI_SPOT
@@ -62,13 +55,13 @@ def _q(t: float, strike: float, spot: float = 1.0, T: float = 1.0) -> MarketQuer
 
 
 def test_i1_deep_itm_tends_to_spot(merton_bench, fft_bench):
-    val = i1(_q(0.5, 1e-3), merton_bench, fft_bench)
+    val = lrm(_q(0.5, 1e-3), merton_bench, fft_bench).i1
     assert val == pytest.approx(1.0, abs=1e-6)
 
 
 def test_i1_decreases_to_zero_otm(merton_bench, fft_bench):
     vals = [
-        i1(_q(0.5, k), merton_bench, fft_bench)
+        lrm(_q(0.5, k), merton_bench, fft_bench).i1
         for k in (1.0, 4.0, 16.0, 256.0, 1e6)
     ]
     assert all(b < a for a, b in zip(vals, vals[1:]))
@@ -78,14 +71,14 @@ def test_i1_decreases_to_zero_otm(merton_bench, fft_bench):
 
 def test_i1_matches_quadrature(merton_bench, fft_bench):
     q = _q(0.5, 1.0)
-    fft_val = i1(q, merton_bench, fft_bench)
+    fft_val = lrm(q, merton_bench, fft_bench).i1
     ref = quad_i1(q, merton_bench)
     assert abs(fft_val - ref) / abs(ref) < 1e-4
 
 
-def test_i1_i2_sum_only_their_kernel_kinds(merton_bench, fft_bench, monkeypatch):
-    # i1 transforms the indicator kind alone, i2 the jump kind, lrm both in
-    # one stacked direct sum, each with the bits lrm reports
+def test_lrm_sums_every_kernel_kind_in_one_call(merton_bench, vg_bench, fft_bench, monkeypatch):
+    # a quote transforms all its kernel kinds in one stacked direct sum:
+    # indicator and jump for Merton, jump alone for variance gamma
     module = sys.modules["levyhedge.lrm"]
     calls = []
 
@@ -94,39 +87,33 @@ def test_i1_i2_sum_only_their_kernel_kinds(merton_bench, fft_bench, monkeypatch)
         return direct_simpson_sum(*args, **kwargs)
 
     monkeypatch.setattr(module, "direct_simpson_sum", counting)
-    query = _q(0.5, 1.13)
-    counts, kinds = [], []
-    for fn in (i1, i2, lrm):
+    kinds = []
+    for model in (merton_bench, vg_bench):
         calls.clear()
-        value = fn(query, merton_bench, fft_bench)
-        counts.append(len(calls))
-        kinds += [len(args[0]) for args in calls]
-    assert counts == [1, 1, 1]
-    assert kinds == [1, 1, 2]
-    assert i1(query, merton_bench, fft_bench) == value.i1
-    assert i2(query, merton_bench, fft_bench) == value.i2
+        lrm(_q(0.5, 1.13), model, fft_bench)
+        kinds.append([len(args[0]) for args in calls])
+    assert kinds == [[2], [1]]
 
 
 def test_i1_rejects_vg(vg_bench, fft_bench):
-    with pytest.raises(ModelMismatchError):
-        i1(_q(0.5, 1.0), vg_bench, fft_bench)
+    assert lrm(_q(0.5, 1.0), vg_bench, fft_bench).i1 is None
 
 
 def test_i2_zero_without_jumps(fft_bench):
     model = MertonParams(mu=-0.02, sigma=0.2, gamma=0.0, m=0.0, delta=1.0)
-    assert i2(_q(0.5, 1.0), model, fft_bench) == pytest.approx(0.0, abs=1e-12)
+    assert lrm(_q(0.5, 1.0), model, fft_bench).i2 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_i2_merton_matches_double_quadrature(merton_bench, fft_bench):
     q = _q(0.5, 1.0)
-    fft_val = i2(q, merton_bench, fft_bench)
+    fft_val = lrm(q, merton_bench, fft_bench).i2
     ref = quad_i2_definition(q, merton_bench)
     assert abs(fft_val - ref) / abs(ref) < 1e-3
 
 
 def test_i2_nikkei_matches_double_quadrature(nikkei, fft_bench):
     q = _q(0.5, 14000.0, spot=NIKKEI_SPOT)
-    fft_val = i2(q, nikkei, fft_bench)
+    fft_val = lrm(q, nikkei, fft_bench).i2
     ref = quad_i2_definition(q, nikkei)
     assert abs(fft_val - ref) / abs(ref) < 1e-3
 
@@ -195,22 +182,22 @@ def test_moneyness_identity_randomized(merton_bench, vg_bench, fft_bench):
             tau = rng.uniform(0.2, 1.0)
             query = MarketQuery(t=0.0, T=tau, spot=spot, strike=moneyness * spot)
             lhs = lrm(query, model, fft_bench).lrm
-            rhs = lrm_by_moneyness(MoneynessQuery(moneyness, tau), model, fft_bench)
+            rhs = lrm(MarketQuery(0.0, tau, 1.0, moneyness), model, fft_bench).lrm
             assert abs(lhs - rhs) < 1e-8
 
 
 def test_moneyness_limits(merton_bench, fft_bench):
-    assert lrm_by_moneyness(0.01, merton_bench, fft_bench, tau=0.5) == pytest.approx(
+    assert lrm(MarketQuery(0.0, 0.5, 1.0, 0.01), merton_bench, fft_bench).lrm == pytest.approx(
         1.0, abs=0.03
     )
-    assert lrm_by_moneyness(1e6, merton_bench, fft_bench, tau=0.5) < 1e-4
+    assert lrm(MarketQuery(0.0, 0.5, 1.0, 1e6), merton_bench, fft_bench).lrm < 1e-4
 
 
 def test_jump_impact_composition(merton_bench, fft_bench):
     y = 0.1
     impact = jump_impact(y, 1.0, 0.5, merton_bench, fft_bench)
-    before = lrm_by_moneyness(MoneynessQuery(1.0, 0.5), merton_bench, fft_bench)
-    after = lrm_by_moneyness(MoneynessQuery(math.exp(-y), 0.5), merton_bench, fft_bench)
+    before = lrm(MarketQuery(0.0, 0.5, 1.0, 1.0), merton_bench, fft_bench).lrm
+    after = lrm(MarketQuery(0.0, 0.5, 1.0, math.exp(-y)), merton_bench, fft_bench).lrm
     assert impact == pytest.approx(after - before, abs=1e-15)
 
 
@@ -869,7 +856,6 @@ def test_one_log_strike_range_rule(fft_bench):
         sweep = [0.9, 1.0, 1.1, 1.2, strike]
         return (
             lambda: [lrm(_q(0.5, strike), model, fft_bench).lrm],
-            lambda: [i2(_q(0.5, strike), model, fft_bench)],
             lambda: [r.lrm for r in lrm_strike_sweep(
                 model, fft_bench, t=0.5, T=1.0, spot=1.0, strikes=sweep)],
             lambda: evaluate_slices(slices, [1.0, strike]).lrm.ravel().tolist(),
@@ -880,7 +866,6 @@ def test_one_log_strike_range_rule(fft_bench):
     for call in calls(strike):
         with pytest.raises(InvalidParameterError, match=r"log-strike 125\.774 outside"):
             call()
-    assert math.isfinite(i1(_q(0.5, strike), model, fft_bench))
     for call in calls(math.exp(edge - 0.5)):
         assert all(math.isfinite(x) for x in call())
 
@@ -911,16 +896,37 @@ def test_vg_quotes_take_coarse_strides(vg_bench, nikkei, fft_bench):
 
 def test_moneyness_query_rejects_non_finite(merton_bench, fft_bench):
     with pytest.raises(InvalidParameterError, match="moneyness must be finite"):
-        MoneynessQuery(math.inf, 0.5)
+        jump_impact(0.1, math.inf, 0.5, merton_bench, fft_bench)
     with pytest.raises(InvalidParameterError, match="tau must be finite"):
-        MoneynessQuery(1.0, math.nan)
+        jump_impact(0.1, 1.0, math.nan, merton_bench, fft_bench)
     with pytest.raises(InvalidParameterError, match="tau must be finite"):
-        MoneynessQuery(1.0, math.inf)
+        jump_impact(0.1, 1.0, math.inf, merton_bench, fft_bench)
     with pytest.raises(InvalidParameterError, match="moneyness must be finite"):
-        lrm_by_moneyness(math.nan, merton_bench, fft_bench, tau=0.5)
+        jump_impact(0.1, math.nan, 0.5, merton_bench, fft_bench)
     for y in (math.inf, -math.inf, math.nan):
         with pytest.raises(InvalidParameterError, match="jump size y must be finite"):
             jump_impact(y, 1.0, 0.5, merton_bench, fft_bench)
     # a finite jump whose e^{-y} overflows
     with pytest.raises(InvalidParameterError, match="jump size y = -1000 overflows"):
         jump_impact(-1000.0, 1.0, 0.5, merton_bench, fft_bench)
+
+
+def test_jump_impact_checks_moneyness_then_tau(merton_bench, fft_bench):
+    # each moneyness, the jumped one too, is finite and > 0 before tau is
+    # checked
+    cases = [
+        ((0.1, 0.0, math.nan), "moneyness must be > 0"),
+        ((0.1, 1.0, 1e-9), "tau = 1e-09 below the supported minimum"),
+        ((-700.0, 1e300, 0.5), "moneyness must be finite"),
+        ((800.0, 1.0, 0.5), "moneyness must be > 0"),
+    ]
+    for args, message in cases:
+        with pytest.raises(InvalidParameterError, match=message):
+            jump_impact(*args, merton_bench, fft_bench)
+
+
+def test_evaluate_slices_rejects_unknown_mode(merton_bench, fft_bench):
+    ctx = TransformContext(LevySample(merton_bench, fft_bench, 1.0), 0.5)
+    for mode in ("fft", "grid", ""):
+        with pytest.raises(InvalidParameterError, match="unknown mode"):
+            evaluate_slices([ctx], [0.9, 1.0, 1.1, 1.2, 1.3], mode=mode)

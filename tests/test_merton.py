@@ -8,7 +8,6 @@ from levyhedge import (
     MarketQuery,
     MertonParams,
     OverflowGuardError,
-    merton_c1,
     merton_i2_terms,
     mmm_quantities,
 )
@@ -19,6 +18,7 @@ from levyhedge.oracle import (
     i2_tail_mass,
     levy_moment,
     lk_char_fn,
+    merton_c1,
     merton_char_fn,
     merton_mmm_measure,
 )

@@ -12,7 +12,6 @@ from levyhedge import (
     VgParams,
     lrm,
     mmm_quantities,
-    vg_c2,
     vg_mmm_measure,
 )
 from conftest import NIKKEI_SPOT, trunc_points
@@ -20,7 +19,14 @@ from levyhedge import variance_gamma
 from levyhedge.core import cgm_exp_moment
 from levyhedge.fft_engine import direct_simpson_sum
 from levyhedge.lrm import LevySample
-from levyhedge.oracle import levy_moment, lk_char_fn, vg_char_fn, vg_exponent, vg_kernel
+from levyhedge.oracle import (
+    levy_moment,
+    lk_char_fn,
+    vg_c2,
+    vg_char_fn,
+    vg_exponent,
+    vg_kernel,
+)
 from levyhedge.variance_gamma import VgContourLogs
 
 ALPHA = 1.75

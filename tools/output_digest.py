@@ -1,6 +1,7 @@
 """Print one sha256 over what this checkout computes: ``lrm_strike_sweep``
 (t in {0.05, 0.5, 0.9}; 1, 3, 29 and 1000 strikes, and strikes near the
-+-pi/eta edge), ``i1``, ``i2``, ``jump_impact``, and the exit code, stdout
++-pi/eta edge), single ``lrm`` quotes (one ``quote`` record per model, t
+and strike), ``jump_impact``, and the exit code, stdout
 and error lines of ``levyhedge curve``, ``validate`` and ``impact``
 (timing lines dropped), on the named parameter sets and seeded samplers
 of ``tests/conftest.py``.  An error counts as its type and message.  Two
@@ -26,7 +27,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import conftest  # noqa: E402
 from levyhedge import FftConfig, LevyHedgeError, MarketQuery, MertonParams, VgParams  # noqa: E402
-from levyhedge import i1, i2, jump_impact, lrm_strike_sweep  # noqa: E402
+from levyhedge import jump_impact, lrm, lrm_strike_sweep  # noqa: E402
 from levyhedge.cli import main  # noqa: E402
 
 CONFIG = FftConfig(n=2**14, eta=0.025, alpha=1.75, eps=1e-2)  # the fft_bench fixture
@@ -77,9 +78,8 @@ for name, model, spot in models:
             record(f"{name} sweep {t} {len(ks)}",
                    lambda: lrm_strike_sweep(model, CONFIG, t=t, T=1.0, spot=spot, strikes=ks))
         for k in sweeps[1] + EDGE:
-            for f in (i1, i2):
-                record(f"{name} {f.__name__} {t} {k}",
-                       lambda: f(MarketQuery(t, 1.0, spot, k), model, CONFIG))
+            record(f"{name} quote {t} {k}",
+                   lambda: lrm(MarketQuery(t, 1.0, spot, k), model, CONFIG))
     for y in (0.1, -0.1, 0.5):
         for m in (0.8, 1.0, 1.25):
             record(f"{name} impact {y} {m}", lambda: jump_impact(y, m, 0.5, model, CONFIG))
