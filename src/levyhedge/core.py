@@ -112,17 +112,21 @@ def time_to_maturity(t: float, T: float) -> float:
     return T - t
 
 
-def levy_char_fn(psi, tau: float):
-    """phi_tau = exp(tau * Psi) from the Levy exponent Psi (scalar or
-    array), refusing any exponent whose real part would overflow exp()."""
+def guard_exponent(tau: float, peak: float) -> None:
+    """Refuse tau < 0, or a largest real part ``peak`` of tau Psi that overflows exp()."""
     if tau < 0.0:
         raise InvalidParameterError("tau must be >= 0")
-    exponent = tau * np.asarray(psi, dtype=complex)
-    peak = float(np.max(exponent.real)) if exponent.size else 0.0
     if peak > _EXP_GUARD:
         raise OverflowGuardError(
             f"characteristic exponent real part {peak:.3g} exceeds {_EXP_GUARD:g}"
         )
+
+
+def levy_char_fn(psi, tau: float):
+    """phi_tau = exp(tau * Psi) from the Levy exponent Psi (scalar or
+    array), refusing any exponent whose real part would overflow exp()."""
+    exponent = tau * np.asarray(psi, dtype=complex)
+    guard_exponent(tau, float(np.max(exponent.real)) if exponent.size else 0.0)
     out = np.exp(exponent)
     return out if np.ndim(psi) else complex(out)
 

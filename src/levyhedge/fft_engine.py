@@ -147,6 +147,8 @@ class AliasFloors:
         with np.errstate(divide="ignore"):
             log_budgets = np.log(np.maximum(ROUNDING - itm, 0.0))
         self._margins = log_rights + alias_log_factor(1.0 + beta - alpha, etas) - log_budgets
+        for table in (beta, rate, self._margins):
+            table.flags.writeable = False
 
     def __call__(self, tau: float) -> list[float]:
         """Per spacing, the floor of the slice tau."""

@@ -12,9 +12,10 @@ gamma model sigma = 0, so I1 never enters and is skipped entirely.
 The models are Levy, so phi_tau = exp(tau Psi).  ``LevySample`` is the
 tau-free half of one (model, config, spot): it samples Psi and the
 kernel factors on the contour and holds the tau-free half of the
-bounds.  ``TransformContext`` is one time slice of it: tau and the rest
-of the bounds.  Neither keeps sampled arrays, so no result depends on
-the calls before it.  Within a slice the strike enters only through the
+bounds, built once per (model, config) (``_model_tables``).
+``TransformContext`` is one time slice of it: tau and the rest of the
+bounds.  Sampled arrays are never kept, so no result depends on the
+calls before it.  Within a slice the strike enters only through the
 e^{-i eta j k} phase, so one evaluator, :func:`evaluate_slices`, takes
 one strike array on a list of slices of one sample and returns columns
 (one row per slice, one column per strike): ``curve`` calls it with
@@ -74,8 +75,10 @@ whole span at its stride.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -88,10 +91,12 @@ from .core import (
     MarketQuery,
     MertonParams,
     Model,
+    ModelMismatchError,
     TailConditionError,
     _require,
     _require_finite,
     cgm_exp_moment,
+    guard_exponent,
     levy_char_fn,
     mmm_quantities,
     time_to_maturity,
@@ -112,6 +117,7 @@ from .merton import (
     merton_exponent,
     merton_exponent_and_weight,
     merton_i2_terms,
+    merton_prefix_tables,
     merton_prefix_tail,
     merton_trunc_laws,
 )
@@ -155,6 +161,54 @@ class LrmResult(NamedTuple):
     stride: int
 
 
+@functools.lru_cache(maxsize=64)
+def _model_tables(model: Model, config: FftConfig) -> tuple:
+    """The (model, config) tables of :class:`LevySample`, in its attribute
+    order; Merton's ``_prefix`` holds log a and a^2 at the row ends a of
+    each stride's layout, and ``merton_prefix_tables``."""
+    mmm = mmm_quantities(model)
+    top = coarsest_shift(config)
+    layouts = [row_layout(config.n >> s) for s in range(top + 1)]
+    row_lengths = np.array([c for c, _ in layouts])
+    row_lengths.flags.writeable = False
+    exp_moment = pair = prefix = None
+    # one exponent call: zeta = -i alpha, with the bits of j = 0 of every
+    # sample, then the moment points -i(1+beta)
+    zeta0 = config.eta * np.arange(1) - 1j * config.alpha
+    if isinstance(model, MertonParams):
+        beta, log_itms, log_rights = merton_alias_tables(model, mmm, config.alpha)
+        # the moments overflow at large beta (inf, or 0 * inf at gamma = 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi = merton_exponent(np.concatenate((zeta0, -1j * (1.0 + beta))), model, mmm)
+        sigma2 = model.sigma**2
+        kinds = {"indicator": (1.0,), "jump": tuple(t.strike for t in merton_i2_terms(model))}
+        # the row ends a = (rows c - 1) eta_s of each stride's layout
+        ends = [(config.eta * (1 << s)) * (c * np.arange(1, r + 1) - 1)
+                for s, (c, r) in enumerate(layouts)]
+        prefix = tuple(map(np.log, ends)), tuple(a * a for a in ends)
+        for table in prefix[0] + prefix[1]:
+            table.flags.writeable = False
+        prefix += (merton_prefix_tables(model, mmm, config.alpha),)
+    else:
+        exp_moment = cgm_exp_moment(model.C, model.G, model.M)
+        pair = vg_mmm_measure(model, mmm.h)
+        beta, log_itms, log_rights = vg_alias_tables(model, mmm, config.alpha)
+        logs = VgContourLogs(np.concatenate((zeta0, -1j * (1.0 + beta))), model.G, model.M)
+        psi = logs.exponent(pair, mmm.mu_star)
+        sigma2 = 0.0
+        kinds = {"jump": (1.0,)}
+    log_shifts = [math.log(f) for factors in kinds.values() for f in factors]
+    etas = [config.eta * (1 << s) for s in range(1, top + 1)]
+    # a hair inside +-pi/eta_s, so that the log of a shifted strike
+    # cannot round onto the edge
+    edges = tuple(math.pi / eta * (1.0 - 1e-12) for eta in etas)
+    return (
+        mmm, sigma2, MappingProxyType(kinds), complex(psi[0]), exp_moment, pair, row_lengths,
+        tuple(r for _, r in layouts), (min(log_shifts), max(log_shifts)), edges,
+        AliasFloors(log_itms, log_rights, psi[1:].real, beta, config.alpha, etas), prefix,
+    )
+
+
 class LevySample:
     """The tau-free half of every time slice of one (model, config, spot).
 
@@ -168,7 +222,6 @@ class LevySample:
     transform of the jump kind.  Every sample is elementwise in zeta, and
     (2^s eta) j rounds the same product as eta (2^s j), so every point
     keeps its bits whatever the stride and the length it was sampled at.
-    Nothing sampled is kept.
 
     ``kinds`` lists the kernel kinds in the row order of
     ``TransformContext.trunc``, each with its strike factors (module
@@ -181,44 +234,24 @@ class LevySample:
     log C1 and the exp() guard of every slice), and the moment rates Re
     psi(-i(1+beta)) over the beta grid of the model's alias tables
     (``merton_alias_tables`` / ``vg_alias_tables``).
+
+    These tables are built once per (model, config) and kept read-only
+    for the last 64 pairs (``_model_tables``, 8-15 KB each; equal fields
+    share an entry).  Sampled arrays are never kept, so no result
+    depends on the state of the cache.
     """
 
     def __init__(self, model: Model, config: FftConfig, spot: float):
         _require_finite("spot", spot)
         _require(spot > 0.0, "spot must be > 0")
+        if not isinstance(model, Model):  # before the cache hashes it
+            raise ModelMismatchError(f"unsupported model type {type(model).__name__}")
         self.model, self.config, self.spot = model, config, spot
-        self.mmm = mmm = mmm_quantities(model)
-        # one exponent call: zeta = -i alpha, with the bits of j = 0 of every
-        # sample, then the moment points -i(1+beta)
-        zeta0 = config.eta * np.arange(1) - 1j * config.alpha
-        if isinstance(model, MertonParams):
-            beta, log_itms, log_rights = merton_alias_tables(model, mmm, config.alpha)
-            # the moments overflow at large beta (inf, or 0 * inf at gamma = 0)
-            with np.errstate(over="ignore", invalid="ignore"):
-                psi = merton_exponent(np.concatenate((zeta0, -1j * (1.0 + beta))), model, mmm)
-            self.sigma2 = model.sigma**2
-            jump = tuple(term.strike for term in merton_i2_terms(model))
-            self.kinds = {"indicator": (1.0,), "jump": jump}
-        else:
-            self.exp_moment = cgm_exp_moment(model.C, model.G, model.M)
-            self.pair = vg_mmm_measure(model, mmm.h)
-            beta, log_itms, log_rights = vg_alias_tables(model, mmm, config.alpha)
-            logs = VgContourLogs(np.concatenate((zeta0, -1j * (1.0 + beta))), model.G, model.M)
-            psi = logs.exponent(self.pair, mmm.mu_star)
-            self.sigma2 = 0.0
-            self.kinds = {"jump": (1.0,)}
-        self.psi0 = complex(psi[0])
-        log_shifts = [math.log(f) for factors in self.kinds.values() for f in factors]
-        self._log_shift_range = (min(log_shifts), max(log_shifts))
-        top = coarsest_shift(config)
-        layouts = [row_layout(config.n >> s) for s in range(top + 1)]
-        self.row_lengths = np.array([c for c, _ in layouts])
-        self.layout_rows = [r for _, r in layouts]
-        etas = [config.eta * (1 << s) for s in range(1, top + 1)]
-        # a hair inside +-pi/eta_s, so that the log of a shifted strike
-        # cannot round onto the edge
-        self._edges = [math.pi / eta * (1.0 - 1e-12) for eta in etas]
-        self.floors = AliasFloors(log_itms, log_rights, psi[1:].real, beta, config.alpha, etas)
+        (
+            self.mmm, self.sigma2, self.kinds, self.psi0, self.exp_moment, self.pair,
+            self.row_lengths, self.layout_rows, self._log_shift_range, self._edges,
+            self.floors, self._prefix,
+        ) = _model_tables(model, config)
 
     def sample(self, shift: int, m: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """psi and the kernel factors at the first m points of every
@@ -278,16 +311,17 @@ class TransformContext:
 
     :meth:`evaluate` and :meth:`quotes` go through :func:`evaluate_slices`,
     the evaluator of every caller, and build ``LrmResult`` from its
-    columns.  A slice keeps no sampled arrays and no memo, so a result does
-    not depend on what the slice evaluated before."""
+    columns.  The tau-free tables are kept per (model, config)
+    (:class:`LevySample`), and sampled arrays never are, so a result does
+    not depend on what was evaluated before."""
 
     def __init__(self, sample: LevySample, tau: float):
         self.sample = sample
         self.tau = tau
         # |phi_tau(v - i alpha)| <= phi_tau(-i alpha): the j = 0 sample has
-        # the largest Re(tau psi), so this is the exp() guard of the whole
-        # grid, and of log C1 = tau Re psi0
-        levy_char_fn(sample.psi0, tau)
+        # the largest Re(tau psi), so tau Re psi0 is the exp() guard of the
+        # whole grid, and log C1
+        guard_exponent(tau, tau * sample.psi0.real)
         _require(tau >= TAU_MIN, f"tau must be >= {TAU_MIN:g}")
         model, mmm, alpha = sample.model, sample.mmm, sample.config.alpha
         if isinstance(model, MertonParams):
@@ -340,10 +374,9 @@ class TransformContext:
         layout_rows = sample.layout_rows[shift]
         if self._log_c1 is None:
             return np.full(strikes.shape, layout_rows)
-        ends = sample.row_lengths[shift] * np.arange(1, layout_rows + 1) - 1
+        log_a, a2, tables = sample._prefix
         tail = merton_prefix_tail(
-            (config.eta * (1 << shift)) * ends, self.tau, sample.spot, config.alpha,
-            self._log_c1, sample.model, sample.mmm,
+            log_a[shift], a2[shift], self.tau, sample.spot, config.alpha, self._log_c1, tables
         )
         with np.errstate(over="ignore"):
             row_strikes = np.exp((tail - math.log(ROUNDING)) / (config.alpha - 1.0))

@@ -108,15 +108,12 @@ def merton_trunc_laws(
 
 
 def merton_prefix_tail(
-    a: np.ndarray,
-    tau: float,
-    spot: float,
-    alpha: float,
-    log_c1: float,
-    params: MertonParams,
-    mmm: MmmQuantities,
+    log_a: np.ndarray, a2: np.ndarray, tau: float, spot: float, alpha: float, log_c1: float,
+    tables: tuple,
 ) -> np.ndarray:
-    """Strike-free log factor G(a) of the tail a prefix of samples drops.
+    """Strike-free log factor G(a) of the tail a prefix of samples drops,
+    at the frequencies a given as log a and a^2, with ``tables`` =
+    :func:`merton_prefix_tables`.
 
     Summing only the samples j < m of a slice's damped sums, a = (m-1) eta,
     moves I1 and I2 each by at most S K^{1-alpha} e^{G(a)} and the hedge
@@ -138,26 +135,35 @@ def merton_prefix_tail(
     transforms, so their bounds cover it unchanged.  Works in logs, so a
     large C1 cannot overflow.
     """
-    a = np.asarray(a, dtype=float)
-    sigma2, d2 = params.sigma**2, params.delta**2
+    sigma2, log_sigma2, log_denom, terms = tables
     b = 0.5 * sigma2 * tau
-    log_a = np.log(a)
-    a2 = a * a
     # C1 S^alpha / pi, over S
     lead = -math.log(math.pi) + log_c1 + (alpha - 1.0) * math.log(spot)
     i1 = lead - b * a2 - math.log(2.0 * b) - 2.0 * log_a
-    i2 = np.full(a.shape, -np.inf)
-    for term in merton_i2_terms(params):
-        if term.coefficient == 0.0:
-            continue
-        log_coef = math.log(abs(term.coefficient)) + (1.0 - alpha) * math.log(term.strike)
-        b_t = b
-        if term.kernel == KERNEL_DAMPED:
-            log_coef += 0.5 * d2 * alpha * alpha
-            b_t += 0.5 * d2
+    i2 = np.full(a2.shape, -np.inf)
+    for log_coef, rate in terms:
+        b_t = b + rate
         i2 = np.logaddexp(i2, lead + log_coef - b_t * a2 - math.log(2.0 * b_t) - 3.0 * log_a)
-    ratio = np.logaddexp(math.log(sigma2) + i1, i2) - math.log(sigma2 + mmm.quad_exp_moment)
+    ratio = np.logaddexp(log_sigma2 + i1, i2) - log_denom
     return np.maximum(np.maximum(i1, i2), ratio)
+
+
+def merton_prefix_tables(params: MertonParams, mmm: MmmQuantities, alpha: float) -> tuple:
+    """The tau-free constants of :func:`merton_prefix_tail`: sigma^2, log
+    sigma^2, log(sigma^2 + quad moment), and per term of
+    :func:`merton_i2_terms` with a nonzero coefficient c: log |c|
+    K'^{1-alpha} (plus delta^2 alpha^2 / 2 for the damped kernel), and the
+    rate its kernel adds to the Gaussian's b (delta^2 / 2 damped, 0 plain)."""
+    sigma2, d2 = params.sigma**2, params.delta**2
+    terms = []
+    for term in merton_i2_terms(params):
+        if term.coefficient != 0.0:
+            log_coef = math.log(abs(term.coefficient)) + (1.0 - alpha) * math.log(term.strike)
+            if term.kernel == KERNEL_DAMPED:
+                terms.append((log_coef + 0.5 * d2 * alpha * alpha, 0.5 * d2))
+            else:
+                terms.append((log_coef, 0.0))
+    return sigma2, math.log(sigma2), math.log(sigma2 + mmm.quad_exp_moment), tuple(terms)
 
 
 def merton_alias_tables(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import platform
@@ -15,6 +16,7 @@ from levyhedge import (
     InvalidParameterError,
     MarketQuery,
     MertonParams,
+    ModelMismatchError,
     OverflowGuardError,
     TailConditionError,
     jump_impact,
@@ -23,9 +25,11 @@ from levyhedge import (
     mmm_quantities,
     vg_mmm_measure,
 )
+from levyhedge.cli import main
 from levyhedge.core import ROUNDING, cgm_exp_moment, levy_char_fn
 from levyhedge.fft_engine import (
     ALIAS_RATES,
+    AliasFloors,
     alias_log_factor,
     coarsest_shift,
     direct_simpson_sum,
@@ -36,18 +40,20 @@ from levyhedge.lrm import (
     MODE_FFT_GRID,
     LevySample,
     TransformContext,
+    _model_tables,
     evaluate_slices,
 )
 from levyhedge.merton import (
     merton_alias_tables,
     merton_exponent,
     merton_i2_terms,
+    merton_prefix_tables,
     merton_prefix_tail,
 )
 from levyhedge.oracle import merton_c1, oracle_lrm, quad_i1, quad_i2_definition, vg_c2
 from levyhedge.variance_gamma import VgContourLogs, vg_alias_tables
 
-from conftest import NIKKEI_SPOT
+from conftest import NIKKEI_SPOT, sample_vg
 
 
 def _q(t: float, strike: float, spot: float = 1.0, T: float = 1.0) -> MarketQuery:
@@ -517,6 +523,7 @@ def test_prefix_tail_bound_holds(merton_bench, random_merton_models, fft_bench):
     for index, model in enumerate([merton_bench] + list(random_merton_models)):
         sample = LevySample(model, cfg, spot)
         psi, factors = _term_factors(sample)
+        tables = merton_prefix_tables(model, sample.mmm, cfg.alpha)
         for tau in (0.05, 0.5, 1.0):
             bounds = TransformContext(sample, tau)
             phi = levy_char_fn(psi, tau)
@@ -525,9 +532,8 @@ def test_prefix_tail_bound_holds(merton_bench, random_merton_models, fft_bench):
             log_c1 = tau * sample.psi0.real
             for strike, rows in zip(strikes, bounds.rows(strikes)):
                 m = int(rows) * c
-                tail = merton_prefix_tail(
-                    np.array([(m - 1) * cfg.eta]), tau, spot, cfg.alpha, log_c1, model, sample.mmm
-                )[0]
+                a = np.array([(m - 1) * cfg.eta])
+                tail = merton_prefix_tail(np.log(a), a * a, tau, spot, cfg.alpha, log_c1, tables)[0]
                 allowed = spot * strike ** (1.0 - cfg.alpha) * math.exp(tail)
                 if m < cfg.n:
                     assert allowed <= ROUNDING * spot
@@ -930,3 +936,113 @@ def test_evaluate_slices_rejects_unknown_mode(merton_bench, fft_bench):
     for mode in ("fft", "grid", ""):
         with pytest.raises(InvalidParameterError, match="unknown mode"):
             evaluate_slices([ctx], [0.9, 1.0, 1.1, 1.2, 1.3], mode=mode)
+
+
+def _cached_outputs(capsys, model, spot: float, config: FftConfig) -> list:
+    """A quote, a 29-strike sweep and a 4 x 29 ``levyhedge curve`` CSV on
+    one (model, config), as reprs, so that equal outputs have equal bits."""
+    strikes = (np.linspace(0.6, 1.4, 29) * spot).tolist()
+    quote = lrm(_q(0.5, 1.13 * spot, spot=spot), model, config)
+    sweep = lrm_strike_sweep(model, config, t=0.5, T=1.0, spot=spot, strikes=strikes)
+    kind = "merton" if isinstance(model, MertonParams) else "vg"
+    keys = [f"model.kind={kind}"] + [f"model.{k}={v!r}" for k, v in vars(model).items()]
+    keys += [f"fft.{k}={v!r}" for k, v in vars(config).items()]
+    keys += ["query.T=1", "query.t_grid=0:0.6:0.2", f"query.spot={spot!r}",
+             "query.strike_grid=" + ",".join(map(repr, strikes))]
+    assert main(["curve"] + [flag for key in keys for flag in ("--set", key)]) == 0
+    return [repr(quote), repr(sweep), capsys.readouterr().out]
+
+
+def test_model_tables_cache_keeps_bits(merton_bench, nikkei, fft_bench, capsys):
+    # a quote, a sweep and a curve give the same bits on a cold cache, on
+    # the warm entry of their (model, config), and after another model
+    seeded_vg = sample_vg(np.random.default_rng(20240212))
+    cases = [(merton_bench, 1.0), (nikkei, NIKKEI_SPOT), (seeded_vg, 1.0)]
+    colds = []
+    for model, spot in cases:
+        _model_tables.cache_clear()
+        colds.append(_cached_outputs(capsys, model, spot, fft_bench))
+        assert _cached_outputs(capsys, model, spot, fft_bench) == colds[-1]
+    for (model, spot), cold in zip(cases, colds):
+        assert _cached_outputs(capsys, model, spot, fft_bench) == cold
+    (a, spot_a), (b, spot_b) = cases[:2]
+    _model_tables.cache_clear()
+    _cached_outputs(capsys, a, spot_a, fft_bench)
+    _cached_outputs(capsys, b, spot_b, fft_bench)
+    assert _cached_outputs(capsys, a, spot_a, fft_bench) == colds[0]
+
+
+def test_model_tables_cache_key(merton_bench, fft_bench):
+    # equal models and configs share one entry, at any spot; another eta
+    # or another model field is another entry
+    _model_tables.cache_clear()
+    first = LevySample(merton_bench, fft_bench, 1.0)
+    twin = MertonParams(**vars(merton_bench))
+    assert twin is not merton_bench
+    second = LevySample(twin, FftConfig(**vars(fft_bench)), 2.0)
+    assert second.floors is first.floors
+    info = _model_tables.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    LevySample(merton_bench, dataclasses.replace(fft_bench, eta=0.05), 1.0)
+    LevySample(dataclasses.replace(merton_bench, mu=-0.8), fft_bench, 1.0)
+    info = _model_tables.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 3, 3)
+    # a model of another type is refused as before, hashable or not
+    for other in (vars(merton_bench), "merton"):
+        with pytest.raises(ModelMismatchError, match="unsupported model type"):
+            LevySample(other, fft_bench, 1.0)
+
+
+def test_model_tables_cache_is_bounded(merton_bench, fft_bench):
+    _model_tables.cache_clear()
+    maxsize = _model_tables.cache_info().maxsize
+    for i in range(maxsize + 5):
+        LevySample(dataclasses.replace(merton_bench, mu=-0.7 - 1e-3 * i), fft_bench, 1.0)
+    info = _model_tables.cache_info()
+    assert (info.misses, info.currsize) == (maxsize + 5, maxsize)
+
+
+def _arrays(value) -> list:
+    """Every numpy array inside the cached tables value."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        return [a for item in value for a in _arrays(item)]
+    if isinstance(value, AliasFloors):
+        return _arrays(list(vars(value).values()))
+    return []
+
+
+def test_model_tables_are_read_only(merton_bench, nikkei, fft_bench):
+    for model, count in ((merton_bench, 4 + 2 * (coarsest_shift(fft_bench) + 1)), (nikkei, 4)):
+        tables = _model_tables(model, fft_bench)
+        arrays = _arrays(tables)
+        assert len(arrays) == count
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0.0
+        sample = LevySample(model, fft_bench, 1.0)
+        with pytest.raises(TypeError):
+            sample.kinds["jump"] = (1.0,)
+        with pytest.raises(ValueError, match="read-only"):
+            sample.floors.rate[0] = 0.0
+
+
+def test_second_quote_builds_no_tables(merton_bench, nikkei, fft_bench, monkeypatch):
+    # the tau-free tables are built on the first quote of a (model, config)
+    # only; a second quote at another t, strike and spot reads them
+    module = sys.modules["levyhedge.lrm"]
+    calls = []
+    for name in ("mmm_quantities", "merton_alias_tables", "vg_alias_tables", "AliasFloors"):
+        real = getattr(module, name)
+        counted = lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args)
+        monkeypatch.setattr(module, name, counted)
+    _model_tables.cache_clear()
+    for model, spot, alias in (
+        (merton_bench, 1.0, "merton_alias_tables"), (nikkei, NIKKEI_SPOT, "vg_alias_tables"),
+    ):
+        lrm(_q(0.5, 1.1 * spot, spot=spot), model, fft_bench)
+        assert calls == ["mmm_quantities", alias, "AliasFloors"]
+        calls.clear()
+        lrm(_q(0.2, 0.9 * spot, spot=2.0 * spot), model, fft_bench)
+        assert calls == []

@@ -5,9 +5,12 @@ and strike), ``jump_impact``, and the exit code, stdout
 and error lines of ``levyhedge curve``, ``validate`` and ``impact``
 (timing lines dropped), on the named parameter sets and seeded samplers
 of ``tests/conftest.py``.  An error counts as its type and message.  Two
-checkouts that print the same digest give the same bits.  ``--dump PATH``
-also writes each hashed record to PATH as one ``label repr`` line, so two
-checkouts' dumps can be diffed to see which records moved.
+checkouts that print the same digest give the same bits.  Every record
+is computed twice in one process, the second time on the model tables
+that the first pass cached; when a record differs between the two
+passes, the script names the first such record and exits 1.  ``--dump
+PATH`` also writes each hashed record to PATH as one ``label repr``
+line, so two checkouts' dumps can be diffed to see which records moved.
 
     python tools/output_digest.py [--dump PATH]
 """
@@ -34,7 +37,6 @@ CONFIG = FftConfig(n=2**14, eta=0.025, alpha=1.75, eps=1e-2)  # the fft_bench fi
 # strikes whose log lies 0.05, 0.5 and 1.5 inside +-pi/eta
 EDGE = [math.exp(s * (math.pi / CONFIG.eta - d)) for s in (1, -1) for d in (0.05, 0.5, 1.5)]
 MONEYNESS = [[1.0], [0.8, 1.0, 1.25], np.linspace(0.6, 1.4, 29), np.linspace(0.5, 2.0, 1000)]
-digest = hashlib.sha256()
 lines = []
 
 
@@ -43,8 +45,7 @@ def record(label, call):
         out = call()
     except LevyHedgeError as exc:
         out = f"{type(exc).__name__}: {exc}"
-    lines.append(f"{label} {out!r}\n")
-    digest.update(lines[-1].encode())
+    lines.append((label, f"{label} {out!r}\n"))
 
 
 def cli(text):
@@ -71,18 +72,6 @@ models = [
     ("nikkei", VgParams.from_cgm(*conftest.NIKKEI_CGM), conftest.NIKKEI_SPOT),
 ] + [(f"merton{i}", conftest.sample_merton(rngs[0]), 1.0) for i in range(25)]
 models += [(f"vg{i}", conftest.sample_vg(rngs[1]), 1.0) for i in range(25)]
-for name, model, spot in models:
-    for t in (0.05, 0.5, 0.9):
-        sweeps = [[spot * k for k in ks] for ks in MONEYNESS] + [EDGE[:1] + [spot] * 4, EDGE]
-        for ks in sweeps:
-            record(f"{name} sweep {t} {len(ks)}",
-                   lambda: lrm_strike_sweep(model, CONFIG, t=t, T=1.0, spot=spot, strikes=ks))
-        for k in sweeps[1] + EDGE:
-            record(f"{name} quote {t} {k}",
-                   lambda: lrm(MarketQuery(t, 1.0, spot, k), model, CONFIG))
-    for y in (0.1, -0.1, 0.5):
-        for m in (0.8, 1.0, 1.25):
-            record(f"{name} impact {y} {m}", lambda: jump_impact(y, m, 0.5, model, CONFIG))
 
 # merton_bench, vg_bench, the Nikkei triple, and a Merton model whose I2
 # terms shift log K up by 0.26 and 0.3
@@ -96,15 +85,40 @@ CLI_MODELS = [
 GRID = "query.T=1 query.t_grid=0:0.95:0.05 query.strike_grid=0.6:1.4:0.0285714285714"
 EXTRA = ["", "fft.n=64", "fft.n=abc", "fft.eta=x", "bogus.key=1", "query.T=50",
          f"query.strike_grid=1,{EDGE[0]!r}", f"query.strike_grid=1,1.1,1.2,1.3,{EDGE[0]!r}"]
-for keys in CLI_MODELS:
-    # model.kind and its first key alone: a missing key
-    record(f"{keys} missing", lambda: cli("validate " + " ".join(keys.split()[:2])))
-    for extra in EXTRA:
-        record(f"{keys} {extra}", lambda: [
-            cli(f"curve {keys} {GRID} {extra}"), cli(f"validate {keys} {GRID} {extra}"),
-            cli(f"impact {keys} query.t=0.5 query.strike=1.1 {extra}"),
-        ])
-record("bad kind", lambda: cli("validate model.kind=unknown"))
+
+
+def records() -> list:
+    """Every (label, line) record, in order."""
+    lines.clear()
+    for name, model, spot in models:
+        for t in (0.05, 0.5, 0.9):
+            sweeps = [[spot * k for k in ks] for ks in MONEYNESS] + [EDGE[:1] + [spot] * 4, EDGE]
+            for ks in sweeps:
+                record(f"{name} sweep {t} {len(ks)}",
+                       lambda: lrm_strike_sweep(model, CONFIG, t=t, T=1.0, spot=spot, strikes=ks))
+            for k in sweeps[1] + EDGE:
+                record(f"{name} quote {t} {k}",
+                       lambda: lrm(MarketQuery(t, 1.0, spot, k), model, CONFIG))
+        for y in (0.1, -0.1, 0.5):
+            for m in (0.8, 1.0, 1.25):
+                record(f"{name} impact {y} {m}", lambda: jump_impact(y, m, 0.5, model, CONFIG))
+    for keys in CLI_MODELS:
+        # model.kind and its first key alone: a missing key
+        record(f"{keys} missing", lambda: cli("validate " + " ".join(keys.split()[:2])))
+        for extra in EXTRA:
+            record(f"{keys} {extra}", lambda: [
+                cli(f"curve {keys} {GRID} {extra}"), cli(f"validate {keys} {GRID} {extra}"),
+                cli(f"impact {keys} query.t=0.5 query.strike=1.1 {extra}"),
+            ])
+    record("bad kind", lambda: cli("validate model.kind=unknown"))
+    return list(lines)
+
+
+cold, warm = records(), records()
+for (label, first), (_, second) in zip(cold, warm):
+    if first != second:
+        sys.exit(f"error: record {label!r} differs on the warm model tables")
+hashed = "".join(line for _, line in cold)
 if args.dump:
-    Path(args.dump).write_text("".join(lines), encoding="utf-8")
-print(digest.hexdigest())
+    Path(args.dump).write_text(hashed, encoding="utf-8")
+print(hashlib.sha256(hashed.encode()).hexdigest())
