@@ -39,10 +39,10 @@ from .fft_engine import (
     trapezoid_weights,
 )
 from .lrm import (
-    LevySample,
     LrmResult,
     TransformContext,
     jump_impact,
+    levy_sample,
     lrm,
     lrm_strike_sweep,
 )

@@ -35,18 +35,18 @@ from .core import (
     Model,
     TailConditionError,
     VgParams,
+    _require_positive,
     time_to_maturity,
     validate_assumptions,
 )
 from .fft_engine import FftConfig, tail_condition_check
 from .lrm import (
-    LevySample,
     SliceColumns,
     TransformContext,
     check_moneyness,
     evaluate_slices,
     jumped_moneyness,
-    moneyness_slice,
+    levy_sample,
     tail_hint,
 )
 
@@ -242,22 +242,20 @@ def _worst_trunc_cell(cfg: RunConfig) -> tuple[float, float, float]:
     tau >= TAU_MIN), the checks ``curve`` applies, and each slice is built
     as ``curve`` builds it, so its guards and, once the first slice passes
     its tail check, the log-strike range rule raise what ``curve`` raises."""
-    sample, first, worst = None, None, None
+    sample, first, worst = levy_sample(cfg.model, cfg.fft), None, None
     for t in cfg.t_values:
         queries = [MarketQuery(t, cfg.maturity, cfg.spot, strike) for strike in cfg.strikes]
         strikes = np.array([query.strike for query in queries])
-        if sample is None:
-            # after the first cells' checks, which name a bad spot first
-            sample = LevySample(cfg.model, cfg.fft, cfg.spot)
         ctx = TransformContext(sample, queries[0].tau)
-        bounds = ctx.trunc(strikes).max(axis=0)
+        bounds = ctx.trunc(strikes, cfg.spot).max(axis=0)
         first = first or (ctx, strikes, bounds.max())
         i = int(np.argmax(bounds))
         if worst is None or bounds[i] > worst[0]:
             worst = (float(bounds[i]), queries[i].strike, queries[i].tau)
     ctx, strikes, bound = first
     if tail_condition_check(cfg.fft, bound):
-        sample.check_range(strikes, ctx.strided_rows(strikes)[0])
+        moneyness = strikes / cfg.spot
+        sample.check_range(moneyness, ctx.strided_rows(moneyness)[0])
     return worst
 
 
@@ -295,9 +293,10 @@ def cmd_curve(cfg: RunConfig) -> int:
     started = time.perf_counter()
     # every time slice is exp(tau Psi) over one shared contour sample; the
     # slices are evaluated together, as columns
-    sample = LevySample(cfg.model, cfg.fft, cfg.spot)
+    _require_positive("spot", cfg.spot)
+    sample = levy_sample(cfg.model, cfg.fft)
     slices = [TransformContext(sample, time_to_maturity(t, cfg.maturity)) for t in cfg.t_values]
-    columns = evaluate_slices(slices, cfg.strikes)
+    columns = evaluate_slices(slices, cfg.strikes, cfg.spot)
     computed = time.perf_counter()
 
     handle, owned = _open_output(cfg)
@@ -355,18 +354,18 @@ def cmd_impact(cfg: RunConfig, jump_sizes: Sequence[float]) -> int:
     _require_query(cfg)
     if len(cfg.t_values) != 1 or len(cfg.strikes) != 1:
         raise ConfigError("impact needs exactly one query.t and one query.strike")
-    t, strike = cfg.t_values[0], cfg.strikes[0]
-    tau = cfg.maturity - t
-    base_m = strike / cfg.spot
     started = time.perf_counter()
-    check_moneyness(base_m, tau)
-    # every moneyness is a single-strike quote on one shared unit-spot slice
-    ctx = moneyness_slice(cfg.model, cfg.fft, tau)
+    # the checks curve applies to its cells
+    query = MarketQuery(cfg.t_values[0], cfg.maturity, cfg.spot, cfg.strikes[0])
+    base_m = query.moneyness
+    check_moneyness(base_m, query.tau)
+    # every moneyness is a single-strike quote on one slice at unit spot
+    ctx = TransformContext(levy_sample(cfg.model, cfg.fft), query.tau)
     try:
         jumped = [jumped_moneyness(base_m, y) for y in jump_sizes]
     except InvalidParameterError as exc:
         raise ConfigError(str(exc))
-    before, *afters = (r.lrm for r in ctx.quotes([base_m] + jumped))
+    before, *afters = (r.lrm for r in ctx.quotes([base_m] + jumped, 1.0))
     elapsed = time.perf_counter() - started
 
     handle, owned = _open_output(cfg)

@@ -97,6 +97,11 @@ def _require_finite(name: str, value: float) -> None:
         raise InvalidParameterError(f"{name} must be finite, got {value!r}")
 
 
+def _require_positive(name: str, value: float) -> None:
+    _require_finite(name, value)
+    _require(value > 0.0, f"{name} must be > 0")
+
+
 def time_to_maturity(t: float, T: float) -> float:
     """tau = T - t for a finite evaluation time t >= 0 and maturity T > 0,
     refusing tau below TAU_MIN."""
@@ -241,8 +246,7 @@ class MarketQuery:
     def __post_init__(self) -> None:
         time_to_maturity(self.t, self.T)
         for name in ("spot", "strike"):
-            _require_finite(name, getattr(self, name))
-            _require(getattr(self, name) > 0.0, f"{name} must be > 0")
+            _require_positive(name, getattr(self, name))
 
     @property
     def tau(self) -> float:

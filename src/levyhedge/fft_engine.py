@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ROUNDING, FftSizeError, InvalidParameterError, _require, _require_finite
+from .core import ROUNDING, FftSizeError, InvalidParameterError, _require, _require_positive
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,9 @@ class FftConfig:
     def __post_init__(self) -> None:
         if self.n < 2 or (self.n & (self.n - 1)) != 0:
             raise FftSizeError(f"n = {self.n} is not a power of two >= 2")
-        _require_finite("eta", self.eta)
-        _require(self.eta > 0.0, "eta must be > 0")
+        _require_positive("eta", self.eta)
         _require(1.0 < self.alpha <= 2.0, "alpha must lie in (1, 2]")
-        _require_finite("eps", self.eps)
-        _require(self.eps > 0.0, "eps must be > 0")
+        _require_positive("eps", self.eps)
 
     @property
     def grid_span(self) -> float:

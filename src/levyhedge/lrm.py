@@ -9,26 +9,25 @@ taken under the tilted measure and both computed from damped Fourier
 transforms of the characteristic function.  For the pure-jump variance
 gamma model sigma = 0, so I1 never enters and is skipped entirely.
 
-The models are Levy, so phi_tau = exp(tau Psi).  ``LevySample`` is the
-tau-free half of one (model, config, spot): it samples Psi and the
-kernel factors on the contour and holds the tau-free half of the
-bounds, built once per (model, config) (``_model_tables``).
+The models are Levy, so phi_tau = exp(tau Psi), and the sums run in
+moneyness x = K/S: the ratio depends on (K, S) only through x, so the
+spot is a scale applied at the edges, I1 = K X_indicator(log x), I2 =
+K X_jump(log x) and the denominator above.  ``LevySample`` is the
+tau-free, spot-free half of one (model, config), shared per pair
+(:func:`levy_sample`): it samples Psi and the kernel factors on the
+contour and holds the tau-free half of the bounds.
 ``TransformContext`` is one time slice of it: tau and the rest of the
 bounds.  Sampled arrays are never kept, so no result depends on the
-calls before it.  Within a slice the strike enters only through the
-e^{-i eta j k} phase, so one evaluator, :func:`evaluate_slices`, takes
-one strike array on a list of slices of one sample and returns columns
-(one row per slice, one column per strike): ``curve`` calls it with
-every slice of its surface, single quotes, strike sweeps and jump
-impacts with one slice through ``TransformContext.evaluate`` and
-``quotes``, which alone build ``LrmResult``.  Each call samples once,
-and each slice costs one exponential plus one multiply per kernel kind,
-over the points its strikes read.  Every kind is read at log K: I1 is
-K X_indicator(log K) and I2 K X_jump(log K), for Merton the three
-shifted-strike terms of ``merton_i2_terms`` moved to log K: the table
-``LevySample.kinds`` gives each kind the factors f of the log(K f) its
-sum stands for, Merton ``indicator`` (1,) and ``jump`` those of the
-terms, variance gamma ``jump`` (1,).  The path
+calls before it.  Within a slice the moneyness enters only through the
+e^{-i eta j log x} phase, so one evaluator, :func:`evaluate_slices`,
+the one place the spot enters, takes one strike array and the spot on
+a list of slices of one sample and returns columns (one row per slice,
+one column per strike) for every caller.  Each call samples once, and
+each slice costs one exponential plus one multiply per kernel kind,
+over the points its strikes read.  ``LevySample.kinds`` gives each kind
+the factors f of the log(x f) its sum stands for: Merton ``indicator``
+(1,) and ``jump`` those of the three shifted-strike terms of
+``merton_i2_terms``, variance gamma ``jump`` (1,).  The path
 follows the strike count: up to four strikes take exact direct sums of
 every kind at once (O(sqrt N) exponentials plus O(N) multiply-adds per
 strike), more share one FFT grid per kernel kind and slice, and grid
@@ -54,12 +53,13 @@ in log-strike:
   exponent the sums sample, beside the tau-free tables of
   ``merton_alias_tables`` and ``vg_alias_tables``.
 
-Every log-strike a strike needs, the shifted ones of the Merton terms
-included, must also lie inside +-pi/eta_s, or the strike takes a finer
-stride; stride 1, the configured grid, needs no certificate.  Strides
-depend on the slice and the strike only.  So one range rule serves both
-paths: a strike reaching outside +-pi/eta takes stride 1 in every slice,
-and one check of the first slice's stride-1 strikes refuses it.
+Every log-moneyness log(x f) a strike needs, the shifted ones of the
+Merton terms included, must also lie inside +-pi/eta_s, or the strike
+takes a finer stride; stride 1, the configured grid, needs no
+certificate.  Strides depend on the slice and the strike only.  So one
+range rule, centered on the spot, serves both paths: a strike reaching
+outside +-pi/eta takes stride 1 in every slice, and one check of the
+first slice's stride-1 strikes refuses it.
 
 A Merton strike then sums only a prefix of its samples: the Gaussian
 envelope certifies how many rows of the direct sum's layout of N / 2^s
@@ -95,6 +95,7 @@ from .core import (
     TailConditionError,
     _require,
     _require_finite,
+    _require_positive,
     cgm_exp_moment,
     guard_exponent,
     levy_char_fn,
@@ -161,67 +162,20 @@ class LrmResult(NamedTuple):
     stride: int
 
 
-@functools.lru_cache(maxsize=64)
-def _model_tables(model: Model, config: FftConfig) -> tuple:
-    """The (model, config) tables of :class:`LevySample`, in its attribute
-    order; Merton's ``_prefix`` holds log a and a^2 at the row ends a of
-    each stride's layout, and ``merton_prefix_tables``."""
-    mmm = mmm_quantities(model)
-    top = coarsest_shift(config)
-    layouts = [row_layout(config.n >> s) for s in range(top + 1)]
-    row_lengths = np.array([c for c, _ in layouts])
-    row_lengths.flags.writeable = False
-    exp_moment = pair = prefix = None
-    # one exponent call: zeta = -i alpha, with the bits of j = 0 of every
-    # sample, then the moment points -i(1+beta)
-    zeta0 = config.eta * np.arange(1) - 1j * config.alpha
-    if isinstance(model, MertonParams):
-        beta, log_itms, log_rights = merton_alias_tables(model, mmm, config.alpha)
-        # the moments overflow at large beta (inf, or 0 * inf at gamma = 0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            psi = merton_exponent(np.concatenate((zeta0, -1j * (1.0 + beta))), model, mmm)
-        sigma2 = model.sigma**2
-        kinds = {"indicator": (1.0,), "jump": tuple(t.strike for t in merton_i2_terms(model))}
-        # the row ends a = (rows c - 1) eta_s of each stride's layout
-        ends = [(config.eta * (1 << s)) * (c * np.arange(1, r + 1) - 1)
-                for s, (c, r) in enumerate(layouts)]
-        prefix = tuple(map(np.log, ends)), tuple(a * a for a in ends)
-        for table in prefix[0] + prefix[1]:
-            table.flags.writeable = False
-        prefix += (merton_prefix_tables(model, mmm, config.alpha),)
-    else:
-        exp_moment = cgm_exp_moment(model.C, model.G, model.M)
-        pair = vg_mmm_measure(model, mmm.h)
-        beta, log_itms, log_rights = vg_alias_tables(model, mmm, config.alpha)
-        logs = VgContourLogs(np.concatenate((zeta0, -1j * (1.0 + beta))), model.G, model.M)
-        psi = logs.exponent(pair, mmm.mu_star)
-        sigma2 = 0.0
-        kinds = {"jump": (1.0,)}
-    log_shifts = [math.log(f) for factors in kinds.values() for f in factors]
-    etas = [config.eta * (1 << s) for s in range(1, top + 1)]
-    # a hair inside +-pi/eta_s, so that the log of a shifted strike
-    # cannot round onto the edge
-    edges = tuple(math.pi / eta * (1.0 - 1e-12) for eta in etas)
-    return (
-        mmm, sigma2, MappingProxyType(kinds), complex(psi[0]), exp_moment, pair, row_lengths,
-        tuple(r for _, r in layouts), (min(log_shifts), max(log_shifts)), edges,
-        AliasFloors(log_itms, log_rights, psi[1:].real, beta, config.alpha, etas), prefix,
-    )
-
-
 class LevySample:
-    """The tau-free half of every time slice of one (model, config, spot).
+    """The tau-free half of every time slice of one (model, config), in
+    moneyness x = K/S: no spot enters it (module docstring).
 
     :meth:`sample` takes the Levy exponent psi, so a slice's
     characteristic function is exp(tau psi), and the tau-free kernel
-    factors: for Merton ``indicator`` e^{i zeta log S} / (i zeta - 1)
-    (times phi: psi1, stock-or-nothing), and for both models ``jump``,
-    the call factor indicator / (i zeta) (psi2) times the jump weight
-    int (e^{i zeta x} - 1)(e^x - 1) nu(dx): for variance gamma the jump
-    kernel less ``exp_moment`` = int (e^x - 1) nu(dx).  I2 is the one
-    transform of the jump kind.  Every sample is elementwise in zeta, and
-    (2^s eta) j rounds the same product as eta (2^s j), so every point
-    keeps its bits whatever the stride and the length it was sampled at.
+    factors: for Merton ``indicator`` 1 / (i zeta - 1) (times phi: psi1,
+    stock-or-nothing), and for both models ``jump``, the call factor
+    indicator / (i zeta) (psi2) times the jump weight int (e^{i zeta x} -
+    1)(e^x - 1) nu(dx): for variance gamma the jump kernel less
+    ``exp_moment`` = int (e^x - 1) nu(dx).  I2 is the one transform of the
+    jump kind.  Every sample is elementwise in zeta, and (2^s eta) j
+    rounds the same product as eta (2^s j), so every point keeps its bits
+    whatever the stride and the length it was sampled at.
 
     ``kinds`` lists the kernel kinds in the row order of
     ``TransformContext.trunc``, each with its strike factors (module
@@ -235,23 +189,54 @@ class LevySample:
     psi(-i(1+beta)) over the beta grid of the model's alias tables
     (``merton_alias_tables`` / ``vg_alias_tables``).
 
-    These tables are built once per (model, config) and kept read-only
-    for the last 64 pairs (``_model_tables``, 8-15 KB each; equal fields
-    share an entry).  Sampled arrays are never kept, so no result
-    depends on the state of the cache.
+    :func:`levy_sample` shares one per (model, config) among the last 64
+    pairs (8-15 KB each).  Its arrays are read-only and no sampled array
+    is kept, so no result depends on the state of the cache.
     """
 
-    def __init__(self, model: Model, config: FftConfig, spot: float):
-        _require_finite("spot", spot)
-        _require(spot > 0.0, "spot must be > 0")
-        if not isinstance(model, Model):  # before the cache hashes it
-            raise ModelMismatchError(f"unsupported model type {type(model).__name__}")
-        self.model, self.config, self.spot = model, config, spot
-        (
-            self.mmm, self.sigma2, self.kinds, self.psi0, self.exp_moment, self.pair,
-            self.row_lengths, self.layout_rows, self._log_shift_range, self._edges,
-            self.floors, self._prefix,
-        ) = _model_tables(model, config)
+    def __init__(self, model: Model, config: FftConfig):
+        self.model, self.config = model, config
+        self.mmm = mmm = mmm_quantities(model)
+        top = coarsest_shift(config)
+        layouts = [row_layout(config.n >> s) for s in range(top + 1)]
+        self.row_lengths = np.array([c for c, _ in layouts])
+        self.row_lengths.flags.writeable = False
+        self.layout_rows = tuple(r for _, r in layouts)
+        self.exp_moment = self.pair = self._prefix = None
+        # one exponent call: zeta = -i alpha, with the bits of j = 0 of every
+        # sample, then the moment points -i(1+beta)
+        zeta0 = config.eta * np.arange(1) - 1j * config.alpha
+        if isinstance(model, MertonParams):
+            beta, log_itms, log_rights = merton_alias_tables(model, mmm, config.alpha)
+            # the moments overflow at large beta (inf, or 0 * inf at gamma = 0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                psi = merton_exponent(np.concatenate((zeta0, -1j * (1.0 + beta))), model, mmm)
+            self.sigma2 = model.sigma**2
+            kinds = {"indicator": (1.0,), "jump": tuple(t.strike for t in merton_i2_terms(model))}
+            # the row ends a = (rows c - 1) eta_s of each stride's layout
+            ends = [(config.eta * (1 << s)) * (c * np.arange(1, r + 1) - 1)
+                    for s, (c, r) in enumerate(layouts)]
+            prefix = tuple(map(np.log, ends)), tuple(a * a for a in ends)
+            for table in prefix[0] + prefix[1]:
+                table.flags.writeable = False
+            self._prefix = prefix + (merton_prefix_tables(model, mmm, config.alpha),)
+        else:
+            self.exp_moment = cgm_exp_moment(model.C, model.G, model.M)
+            self.pair = vg_mmm_measure(model, mmm.h)
+            beta, log_itms, log_rights = vg_alias_tables(model, mmm, config.alpha)
+            logs = VgContourLogs(np.concatenate((zeta0, -1j * (1.0 + beta))), model.G, model.M)
+            psi = logs.exponent(self.pair, mmm.mu_star)
+            self.sigma2 = 0.0
+            kinds = {"jump": (1.0,)}
+        self.kinds = MappingProxyType(kinds)
+        self.psi0 = complex(psi[0])
+        log_shifts = [math.log(f) for factors in kinds.values() for f in factors]
+        self._log_shift_range = min(log_shifts), max(log_shifts)
+        etas = [config.eta * (1 << s) for s in range(1, top + 1)]
+        # a hair inside +-pi/eta_s, so that the log of a shifted moneyness
+        # cannot round onto the edge
+        self._edges = tuple(math.pi / eta * (1.0 - 1e-12) for eta in etas)
+        self.floors = AliasFloors(log_itms, log_rights, psi[1:].real, beta, config.alpha, etas)
 
     def sample(self, shift: int, m: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """psi and the kernel factors at the first m points of every
@@ -260,7 +245,7 @@ class LevySample:
         # with the bits of config.zeta_grid(): 2^shift eta is exact
         zeta = (config.eta * (1 << shift)) * np.arange(m) - 1j * config.alpha
         iz = 1j * zeta
-        indicator = np.exp(iz * math.log(self.spot)) / (iz - 1.0)
+        indicator = 1.0 / (iz - 1.0)
         call = indicator / iz
         if isinstance(model, MertonParams):
             # Psi and the jump weight share the two exponentials
@@ -271,23 +256,36 @@ class LevySample:
         psi = logs.exponent(self.pair, self.mmm.mu_star)
         return psi, {"jump": (logs.kernel(model.C) - self.exp_moment) * call}
 
-    def reach(self, strikes: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """The tau-free half of a stride choice: log(K/S) per strike and,
-        per stride s >= 1, whether every log-strike the strike needs lies
+    def reach(self, moneyness: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The tau-free half of a stride choice: log x per moneyness x and,
+        per stride s >= 1, whether every log(x f) the strike needs lies
         inside +-pi/eta_s."""
-        log_k = np.log(strikes)
+        log_x = np.log(moneyness)
         lo, hi = self._log_shift_range
-        reach = np.maximum(-(log_k + lo), log_k + hi)
-        return log_k - math.log(self.spot), [reach < edge for edge in self._edges]
+        reach = np.maximum(-(log_x + lo), log_x + hi)
+        return log_x, [reach < edge for edge in self._edges]
 
-    def check_range(self, strikes: np.ndarray, shifts: np.ndarray) -> None:
+    def check_range(self, moneyness: np.ndarray, shifts: np.ndarray) -> None:
         """The one range rule (module docstring) on the first slice's stride
-        exponents ``shifts``: every log(K f) of a stride-1 strike must lie
-        inside +-pi/eta.  With no stride-1 strike it checks nothing, and a
-        caller may skip it."""
-        zero = strikes[shifts == 0]
+        exponents ``shifts``: every log(x f) of a stride-1 moneyness x must
+        lie inside +-pi/eta.  With no stride-1 strike it checks nothing,
+        and a caller may skip it."""
+        zero = moneyness[shifts == 0]
         reached = [zero * f for factors in self.kinds.values() for f in factors]
         checked_log_strikes(np.log(np.concatenate(reached)), self.config.eta)
+
+
+# one shared sample per (model, config), for the last 64 pairs
+_shared_sample = functools.lru_cache(maxsize=64)(LevySample)
+
+
+def levy_sample(model: Model, config: FftConfig) -> LevySample:
+    """The one shared :class:`LevySample` of (model, config), built on the
+    first call for the pair; a model of another type is refused before the
+    cache hashes it."""
+    if not isinstance(model, Model):
+        raise ModelMismatchError(f"unsupported model type {type(model).__name__}")
+    return _shared_sample(model, config)
 
 
 class TransformContext:
@@ -309,11 +307,9 @@ class TransformContext:
     below rounding; variance gamma sums every row.  Both depend on the
     slice and the strike only, never on the other strikes of a batch.
 
-    :meth:`evaluate` and :meth:`quotes` go through :func:`evaluate_slices`,
-    the evaluator of every caller, and build ``LrmResult`` from its
-    columns.  The tau-free tables are kept per (model, config)
-    (:class:`LevySample`), and sampled arrays never are, so a result does
-    not depend on what was evaluated before."""
+    Strikes enter as moneyness K/S, except in :meth:`trunc`.
+    :meth:`evaluate` and :meth:`quotes` go through
+    :func:`evaluate_slices`, the evaluator of every caller."""
 
     def __init__(self, sample: LevySample, tau: float):
         self.sample = sample
@@ -332,60 +328,61 @@ class TransformContext:
             self._log_c1 = None
             log_c2 = vg_log_c2(model, sample.pair, mmm.mu_star, tau, alpha)
             self._laws = (vg_trunc_law(model, log_c2, tau, alpha),)
-        # stride 2^s, s >= 1, needs log(K/S) >= _alias_floors[s - 1]
+        # stride 2^s, s >= 1, needs log x >= _alias_floors[s - 1]
         self._alias_floors = sample.floors(tau)
 
-    def trunc(self, strikes: np.ndarray) -> np.ndarray:
+    def trunc(self, strikes: np.ndarray, spot: float) -> np.ndarray:
         """Truncation points, one row per bound ((I1, I2) or (I2,)) and one
         column per strike: :func:`truncation_points` of the slice's laws."""
-        sample, config = self.sample, self.sample.config
-        return truncation_points(self._laws, config.eps, strikes, sample.spot, config.alpha)
+        config = self.sample.config
+        return truncation_points(self._laws, config.eps, strikes, spot, config.alpha)
 
-    def rows(self, strikes: np.ndarray) -> np.ndarray:
-        """Rows of the configured grid's direct-sum layout each strike sums."""
-        return self._rows(strikes, 0)
+    def rows(self, moneyness: np.ndarray) -> np.ndarray:
+        """Rows of the configured grid's direct-sum layout each moneyness
+        K/S sums."""
+        return self._rows(moneyness, 0)
 
     def strided_rows(
-        self, strikes: np.ndarray, reach: Optional[tuple[np.ndarray, list[np.ndarray]]] = None
+        self, moneyness: np.ndarray, reach: Optional[tuple[np.ndarray, list[np.ndarray]]] = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Each strike's stride exponent s and the rows of the direct-sum
-        layout of n / 2^s points it sums; ``reach`` is
-        ``LevySample.reach(strikes)``, taken here when not given."""
-        log_moneyness, inside = self.sample.reach(strikes) if reach is None else reach
-        shifts = np.zeros(strikes.shape, dtype=int)
+        """Each moneyness K/S's stride exponent s and the rows of the
+        direct-sum layout of n / 2^s points it sums; ``reach`` is
+        ``LevySample.reach(moneyness)``, taken here when not given."""
+        log_x, inside = self.sample.reach(moneyness) if reach is None else reach
+        shifts = np.zeros(moneyness.shape, dtype=int)
         for s, (floor, ok) in enumerate(zip(self._alias_floors, inside), start=1):
-            shifts[(shifts == s - 1) & (log_moneyness >= floor) & ok] = s
-        rows = np.empty(strikes.shape, dtype=int)
+            shifts[(shifts == s - 1) & (log_x >= floor) & ok] = s
+        rows = np.empty(moneyness.shape, dtype=int)
         for s in set(shifts.tolist()):
             group = shifts == s
-            rows[group] = self._rows(strikes[group], s)
+            rows[group] = self._rows(moneyness[group], s)
         return shifts, rows
 
     def extents(self, shifts: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The last configured-grid index each strike's rows reach."""
         return (rows * self.sample.row_lengths[shifts] - 1) << shifts
 
-    def _rows(self, strikes: np.ndarray, shift: int) -> np.ndarray:
-        """Rows of the layout of n / 2^shift points each strike sums.  The
-        Merton tail past a row end a = (rows * c - 1) eta is K^{1-alpha}
-        e^{G(a)}: below rounding once log K >= (G(a) - log ROUNDING) /
-        (alpha - 1), a bound that falls with the rows."""
+    def _rows(self, moneyness: np.ndarray, shift: int) -> np.ndarray:
+        """Rows of the layout of n / 2^shift points each moneyness x sums.
+        The Merton tail past a row end a = (rows * c - 1) eta moves the
+        ratio by x^{1-alpha} e^{G(a)}: below rounding once log x >= (G(a) -
+        log ROUNDING) / (alpha - 1), a bound that falls with the rows."""
         sample, config = self.sample, self.sample.config
         layout_rows = sample.layout_rows[shift]
         if self._log_c1 is None:
-            return np.full(strikes.shape, layout_rows)
+            return np.full(moneyness.shape, layout_rows)
         log_a, a2, tables = sample._prefix
         tail = merton_prefix_tail(
-            log_a[shift], a2[shift], self.tau, sample.spot, config.alpha, self._log_c1, tables
+            log_a[shift], a2[shift], self.tau, config.alpha, self._log_c1, tables
         )
         with np.errstate(over="ignore"):
-            row_strikes = np.exp((tail - math.log(ROUNDING)) / (config.alpha - 1.0))
-        first = np.searchsorted(-row_strikes, -strikes)
+            row_moneyness = np.exp((tail - math.log(ROUNDING)) / (config.alpha - 1.0))
+        first = np.searchsorted(-row_moneyness, -moneyness)
         return np.minimum(first + 1, layout_rows)
 
-    def quotes(self, strikes: Sequence[float]) -> list[LrmResult]:
-        """Each strike's result as a lone ``evaluate([strike])`` gives it,
-        bit for bit, from one direct-sum call at any strike count: a
+    def quotes(self, strikes: Sequence[float], spot: float) -> list[LrmResult]:
+        """Each strike's result as a lone ``evaluate([strike], spot)`` gives
+        it, bit for bit, from one direct-sum call at any strike count: a
         direct-sum strike keeps its bits in any batch, and the call
         computes phi once.  On an error the strikes are evaluated alone in
         order, so the error raised is the one lone quotes raise."""
@@ -393,41 +390,21 @@ class TransformContext:
         if not strikes:
             return []
         try:
-            return self._results(evaluate_slices([self], strikes, mode=MODE_DIRECT_SUM))
+            columns = evaluate_slices([self], strikes, spot, mode=MODE_DIRECT_SUM)
+            return _results(columns, self.sample.config)
         except LevyHedgeError:
             for strike in strikes:
-                self.evaluate([strike])
+                self.evaluate([strike], spot)
             raise
 
-    def evaluate(self, strikes: Sequence[float]) -> list[LrmResult]:
-        """Hedge ratios, I1 and I2 for every strike of the slice
-        (:func:`evaluate_slices` on this slice alone), one ``LrmResult``
-        per strike."""
+    def evaluate(self, strikes: Sequence[float], spot: float) -> list[LrmResult]:
+        """Hedge ratios, I1 and I2 for every strike of the slice at the
+        spot (:func:`evaluate_slices` on this slice alone), one
+        ``LrmResult`` per strike."""
         strikes = _strike_array(strikes)
         if strikes.size == 0:
             return []
-        return self._results(evaluate_slices([self], strikes))
-
-    def _results(self, columns: SliceColumns) -> list[LrmResult]:
-        config = self.sample.config
-        width = columns.lrm.shape[1]
-        i1_values = [None] * width if columns.i1 is None else columns.i1[0].tolist()
-        return [
-            LrmResult(
-                lrm=value,
-                i1=i1_value,
-                i2=i2_value,
-                trunc_a=trunc_a,
-                mode=columns.mode,
-                config=config,
-                out_of_range=not (0.0 <= value <= 1.0),
-                stride=stride,
-            )
-            for value, i1_value, i2_value, trunc_a, stride in zip(
-                columns.lrm[0].tolist(), i1_values, columns.i2[0].tolist(),
-                columns.trunc_a[0].tolist(), columns.stride[0].tolist(),
-            )
-        ]
+        return _results(evaluate_slices([self], strikes, spot), self.sample.config)
 
 
 @dataclass(frozen=True)
@@ -441,6 +418,28 @@ class SliceColumns:
     trunc_a: np.ndarray
     stride: np.ndarray
     mode: str
+
+
+def _results(columns: SliceColumns, config: FftConfig) -> list[LrmResult]:
+    """One ``LrmResult`` per strike of the first slice of ``columns``."""
+    width = columns.lrm.shape[1]
+    i1_values = [None] * width if columns.i1 is None else columns.i1[0].tolist()
+    return [
+        LrmResult(
+            lrm=value,
+            i1=i1_value,
+            i2=i2_value,
+            trunc_a=trunc_a,
+            mode=columns.mode,
+            config=config,
+            out_of_range=not (0.0 <= value <= 1.0),
+            stride=stride,
+        )
+        for value, i1_value, i2_value, trunc_a, stride in zip(
+            columns.lrm[0].tolist(), i1_values, columns.i2[0].tolist(),
+            columns.trunc_a[0].tolist(), columns.stride[0].tolist(),
+        )
+    ]
 
 
 class _SlicePlan(NamedTuple):
@@ -457,11 +456,12 @@ class _SlicePlan(NamedTuple):
 
 
 def evaluate_slices(
-    slices: Sequence[TransformContext], strikes: Sequence[float], mode: Optional[str] = None,
+    slices: Sequence[TransformContext], strikes: Sequence[float], spot: float,
+    mode: Optional[str] = None,
 ) -> SliceColumns:
-    """Hedge ratios, I1 and I2 of the same strikes on every slice of one
-    :class:`LevySample`, as columns, from every kernel kind of
-    ``LevySample.kinds``, each at log K.
+    """Hedge ratios, I1 and I2 of the same strikes at one spot on every
+    slice of one :class:`LevySample`, as columns, from every kernel kind of
+    ``LevySample.kinds``, each at log(K/S); the spot enters here alone.
 
     Each slice's truncation points, strides and rows are computed once.
     A slice's tail check covers its largest truncation bound over all
@@ -483,8 +483,10 @@ def evaluate_slices(
     stride-1 strikes, so an error is the one the first failing slice
     raises alone.  ``strikes`` must not be empty.
     """
+    _require_positive("spot", spot)
     strikes = _strike_array(strikes)
     _require(strikes.size > 0, "need at least one strike")
+    moneyness = strikes / spot
     sample = slices[0].sample
     _require(all(ctx.sample is sample for ctx in slices), "slices must share one LevySample")
     config = sample.config
@@ -493,14 +495,14 @@ def evaluate_slices(
     _require(mode in (MODE_DIRECT_SUM, MODE_FFT_GRID), f"unknown mode {mode!r}")
     kinds = list(sample.kinds)
 
-    reach = sample.reach(strikes)
+    reach = sample.reach(moneyness)
     plans = []
     for ctx in slices:
-        shifts, rows = ctx.strided_rows(strikes, reach)
+        shifts, rows = ctx.strided_rows(moneyness, reach)
         extents = ctx.extents(shifts, rows)
         fine = int(shifts.min())
         points = (int(extents.max()) >> fine) + 1
-        trunc = ctx.trunc(strikes).max(axis=0)
+        trunc = ctx.trunc(strikes, spot).max(axis=0)
         plans.append(_SlicePlan(trunc, shifts, rows, extents, fine, points))
     # one sample, at the finest stride and over the longest span any slice
     # reads; a slice reads every 2^(s - top)-th of its points
@@ -518,7 +520,7 @@ def evaluate_slices(
         worst = int(np.argmax(plan.trunc))
         _check_tail(config, float(plan.trunc[worst]), float(strikes[worst]), ctx.tau)
         if i == 0 and plan.fine == 0:
-            sample.check_range(strikes, plan.shifts)
+            sample.check_range(moneyness, plan.shifts)
         if mode == MODE_FFT_GRID:
             continue
         psi, factors = strided(plan.fine, plan.points)
@@ -532,32 +534,32 @@ def evaluate_slices(
             group = plan.shifts == s
             # math.log, not np.log: the two can differ in the last bit, and
             # direct-sum values (single quotes, impact tables) stay bit-stable
-            log_k = [math.log(x) for x in strikes[group].tolist()]
+            log_x = [math.log(x) for x in moneyness[group].tolist()]
             step = 1 << (s - plan.fine)
             view = samples[:, : (int(plan.extents[group].max()) >> s) * step + 1 : step]
             values[:, i, group] = direct_simpson_sum(
-                view, config.alpha, config.eta * (1 << s), log_k, config.n >> s, plan.rows[group]
+                view, config.alpha, config.eta * (1 << s), log_x, config.n >> s, plan.rows[group]
             )
     if mode == MODE_FFT_GRID:
-        _grid_blocks(slices, plans, np.log(strikes), values, strided)
+        _grid_blocks(slices, plans, np.log(moneyness), values, strided)
         strides = np.array([np.full(strikes.size, 1 << p.fine) for p in plans])
     else:
         strides = np.array([1 << p.shifts for p in plans])
 
-    # I1 = K X_indicator(log K), I2 = K X_jump(log K)
+    # I1 = K X_indicator(log x), I2 = K X_jump(log x)
     column = dict(zip(kinds, strikes * values))
     i1, i2 = column.get("indicator"), column["jump"]
     numerator = sample.sigma2 * i1 + i2 if i1 is not None else i2
-    lrm_values = numerator / (sample.spot * (sample.sigma2 + sample.mmm.quad_exp_moment))
+    lrm_values = numerator / (spot * (sample.sigma2 + sample.mmm.quad_exp_moment))
     trunc = np.array([p.trunc for p in plans])
     return SliceColumns(lrm_values, i1, i2, trunc, strides, mode)
 
 
 def _grid_blocks(
-    slices: Sequence[TransformContext], plans: list[_SlicePlan], log_k: np.ndarray,
+    slices: Sequence[TransformContext], plans: list[_SlicePlan], log_x: np.ndarray,
     values: np.ndarray, strided,
 ) -> None:
-    """Grid-path values of every slice at the log-strikes ``log_k``, into
+    """Grid-path values of every slice at the log-moneyness ``log_x``, into
     ``values[:, i]`` for slice i, one row per kernel kind: the slices of
     one finest stride in blocks of up to ``_BLOCK_POINTS`` FFT points per
     kind, one ``carr_madan_grid`` call and one interpolation per block,
@@ -582,7 +584,7 @@ def _grid_blocks(
                     np.multiply(phi, factor[:m], out=row[:m])
             eta = config.eta * (1 << fine)
             grid = carr_madan_grid(samples.reshape(-1, max(counts)), config.alpha, eta, n)
-            values[:, block] = grid.at(log_k).reshape(len(factors), len(block), -1)
+            values[:, block] = grid.at(log_x).reshape(len(factors), len(block), -1)
 
 
 def _strike_array(strikes: Sequence[float]) -> np.ndarray:
@@ -591,9 +593,7 @@ def _strike_array(strikes: Sequence[float]) -> np.ndarray:
     strikes = np.asarray(strikes, dtype=float).reshape(-1)
     bad = ~(np.isfinite(strikes) & (strikes > 0.0))
     if bad.any():
-        first = float(strikes[bad][0])
-        _require_finite("strike", first)
-        _require(first > 0.0, "strike must be > 0")
+        _require_positive("strike", float(strikes[bad][0]))
     return strikes
 
 
@@ -622,9 +622,9 @@ def tail_hint(config: FftConfig, trunc_a: float) -> str:
 def lrm(query: MarketQuery, model: Model, config: FftConfig) -> LrmResult:
     """Hedge ratio, I1 and I2 for a single (t, K, S) query: one
     direct-sum strike on a fresh slice, through :func:`evaluate_slices`
-    like every caller."""
-    ctx = TransformContext(LevySample(model, config, query.spot), query.tau)
-    return ctx.evaluate([query.strike])[0]
+    like every caller.  The result carries the caller's ``config``."""
+    ctx = TransformContext(levy_sample(model, config), query.tau)
+    return _results(evaluate_slices([ctx], [query.strike], query.spot), config)[0]
 
 
 def lrm_strike_sweep(
@@ -637,22 +637,18 @@ def lrm_strike_sweep(
     strikes: Sequence[float],
 ) -> list[LrmResult]:
     """Hedge ratios for many strikes on one time slice, sharing the
-    sampled arrays (and the per-kind FFT grids on the grid path)."""
-    sample = LevySample(model, config, spot)
-    return TransformContext(sample, time_to_maturity(t, T)).evaluate(strikes)
-
-
-def moneyness_slice(model: Model, config: FftConfig, tau: float) -> TransformContext:
-    """The time slice tau at unit spot, where a strike is a moneyness K/S;
-    the hedge ratio depends on (t, S, K) only through K/S and tau."""
-    return TransformContext(LevySample(model, config, 1.0), time_to_maturity(0.0, tau))
+    sampled arrays (and the per-kind FFT grids on the grid path); the
+    results carry the caller's ``config``."""
+    _require_positive("spot", spot)
+    ctx = TransformContext(levy_sample(model, config), time_to_maturity(t, T))
+    strikes = _strike_array(strikes)
+    return _results(evaluate_slices([ctx], strikes, spot), config) if strikes.size else []
 
 
 def check_moneyness(moneyness: float, tau: float) -> None:
     """Refuse a moneyness K/S that is not finite and > 0, or a tau that is
     not finite and >= TAU_MIN, in that order."""
-    _require_finite("moneyness", moneyness)
-    _require(moneyness > 0.0, "moneyness must be > 0")
+    _require_positive("moneyness", moneyness)
     _require_finite("tau", tau)
     if tau < TAU_MIN:
         raise InvalidParameterError(f"tau = {tau:g} below the supported minimum {TAU_MIN:g}")
@@ -668,7 +664,8 @@ def jump_impact(y: float, moneyness: float, tau: float, model: Model, config: Ff
     check_moneyness(moneyness, tau)
     jumped = jumped_moneyness(moneyness, y)
     check_moneyness(jumped, tau)
-    lrm_before, lrm_after = moneyness_slice(model, config, tau).quotes([moneyness, jumped])
+    ctx = TransformContext(levy_sample(model, config), time_to_maturity(0.0, tau))
+    lrm_before, lrm_after = ctx.quotes([moneyness, jumped], 1.0)
     return lrm_after.lrm - lrm_before.lrm
 
 

@@ -3,7 +3,7 @@
 Under the minimal martingale measure the Gaussian jump measure turns into
 a two-component Gaussian mixture, the Levy exponent Psi stays in closed
 form (a slice's characteristic function is exp(tau Psi)), and the jump
-term of the hedge numerator is one damped Fourier transform at log K, of
+term of the hedge numerator is one damped Fourier transform at log(K/S), of
 the call factor times a jump weight that shares Psi's two exponentials
 (``merton_exponent_and_weight``).  It equals three transforms at shifted
 strikes, two carrying a Gaussian factor exp(-delta^2 z^2 / 2)
@@ -64,7 +64,7 @@ def merton_exponent_and_weight(
                 = gamma [e^{m + delta^2/2} E2 - E1 + 1 - e^{m + delta^2/2}].
 
     w times the call factor is the three terms of :func:`merton_i2_terms`
-    moved to log K: c s^{1 - i zeta} times a term's Gaussian factor is
+    moved to log x, x = K/S: c s^{1 - i zeta} times a term's Gaussian factor is
     gamma e^{m + delta^2/2} E2, -gamma E1 and gamma (1 - e^{m + delta^2/2})."""
     z = np.asarray(zeta, dtype=complex)
     g, m, d2, sigma2 = params.gamma, params.m, params.delta**2, params.sigma**2
@@ -108,37 +108,37 @@ def merton_trunc_laws(
 
 
 def merton_prefix_tail(
-    log_a: np.ndarray, a2: np.ndarray, tau: float, spot: float, alpha: float, log_c1: float,
-    tables: tuple,
+    log_a: np.ndarray, a2: np.ndarray, tau: float, alpha: float, log_c1: float, tables: tuple,
 ) -> np.ndarray:
-    """Strike-free log factor G(a) of the tail a prefix of samples drops,
-    at the frequencies a given as log a and a^2, with ``tables`` =
+    """Strike- and spot-free log factor G(a) of the tail a prefix of samples
+    drops, at the frequencies a given as log a and a^2, with ``tables`` =
     :func:`merton_prefix_tables`.
 
     Summing only the samples j < m of a slice's damped sums, a = (m-1) eta,
-    moves I1 and I2 each by at most S K^{1-alpha} e^{G(a)} and the hedge
-    ratio by at most K^{1-alpha} e^{G(a)}.  Each transform enters through
-    a kernel f at a shifted strike K' with a coefficient, and dropping its
-    samples past a moves its damped sum by at most
+    moves I1 and I2 each by at most S x^{1-alpha} e^{G(a)} and the hedge
+    ratio by at most x^{1-alpha} e^{G(a)}, at moneyness x = K/S.  The sums
+    run in moneyness, so each transform enters through a kernel f at a
+    shifted moneyness x' = x s with a coefficient, and dropping its samples
+    past a moves its damped sum by at most
 
-        (K'^{-alpha} / pi) int_a^inf C1 e^{-sigma^2 tau v^2/2} |f(v - i alpha)| dv,
+        (x'^{-alpha} / pi) int_a^inf C1 e^{-sigma^2 tau v^2/2} |f(v - i alpha)| dv,
 
     each trapezoid weight past j = 0 being the spacing (the envelope times
     the kernel bound decreases, so the sum over j >= m stays below the
-    integral from a, at any spacing).  On the contour |indicator| <=
-    S^alpha / v, |call| <= S^alpha / v^2 and |damped| <= S^alpha
-    e^{delta^2 alpha^2/2} e^{-delta^2 v^2/2} / v^2, and int_a^inf e^{-b v^2}
-    v^{-p} dv <= e^{-b a^2} / (2 b a^{p+1}).  I1 is the indicator term at
-    K; I2 the three terms of :func:`merton_i2_terms`, a zero coefficient
-    adding no tail; the ratio divides sigma^2 I1 + I2 by S (sigma^2 +
-    quad moment).  The jump transform is the sum of the three term
-    transforms, so their bounds cover it unchanged.  Works in logs, so a
-    large C1 cannot overflow.
+    integral from a, at any spacing).  On the contour |indicator| <= 1 / v,
+    |call| <= 1 / v^2 and |damped| <= e^{delta^2 alpha^2/2}
+    e^{-delta^2 v^2/2} / v^2, and int_a^inf e^{-b v^2} v^{-p} dv <= e^{-b
+    a^2} / (2 b a^{p+1}).  I1 is K times the indicator term at x; I2 the
+    three terms of :func:`merton_i2_terms`, a zero coefficient adding no
+    tail; the ratio divides sigma^2 I1 + I2 by S (sigma^2 + quad moment).
+    The jump transform is the sum of the three term transforms, so their
+    bounds cover it unchanged.  Works in logs, so a large C1 cannot
+    overflow.
     """
     sigma2, log_sigma2, log_denom, terms = tables
     b = 0.5 * sigma2 * tau
-    # C1 S^alpha / pi, over S
-    lead = -math.log(math.pi) + log_c1 + (alpha - 1.0) * math.log(spot)
+    # C1 / pi
+    lead = -math.log(math.pi) + log_c1
     i1 = lead - b * a2 - math.log(2.0 * b) - 2.0 * log_a
     i2 = np.full(a2.shape, -np.inf)
     for log_coef, rate in terms:
@@ -151,8 +151,8 @@ def merton_prefix_tail(
 def merton_prefix_tables(params: MertonParams, mmm: MmmQuantities, alpha: float) -> tuple:
     """The tau-free constants of :func:`merton_prefix_tail`: sigma^2, log
     sigma^2, log(sigma^2 + quad moment), and per term of
-    :func:`merton_i2_terms` with a nonzero coefficient c: log |c|
-    K'^{1-alpha} (plus delta^2 alpha^2 / 2 for the damped kernel), and the
+    :func:`merton_i2_terms` with a nonzero coefficient c and strike factor
+    s: log |c| s^{1-alpha} (plus delta^2 alpha^2 / 2 for the damped kernel), and the
     rate its kernel adds to the Gaussian's b (delta^2 / 2 damped, 0 plain)."""
     sigma2, d2 = params.sigma**2, params.delta**2
     terms = []
@@ -216,7 +216,7 @@ class I2Term(NamedTuple):
     """One (coefficient, shifted strike, kernel) term of the jump integral:
     ``kernel`` KERNEL_PLAIN transforms the call factor psi2, KERNEL_DAMPED
     psi2 times exp(-delta^2 zeta^2 / 2).  The bounds take the terms one by
-    one; the production path transforms their sum at log K."""
+    one; the production path transforms their sum at log(K/S)."""
 
     coefficient: float
     strike: float

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from levyhedge import FftConfig, LevySample, MertonParams, TransformContext, VgParams
+from levyhedge import FftConfig, MertonParams, TransformContext, VgParams, levy_sample
 
 # the two benchmark parameter sets plus the index-calibrated CGM triple
 MERTON_BENCH = dict(mu=-0.7, sigma=0.2, gamma=1.0, m=0.0, delta=1.0)
@@ -37,7 +37,7 @@ def trunc_points(model, tau: float, strike: float, spot: float = 1.0, eps: float
     fft_bench grid at tail error eps: (I1, I2) for Merton, (I2,) for
     variance gamma."""
     config = FftConfig(n=2**14, eta=0.025, alpha=1.75, eps=eps)
-    return tuple(TransformContext(LevySample(model, config, spot), tau).trunc([strike])[:, 0])
+    return tuple(TransformContext(levy_sample(model, config), tau).trunc([strike], spot)[:, 0])
 
 
 def sample_merton(rng: np.random.Generator) -> MertonParams:

@@ -14,7 +14,7 @@ from levyhedge.cli import (
     main,
     parse_key_values,
 )
-from levyhedge.lrm import LevySample, lrm_strike_sweep
+from levyhedge.lrm import LevySample, _shared_sample, lrm_strike_sweep
 
 MERTON_CFG = """
 model.kind = merton
@@ -359,6 +359,7 @@ def _counting_samples(monkeypatch) -> list:
 def test_impact_builds_one_sample(tmp_path, capsys, monkeypatch):
     # all jump sizes share one contour sample and one time slice, and
     # their quotes sample the contour once
+    _shared_sample.cache_clear()
     builds = []
     init = LevySample.__init__
 
@@ -385,6 +386,24 @@ def test_curve_samples_once(tmp_path, capsys, monkeypatch):
     assert len(_rows(capsys.readouterr().out)) == 50
     [(shift, m)] = taken
     assert 1 < m << shift < 2**14
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("query.t=-0.5", "evaluation time t must be >= 0"),
+        ("query.spot=0", "spot must be > 0"),
+        ("query.spot=-1", "spot must be > 0"),
+    ],
+)
+def test_impact_rejects_bad_query(tmp_path, capsys, override, message):
+    # impact checks its query as curve checks its cells
+    cfg = _write(tmp_path, "m.cfg", MERTON_CFG + "query.t = 0.5\nquery.strike = 1\n")
+    for argv in (["impact", "--y", "0.1"], ["curve"]):
+        assert main(argv + ["--config", cfg, "--set", override]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.out == ""
 
 
 def test_impact_comma_list(tmp_path, capsys):

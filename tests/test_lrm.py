@@ -40,8 +40,9 @@ from levyhedge.lrm import (
     MODE_FFT_GRID,
     LevySample,
     TransformContext,
-    _model_tables,
+    _shared_sample,
     evaluate_slices,
+    levy_sample,
 )
 from levyhedge.merton import (
     merton_alias_tables,
@@ -179,9 +180,11 @@ def test_moneyness_identity(merton_bench, fft_bench):
     assert abs(lhs - rhs) < 1e-8
 
 
-def test_moneyness_identity_randomized(merton_bench, vg_bench, fft_bench):
+def test_moneyness_identity_randomized(merton_bench, vg_bench, nikkei, fft_bench):
+    # LRM(S, K) = LRM(1, K/S) on both paths: a quote on the direct sum, and
+    # a 29-strike sweep on the grid, which interpolates at log(K/S)
     rng = np.random.default_rng(31)
-    for model in (merton_bench, vg_bench):
+    for model in (merton_bench, vg_bench, nikkei):
         for _ in range(5):
             spot = rng.uniform(0.25, 40.0)
             moneyness = rng.uniform(0.5, 2.0)
@@ -190,6 +193,13 @@ def test_moneyness_identity_randomized(merton_bench, vg_bench, fft_bench):
             lhs = lrm(query, model, fft_bench).lrm
             rhs = lrm(MarketQuery(0.0, tau, 1.0, moneyness), model, fft_bench).lrm
             assert abs(lhs - rhs) < 1e-8
+            sweep = np.sort(rng.uniform(0.5, 2.0, 29))
+            at_spot = lrm_strike_sweep(
+                model, fft_bench, t=0.0, T=tau, spot=spot, strikes=sweep * spot
+            )
+            at_one = lrm_strike_sweep(model, fft_bench, t=0.0, T=tau, spot=1.0, strikes=sweep)
+            assert all(r.mode == MODE_FFT_GRID for r in at_spot + at_one)
+            assert max(abs(a.lrm - b.lrm) for a, b in zip(at_spot, at_one)) <= 1e-14
 
 
 def test_moneyness_limits(merton_bench, fft_bench):
@@ -322,14 +332,14 @@ def test_slice_evaluation_is_stateless(merton_bench, nikkei, fft_bench):
     # evaluate, quotes and a curve neither the slice nor its sample holds
     # a contour sample
     for model, spot in ((merton_bench, 1.0), (nikkei, NIKKEI_SPOT)):
-        sample = LevySample(model, fft_bench, spot)
+        sample = levy_sample(model, fft_bench)
         ctx = TransformContext(sample, 0.5)
         for strikes in ([1.1 * spot], list(np.linspace(0.6, 1.9, 29) * spot), [0.7 * spot]):
-            fresh = TransformContext(LevySample(model, fft_bench, spot), 0.5)
-            assert ctx.evaluate(strikes) == fresh.evaluate(strikes)
-        ctx.quotes([0.9 * spot, spot, 1.2 * spot])
+            fresh = TransformContext(LevySample(model, fft_bench), 0.5)
+            assert ctx.evaluate(strikes, spot) == fresh.evaluate(strikes, spot)
+        ctx.quotes([0.9 * spot, spot, 1.2 * spot], spot)
         later = TransformContext(sample, 0.9)
-        evaluate_slices([ctx, later], list(np.linspace(0.8, 1.2, 7) * spot))
+        evaluate_slices([ctx, later], list(np.linspace(0.8, 1.2, 7) * spot), spot)
         assert not any(_holds_samples(obj) for obj in (sample, ctx, later))
 
 
@@ -338,23 +348,23 @@ def test_quotes_equal_lone_evaluations(merton_bench, nikkei, fft_bench):
     # once, with the bits of a fresh slice per strike
     for model, spot in ((merton_bench, 1.0), (nikkei, NIKKEI_SPOT)):
         strikes = [spot * math.exp(-y) for y in (0.0, 0.05, -0.05, 0.2, -0.2, 1.0, -1.0, 3.0, -3.0)]
-        ctx = TransformContext(LevySample(model, fft_bench, spot), 0.5)
+        ctx = TransformContext(levy_sample(model, fft_bench), 0.5)
         lone = [
-            TransformContext(LevySample(model, fft_bench, spot), 0.5).evaluate([k])[0]
+            TransformContext(LevySample(model, fft_bench), 0.5).evaluate([k], spot)[0]
             for k in strikes
         ]
-        assert ctx.quotes(strikes) == lone
+        assert ctx.quotes(strikes, spot) == lone
         assert all(r.mode == MODE_DIRECT_SUM for r in lone)
     # a failing batch raises the first lone quote's error, not the batch's
     short = FftConfig(n=64, eta=fft_bench.eta, alpha=fft_bench.alpha, eps=fft_bench.eps)
-    ctx = TransformContext(LevySample(merton_bench, short, 1.0), 0.5)
+    ctx = TransformContext(levy_sample(merton_bench, short), 0.5)
     with pytest.raises(TailConditionError) as first:
-        ctx.evaluate([1.0])
+        ctx.evaluate([1.0], 1.0)
     with pytest.raises(TailConditionError) as batch:
-        ctx.evaluate([1.0, 0.5])
+        ctx.evaluate([1.0, 0.5], 1.0)
     assert str(batch.value) != str(first.value)
     with pytest.raises(TailConditionError) as quoted:
-        ctx.quotes([1.0, 0.5])
+        ctx.quotes([1.0, 0.5], 1.0)
     assert str(quoted.value) == str(first.value)
 
 
@@ -470,10 +480,10 @@ def test_truncation_law_matches_closed_forms(
     cases += [(model, 1.0) for model in random_merton_models + random_vg_models]
     cells = 0
     for model, spot in cases:
-        sample = LevySample(model, fft_bench, spot)
+        sample = levy_sample(model, fft_bench)
         strikes = spot * np.array([0.5, 1.0, 2.0])
         for tau in (0.05, 0.5, 1.0):
-            got = TransformContext(sample, tau).trunc(strikes)
+            got = TransformContext(sample, tau).trunc(strikes, spot)
             want = _closed_form_trunc(model, tau, strikes, spot, fft_bench)
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
@@ -504,12 +514,12 @@ def _kind_terms(model):
 def _term_factors(sample):
     """The sample's factors at every configured-grid point, with the call
     factor and the Gaussian-damped call factor of the I2 terms built from
-    the sample's inputs: its spot and the contour."""
+    the sample's input, the contour."""
     cfg = sample.config
     psi, factors = sample.sample(0, cfg.n)
     zeta = cfg.zeta_grid()
     iz = 1j * zeta
-    call = np.exp(iz * math.log(sample.spot)) / (iz - 1.0) / iz
+    call = 1.0 / (iz - 1.0) / iz
     delta = sample.model.delta
     damped = np.exp(-0.5 * delta * delta * zeta * zeta) * call
     return psi, {**factors, "call": call, "damped": damped}
@@ -521,7 +531,7 @@ def test_prefix_tail_bound_holds(merton_bench, random_merton_models, fft_bench):
     # below rounding wherever the prefix is shorter than the grid
     cfg, spot = fft_bench, 1.0
     for index, model in enumerate([merton_bench] + list(random_merton_models)):
-        sample = LevySample(model, cfg, spot)
+        sample = levy_sample(model, cfg)
         psi, factors = _term_factors(sample)
         tables = merton_prefix_tables(model, sample.mmm, cfg.alpha)
         for tau in (0.05, 0.5, 1.0):
@@ -533,7 +543,7 @@ def test_prefix_tail_bound_holds(merton_bench, random_merton_models, fft_bench):
             for strike, rows in zip(strikes, bounds.rows(strikes)):
                 m = int(rows) * c
                 a = np.array([(m - 1) * cfg.eta])
-                tail = merton_prefix_tail(np.log(a), a * a, tau, spot, cfg.alpha, log_c1, tables)[0]
+                tail = merton_prefix_tail(np.log(a), a * a, tau, cfg.alpha, log_c1, tables)[0]
                 allowed = spot * strike ** (1.0 - cfg.alpha) * math.exp(tail)
                 if m < cfg.n:
                     assert allowed <= ROUNDING * spot
@@ -563,7 +573,7 @@ def test_i2_equals_three_shifted_strike_sums(merton_bench, random_merton_models,
     # own direct sum at its shifted strike over the whole configured grid
     cfg, spot = fft_bench, 1.0
     for model in [merton_bench] + list(random_merton_models[:5]):
-        psi, factors = _term_factors(LevySample(model, cfg, spot))
+        psi, factors = _term_factors(levy_sample(model, cfg))
         terms = _kind_terms(model)[1:]
         for tau in (0.05, 0.5):
             phi = levy_char_fn(psi, tau)
@@ -578,18 +588,19 @@ def test_i2_equals_three_shifted_strike_sums(merton_bench, random_merton_models,
                 assert abs(got - separate) <= 1e-12 * spot
 
 
-def test_merton_sample_takes_three_complex_exponentials(merton_bench, fft_bench, monkeypatch):
-    # the indicator factor's and Psi's two, which the jump weight shares
+def test_merton_sample_takes_two_complex_exponentials(merton_bench, fft_bench, monkeypatch):
+    # Psi's two, which the jump weight shares; the spot-free indicator
+    # factor is rational
     exp, taken = np.exp, []
 
     def counting(x, *args, **kwargs):
         taken.append(np.iscomplexobj(x))
         return exp(x, *args, **kwargs)
 
-    sample = LevySample(merton_bench, fft_bench, 1.0)
+    sample = levy_sample(merton_bench, fft_bench)
     monkeypatch.setattr(np, "exp", counting)
     sample.sample(0, fft_bench.n)
-    assert taken == [True] * 3
+    assert taken == [True] * 2
 
 
 def test_grid_direct_gap_of_merton_sweeps(merton_bench, fft_bench):
@@ -597,8 +608,8 @@ def test_grid_direct_gap_of_merton_sweeps(merton_bench, fft_bench):
     # gap of the three shifted-strike grids it replaced (3.59e-5)
     for strikes in (1.0 + 0.25 * np.arange(29), 1.0 + 0.007 * np.arange(1000)):
         grid = lrm_strike_sweep(merton_bench, fft_bench, t=0.5, T=1.0, spot=1.0, strikes=strikes)
-        ctx = TransformContext(LevySample(merton_bench, fft_bench, 1.0), 0.5)
-        direct = evaluate_slices([ctx], strikes, mode=MODE_DIRECT_SUM).lrm[0]
+        ctx = TransformContext(levy_sample(merton_bench, fft_bench), 0.5)
+        direct = evaluate_slices([ctx], strikes, 1.0, mode=MODE_DIRECT_SUM).lrm[0]
         assert all(r.mode == MODE_FFT_GRID for r in grid)
         assert np.max(np.abs([r.lrm for r in grid] - direct)) <= 3.6e-5
 
@@ -609,7 +620,7 @@ def test_grown_sample_keeps_bits(merton_bench, nikkei, fft_bench):
     # which must not change a product's bits), and its j = 0 point has the
     # bits of psi0, the exp() guard of every slice
     cfg = fft_bench
-    sample = LevySample(merton_bench, cfg, 1.3)
+    sample = levy_sample(merton_bench, cfg)
     full_psi, full_factors = sample.sample(0, cfg.n)
     assert np.array_equal(full_psi, merton_exponent(cfg.zeta_grid(), merton_bench, sample.mmm))
     for m in (1, 300, 2304, 5000, cfg.n - 1, cfg.n):
@@ -618,20 +629,21 @@ def test_grown_sample_keeps_bits(merton_bench, nikkei, fft_bench):
         assert np.array_equal(full_psi[:m], psi)
         for kind in ("indicator", "jump"):
             assert np.array_equal(full_factors[kind][:m], factors[kind])
-    for model, spot in ((merton_bench, 1.3), (nikkei, NIKKEI_SPOT)):
-        sample = LevySample(model, cfg, spot)
+    for model in (merton_bench, nikkei):
+        sample = levy_sample(model, cfg)
         assert complex(sample.sample(0, cfg.n)[0][0]) == sample.psi0
 
 
 def test_vg_slice_uses_all_samples(nikkei, fft_bench):
     # the polynomial variance-gamma envelope certifies no prefix: at any
-    # stride the sample and every strike's sums span all of N eta
-    sample = LevySample(nikkei, fft_bench, NIKKEI_SPOT)
+    # stride the sample and every strike's sums span all of N eta.  A
+    # private sample, so that the spy below stays off the shared one
+    sample = LevySample(nikkei, fft_bench)
     bounds = TransformContext(sample, 0.5)
     strikes = np.array([12000.0, 14000.0, 16000.0])
-    rows = bounds.rows(strikes)
+    rows = bounds.rows(strikes / NIKKEI_SPOT)
     assert np.all(rows * sample.row_lengths[0] == fft_bench.n)
-    shifts, rows = bounds.strided_rows(strikes)
+    shifts, rows = bounds.strided_rows(strikes / NIKKEI_SPOT)
     assert np.all(bounds.extents(shifts, rows) == fft_bench.n - (1 << shifts))
     # and the evaluation samples the whole span at the finest stride
     taken = []
@@ -642,7 +654,7 @@ def test_vg_slice_uses_all_samples(nikkei, fft_bench):
         return take(shift, m)
 
     sample.sample = spying
-    bounds.evaluate(strikes)
+    bounds.evaluate(strikes, NIKKEI_SPOT)
     [(shift, m)] = taken
     assert shift == shifts.min() and m << shift == fft_bench.n
 
@@ -676,7 +688,7 @@ def test_alias_bound_holds(merton_bench, random_merton_models, fft_bench):
     cfg, spot = fft_bench, 1.0
     v = cfg.eta * np.arange(cfg.n)
     for model in [merton_bench] + list(random_merton_models):
-        sample = LevySample(model, cfg, spot)
+        sample = levy_sample(model, cfg)
         psi, factors = _term_factors(sample)
         tables = merton_alias_tables(model, sample.mmm, cfg.alpha)
         for tau in (0.05, 0.5, 1.0):
@@ -726,14 +738,14 @@ def test_alias_bound_not_below_measured(nikkei):
     # eta = 0.2, K = 1e-3 S: the certified bound against the sum at
     # eta = 0.025 over the same span, whose images are e^{-75} S away
     cfg = FftConfig(n=2**14, eta=0.025, alpha=1.3)
-    sample = LevySample(nikkei, cfg, NIKKEI_SPOT)
+    sample = levy_sample(nikkei, cfg)
     strike, tau, s = 1e-3 * NIKKEI_SPOT, 0.5, 3
     psi, factors = sample.sample(0, cfg.n)
-    # the call factor of the sample's inputs: spot and the contour
+    # the call factor of the sample's input, the contour
     iz = 1j * cfg.zeta_grid()
-    call = np.exp(iz * math.log(NIKKEI_SPOT)) / (iz - 1.0) / iz
+    call = 1.0 / (iz - 1.0) / iz
     calls = levy_char_fn(psi, tau) * call
-    log_k = [math.log(strike)]
+    log_k = [math.log(strike / NIKKEI_SPOT)]
     fine = direct_simpson_sum(calls, cfg.alpha, cfg.eta, log_k)[0]
     coarse = direct_simpson_sum(calls[:: 1 << s], cfg.alpha, 0.2, log_k, cfg.n >> s)[0]
     measured = strike * abs(coarse - fine) / NIKKEI_SPOT
@@ -787,7 +799,7 @@ def test_moment_rates_read_the_exponent(
     # the whole beta grid, and log C1 is tau Re psi0
     cfg = fft_bench
     for model in [merton_bench, nikkei] + list(random_merton_models) + list(random_vg_models):
-        sample = LevySample(model, cfg, 1.0)
+        sample = levy_sample(model, cfg)
         merton = isinstance(model, MertonParams)
         log_moment = _merton_log_moment if merton else _vg_log_moment
         with np.errstate(over="ignore"):
@@ -806,7 +818,7 @@ def test_alias_floors_degenerate_tables(merton_bench, nikkei, fft_bench):
     # gamma = 0: the Merton moment is 0 * inf at large beta, which bounds
     # nothing, so no floor is NaN
     bs = MertonParams(mu=-0.02, sigma=0.2, gamma=0.0, m=0.0, delta=1.0)
-    sample = LevySample(bs, fft_bench, 1.0)
+    sample = levy_sample(bs, fft_bench)
     assert np.isnan(sample.floors.rate).any()
     for tau in (0.05, 0.5, 1.0):
         floors = sample.floors(tau)
@@ -815,10 +827,10 @@ def test_alias_floors_degenerate_tables(merton_bench, nikkei, fft_bench):
     # a grid with no stride past its own has no floors
     coarse = FftConfig(n=2**12, eta=0.1)
     assert coarsest_shift(coarse) == 0
-    assert LevySample(merton_bench, coarse, 1.0).floors(0.5) == []
+    assert levy_sample(merton_bench, coarse).floors(0.5) == []
     # variance gamma's moment point -i(1+beta) needs 1 + beta < M - 1: at
     # beta = M - 2 the base M - 1 - i zeta leaves the right half-plane
-    beta = LevySample(nikkei, fft_bench, NIKKEI_SPOT).floors.beta
+    beta = levy_sample(nikkei, fft_bench).floors.beta
     assert beta.size < ALIAS_RATES.size and beta.max() < nikkei.M - 2.0
     with pytest.raises(BranchCutError):
         VgContourLogs(np.array([-1j * (nikkei.M - 1.0)]), nikkei.G, nikkei.M)
@@ -829,7 +841,7 @@ def test_strides_are_batch_independent(merton_bench, nikkei, fft_bench):
     # batch mixing strides equals per-strike quotes bit for bit
     for model, spot, strikes in (
         (merton_bench, 1.0, [1.0, 20.0, math.exp(63.0), math.exp(62.5)]),
-        (nikkei, NIKKEI_SPOT, [14000.0] + [NIKKEI_SPOT * math.exp(x) for x in (25.0, 60.0)]),
+        (nikkei, NIKKEI_SPOT, [14000.0] + [NIKKEI_SPOT * math.exp(x) for x in (35.0, 70.0)]),
     ):
         sweep = lrm_strike_sweep(model, fft_bench, t=0.5, T=1.0, spot=spot, strikes=strikes)
         assert sweep == [lrm(_q(0.5, k, spot=spot), model, fft_bench) for k in strikes]
@@ -855,7 +867,7 @@ def test_one_log_strike_range_rule(fft_bench):
     # refuses it alike, naming its first outside log-strike, log K + 0.26
     model = MertonParams(mu=-0.1, sigma=0.2, gamma=1.0, m=-0.3, delta=0.2)
     edge = math.pi / fft_bench.eta
-    sample = LevySample(model, fft_bench, 1.0)
+    sample = levy_sample(model, fft_bench)
     slices = [TransformContext(sample, tau) for tau in (0.5, 0.25)]
 
     def calls(strike):
@@ -864,8 +876,8 @@ def test_one_log_strike_range_rule(fft_bench):
             lambda: [lrm(_q(0.5, strike), model, fft_bench).lrm],
             lambda: [r.lrm for r in lrm_strike_sweep(
                 model, fft_bench, t=0.5, T=1.0, spot=1.0, strikes=sweep)],
-            lambda: evaluate_slices(slices, [1.0, strike]).lrm.ravel().tolist(),
-            lambda: evaluate_slices(slices, sweep).lrm.ravel().tolist(),
+            lambda: evaluate_slices(slices, [1.0, strike], 1.0).lrm.ravel().tolist(),
+            lambda: evaluate_slices(slices, sweep, 1.0).lrm.ravel().tolist(),
         )
 
     strike = math.exp(edge - 0.15)
@@ -879,13 +891,13 @@ def test_one_log_strike_range_rule(fft_bench):
 def test_strided_samples_match_fresh(merton_bench, nikkei, fft_bench):
     # every 2^s-th point of the configured grid has the bits of a fresh
     # sample at spacing 2^s eta, and so does a sample taken at stride 2^s
-    for model, spot in ((merton_bench, 1.3), (nikkei, NIKKEI_SPOT)):
-        sample = LevySample(model, fft_bench, spot)
+    for model in (merton_bench, nikkei):
+        sample = levy_sample(model, fft_bench)
         full_psi, full = sample.sample(0, fft_bench.n)
         for s in (1, 2, 3):
             n = fft_bench.n >> s
             coarse = FftConfig(n=n, eta=fft_bench.eta * (1 << s), alpha=fft_bench.alpha)
-            fresh_psi, fresh = LevySample(model, coarse, spot).sample(0, n)
+            fresh_psi, fresh = LevySample(model, coarse).sample(0, n)
             view_psi, view = sample.sample(s, n)
             assert np.array_equal(full_psi[:: 1 << s], fresh_psi)
             assert np.array_equal(view_psi, fresh_psi)
@@ -932,10 +944,10 @@ def test_jump_impact_checks_moneyness_then_tau(merton_bench, fft_bench):
 
 
 def test_evaluate_slices_rejects_unknown_mode(merton_bench, fft_bench):
-    ctx = TransformContext(LevySample(merton_bench, fft_bench, 1.0), 0.5)
+    ctx = TransformContext(levy_sample(merton_bench, fft_bench), 0.5)
     for mode in ("fft", "grid", ""):
         with pytest.raises(InvalidParameterError, match="unknown mode"):
-            evaluate_slices([ctx], [0.9, 1.0, 1.1, 1.2, 1.3], mode=mode)
+            evaluate_slices([ctx], [0.9, 1.0, 1.1, 1.2, 1.3], 1.0, mode=mode)
 
 
 def _cached_outputs(capsys, model, spot: float, config: FftConfig) -> list:
@@ -960,50 +972,50 @@ def test_model_tables_cache_keeps_bits(merton_bench, nikkei, fft_bench, capsys):
     cases = [(merton_bench, 1.0), (nikkei, NIKKEI_SPOT), (seeded_vg, 1.0)]
     colds = []
     for model, spot in cases:
-        _model_tables.cache_clear()
+        _shared_sample.cache_clear()
         colds.append(_cached_outputs(capsys, model, spot, fft_bench))
         assert _cached_outputs(capsys, model, spot, fft_bench) == colds[-1]
     for (model, spot), cold in zip(cases, colds):
         assert _cached_outputs(capsys, model, spot, fft_bench) == cold
     (a, spot_a), (b, spot_b) = cases[:2]
-    _model_tables.cache_clear()
+    _shared_sample.cache_clear()
     _cached_outputs(capsys, a, spot_a, fft_bench)
     _cached_outputs(capsys, b, spot_b, fft_bench)
     assert _cached_outputs(capsys, a, spot_a, fft_bench) == colds[0]
 
 
 def test_model_tables_cache_key(merton_bench, fft_bench):
-    # equal models and configs share one entry, at any spot; another eta
-    # or another model field is another entry
-    _model_tables.cache_clear()
-    first = LevySample(merton_bench, fft_bench, 1.0)
+    # equal models and configs share one sample; another eta or another
+    # model field is another entry
+    _shared_sample.cache_clear()
+    first = levy_sample(merton_bench, fft_bench)
     twin = MertonParams(**vars(merton_bench))
     assert twin is not merton_bench
-    second = LevySample(twin, FftConfig(**vars(fft_bench)), 2.0)
+    second = levy_sample(twin, FftConfig(**vars(fft_bench)))
     assert second.floors is first.floors
-    info = _model_tables.cache_info()
+    info = _shared_sample.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-    LevySample(merton_bench, dataclasses.replace(fft_bench, eta=0.05), 1.0)
-    LevySample(dataclasses.replace(merton_bench, mu=-0.8), fft_bench, 1.0)
-    info = _model_tables.cache_info()
+    levy_sample(merton_bench, dataclasses.replace(fft_bench, eta=0.05))
+    levy_sample(dataclasses.replace(merton_bench, mu=-0.8), fft_bench)
+    info = _shared_sample.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 3, 3)
     # a model of another type is refused as before, hashable or not
     for other in (vars(merton_bench), "merton"):
         with pytest.raises(ModelMismatchError, match="unsupported model type"):
-            LevySample(other, fft_bench, 1.0)
+            levy_sample(other, fft_bench)
 
 
 def test_model_tables_cache_is_bounded(merton_bench, fft_bench):
-    _model_tables.cache_clear()
-    maxsize = _model_tables.cache_info().maxsize
+    _shared_sample.cache_clear()
+    maxsize = _shared_sample.cache_info().maxsize
     for i in range(maxsize + 5):
-        LevySample(dataclasses.replace(merton_bench, mu=-0.7 - 1e-3 * i), fft_bench, 1.0)
-    info = _model_tables.cache_info()
+        levy_sample(dataclasses.replace(merton_bench, mu=-0.7 - 1e-3 * i), fft_bench)
+    info = _shared_sample.cache_info()
     assert (info.misses, info.currsize) == (maxsize + 5, maxsize)
 
 
 def _arrays(value) -> list:
-    """Every numpy array inside the cached tables value."""
+    """Every numpy array inside a value of the shared sample."""
     if isinstance(value, np.ndarray):
         return [value]
     if isinstance(value, (tuple, list)):
@@ -1015,13 +1027,12 @@ def _arrays(value) -> list:
 
 def test_model_tables_are_read_only(merton_bench, nikkei, fft_bench):
     for model, count in ((merton_bench, 4 + 2 * (coarsest_shift(fft_bench) + 1)), (nikkei, 4)):
-        tables = _model_tables(model, fft_bench)
-        arrays = _arrays(tables)
+        sample = levy_sample(model, fft_bench)
+        arrays = _arrays(list(vars(sample).values()))
         assert len(arrays) == count
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 0.0
-        sample = LevySample(model, fft_bench, 1.0)
         with pytest.raises(TypeError):
             sample.kinds["jump"] = (1.0,)
         with pytest.raises(ValueError, match="read-only"):
@@ -1037,7 +1048,7 @@ def test_second_quote_builds_no_tables(merton_bench, nikkei, fft_bench, monkeypa
         real = getattr(module, name)
         counted = lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args)
         monkeypatch.setattr(module, name, counted)
-    _model_tables.cache_clear()
+    _shared_sample.cache_clear()
     for model, spot, alias in (
         (merton_bench, 1.0, "merton_alias_tables"), (nikkei, NIKKEI_SPOT, "vg_alias_tables"),
     ):

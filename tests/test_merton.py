@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from levyhedge import (
-    LevySample,
     MarketQuery,
     MertonParams,
     OverflowGuardError,
+    levy_sample,
     merton_i2_terms,
     mmm_quantities,
 )
@@ -168,7 +168,7 @@ def test_jump_factor_is_the_shifted_terms_at_log_k(merton_bench, random_merton_m
     zeta = fft_bench.zeta_grid()
     iz = 1j * zeta
     for model in [merton_bench] + list(random_merton_models):
-        sample = LevySample(model, fft_bench, 1.3)
+        sample = levy_sample(model, fft_bench)
         _, factors = sample.sample(0, fft_bench.n)
         call = factors["indicator"] / iz
         terms = []

@@ -10,6 +10,7 @@ from levyhedge import (
     MarketQuery,
     OverflowGuardError,
     VgParams,
+    levy_sample,
     lrm,
     mmm_quantities,
     vg_mmm_measure,
@@ -18,7 +19,6 @@ from conftest import NIKKEI_SPOT, trunc_points
 from levyhedge import variance_gamma
 from levyhedge.core import cgm_exp_moment
 from levyhedge.fft_engine import direct_simpson_sum
-from levyhedge.lrm import LevySample
 from levyhedge.oracle import (
     levy_moment,
     lk_char_fn,
@@ -131,7 +131,7 @@ def test_sample_takes_two_logs(nikkei, monkeypatch):
     monkeypatch.setattr(np, "log", counting("np.log", np.log))
     monkeypatch.setattr(variance_gamma, "_log", counting("log", variance_gamma._log))
     monkeypatch.setattr(variance_gamma, "_log1p", counting("log1p", variance_gamma._log1p))
-    sample = LevySample(nikkei, FftConfig(n=2**14, eta=0.025, alpha=ALPHA), 14841.07)
+    sample = levy_sample(nikkei, FftConfig(n=2**14, eta=0.025, alpha=ALPHA))
     for made in calls.values():
         made.clear()
     psi, factors = sample.sample(0, 2**14)
@@ -163,11 +163,11 @@ def test_contour_logs_match_four_log_oracle(nikkei, vg_bench, random_vg_models):
     cfg = FftConfig(n=2**14, eta=0.025, alpha=ALPHA)
     zeta = cfg.zeta_grid()
     iz = 1j * zeta
-    for model, spot in _vg_models(nikkei, vg_bench, random_vg_models):
-        sample = LevySample(model, cfg, spot)
+    for model, _ in _vg_models(nikkei, vg_bench, random_vg_models):
+        sample = levy_sample(model, cfg)
         psi, factors = sample.sample(0, cfg.n)
         pair, mu_star = vg_mmm_measure(model, sample.mmm.h), sample.mmm.mu_star
-        call = np.exp(iz * math.log(spot)) / (iz - 1.0) / iz
+        call = 1.0 / (iz - 1.0) / iz
         C, G, M = model.C, model.G, model.M
         constant = cgm_exp_moment(C, G, M)
         jump = (vg_kernel(zeta, C, G, M) - constant) * call

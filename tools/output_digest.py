@@ -6,13 +6,19 @@ and error lines of ``levyhedge curve``, ``validate`` and ``impact``
 (timing lines dropped), on the named parameter sets and seeded samplers
 of ``tests/conftest.py``.  An error counts as its type and message.  Two
 checkouts that print the same digest give the same bits.  Every record
-is computed twice in one process, the second time on the model tables
-that the first pass cached; when a record differs between the two
-passes, the script names the first such record and exits 1.  ``--dump
-PATH`` also writes each hashed record to PATH as one ``label repr``
-line, so two checkouts' dumps can be diffed to see which records moved.
+is computed twice in one process, the second time on the shared
+``LevySample`` of each (model, config) that the first pass cached; when a
+record differs between the two passes, the script names the first such
+record and exits 1.  ``--dump PATH`` also writes each hashed record to
+PATH as one ``label repr`` line, so two checkouts' dumps can be diffed to
+see which records moved.  ``--compare OLD_DUMP`` reads such a dump of
+another checkout and, after the digest, prints per record group (the
+label with its first number, the t of a model record, as ``*``) the
+number of records that moved and the largest absolute move of each
+numeric field (``lrm=``, ``i2=`` ...; ``value`` for an unnamed number,
+``text`` for a record whose non-numeric text changed).
 
-    python tools/output_digest.py [--dump PATH]
+    python tools/output_digest.py [--dump PATH] [--compare OLD_DUMP]
 """
 
 import argparse
@@ -20,6 +26,7 @@ import contextlib
 import hashlib
 import io
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -63,6 +70,8 @@ def cli(text):
 
 parser = argparse.ArgumentParser(description="sha256 over this checkout's outputs")
 parser.add_argument("--dump", metavar="PATH", help="also write each hashed record to PATH")
+parser.add_argument("--compare", metavar="OLD_DUMP",
+                    help="print the records that moved against another checkout's --dump")
 args = parser.parse_args()
 
 rngs = np.random.default_rng(20240211), np.random.default_rng(20240212)
@@ -117,8 +126,56 @@ def records() -> list:
 cold, warm = records(), records()
 for (label, first), (_, second) in zip(cold, warm):
     if first != second:
-        sys.exit(f"error: record {label!r} differs on the warm model tables")
+        sys.exit(f"error: record {label!r} differs on the warm shared samples")
 hashed = "".join(line for _, line in cold)
 if args.dump:
     Path(args.dump).write_text(hashed, encoding="utf-8")
 print(hashlib.sha256(hashed.encode()).hexdigest())
+
+# a number or bool not inside a name (i1, i2), with the field name before its '='
+NUMBER = re.compile(r"(?<![\w.])(?:(\w+)=)?(-?(?:inf|nan|\d+\.?\d*(?:e[-+]?\d+)?)|True|False)")
+
+
+def fields(line: str) -> tuple[str, list[tuple[str, float]]]:
+    """A record line's text with its numbers cut out, and its (field, number)
+    pairs in order, a bool as 0 or 1."""
+    pairs = []
+    for m in NUMBER.finditer(line):
+        text = m.group(2)
+        pairs.append((m.group(1) or "value", float(text == "True" if text[0] in "TF" else text)))
+    return NUMBER.sub(lambda m: f"{m.group(1) or ''}#", line), pairs
+
+
+def compare(old_lines: list[str]) -> None:
+    """Per record group, the count of moved records and the largest
+    absolute move of each numeric field against ``old_lines``."""
+    if len(old_lines) != len(cold):
+        sys.exit(f"error: {len(old_lines)} records in the old dump, {len(cold)} here")
+    groups: dict[str, dict] = {}
+    for (label, new), old in zip(cold, old_lines):
+        if not old.startswith(label + " "):
+            sys.exit(f"error: record {label!r} is not the old dump's {old[:60]!r}")
+        if old == new:
+            continue
+        words = label.split()
+        first = next((i for i, w in enumerate(words) if NUMBER.fullmatch(w)), None)
+        if first is not None:
+            words[first] = "*"
+        moves = groups.setdefault(" ".join(words), {"moved": 0})
+        moves["moved"] += 1
+        (old_text, old_pairs), (new_text, new_pairs) = fields(old), fields(new)
+        if old_text != new_text:
+            moves["text"] = math.inf
+            continue
+        for (name, a), (_, b) in zip(old_pairs, new_pairs):
+            if a != b and not (math.isnan(a) and math.isnan(b)):
+                moves[name] = max(moves.get(name, 0.0), abs(b - a))
+    moved = sum(g["moved"] for g in groups.values())
+    print(f"{moved} of {len(cold)} records moved")
+    for key, moves in groups.items():
+        largest = ", ".join(f"{name} {move:.3g}" for name, move in moves.items() if name != "moved")
+        print(f"{key}: {moves['moved']} moved; {largest}")
+
+
+if args.compare:
+    compare(Path(args.compare).read_text(encoding="utf-8").splitlines(keepends=True))
