@@ -18,6 +18,7 @@ CSV.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
@@ -43,10 +44,12 @@ from .fft_engine import FftConfig, tail_condition_check
 from .lrm import (
     SliceColumns,
     TransformContext,
+    _strike_array,
     check_moneyness,
     evaluate_slices,
     jumped_moneyness,
     levy_sample,
+    plan_slices,
     tail_hint,
 )
 
@@ -235,28 +238,25 @@ def _require_query(cfg: RunConfig) -> None:
         raise ConfigError("the command needs query.t/t_grid and query.strike/strike_grid")
 
 
+def _slices(cfg: RunConfig) -> list[TransformContext]:
+    """The time slices of ``curve`` and ``validate``: after the spot check,
+    one slice of the shared sample per t, each built with its guards."""
+    _require_positive("spot", cfg.spot)
+    sample = levy_sample(cfg.model, cfg.fft)
+    return [TransformContext(sample, time_to_maturity(t, cfg.maturity)) for t in cfg.t_values]
+
+
 def _worst_trunc_cell(cfg: RunConfig) -> tuple[float, float, float]:
     """Largest truncation requirement across the configured grid cells,
-    with the strike and tau of its cell.  Each cell is checked as a
-    MarketQuery first (finite t, T, spot and strike, spot and strike > 0,
-    tau >= TAU_MIN), the checks ``curve`` applies, and each slice is built
-    as ``curve`` builds it, so its guards and, once the first slice passes
-    its tail check, the log-strike range rule raise what ``curve`` raises."""
-    sample, first, worst = levy_sample(cfg.model, cfg.fft), None, None
-    for t in cfg.t_values:
-        queries = [MarketQuery(t, cfg.maturity, cfg.spot, strike) for strike in cfg.strikes]
-        strikes = np.array([query.strike for query in queries])
-        ctx = TransformContext(sample, queries[0].tau)
-        bounds = ctx.trunc(strikes, cfg.spot).max(axis=0)
-        first = first or (ctx, strikes, bounds.max())
-        i = int(np.argmax(bounds))
-        if worst is None or bounds[i] > worst[0]:
-            worst = (float(bounds[i]), queries[i].strike, queries[i].tau)
-    ctx, strikes, bound = first
-    if tail_condition_check(cfg.fft, bound):
-        moneyness = strikes / cfg.spot
-        sample.check_range(moneyness, ctx.strided_rows(moneyness)[0])
-    return worst
+    with the strike and tau of its cell.  The slices and the checks are
+    ``curve``'s, in its order (``plan_slices``), so every error but a tail
+    failure, which the caller reports, is the one ``curve`` raises."""
+    slices, strikes = _slices(cfg), _strike_array(cfg.strikes)
+    bounds = np.array([ctx.trunc(strikes, cfg.spot).max(axis=0) for ctx in slices])
+    row, i = np.unravel_index(np.argmax(bounds), bounds.shape)
+    with contextlib.suppress(TailConditionError):
+        plan_slices(slices, strikes, cfg.spot)
+    return float(bounds[row, i]), float(strikes[i]), slices[row].tau
 
 
 def cmd_validate(cfg: RunConfig, out: Optional[TextIO] = None) -> int:
@@ -293,10 +293,7 @@ def cmd_curve(cfg: RunConfig) -> int:
     started = time.perf_counter()
     # every time slice is exp(tau Psi) over one shared contour sample; the
     # slices are evaluated together, as columns
-    _require_positive("spot", cfg.spot)
-    sample = levy_sample(cfg.model, cfg.fft)
-    slices = [TransformContext(sample, time_to_maturity(t, cfg.maturity)) for t in cfg.t_values]
-    columns = evaluate_slices(slices, cfg.strikes, cfg.spot)
+    columns = evaluate_slices(_slices(cfg), cfg.strikes, cfg.spot)
     computed = time.perf_counter()
 
     handle, owned = _open_output(cfg)
@@ -365,6 +362,8 @@ def cmd_impact(cfg: RunConfig, jump_sizes: Sequence[float]) -> int:
         jumped = [jumped_moneyness(base_m, y) for y in jump_sizes]
     except InvalidParameterError as exc:
         raise ConfigError(str(exc))
+    for moneyness in jumped:
+        check_moneyness(moneyness, query.tau)
     before, *afters = (r.lrm for r in ctx.quotes([base_m] + jumped, 1.0))
     elapsed = time.perf_counter() - started
 

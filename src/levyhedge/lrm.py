@@ -38,7 +38,7 @@ Each strike sums every 2^s-th sample of the configured grid: the same
 span N eta at spacing 2^s eta over N / 2^s points, with trapezoid
 weights.  It takes the largest s whose aliasing bound moves I1 and I2
 by at most 2^-53 S and the ratio by at most 2^-53
-(``TransformContext.strided_rows``).  The bound has three terms, each
+(:func:`plan_slices`).  The bound has three terms, each
 summed over the images that Poisson summation puts 2 pi / eta_s apart
 in log-strike:
 
@@ -59,7 +59,8 @@ takes a finer stride; stride 1, the configured grid, needs no
 certificate.  Strides depend on the slice and the strike only.  So one
 range rule, centered on the spot, serves both paths: a strike reaching
 outside +-pi/eta takes stride 1 in every slice, and one check of the
-first slice's stride-1 strikes refuses it.
+first slice's stride-1 strikes refuses it (:func:`plan_slices`, before
+anything is sampled).
 
 A Merton strike then sums only a prefix of its samples: the Gaussian
 envelope certifies how many rows of the direct sum's layout of N / 2^s
@@ -77,6 +78,7 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import repeat
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple, Optional, Sequence
@@ -294,7 +296,7 @@ class TransformContext:
     for Merton or (I2,) for variance gamma (:meth:`trunc`, from the laws
     of log C1 = tau Re psi0 or of log C2), and each strike's grid: a
     stride 2^s over the configured grid and the rows of the direct-sum
-    layout of its n / 2^s points it sums (:meth:`strided_rows`).
+    layout of its n / 2^s points it sums (:func:`plan_slices`).
 
     A strike takes the largest s up to ``coarsest_shift`` whose aliasing
     bound (``LevySample.floors`` at tau, three terms: the in-the-money
@@ -336,31 +338,6 @@ class TransformContext:
         column per strike: :func:`truncation_points` of the slice's laws."""
         config = self.sample.config
         return truncation_points(self._laws, config.eps, strikes, spot, config.alpha)
-
-    def rows(self, moneyness: np.ndarray) -> np.ndarray:
-        """Rows of the configured grid's direct-sum layout each moneyness
-        K/S sums."""
-        return self._rows(moneyness, 0)
-
-    def strided_rows(
-        self, moneyness: np.ndarray, reach: Optional[tuple[np.ndarray, list[np.ndarray]]] = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Each moneyness K/S's stride exponent s and the rows of the
-        direct-sum layout of n / 2^s points it sums; ``reach`` is
-        ``LevySample.reach(moneyness)``, taken here when not given."""
-        log_x, inside = self.sample.reach(moneyness) if reach is None else reach
-        shifts = np.zeros(moneyness.shape, dtype=int)
-        for s, (floor, ok) in enumerate(zip(self._alias_floors, inside), start=1):
-            shifts[(shifts == s - 1) & (log_x >= floor) & ok] = s
-        rows = np.empty(moneyness.shape, dtype=int)
-        for s in set(shifts.tolist()):
-            group = shifts == s
-            rows[group] = self._rows(moneyness[group], s)
-        return shifts, rows
-
-    def extents(self, shifts: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The last configured-grid index each strike's rows reach."""
-        return (rows * self.sample.row_lengths[shifts] - 1) << shifts
 
     def _rows(self, moneyness: np.ndarray, shift: int) -> np.ndarray:
         """Rows of the layout of n / 2^shift points each moneyness x sums.
@@ -422,24 +399,13 @@ class SliceColumns:
 
 def _results(columns: SliceColumns, config: FftConfig) -> list[LrmResult]:
     """One ``LrmResult`` per strike of the first slice of ``columns``."""
-    width = columns.lrm.shape[1]
-    i1_values = [None] * width if columns.i1 is None else columns.i1[0].tolist()
-    return [
-        LrmResult(
-            lrm=value,
-            i1=i1_value,
-            i2=i2_value,
-            trunc_a=trunc_a,
-            mode=columns.mode,
-            config=config,
-            out_of_range=not (0.0 <= value <= 1.0),
-            stride=stride,
-        )
-        for value, i1_value, i2_value, trunc_a, stride in zip(
-            columns.lrm[0].tolist(), i1_values, columns.i2[0].tolist(),
-            columns.trunc_a[0].tolist(), columns.stride[0].tolist(),
-        )
-    ]
+    lrm_values = columns.lrm[0]
+    i1_values = repeat(None) if columns.i1 is None else columns.i1[0].tolist()
+    out_of_range = ~((0.0 <= lrm_values) & (lrm_values <= 1.0))
+    return list(map(LrmResult._make, zip(
+        lrm_values.tolist(), i1_values, columns.i2[0].tolist(), columns.trunc_a[0].tolist(),
+        repeat(columns.mode), repeat(config), out_of_range.tolist(), columns.stride[0].tolist(),
+    )))
 
 
 class _SlicePlan(NamedTuple):
@@ -455,6 +421,44 @@ class _SlicePlan(NamedTuple):
     points: int
 
 
+def plan_slices(
+    slices: Sequence[TransformContext], strikes: np.ndarray, spot: float
+) -> list[_SlicePlan]:
+    """Plan and check every slice of one :class:`LevySample`, in order, for
+    one checked strike array at the spot; nothing is sampled.  Per strike a
+    plan holds the largest truncation point over the slice's bounds, the
+    stride exponent s (the largest up to ``coarsest_shift`` that the
+    aliasing floors at tau and ``LevySample.reach``, taken once, admit) and
+    the rows of the layout of n / 2^s points it sums (``_rows``).  A slice
+    is checked before the next is planned, in ``curve``'s order: its tail
+    on its largest truncation point, then, after the first slice's, the
+    range rule (module docstring) on its stride-1 strikes."""
+    sample = slices[0].sample
+    _require(all(ctx.sample is sample for ctx in slices), "slices must share one LevySample")
+    moneyness = strikes / spot
+    log_x, inside = sample.reach(moneyness)
+    plans = []
+    for i, ctx in enumerate(slices):
+        trunc = ctx.trunc(strikes, spot).max(axis=0)
+        worst = int(np.argmax(trunc))
+        _check_tail(sample.config, float(trunc[worst]), float(strikes[worst]), ctx.tau)
+        shifts = np.zeros(moneyness.shape, dtype=int)
+        for s, (floor, ok) in enumerate(zip(ctx._alias_floors, inside), start=1):
+            shifts[(shifts == s - 1) & (log_x >= floor) & ok] = s
+        fine = int(shifts.min())
+        if i == 0 and fine == 0:
+            sample.check_range(moneyness, shifts)
+        rows = np.empty(moneyness.shape, dtype=int)
+        for s in set(shifts.tolist()):
+            group = shifts == s
+            rows[group] = ctx._rows(moneyness[group], s)
+        # the last configured-grid index each strike's rows reach
+        extents = (rows * sample.row_lengths[shifts] - 1) << shifts
+        points = (int(extents.max()) >> fine) + 1
+        plans.append(_SlicePlan(trunc, shifts, rows, extents, fine, points))
+    return plans
+
+
 def evaluate_slices(
     slices: Sequence[TransformContext], strikes: Sequence[float], spot: float,
     mode: Optional[str] = None,
@@ -462,48 +466,32 @@ def evaluate_slices(
     """Hedge ratios, I1 and I2 of the same strikes at one spot on every
     slice of one :class:`LevySample`, as columns, from every kernel kind of
     ``LevySample.kinds``, each at log(K/S); the spot enters here alone.
-
-    Each slice's truncation points, strides and rows are computed once.
-    A slice's tail check covers its largest truncation bound over all
-    strikes and bounds.  Unless ``mode`` (``MODE_DIRECT_SUM`` or
+    ``strikes`` must not be empty.  Unless ``mode`` (``MODE_DIRECT_SUM`` or
     ``MODE_FFT_GRID``; anything else is refused) names the path, up to
-    ``_DIRECT_SUM_MAX_STRIKES`` strikes take exact direct sums, each over
-    its own stride and rows, one ``direct_simpson_sum`` call per stride
-    for every kind; more share one interpolated FFT grid per kernel kind
-    and slice, at the finest stride of the slice and over its longest
-    span.  Grid slices of one stride
-    are transformed in blocks of up to ``_BLOCK_POINTS`` FFT points per
-    kind, one ``carr_madan_grid`` call and one interpolation per block,
-    every row zero past its own slice's span, so each cell has the bits
-    of its slice alone.  The call samples once, at the finest stride and
-    over the longest span any slice reads, and both paths read strided
-    views of that sample.
-    Slices are checked in order, each before the next: its tail, and
-    after the first slice's the one range rule (module docstring) on its
-    stride-1 strikes, so an error is the one the first failing slice
-    raises alone.  ``strikes`` must not be empty.
+    ``_DIRECT_SUM_MAX_STRIKES`` strikes take exact direct sums and more
+    the interpolated FFT grids.  Four phases:
+
+    1. :func:`plan_slices` plans and checks every slice, so every error is
+       raised before anything is sampled;
+    2. one sample, at the finest stride and over the longest span any
+       slice reads; both paths read strided views of it;
+    3. the sums: :func:`_direct_sums`, each strike over its own stride and
+       rows, or :func:`_grid_blocks`, one FFT grid per kernel kind and
+       slice at its finest stride and over its longest span, in blocks of
+       up to ``_BLOCK_POINTS`` FFT points, each cell with the bits of its
+       slice alone;
+    4. the assembly of I1, I2 and the ratio.
     """
     _require_positive("spot", spot)
     strikes = _strike_array(strikes)
     _require(strikes.size > 0, "need at least one strike")
-    moneyness = strikes / spot
-    sample = slices[0].sample
-    _require(all(ctx.sample is sample for ctx in slices), "slices must share one LevySample")
-    config = sample.config
     if mode is None:
         mode = MODE_DIRECT_SUM if strikes.size <= _DIRECT_SUM_MAX_STRIKES else MODE_FFT_GRID
     _require(mode in (MODE_DIRECT_SUM, MODE_FFT_GRID), f"unknown mode {mode!r}")
-    kinds = list(sample.kinds)
+    plans = plan_slices(slices, strikes, spot)
 
-    reach = sample.reach(moneyness)
-    plans = []
-    for ctx in slices:
-        shifts, rows = ctx.strided_rows(moneyness, reach)
-        extents = ctx.extents(shifts, rows)
-        fine = int(shifts.min())
-        points = (int(extents.max()) >> fine) + 1
-        trunc = ctx.trunc(strikes, spot).max(axis=0)
-        plans.append(_SlicePlan(trunc, shifts, rows, extents, fine, points))
+    sample = slices[0].sample
+    kinds = list(sample.kinds)
     # one sample, at the finest stride and over the longest span any slice
     # reads; a slice reads every 2^(s - top)-th of its points
     top = min(p.fine for p in plans)
@@ -516,20 +504,38 @@ def evaluate_slices(
 
     # one row per kind, slice and strike
     values = np.empty((len(kinds), len(slices), strikes.size))
+    moneyness = strikes / spot
+    if mode == MODE_FFT_GRID:
+        _grid_blocks(slices, plans, np.log(moneyness), values, strided)
+        strides = np.array([np.full(strikes.size, 1 << p.fine) for p in plans])
+    else:
+        _direct_sums(slices, plans, moneyness, values, strided)
+        strides = np.array([1 << p.shifts for p in plans])
+
+    # I1 = K X_indicator(log x), I2 = K X_jump(log x)
+    column = dict(zip(kinds, strikes * values))
+    i1, i2 = column.get("indicator"), column["jump"]
+    numerator = sample.sigma2 * i1 + i2 if i1 is not None else i2
+    lrm_values = numerator / (spot * (sample.sigma2 + sample.mmm.quad_exp_moment))
+    trunc = np.array([p.trunc for p in plans])
+    return SliceColumns(lrm_values, i1, i2, trunc, strides, mode)
+
+
+def _direct_sums(
+    slices: Sequence[TransformContext], plans: list[_SlicePlan], moneyness: np.ndarray,
+    values: np.ndarray, strided,
+) -> None:
+    """Direct-sum values of every slice at the ``moneyness``, into
+    ``values[:, i]`` for slice i, one row per kernel kind: one
+    ``direct_simpson_sum`` of every kind per slice and stride, each strike
+    exact over its own rows.  ``strided`` as for :func:`_grid_blocks`."""
+    config = slices[0].sample.config
     for i, (ctx, plan) in enumerate(zip(slices, plans)):
-        worst = int(np.argmax(plan.trunc))
-        _check_tail(config, float(plan.trunc[worst]), float(strikes[worst]), ctx.tau)
-        if i == 0 and plan.fine == 0:
-            sample.check_range(moneyness, plan.shifts)
-        if mode == MODE_FFT_GRID:
-            continue
         psi, factors = strided(plan.fine, plan.points)
         phi = levy_char_fn(psi, ctx.tau)
-        samples = np.empty((len(kinds), plan.points), dtype=complex)
+        samples = np.empty((len(factors), plan.points), dtype=complex)
         for row, factor in zip(samples, factors):
             np.multiply(phi, factor, out=row)
-        # one direct sum of every kind per stride, each strike exact over
-        # its own rows
         for s in set(plan.shifts.tolist()):
             group = plan.shifts == s
             # math.log, not np.log: the two can differ in the last bit, and
@@ -540,19 +546,6 @@ def evaluate_slices(
             values[:, i, group] = direct_simpson_sum(
                 view, config.alpha, config.eta * (1 << s), log_x, config.n >> s, plan.rows[group]
             )
-    if mode == MODE_FFT_GRID:
-        _grid_blocks(slices, plans, np.log(moneyness), values, strided)
-        strides = np.array([np.full(strikes.size, 1 << p.fine) for p in plans])
-    else:
-        strides = np.array([1 << p.shifts for p in plans])
-
-    # I1 = K X_indicator(log x), I2 = K X_jump(log x)
-    column = dict(zip(kinds, strikes * values))
-    i1, i2 = column.get("indicator"), column["jump"]
-    numerator = sample.sigma2 * i1 + i2 if i1 is not None else i2
-    lrm_values = numerator / (spot * (sample.sigma2 + sample.mmm.quad_exp_moment))
-    trunc = np.array([p.trunc for p in plans])
-    return SliceColumns(lrm_values, i1, i2, trunc, strides, mode)
 
 
 def _grid_blocks(

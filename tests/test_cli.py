@@ -111,13 +111,22 @@ def test_validate_names_worst_cell(tmp_path, capsys):
         ("query.spot=0", "spot must be > 0"),
         ("query.strike=-1", "strike must be > 0"),
         ("query.strike=nan", "strike must be finite"),
+        # curve builds its slices before it checks its strikes
+        ("query.strike_grid=0,1 query.t_grid=0:1:0.5",
+         "time to maturity 0 is below the supported minimum"),
     ],
 )
 def test_validate_rejects_bad_query(tmp_path, capsys, override, message):
-    # the checks curve applies to its cells
-    cfg = _write(tmp_path, "m.cfg", MERTON_CFG + "query.t = 0.5\nquery.strike = 1\n")
+    # the checks curve applies to its cells, in curve's order, on the cell
+    # t = 0.5, K = 1 unless the override gives a grid
+    cell = "".join(
+        f"{key} = {value}\n" for key, value in (("query.t", 0.5), ("query.strike", 1))
+        if f"{key}_grid=" not in override
+    )
+    cfg = _write(tmp_path, "m.cfg", MERTON_CFG + cell)
+    sets = [flag for pair in override.split() for flag in ("--set", pair)]
     for command in ("validate", "curve"):
-        assert main([command, "--config", cfg, "--set", override]) == EXIT_VALIDATION
+        assert main([command, "--config", cfg] + sets) == EXIT_VALIDATION
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {message}")
         assert "[PASS] tail condition" not in captured.out
@@ -421,6 +430,9 @@ def test_impact_usage_errors(tmp_path, capsys):
     capsys.readouterr()
     assert main(["impact", "--config", cfg, "--y", "0.1,-1000"]) == EXIT_USAGE
     assert "error: jump size y = -1000 overflows" in capsys.readouterr().err
+    # e^{-y} underflows to a zero moneyness: jump_impact's message, exit 1
+    assert main(["impact", "--config", cfg, "--y", "1000"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: moneyness must be > 0")
     grid_cfg = _write(
         tmp_path, "g.cfg", MERTON_CFG + "query.t_grid = 0.1,0.5\nquery.strike = 1\n"
     )

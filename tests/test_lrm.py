@@ -43,6 +43,7 @@ from levyhedge.lrm import (
     _shared_sample,
     evaluate_slices,
     levy_sample,
+    plan_slices,
 )
 from levyhedge.merton import (
     merton_alias_tables,
@@ -540,7 +541,7 @@ def test_prefix_tail_bound_holds(merton_bench, random_merton_models, fft_bench):
             strikes = np.array([0.5, 1.0, 2.0]) * spot
             c = sample.row_lengths[0]
             log_c1 = tau * sample.psi0.real
-            for strike, rows in zip(strikes, bounds.rows(strikes)):
+            for strike, rows in zip(strikes, bounds._rows(strikes, 0)):
                 m = int(rows) * c
                 a = np.array([(m - 1) * cfg.eta])
                 tail = merton_prefix_tail(np.log(a), a * a, tau, cfg.alpha, log_c1, tables)[0]
@@ -634,19 +635,10 @@ def test_grown_sample_keeps_bits(merton_bench, nikkei, fft_bench):
         assert complex(sample.sample(0, cfg.n)[0][0]) == sample.psi0
 
 
-def test_vg_slice_uses_all_samples(nikkei, fft_bench):
-    # the polynomial variance-gamma envelope certifies no prefix: at any
-    # stride the sample and every strike's sums span all of N eta.  A
-    # private sample, so that the spy below stays off the shared one
-    sample = LevySample(nikkei, fft_bench)
-    bounds = TransformContext(sample, 0.5)
-    strikes = np.array([12000.0, 14000.0, 16000.0])
-    rows = bounds.rows(strikes / NIKKEI_SPOT)
-    assert np.all(rows * sample.row_lengths[0] == fft_bench.n)
-    shifts, rows = bounds.strided_rows(strikes / NIKKEI_SPOT)
-    assert np.all(bounds.extents(shifts, rows) == fft_bench.n - (1 << shifts))
-    # and the evaluation samples the whole span at the finest stride
-    taken = []
+def _spied_sample(model, config):
+    """A private sample, so that the spy stays off the shared one, whose
+    ``sample`` calls are listed as (shift, m), and that list."""
+    sample, taken = LevySample(model, config), []
     take = sample.sample
 
     def spying(shift, m):
@@ -654,9 +646,38 @@ def test_vg_slice_uses_all_samples(nikkei, fft_bench):
         return take(shift, m)
 
     sample.sample = spying
+    return sample, taken
+
+
+def test_vg_slice_uses_all_samples(nikkei, fft_bench):
+    # the polynomial variance-gamma envelope certifies no prefix: at any
+    # stride the sample and every strike's sums span all of N eta
+    sample, taken = _spied_sample(nikkei, fft_bench)
+    bounds = TransformContext(sample, 0.5)
+    strikes = np.array([12000.0, 14000.0, 16000.0])
+    rows = bounds._rows(strikes / NIKKEI_SPOT, 0)
+    assert np.all(rows * sample.row_lengths[0] == fft_bench.n)
+    plan = plan_slices([bounds], strikes, NIKKEI_SPOT)[0]
+    shifts = plan.shifts
+    assert np.all(plan.extents == fft_bench.n - (1 << shifts))
+    # and the evaluation samples the whole span at the finest stride
     bounds.evaluate(strikes, NIKKEI_SPOT)
     [(shift, m)] = taken
     assert shift == shifts.min() and m << shift == fft_bench.n
+
+
+def test_checks_come_before_sampling(merton_bench, fft_bench):
+    # every slice is planned and checked before the one sample: a surface
+    # whose last slice fails its tail check raises without sampling, and
+    # planning a passing surface samples nothing
+    sample, taken = _spied_sample(merton_bench, fft_bench)
+    strikes = np.array([0.8, 1.0, 1.25])
+    slices = [TransformContext(sample, tau) for tau in (0.5, 0.25, 1e-4)]
+    with pytest.raises(TailConditionError, match=r"tau = 0\.0001;"):
+        evaluate_slices(slices, strikes, 1.0)
+    assert taken == []
+    plans = plan_slices(slices[:2], strikes, 1.0)
+    assert len(plans) == 2 and taken == []
 
 
 def _alias_profile(tables, rate, tau):
@@ -696,7 +717,7 @@ def test_alias_bound_holds(merton_bench, random_merton_models, fft_bench):
             beta, profile = _alias_profile(tables, sample.floors.rate, tau)
             phi = levy_char_fn(psi, tau)
             strikes = np.array([1e-3, 0.5, 1.0, 2.0]) * spot
-            for strike, rows in zip(strikes, bounds.rows(strikes)):
+            for strike, rows in zip(strikes, bounds._rows(strikes, 0)):
                 m = int(rows) * sample.row_lengths[0]
                 for s in range(1, coarsest_shift(cfg) + 1):
                     eta = cfg.eta * (1 << s)

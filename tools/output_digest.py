@@ -16,9 +16,11 @@ another checkout and, after the digest, prints per record group (the
 label with its first number, the t of a model record, as ``*``) the
 number of records that moved and the largest absolute move of each
 numeric field (``lrm=``, ``i2=`` ...; ``value`` for an unnamed number,
-``text`` for a record whose non-numeric text changed).
+``text`` for a record whose non-numeric text changed).  ``--expect HEX``
+exits 1, naming both digests, when this checkout's digest is not HEX, so
+a refactor's byte identity is one command.
 
-    python tools/output_digest.py [--dump PATH] [--compare OLD_DUMP]
+    python tools/output_digest.py [--dump PATH] [--compare OLD_DUMP] [--expect HEX]
 """
 
 import argparse
@@ -72,6 +74,7 @@ parser = argparse.ArgumentParser(description="sha256 over this checkout's output
 parser.add_argument("--dump", metavar="PATH", help="also write each hashed record to PATH")
 parser.add_argument("--compare", metavar="OLD_DUMP",
                     help="print the records that moved against another checkout's --dump")
+parser.add_argument("--expect", metavar="HEX", help="exit 1 unless the digest is HEX")
 args = parser.parse_args()
 
 rngs = np.random.default_rng(20240211), np.random.default_rng(20240212)
@@ -130,7 +133,8 @@ for (label, first), (_, second) in zip(cold, warm):
 hashed = "".join(line for _, line in cold)
 if args.dump:
     Path(args.dump).write_text(hashed, encoding="utf-8")
-print(hashlib.sha256(hashed.encode()).hexdigest())
+digest = hashlib.sha256(hashed.encode()).hexdigest()
+print(digest)
 
 # a number or bool not inside a name (i1, i2), with the field name before its '='
 NUMBER = re.compile(r"(?<![\w.])(?:(\w+)=)?(-?(?:inf|nan|\d+\.?\d*(?:e[-+]?\d+)?)|True|False)")
@@ -179,3 +183,5 @@ def compare(old_lines: list[str]) -> None:
 
 if args.compare:
     compare(Path(args.compare).read_text(encoding="utf-8").splitlines(keepends=True))
+if args.expect is not None and digest != args.expect:
+    sys.exit(f"error: digest {digest} is not the expected {args.expect}")
