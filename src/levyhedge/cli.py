@@ -47,6 +47,7 @@ from .lrm import (
     _strike_array,
     check_moneyness,
     evaluate_slices,
+    impact_quotes,
     jumped_moneyness,
     levy_sample,
     plan_slices,
@@ -157,12 +158,14 @@ def _parse_grid(value: str, key: str) -> list[float]:
             if len(parts) != 3:
                 raise ValueError("need start:stop:step")
             start, stop, step = parts
+            if not all(map(math.isfinite, parts)):
+                raise ValueError("need finite start, stop and step")
             if step <= 0 or stop < start:
                 raise ValueError("need step > 0 and stop >= start")
             count = int(math.floor((stop - start) / step + 1e-9)) + 1
             return [start + step * i for i in range(count)]
         return [float(p) for p in value.split(",") if p.strip()]
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"key {key}: bad grid spec {value!r} ({exc})")
 
 
@@ -218,7 +221,7 @@ def load_run_config(config_path: Optional[str], overrides: Sequence[str]) -> Run
         try:
             with open(config_path, "r", encoding="utf-8") as handle:
                 entries.update(parse_key_values(handle.read(), config_path))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}")
     for item in overrides:
         if "=" not in item:
@@ -264,8 +267,7 @@ def cmd_validate(cfg: RunConfig, out: Optional[TextIO] = None) -> int:
     report = validate_assumptions(cfg.model)
     for cond in report.conditions:
         status = "PASS" if cond.passed else "FAIL"
-        slack = "inf" if math.isinf(cond.slack) else _fmt(cond.slack)
-        print(f"[{status}] {cond.name}: slack={slack} ({cond.detail})", file=out)
+        print(f"[{status}] {cond.name}: slack={_fmt(cond.slack)} ({cond.detail})", file=out)
     ok = report.passed
     if ok and cfg.t_values and cfg.strikes:
         bound, strike, tau = _worst_trunc_cell(cfg)
@@ -285,7 +287,10 @@ def cmd_validate(cfg: RunConfig, out: Optional[TextIO] = None) -> int:
 def _open_output(cfg: RunConfig):
     if cfg.output == "stdout":
         return sys.stdout, False
-    return open(cfg.output, "w", encoding="utf-8", newline=""), True
+    try:
+        return open(cfg.output, "w", encoding="utf-8", newline=""), True
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}")
 
 
 def cmd_curve(cfg: RunConfig) -> int:
@@ -356,15 +361,12 @@ def cmd_impact(cfg: RunConfig, jump_sizes: Sequence[float]) -> int:
     query = MarketQuery(cfg.t_values[0], cfg.maturity, cfg.spot, cfg.strikes[0])
     base_m = query.moneyness
     check_moneyness(base_m, query.tau)
-    # every moneyness is a single-strike quote on one slice at unit spot
-    ctx = TransformContext(levy_sample(cfg.model, cfg.fft), query.tau)
     try:
         jumped = [jumped_moneyness(base_m, y) for y in jump_sizes]
     except InvalidParameterError as exc:
         raise ConfigError(str(exc))
-    for moneyness in jumped:
-        check_moneyness(moneyness, query.tau)
-    before, *afters = (r.lrm for r in ctx.quotes([base_m] + jumped, 1.0))
+    # every moneyness is a single-strike quote on one slice at unit spot
+    before, *afters = impact_quotes([base_m] + jumped, query.tau, cfg.model, cfg.fft)
     elapsed = time.perf_counter() - started
 
     handle, owned = _open_output(cfg)

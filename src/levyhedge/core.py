@@ -41,6 +41,8 @@ _DRIFT_TOL = 1e-12
 # exp() overflows just above exp(709); clamp with headroom so a poisoned
 # sample array can never reach the FFT
 _EXP_GUARD = 700.0
+# the largest x whose exp(x) is a finite double
+_LOG_MAX = math.log(np.finfo(float).max)
 
 # one unit in the last place of 1: the error a certified shortcut (a
 # shorter prefix, a coarser stride) may add to a transform over S
@@ -349,9 +351,22 @@ def validate_assumptions(model: Model) -> ValidationReport:
     The drift condition is 0 >= mu_S > -(sigma^2 + int (e^x-1)^2 nu),
     which keeps the jump tilt h (e^x - 1) below 1 and the slope h in
     (-1, 0].  For variance gamma it reduces to -3 < G - M <= -1, and the
-    moment condition to M > 4.
+    moment condition to M > 4.  A Merton model whose jump moments overflow
+    a double fails the moment condition alone, with no drift condition.
     """
     if isinstance(model, MertonParams):
+        try:
+            d2 = model.delta**2
+        except OverflowError:
+            d2 = math.inf
+        # the largest exponents of the jump moments (quadratic_exp_moment,
+        # mmm_quantities): past log(DBL_MAX) math.exp raises, and no drift
+        # condition can be computed
+        headroom = _LOG_MAX - max(2.0 * model.m + 2.0 * d2, model.m + 1.5 * d2)
+        if headroom < 0.0:
+            detail = "exp(2m + 2 delta^2) and exp(m + 3 delta^2/2) must fit in a double"
+            moments = ConditionCheck("exponential moments finite", False, headroom, detail)
+            return ValidationReport("merton", (moments,))
         mu_s = martingale_drift(model)
         quad = quadratic_exp_moment(model)
         lower = mu_s + model.sigma**2 + quad

@@ -258,24 +258,6 @@ class LevySample:
         psi = logs.exponent(self.pair, self.mmm.mu_star)
         return psi, {"jump": (logs.kernel(model.C) - self.exp_moment) * call}
 
-    def reach(self, moneyness: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """The tau-free half of a stride choice: log x per moneyness x and,
-        per stride s >= 1, whether every log(x f) the strike needs lies
-        inside +-pi/eta_s."""
-        log_x = np.log(moneyness)
-        lo, hi = self._log_shift_range
-        reach = np.maximum(-(log_x + lo), log_x + hi)
-        return log_x, [reach < edge for edge in self._edges]
-
-    def check_range(self, moneyness: np.ndarray, shifts: np.ndarray) -> None:
-        """The one range rule (module docstring) on the first slice's stride
-        exponents ``shifts``: every log(x f) of a stride-1 moneyness x must
-        lie inside +-pi/eta.  With no stride-1 strike it checks nothing,
-        and a caller may skip it."""
-        zero = moneyness[shifts == 0]
-        reached = [zero * f for factors in self.kinds.values() for f in factors]
-        checked_log_strikes(np.log(np.concatenate(reached)), self.config.eta)
-
 
 # one shared sample per (model, config), for the last 64 pairs
 _shared_sample = functools.lru_cache(maxsize=64)(LevySample)
@@ -309,9 +291,7 @@ class TransformContext:
     below rounding; variance gamma sums every row.  Both depend on the
     slice and the strike only, never on the other strikes of a batch.
 
-    Strikes enter as moneyness K/S, except in :meth:`trunc`.
-    :meth:`evaluate` and :meth:`quotes` go through
-    :func:`evaluate_slices`, the evaluator of every caller."""
+    Strikes enter as moneyness K/S, except in :meth:`trunc`."""
 
     def __init__(self, sample: LevySample, tau: float):
         self.sample = sample
@@ -356,32 +336,6 @@ class TransformContext:
             row_moneyness = np.exp((tail - math.log(ROUNDING)) / (config.alpha - 1.0))
         first = np.searchsorted(-row_moneyness, -moneyness)
         return np.minimum(first + 1, layout_rows)
-
-    def quotes(self, strikes: Sequence[float], spot: float) -> list[LrmResult]:
-        """Each strike's result as a lone ``evaluate([strike], spot)`` gives
-        it, bit for bit, from one direct-sum call at any strike count: a
-        direct-sum strike keeps its bits in any batch, and the call
-        computes phi once.  On an error the strikes are evaluated alone in
-        order, so the error raised is the one lone quotes raise."""
-        strikes = list(strikes)
-        if not strikes:
-            return []
-        try:
-            columns = evaluate_slices([self], strikes, spot, mode=MODE_DIRECT_SUM)
-            return _results(columns, self.sample.config)
-        except LevyHedgeError:
-            for strike in strikes:
-                self.evaluate([strike], spot)
-            raise
-
-    def evaluate(self, strikes: Sequence[float], spot: float) -> list[LrmResult]:
-        """Hedge ratios, I1 and I2 for every strike of the slice at the
-        spot (:func:`evaluate_slices` on this slice alone), one
-        ``LrmResult`` per strike."""
-        strikes = _strike_array(strikes)
-        if strikes.size == 0:
-            return []
-        return _results(evaluate_slices([self], strikes, spot), self.sample.config)
 
 
 @dataclass(frozen=True)
@@ -428,7 +382,7 @@ def plan_slices(
     one checked strike array at the spot; nothing is sampled.  Per strike a
     plan holds the largest truncation point over the slice's bounds, the
     stride exponent s (the largest up to ``coarsest_shift`` that the
-    aliasing floors at tau and ``LevySample.reach``, taken once, admit) and
+    aliasing floors at tau and the strike's reach, taken once, admit) and
     the rows of the layout of n / 2^s points it sums (``_rows``).  A slice
     is checked before the next is planned, in ``curve``'s order: its tail
     on its largest truncation point, then, after the first slice's, the
@@ -436,7 +390,12 @@ def plan_slices(
     sample = slices[0].sample
     _require(all(ctx.sample is sample for ctx in slices), "slices must share one LevySample")
     moneyness = strikes / spot
-    log_x, inside = sample.reach(moneyness)
+    # the reach, the tau-free half of a stride choice: per stride s >= 1,
+    # whether every log(x f) a strike needs lies inside +-pi/eta_s
+    log_x = np.log(moneyness)
+    lo, hi = sample._log_shift_range
+    reach = np.maximum(-(log_x + lo), log_x + hi)
+    inside = [reach < edge for edge in sample._edges]
     plans = []
     for i, ctx in enumerate(slices):
         trunc = ctx.trunc(strikes, spot).max(axis=0)
@@ -447,7 +406,10 @@ def plan_slices(
             shifts[(shifts == s - 1) & (log_x >= floor) & ok] = s
         fine = int(shifts.min())
         if i == 0 and fine == 0:
-            sample.check_range(moneyness, shifts)
+            # the range rule: every log(x f) of a stride-1 x inside +-pi/eta
+            zero = moneyness[shifts == 0]
+            reached = [zero * f for factors in sample.kinds.values() for f in factors]
+            checked_log_strikes(np.log(np.concatenate(reached)), sample.config.eta)
         rows = np.empty(moneyness.shape, dtype=int)
         for s in set(shifts.tolist()):
             group = shifts == s
@@ -655,11 +617,27 @@ def jump_impact(y: float, moneyness: float, tau: float, model: Model, config: Ff
     if y == 0.0:
         raise InvalidParameterError("jump size y must be nonzero")
     check_moneyness(moneyness, tau)
-    jumped = jumped_moneyness(moneyness, y)
-    check_moneyness(jumped, tau)
+    before, after = impact_quotes([moneyness, jumped_moneyness(moneyness, y)], tau, model, config)
+    return after - before
+
+
+def impact_quotes(
+    moneyness: Sequence[float], tau: float, model: Model, config: FftConfig
+) -> list[float]:
+    """Hedge ratios of the moneyness values K/S on one slice at unit spot,
+    each checked first, in order (:func:`check_moneyness`), from one
+    direct-sum call that computes phi once, each with the bits of its lone
+    quote.  On an error each is evaluated alone, in order, so the error
+    raised is the first lone quote's."""
+    for m in moneyness:
+        check_moneyness(m, tau)
     ctx = TransformContext(levy_sample(model, config), time_to_maturity(0.0, tau))
-    lrm_before, lrm_after = ctx.quotes([moneyness, jumped], 1.0)
-    return lrm_after.lrm - lrm_before.lrm
+    try:
+        return evaluate_slices([ctx], moneyness, 1.0, mode=MODE_DIRECT_SUM).lrm[0].tolist()
+    except LevyHedgeError:
+        for m in moneyness:
+            evaluate_slices([ctx], [m], 1.0)
+        raise
 
 
 def jumped_moneyness(moneyness: float, y: float) -> float:

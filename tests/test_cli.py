@@ -14,6 +14,7 @@ from levyhedge.cli import (
     main,
     parse_key_values,
 )
+from levyhedge import MarketQuery, jump_impact, lrm
 from levyhedge.lrm import LevySample, _shared_sample, lrm_strike_sweep
 
 MERTON_CFG = """
@@ -162,6 +163,21 @@ def test_validate_malformed_config(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err.startswith("error: eta must be finite")
         assert "tail condition" not in captured.out
+    # a config file not in UTF-8
+    latin = tmp_path / "latin.cfg"
+    latin.write_bytes(b"model.kind = merton # \xe9\n")
+    assert main(["validate", "--config", str(latin)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: cannot read config file")
+    # a range grid needs a finite start, stop and step, and a count that fits
+    base = _write(tmp_path, "base.cfg", MERTON_CFG)
+    for grid in ("0:inf:1", "-inf:1:1", "0:1:inf", "0:1e300:1e-300"):
+        assert main(["validate", "--config", base, "--set", f"query.t_grid={grid}"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: key query.t_grid: bad grid spec '{grid}'")
+    # an output that cannot be opened, after the computation
+    for output in (tmp_path / "missing" / "out.csv", tmp_path):
+        for argv in (["curve"], ["impact", "--y", "0.1"]):
+            assert main(argv + ["--config", cfg, "--set", f"output={output}"]) == EXIT_USAGE
+            assert capsys.readouterr().err.startswith("error: cannot write output")
 
 
 def test_curve_strike_sweep(tmp_path, capsys):
@@ -335,14 +351,28 @@ def test_curve_requires_query(tmp_path, capsys):
 
 
 def test_impact_table(tmp_path, capsys):
-    cfg = _write(tmp_path, "m.cfg", MERTON_CFG + "query.t = 0.5\nquery.strike = 1\n")
-    code = main(["impact", "--config", cfg, "--y", "0.1", "--y", "-0.1"])
+    # six jumps are seven quotes, past the four strikes auto mode sums
+    # directly: each keeps the bits of its lone quote
+    cfg_text = MERTON_CFG + "query.t = 0.5\nquery.strike = 1\n"
+    cfg = _write(tmp_path, "m.cfg", cfg_text)
+    code = main(["impact", "--config", cfg, "--y", "0.1", "--y", "-0.1", "--y", "0.2,-0.2,0.5,-0.5"])
     captured = capsys.readouterr()
     assert code == EXIT_OK
     rows = _rows(captured.out)
-    assert len(rows) == 2
-    up, down = (float(r["impact"]) for r in rows)
+    assert len(rows) == 6
+    up, down = (float(r["impact"]) for r in rows[:2])
     assert up > 0.0 > down
+    run = build_run_config(parse_key_values(cfg_text, "inline"))
+    tau = run.maturity - run.t_values[0]
+
+    def lone(m):
+        return lrm(MarketQuery(0.0, tau, 1.0, m), run.model, run.fft).lrm
+
+    for r in rows:
+        y, base_m, after_m = (float(r[k]) for k in ("y", "moneyness_before", "moneyness_after"))
+        assert float(r["lrm_before"]) == lone(base_m)
+        assert float(r["lrm_after"]) == lone(after_m)
+        assert float(r["impact"]) == jump_impact(y, base_m, tau, run.model, run.fft)
     for r in rows:
         assert float(r["moneyness_after"]) == pytest.approx(
             float(r["moneyness_before"]) * math.exp(-float(r["y"])), rel=1e-12
@@ -379,8 +409,8 @@ def test_impact_builds_one_sample(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(LevySample, "__init__", counting_init)
     taken = _counting_samples(monkeypatch)
     cfg = _write(tmp_path, "m.cfg", MERTON_CFG + "query.t = 0.5\nquery.strike = 1\n")
-    assert main(["impact", "--config", cfg, "--y", "0.1,-0.1,0.2"]) == EXIT_OK
-    assert len(_rows(capsys.readouterr().out)) == 3
+    assert main(["impact", "--config", cfg, "--y", "0.1,-0.1,0.2,-0.2,0.5"]) == EXIT_OK
+    assert len(_rows(capsys.readouterr().out)) == 5
     assert len(builds) == 1
     assert len(taken) == 1
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,11 +10,13 @@ from levyhedge import (
     MarketQuery,
     MertonParams,
     VgParams,
+    lrm,
     martingale_drift,
     mmm_quantities,
     quadratic_exp_moment,
     validate_assumptions,
 )
+from levyhedge.cli import EXIT_VALIDATION, main
 from levyhedge.oracle import levy_moment, merton_mmm_measure
 
 from conftest import NIKKEI_CGM
@@ -109,6 +112,27 @@ def test_validate_merton_positive_drift_fails():
     assert any("nonpositive" in n for n in names)
     with pytest.raises(AssumptionError):
         mmm_quantities(model)
+
+
+@pytest.mark.parametrize(
+    "overrides", [dict(delta=19.0), dict(delta=19.0, gamma=0.0), dict(m=354.0)]
+)
+def test_validate_merton_moments_overflow(merton_bench, fft_bench, capsys, overrides):
+    # exp(2m + 2 delta^2) past a double fails the moment condition alone,
+    # with its negative headroom as slack, instead of raising OverflowError
+    model = dataclasses.replace(merton_bench, **overrides)
+    report = validate_assumptions(model)
+    assert not report.passed
+    [cond] = report.conditions
+    assert cond.name == "exponential moments finite" and cond.slack < 0.0
+    with pytest.raises(AssumptionError, match="must fit in a double"):
+        lrm(MarketQuery(0.5, 1.0, 1.0, 1.0), model, fft_bench)
+    argv = ["validate", "--set", "model.kind=merton"] + [
+        f"--set=model.{key}={getattr(model, key)!r}" for key in ("mu", "sigma", "gamma", "m", "delta")
+    ]
+    assert main(argv) == EXIT_VALIDATION
+    [line] = capsys.readouterr().out.splitlines()
+    assert line.startswith("[FAIL] exponential moments finite: slack=-")
 
 
 def test_cgm_from_kmd_benchmark_values():

@@ -42,6 +42,7 @@ from levyhedge.lrm import (
     TransformContext,
     _shared_sample,
     evaluate_slices,
+    impact_quotes,
     levy_sample,
     plan_slices,
 )
@@ -327,45 +328,57 @@ def _holds_samples(obj) -> bool:
     return any(isinstance(v, np.ndarray) and np.iscomplexobj(v) for v in values)
 
 
+def _slice_columns(ctx, strikes, spot) -> list:
+    """``evaluate_slices`` on ctx alone, every column as a list and the mode."""
+    columns = evaluate_slices([ctx], strikes, spot)
+    arrays = (columns.lrm, columns.i1, columns.i2, columns.trunc_a, columns.stride)
+    return [None if a is None else a.tolist() for a in arrays] + [columns.mode]
+
+
 def test_slice_evaluation_is_stateless(merton_bench, nikkei, fft_bench):
     # a slice keeps nothing between evaluations: 1, 29 and 1 strikes on one
-    # slice give the bits of each batch on a fresh slice, and after
-    # evaluate, quotes and a curve neither the slice nor its sample holds
-    # a contour sample
+    # slice give the bits of each batch on a fresh slice, and after the
+    # evaluations, impact quotes and a curve neither the slice nor its
+    # sample holds a contour sample
     for model, spot in ((merton_bench, 1.0), (nikkei, NIKKEI_SPOT)):
         sample = levy_sample(model, fft_bench)
         ctx = TransformContext(sample, 0.5)
         for strikes in ([1.1 * spot], list(np.linspace(0.6, 1.9, 29) * spot), [0.7 * spot]):
             fresh = TransformContext(LevySample(model, fft_bench), 0.5)
-            assert ctx.evaluate(strikes, spot) == fresh.evaluate(strikes, spot)
-        ctx.quotes([0.9 * spot, spot, 1.2 * spot], spot)
+            assert _slice_columns(ctx, strikes, spot) == _slice_columns(fresh, strikes, spot)
+        impact_quotes([0.9, 1.0, 1.2], 0.5, model, fft_bench)
         later = TransformContext(sample, 0.9)
         evaluate_slices([ctx, later], list(np.linspace(0.8, 1.2, 7) * spot), spot)
         assert not any(_holds_samples(obj) for obj in (sample, ctx, later))
 
 
 def test_quotes_equal_lone_evaluations(merton_bench, nikkei, fft_bench):
-    # quotes take every strike in one direct-sum call that computes phi
-    # once, with the bits of a fresh slice per strike
-    for model, spot in ((merton_bench, 1.0), (nikkei, NIKKEI_SPOT)):
-        strikes = [spot * math.exp(-y) for y in (0.0, 0.05, -0.05, 0.2, -0.2, 1.0, -1.0, 3.0, -3.0)]
-        ctx = TransformContext(levy_sample(model, fft_bench), 0.5)
+    # impact quotes take every moneyness in one direct-sum call that
+    # computes phi once, with the bits of a fresh slice per moneyness
+    for model in (merton_bench, nikkei):
+        moneyness = [math.exp(-y) for y in (0.0, 0.05, -0.05, 0.2, -0.2, 1.0, -1.0, 3.0, -3.0)]
         lone = [
-            TransformContext(LevySample(model, fft_bench), 0.5).evaluate([k], spot)[0]
-            for k in strikes
+            evaluate_slices([TransformContext(LevySample(model, fft_bench), 0.5)], [x], 1.0)
+            for x in moneyness
         ]
-        assert ctx.quotes(strikes, spot) == lone
-        assert all(r.mode == MODE_DIRECT_SUM for r in lone)
+        assert impact_quotes(moneyness, 0.5, model, fft_bench) == [c.lrm[0, 0] for c in lone]
+        assert all(c.mode == MODE_DIRECT_SUM for c in lone)
+        # and every column of the direct-sum batch, not the ratio alone
+        ctx = TransformContext(levy_sample(model, fft_bench), 0.5)
+        batch = evaluate_slices([ctx], moneyness, 1.0, mode=MODE_DIRECT_SUM)
+        for name in ("lrm", "i1", "i2", "trunc_a", "stride"):
+            if getattr(batch, name) is not None:
+                assert getattr(batch, name)[0].tolist() == [getattr(c, name)[0, 0] for c in lone]
     # a failing batch raises the first lone quote's error, not the batch's
     short = FftConfig(n=64, eta=fft_bench.eta, alpha=fft_bench.alpha, eps=fft_bench.eps)
     ctx = TransformContext(levy_sample(merton_bench, short), 0.5)
     with pytest.raises(TailConditionError) as first:
-        ctx.evaluate([1.0], 1.0)
+        evaluate_slices([ctx], [1.0], 1.0)
     with pytest.raises(TailConditionError) as batch:
-        ctx.evaluate([1.0, 0.5], 1.0)
+        evaluate_slices([ctx], [1.0, 0.5], 1.0)
     assert str(batch.value) != str(first.value)
     with pytest.raises(TailConditionError) as quoted:
-        ctx.quotes([1.0, 0.5], 1.0)
+        impact_quotes([1.0, 0.5], 0.5, merton_bench, short)
     assert str(quoted.value) == str(first.value)
 
 
@@ -661,7 +674,7 @@ def test_vg_slice_uses_all_samples(nikkei, fft_bench):
     shifts = plan.shifts
     assert np.all(plan.extents == fft_bench.n - (1 << shifts))
     # and the evaluation samples the whole span at the finest stride
-    bounds.evaluate(strikes, NIKKEI_SPOT)
+    evaluate_slices([bounds], strikes, NIKKEI_SPOT)
     [(shift, m)] = taken
     assert shift == shifts.min() and m << shift == fft_bench.n
 

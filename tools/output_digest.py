@@ -63,7 +63,8 @@ def cli(text):
     command, *pairs = text.split()
     argv = [command] + [flag for pair in pairs for flag in ("--set", pair)]
     if command == "impact":
-        argv += ["--y", "0.1,-0.2"]
+        # seven quotes, past the four strikes that auto mode sums directly
+        argv += ["--y", "0.1,-0.2,0.3,-0.5,0.05,-1"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
