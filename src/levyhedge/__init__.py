@@ -40,7 +40,6 @@ from .fft_engine import (
 )
 from .lrm import (
     LrmResult,
-    TransformContext,
     jump_impact,
     levy_sample,
     lrm,

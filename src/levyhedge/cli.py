@@ -42,8 +42,8 @@ from .core import (
 )
 from .fft_engine import FftConfig, tail_condition_check
 from .lrm import (
+    LevySample,
     SliceColumns,
-    TransformContext,
     _strike_array,
     check_moneyness,
     evaluate_slices,
@@ -51,6 +51,7 @@ from .lrm import (
     jumped_moneyness,
     levy_sample,
     plan_slices,
+    slice_trunc,
     tail_hint,
 )
 
@@ -241,12 +242,12 @@ def _require_query(cfg: RunConfig) -> None:
         raise ConfigError("the command needs query.t/t_grid and query.strike/strike_grid")
 
 
-def _slices(cfg: RunConfig) -> list[TransformContext]:
+def _slices(cfg: RunConfig) -> tuple[LevySample, list[float]]:
     """The time slices of ``curve`` and ``validate``: after the spot check,
-    one slice of the shared sample per t, each built with its guards."""
+    the shared sample and one checked tau per t."""
     _require_positive("spot", cfg.spot)
     sample = levy_sample(cfg.model, cfg.fft)
-    return [TransformContext(sample, time_to_maturity(t, cfg.maturity)) for t in cfg.t_values]
+    return sample, [time_to_maturity(t, cfg.maturity) for t in cfg.t_values]
 
 
 def _worst_trunc_cell(cfg: RunConfig) -> tuple[float, float, float]:
@@ -254,12 +255,12 @@ def _worst_trunc_cell(cfg: RunConfig) -> tuple[float, float, float]:
     with the strike and tau of its cell.  The slices and the checks are
     ``curve``'s, in its order (``plan_slices``), so every error but a tail
     failure, which the caller reports, is the one ``curve`` raises."""
-    slices, strikes = _slices(cfg), _strike_array(cfg.strikes)
-    bounds = np.array([ctx.trunc(strikes, cfg.spot).max(axis=0) for ctx in slices])
+    (sample, taus), strikes = _slices(cfg), _strike_array(cfg.strikes)
+    bounds = np.array([slice_trunc(sample, tau, strikes, cfg.spot).max(axis=0) for tau in taus])
     row, i = np.unravel_index(np.argmax(bounds), bounds.shape)
     with contextlib.suppress(TailConditionError):
-        plan_slices(slices, strikes, cfg.spot)
-    return float(bounds[row, i]), float(strikes[i]), slices[row].tau
+        plan_slices(sample, taus, strikes, cfg.spot)
+    return float(bounds[row, i]), float(strikes[i]), taus[row]
 
 
 def cmd_validate(cfg: RunConfig, out: Optional[TextIO] = None) -> int:
@@ -298,7 +299,7 @@ def cmd_curve(cfg: RunConfig) -> int:
     started = time.perf_counter()
     # every time slice is exp(tau Psi) over one shared contour sample; the
     # slices are evaluated together, as columns
-    columns = evaluate_slices(_slices(cfg), cfg.strikes, cfg.spot)
+    columns = evaluate_slices(*_slices(cfg), cfg.strikes, cfg.spot)
     computed = time.perf_counter()
 
     handle, owned = _open_output(cfg)

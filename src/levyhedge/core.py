@@ -104,6 +104,14 @@ def _require_positive(name: str, value: float) -> None:
     _require(value > 0.0, f"{name} must be > 0")
 
 
+def _require_square(name: str, value: float) -> None:
+    """Refuse a volatility whose square overflows or underflows to 0: the
+    drift, the slope h and the prefix bounds square it, divide by the
+    square or take its log."""
+    square = value * value
+    _require(0.0 < square < math.inf, f"{name}^2 = {square:g} must be a positive finite double")
+
+
 def time_to_maturity(t: float, T: float) -> float:
     """tau = T - t for a finite evaluation time t >= 0 and maturity T > 0,
     refusing tau below TAU_MIN."""
@@ -160,6 +168,7 @@ class MertonParams:
         for name in ("mu", "sigma", "gamma", "m", "delta"):
             _require_finite(name, getattr(self, name))
         _require(self.sigma > 0.0, "sigma must be > 0")
+        _require_square("sigma", self.sigma)
         _require(self.gamma >= 0.0, "gamma must be >= 0")
         _require(self.delta > 0.0, "delta must be > 0")
 
@@ -187,6 +196,7 @@ class VgParams:
             _require_finite(name, getattr(self, name))
         _require(self.kappa > 0.0, "kappa must be > 0")
         _require(self.delta > 0.0, "delta must be > 0")
+        _require_square("delta", self.delta)
 
     @property
     def C(self) -> float:
@@ -431,9 +441,14 @@ def mmm_quantities(model: Model) -> MmmQuantities:
     quad = quadratic_exp_moment(model)
     if 0.0 < mu_s <= _DRIFT_TOL:
         mu_s = 0.0  # exact boundary up to roundoff
+    # the hedge denominator; a variance-gamma quad can round to 0 (kappa = 1e-20)
+    sigma2 = model.sigma**2 if isinstance(model, MertonParams) else 0.0
+    if not sigma2 + quad > 0.0:
+        raise AssumptionError(
+            f"hedge denominator sigma^2 + int (e^x-1)^2 nu = {sigma2 + quad:g} must be > 0"
+        )
 
     if isinstance(model, MertonParams):
-        sigma2 = model.sigma**2
         h = mu_s / (sigma2 + quad)
         g, m, d2 = model.gamma, model.m, model.delta**2
         e_half = math.exp(m + 0.5 * d2)

@@ -47,8 +47,8 @@ the in-the-money pole at zeta = -i, d = 1 + beta - alpha toward the
 right tail, where a moment E[S_T^{1+beta}] bounds the function.  That
 moment is S^{1+beta} e^{tau Psi(-i(1+beta))}, read from the same exponent
 Psi the sums sample; the model modules supply the tau-free constants
-around it, and :class:`AliasFloors` and ``lrm.TransformContext`` turn
-them into the coarsest stride each strike may take.
+around it, and :class:`AliasFloors` and ``lrm.plan_slices`` turn them
+into the coarsest stride each strike may take.
 
 Truncation.  Each bound of the model modules is a law (log L, p): its
 tail past a stays below eps once a^p = L K^{1-alpha} S^alpha / eps,

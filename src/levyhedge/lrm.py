@@ -16,12 +16,13 @@ K X_jump(log x) and the denominator above.  ``LevySample`` is the
 tau-free, spot-free half of one (model, config), shared per pair
 (:func:`levy_sample`): it samples Psi and the kernel factors on the
 contour and holds the tau-free half of the bounds.
-``TransformContext`` is one time slice of it: tau and the rest of the
-bounds.  Sampled arrays are never kept, so no result depends on the
-calls before it.  Within a slice the moneyness enters only through the
-e^{-i eta j log x} phase, so one evaluator, :func:`evaluate_slices`,
-the one place the spot enters, takes one strike array and the spot on
-a list of slices of one sample and returns columns (one row per slice,
+A time slice of it is a tau alone: :func:`slice_trunc` and
+:func:`plan_slices` add the rest of the bounds in closed form.  Sampled
+arrays are never kept, so no result depends on the calls before it.
+Within a slice the moneyness enters only through the e^{-i eta j log x}
+phase, so one evaluator, :func:`evaluate_slices`, the one place the
+spot enters, takes one sample, a list of tau, one strike array and the
+spot, and returns columns (one row per slice,
 one column per strike) for every caller.  Each call samples once, and
 each slice costs one exponential plus one multiply per kernel kind,
 over the points its strikes read.  ``LevySample.kinds`` gives each kind
@@ -180,7 +181,7 @@ class LevySample:
     whatever the stride and the length it was sampled at.
 
     ``kinds`` lists the kernel kinds in the row order of
-    ``TransformContext.trunc``, each with its strike factors (module
+    :func:`slice_trunc`, each with its strike factors (module
     docstring); ``sigma2`` is sigma^2, 0 for variance gamma.  It also
     holds the tau-free half of every slice's bounds: the direct-sum row
     layout of each stride, the range of the log strike factors, and the
@@ -272,70 +273,41 @@ def levy_sample(model: Model, config: FftConfig) -> LevySample:
     return _shared_sample(model, config)
 
 
-class TransformContext:
-    """One time slice of a :class:`LevySample`: its tau and its bounds,
-    for all its strikes at once: the frequency truncation points (I1, I2)
-    for Merton or (I2,) for variance gamma (:meth:`trunc`, from the laws
-    of log C1 = tau Re psi0 or of log C2), and each strike's grid: a
-    stride 2^s over the configured grid and the rows of the direct-sum
-    layout of its n / 2^s points it sums (:func:`plan_slices`).
+def slice_trunc(sample: LevySample, tau: float, strikes, spot: float) -> np.ndarray:
+    """Truncation points of the slice tau of ``sample``, one row per bound
+    ((I1, I2) for Merton from the laws of log C1 = tau Re psi0, (I2,) for
+    variance gamma from those of log C2) and one column per strike:
+    :func:`truncation_points` of the slice's laws, after its guards."""
+    # |phi_tau(v - i alpha)| <= phi_tau(-i alpha): the j = 0 sample has
+    # the largest Re(tau psi), so tau Re psi0 is the exp() guard of the
+    # whole grid, and log C1
+    guard_exponent(tau, tau * sample.psi0.real)
+    _require(tau >= TAU_MIN, f"tau must be >= {TAU_MIN:g}")
+    model, config = sample.model, sample.config
+    if isinstance(model, MertonParams):
+        laws = merton_trunc_laws(model, tau * sample.psi0.real, tau, config.alpha)
+    else:
+        log_c2 = vg_log_c2(model, sample.pair, sample.mmm.mu_star, tau, config.alpha)
+        laws = (vg_trunc_law(model, log_c2, tau, config.alpha),)
+    return truncation_points(laws, config.eps, strikes, spot, config.alpha)
 
-    A strike takes the largest s up to ``coarsest_shift`` whose aliasing
-    bound (``LevySample.floors`` at tau, three terms: the in-the-money
-    pole at zeta = -i, the pole at zeta = 0 of the call factor, which the
-    same S/K' bound covers, and the right tail) moves I1 and I2 by at
-    most 2^-53 S and the ratio by at most 2^-53, and whose
-    log-strikes, the Merton shifted ones included, all lie inside
-    +-pi/eta_s; the configured grid, s = 0, needs no certificate.  A
-    Merton strike then sums the fewest rows whose dropped tail stays
-    below rounding; variance gamma sums every row.  Both depend on the
-    slice and the strike only, never on the other strikes of a batch.
 
-    Strikes enter as moneyness K/S, except in :meth:`trunc`."""
-
-    def __init__(self, sample: LevySample, tau: float):
-        self.sample = sample
-        self.tau = tau
-        # |phi_tau(v - i alpha)| <= phi_tau(-i alpha): the j = 0 sample has
-        # the largest Re(tau psi), so tau Re psi0 is the exp() guard of the
-        # whole grid, and log C1
-        guard_exponent(tau, tau * sample.psi0.real)
-        _require(tau >= TAU_MIN, f"tau must be >= {TAU_MIN:g}")
-        model, mmm, alpha = sample.model, sample.mmm, sample.config.alpha
-        if isinstance(model, MertonParams):
-            self._log_c1 = tau * sample.psi0.real
-            self._laws = merton_trunc_laws(model, self._log_c1, tau, alpha)
-        else:
-            # no prefix certificate: every strike sums every row
-            self._log_c1 = None
-            log_c2 = vg_log_c2(model, sample.pair, mmm.mu_star, tau, alpha)
-            self._laws = (vg_trunc_law(model, log_c2, tau, alpha),)
-        # stride 2^s, s >= 1, needs log x >= _alias_floors[s - 1]
-        self._alias_floors = sample.floors(tau)
-
-    def trunc(self, strikes: np.ndarray, spot: float) -> np.ndarray:
-        """Truncation points, one row per bound ((I1, I2) or (I2,)) and one
-        column per strike: :func:`truncation_points` of the slice's laws."""
-        config = self.sample.config
-        return truncation_points(self._laws, config.eps, strikes, spot, config.alpha)
-
-    def _rows(self, moneyness: np.ndarray, shift: int) -> np.ndarray:
-        """Rows of the layout of n / 2^shift points each moneyness x sums.
-        The Merton tail past a row end a = (rows * c - 1) eta moves the
-        ratio by x^{1-alpha} e^{G(a)}: below rounding once log x >= (G(a) -
-        log ROUNDING) / (alpha - 1), a bound that falls with the rows."""
-        sample, config = self.sample, self.sample.config
-        layout_rows = sample.layout_rows[shift]
-        if self._log_c1 is None:
-            return np.full(moneyness.shape, layout_rows)
-        log_a, a2, tables = sample._prefix
-        tail = merton_prefix_tail(
-            log_a[shift], a2[shift], self.tau, config.alpha, self._log_c1, tables
-        )
-        with np.errstate(over="ignore"):
-            row_moneyness = np.exp((tail - math.log(ROUNDING)) / (config.alpha - 1.0))
-        first = np.searchsorted(-row_moneyness, -moneyness)
-        return np.minimum(first + 1, layout_rows)
+def _prefix_rows(sample: LevySample, tau: float, moneyness: np.ndarray, shift: int) -> np.ndarray:
+    """Rows of the layout of n / 2^shift points each moneyness x sums on
+    the slice tau: every row for variance gamma, whose envelope certifies
+    no prefix.  The Merton tail past a row end a = (rows * c - 1) eta
+    moves the ratio by x^{1-alpha} e^{G(a)}: below rounding once log x >=
+    (G(a) - log ROUNDING) / (alpha - 1), a bound that falls with the rows."""
+    layout_rows = sample.layout_rows[shift]
+    if sample._prefix is None:
+        return np.full(moneyness.shape, layout_rows)
+    log_a, a2, tables = sample._prefix
+    alpha = sample.config.alpha
+    tail = merton_prefix_tail(log_a[shift], a2[shift], tau, alpha, tau * sample.psi0.real, tables)
+    with np.errstate(over="ignore"):
+        row_moneyness = np.exp((tail - math.log(ROUNDING)) / (alpha - 1.0))
+    first = np.searchsorted(-row_moneyness, -moneyness)
+    return np.minimum(first + 1, layout_rows)
 
 
 @dataclass(frozen=True)
@@ -376,19 +348,19 @@ class _SlicePlan(NamedTuple):
 
 
 def plan_slices(
-    slices: Sequence[TransformContext], strikes: np.ndarray, spot: float
+    sample: LevySample, taus: Sequence[float], strikes: np.ndarray, spot: float
 ) -> list[_SlicePlan]:
-    """Plan and check every slice of one :class:`LevySample`, in order, for
+    """Plan and check the slice of ``sample`` at every tau, in order, for
     one checked strike array at the spot; nothing is sampled.  Per strike a
-    plan holds the largest truncation point over the slice's bounds, the
-    stride exponent s (the largest up to ``coarsest_shift`` that the
-    aliasing floors at tau and the strike's reach, taken once, admit) and
-    the rows of the layout of n / 2^s points it sums (``_rows``).  A slice
-    is checked before the next is planned, in ``curve``'s order: its tail
-    on its largest truncation point, then, after the first slice's, the
-    range rule (module docstring) on its stride-1 strikes."""
-    sample = slices[0].sample
-    _require(all(ctx.sample is sample for ctx in slices), "slices must share one LevySample")
+    plan holds the largest truncation point over the slice's bounds
+    (:func:`slice_trunc`), the stride exponent s (the largest up to
+    ``coarsest_shift`` that the aliasing floors at tau and the strike's
+    reach, taken once, admit) and the rows of the layout of n / 2^s points
+    it sums (:func:`_prefix_rows`).  Every slice's guards run first; then a
+    slice is checked before the next is planned, in ``curve``'s order: its
+    tail on its largest truncation point, then, after the first slice's,
+    the range rule (module docstring) on its stride-1 strikes."""
+    truncs = [slice_trunc(sample, tau, strikes, spot).max(axis=0) for tau in taus]
     moneyness = strikes / spot
     # the reach, the tau-free half of a stride choice: per stride s >= 1,
     # whether every log(x f) a strike needs lies inside +-pi/eta_s
@@ -397,12 +369,12 @@ def plan_slices(
     reach = np.maximum(-(log_x + lo), log_x + hi)
     inside = [reach < edge for edge in sample._edges]
     plans = []
-    for i, ctx in enumerate(slices):
-        trunc = ctx.trunc(strikes, spot).max(axis=0)
+    for i, (tau, trunc) in enumerate(zip(taus, truncs)):
         worst = int(np.argmax(trunc))
-        _check_tail(sample.config, float(trunc[worst]), float(strikes[worst]), ctx.tau)
+        _check_tail(sample.config, float(trunc[worst]), float(strikes[worst]), tau)
         shifts = np.zeros(moneyness.shape, dtype=int)
-        for s, (floor, ok) in enumerate(zip(ctx._alias_floors, inside), start=1):
+        # stride 2^s, s >= 1, needs log x >= floors(tau)[s - 1]
+        for s, (floor, ok) in enumerate(zip(sample.floors(tau), inside), start=1):
             shifts[(shifts == s - 1) & (log_x >= floor) & ok] = s
         fine = int(shifts.min())
         if i == 0 and fine == 0:
@@ -413,7 +385,7 @@ def plan_slices(
         rows = np.empty(moneyness.shape, dtype=int)
         for s in set(shifts.tolist()):
             group = shifts == s
-            rows[group] = ctx._rows(moneyness[group], s)
+            rows[group] = _prefix_rows(sample, tau, moneyness[group], s)
         # the last configured-grid index each strike's rows reach
         extents = (rows * sample.row_lengths[shifts] - 1) << shifts
         points = (int(extents.max()) >> fine) + 1
@@ -422,11 +394,11 @@ def plan_slices(
 
 
 def evaluate_slices(
-    slices: Sequence[TransformContext], strikes: Sequence[float], spot: float,
+    sample: LevySample, taus: Sequence[float], strikes: Sequence[float], spot: float,
     mode: Optional[str] = None,
 ) -> SliceColumns:
-    """Hedge ratios, I1 and I2 of the same strikes at one spot on every
-    slice of one :class:`LevySample`, as columns, from every kernel kind of
+    """Hedge ratios, I1 and I2 of the same strikes at one spot on the slice
+    of ``sample`` at every tau, as columns, from every kernel kind of
     ``LevySample.kinds``, each at log(K/S); the spot enters here alone.
     ``strikes`` must not be empty.  Unless ``mode`` (``MODE_DIRECT_SUM`` or
     ``MODE_FFT_GRID``; anything else is refused) names the path, up to
@@ -450,9 +422,8 @@ def evaluate_slices(
     if mode is None:
         mode = MODE_DIRECT_SUM if strikes.size <= _DIRECT_SUM_MAX_STRIKES else MODE_FFT_GRID
     _require(mode in (MODE_DIRECT_SUM, MODE_FFT_GRID), f"unknown mode {mode!r}")
-    plans = plan_slices(slices, strikes, spot)
+    plans = plan_slices(sample, taus, strikes, spot)
 
-    sample = slices[0].sample
     kinds = list(sample.kinds)
     # one sample, at the finest stride and over the longest span any slice
     # reads; a slice reads every 2^(s - top)-th of its points
@@ -465,13 +436,13 @@ def evaluate_slices(
         return held_psi[view], [held[kind][view] for kind in kinds]
 
     # one row per kind, slice and strike
-    values = np.empty((len(kinds), len(slices), strikes.size))
+    values = np.empty((len(kinds), len(taus), strikes.size))
     moneyness = strikes / spot
     if mode == MODE_FFT_GRID:
-        _grid_blocks(slices, plans, np.log(moneyness), values, strided)
+        _grid_blocks(sample.config, taus, plans, np.log(moneyness), values, strided)
         strides = np.array([np.full(strikes.size, 1 << p.fine) for p in plans])
     else:
-        _direct_sums(slices, plans, moneyness, values, strided)
+        _direct_sums(sample.config, taus, plans, moneyness, values, strided)
         strides = np.array([1 << p.shifts for p in plans])
 
     # I1 = K X_indicator(log x), I2 = K X_jump(log x)
@@ -484,17 +455,16 @@ def evaluate_slices(
 
 
 def _direct_sums(
-    slices: Sequence[TransformContext], plans: list[_SlicePlan], moneyness: np.ndarray,
+    config: FftConfig, taus: Sequence[float], plans: list[_SlicePlan], moneyness: np.ndarray,
     values: np.ndarray, strided,
 ) -> None:
     """Direct-sum values of every slice at the ``moneyness``, into
     ``values[:, i]`` for slice i, one row per kernel kind: one
     ``direct_simpson_sum`` of every kind per slice and stride, each strike
     exact over its own rows.  ``strided`` as for :func:`_grid_blocks`."""
-    config = slices[0].sample.config
-    for i, (ctx, plan) in enumerate(zip(slices, plans)):
+    for i, (tau, plan) in enumerate(zip(taus, plans)):
         psi, factors = strided(plan.fine, plan.points)
-        phi = levy_char_fn(psi, ctx.tau)
+        phi = levy_char_fn(psi, tau)
         samples = np.empty((len(factors), plan.points), dtype=complex)
         for row, factor in zip(samples, factors):
             np.multiply(phi, factor, out=row)
@@ -511,7 +481,7 @@ def _direct_sums(
 
 
 def _grid_blocks(
-    slices: Sequence[TransformContext], plans: list[_SlicePlan], log_x: np.ndarray,
+    config: FftConfig, taus: Sequence[float], plans: list[_SlicePlan], log_x: np.ndarray,
     values: np.ndarray, strided,
 ) -> None:
     """Grid-path values of every slice at the log-moneyness ``log_x``, into
@@ -520,7 +490,6 @@ def _grid_blocks(
     kind, one ``carr_madan_grid`` call and one interpolation per block,
     rows kind-major.  ``strided(shift, m)`` gives psi and the kernel
     factors at the first m points of stride 2^shift."""
-    config = slices[0].sample.config
     by_stride: dict[int, list[int]] = {}
     for i, plan in enumerate(plans):
         by_stride.setdefault(plan.fine, []).append(i)
@@ -534,7 +503,7 @@ def _grid_blocks(
             # a row past its slice's points stays 0
             samples = np.zeros((len(factors), len(block), max(counts)), dtype=complex)
             for i, rows, m in zip(block, samples.transpose(1, 0, 2), counts):
-                phi = levy_char_fn(psi[:m], slices[i].tau)
+                phi = levy_char_fn(psi[:m], taus[i])
                 for row, factor in zip(rows, factors):
                     np.multiply(phi, factor[:m], out=row[:m])
             eta = config.eta * (1 << fine)
@@ -576,10 +545,10 @@ def tail_hint(config: FftConfig, trunc_a: float) -> str:
 
 def lrm(query: MarketQuery, model: Model, config: FftConfig) -> LrmResult:
     """Hedge ratio, I1 and I2 for a single (t, K, S) query: one
-    direct-sum strike on a fresh slice, through :func:`evaluate_slices`
-    like every caller.  The result carries the caller's ``config``."""
-    ctx = TransformContext(levy_sample(model, config), query.tau)
-    return _results(evaluate_slices([ctx], [query.strike], query.spot), config)[0]
+    direct-sum strike on one slice, through :func:`evaluate_slices` like
+    every caller.  The result carries the caller's ``config``."""
+    columns = evaluate_slices(levy_sample(model, config), [query.tau], [query.strike], query.spot)
+    return _results(columns, config)[0]
 
 
 def lrm_strike_sweep(
@@ -595,9 +564,13 @@ def lrm_strike_sweep(
     sampled arrays (and the per-kind FFT grids on the grid path); the
     results carry the caller's ``config``."""
     _require_positive("spot", spot)
-    ctx = TransformContext(levy_sample(model, config), time_to_maturity(t, T))
+    sample, tau = levy_sample(model, config), time_to_maturity(t, T)
     strikes = _strike_array(strikes)
-    return _results(evaluate_slices([ctx], strikes, spot), config) if strikes.size else []
+    if not strikes.size:
+        # no cell, but the slice's guards still run
+        slice_trunc(sample, tau, strikes, spot)
+        return []
+    return _results(evaluate_slices(sample, [tau], strikes, spot), config)
 
 
 def check_moneyness(moneyness: float, tau: float) -> None:
@@ -631,12 +604,12 @@ def impact_quotes(
     raised is the first lone quote's."""
     for m in moneyness:
         check_moneyness(m, tau)
-    ctx = TransformContext(levy_sample(model, config), time_to_maturity(0.0, tau))
+    sample, taus = levy_sample(model, config), [time_to_maturity(0.0, tau)]
     try:
-        return evaluate_slices([ctx], moneyness, 1.0, mode=MODE_DIRECT_SUM).lrm[0].tolist()
+        return evaluate_slices(sample, taus, moneyness, 1.0, mode=MODE_DIRECT_SUM).lrm[0].tolist()
     except LevyHedgeError:
         for m in moneyness:
-            evaluate_slices([ctx], [m], 1.0)
+            evaluate_slices(sample, taus, [m], 1.0)
         raise
 
 

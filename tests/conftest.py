@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from levyhedge import FftConfig, MertonParams, TransformContext, VgParams, levy_sample
+from levyhedge import FftConfig, MertonParams, VgParams, levy_sample
+from levyhedge.lrm import slice_trunc
 
 # the two benchmark parameter sets plus the index-calibrated CGM triple
 MERTON_BENCH = dict(mu=-0.7, sigma=0.2, gamma=1.0, m=0.0, delta=1.0)
@@ -37,7 +38,7 @@ def trunc_points(model, tau: float, strike: float, spot: float = 1.0, eps: float
     fft_bench grid at tail error eps: (I1, I2) for Merton, (I2,) for
     variance gamma."""
     config = FftConfig(n=2**14, eta=0.025, alpha=1.75, eps=eps)
-    return tuple(TransformContext(levy_sample(model, config), tau).trunc([strike], spot)[:, 0])
+    return tuple(slice_trunc(levy_sample(model, config), tau, [strike], spot)[:, 0])
 
 
 def sample_merton(rng: np.random.Generator) -> MertonParams:

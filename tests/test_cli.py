@@ -320,6 +320,19 @@ def test_validate_overflow_matches_curve(tmp_path, capsys):
     assert lines[0] == lines[1] == "error: characteristic exponent real part 809 exceeds 700\n"
 
 
+def test_input_checks_come_before_slice_guards(tmp_path, capsys):
+    # every t is checked before any slice's exp() guard: the t = 0 slice of
+    # T = 300 overflows, but t = 300 is at expiry, and that is reported
+    long_cfg = MERTON_CFG.replace("query.T = 1", "query.T = 300")
+    cfg = _write(tmp_path, "m.cfg", long_cfg + "query.t_grid = 0:400:100\nquery.strike = 1\n")
+    for command in ("curve", "validate"):
+        assert main([command, "--config", cfg]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: time to maturity 0 is below the supported minimum 1e-06; "
+            "truncation bounds diverge at expiry\n"
+        )
+
+
 def test_validate_range_matches_curve(tmp_path, capsys):
     # validate applies curve's log-strike range rule: an I2 term of this
     # model shifts log K up by 0.26, past pi/eta for the second strike

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from levyhedge import (
     quadratic_exp_moment,
     validate_assumptions,
 )
-from levyhedge.cli import EXIT_VALIDATION, main
+from levyhedge.cli import EXIT_USAGE, EXIT_VALIDATION, main
 from levyhedge.oracle import levy_moment, merton_mmm_measure
 
 from conftest import NIKKEI_CGM
@@ -221,3 +222,46 @@ def test_parameter_positivity():
         VgParams(kappa=0.1, m=0.0, delta=0.0)
     with pytest.raises(InvalidParameterError):
         VgParams.from_cgm(1.0, -2.0, 5.0)
+
+
+@pytest.mark.parametrize(
+    "kind, keys",
+    [
+        ("merton", dict(mu=-0.7, sigma=1e200, gamma=1.0, m=0.0, delta=1.0)),
+        ("merton", dict(mu=-0.7, sigma=1e-170, gamma=1.0, m=0.0, delta=1.0)),
+        ("vg", dict(kappa=0.15, m=-0.2, delta=1e-170)),
+    ],
+    ids=["merton-sigma-overflow", "merton-sigma-underflow", "vg-delta-underflow"],
+)
+def test_volatility_square_must_be_finite_and_positive(capsys, kind, keys):
+    # a sigma or delta whose square overflows or rounds to 0 is refused when
+    # the model is built, so validate and curve exit 2 with one error line
+    # instead of an OverflowError, a math domain error or a ZeroDivisionError
+    name, constructor = ("sigma", MertonParams) if kind == "merton" else ("delta", VgParams)
+    with pytest.raises(InvalidParameterError, match=rf"^{name}\^2 = (inf|0) must be a positive"):
+        constructor(**keys)
+    argv = [f"--set=model.kind={kind}"] + [f"--set=model.{k}={v!r}" for k, v in keys.items()]
+    for command in ("validate", "curve"):
+        assert main([command, *argv, "--set=query.t=0.5", "--set=query.strike=1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(rf"error: {name}\^2 = (inf|0) must be a positive finite double\n",
+                            captured.err)
+
+
+def test_hedge_denominator_rounding_to_zero(fft_bench, capsys):
+    # kappa = 1e-20 passes every variance-gamma condition, but int (e^x-1)^2 nu
+    # rounds to 0, so no slope h exists: an AssumptionError (exit 1), not a
+    # ZeroDivisionError
+    model = VgParams(kappa=1e-20, m=-0.04, delta=0.2)
+    assert validate_assumptions(model).passed and quadratic_exp_moment(model) == 0.0
+    message = "hedge denominator sigma^2 + int (e^x-1)^2 nu = 0 must be > 0"
+    with pytest.raises(AssumptionError, match=re.escape(message)):
+        mmm_quantities(model)
+    with pytest.raises(AssumptionError, match=re.escape(message)):
+        lrm(MarketQuery(0.5, 1.0, 1.0, 1.0), model, fft_bench)
+    argv = ["--set=model.kind=vg", "--set=model.kappa=1e-20", "--set=model.m=-0.04",
+            "--set=model.delta=0.2", "--set=query.t=0.5", "--set=query.strike=1"]
+    for command in ("validate", "curve"):
+        assert main([command, *argv]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"

@@ -34,17 +34,19 @@ from levyhedge.fft_engine import (
     coarsest_shift,
     direct_simpson_sum,
     trapezoid_weights,
+    truncation_points,
 )
 from levyhedge.lrm import (
     MODE_DIRECT_SUM,
     MODE_FFT_GRID,
     LevySample,
-    TransformContext,
     _shared_sample,
     evaluate_slices,
     impact_quotes,
     levy_sample,
+    _prefix_rows,
     plan_slices,
+    slice_trunc,
 )
 from levyhedge.merton import (
     merton_alias_tables,
@@ -52,6 +54,7 @@ from levyhedge.merton import (
     merton_i2_terms,
     merton_prefix_tables,
     merton_prefix_tail,
+    merton_trunc_laws,
 )
 from levyhedge.oracle import merton_c1, oracle_lrm, quad_i1, quad_i2_definition, vg_c2
 from levyhedge.variance_gamma import VgContourLogs, vg_alias_tables
@@ -294,6 +297,16 @@ def test_strike_sweep_monotone_merton(merton_bench, fft_bench):
     assert all(0.0 < v < 1.0 for v in vals)
 
 
+def test_empty_sweep_runs_the_slice_guards(merton_bench, fft_bench):
+    # a sweep of no strikes evaluates nothing but still refuses its tau,
+    # after the strike check
+    with pytest.raises(OverflowGuardError, match="characteristic exponent"):
+        lrm_strike_sweep(merton_bench, fft_bench, t=0.0, T=300.0, spot=1.0, strikes=[])
+    assert lrm_strike_sweep(merton_bench, fft_bench, t=0.0, T=1.0, spot=1.0, strikes=[]) == []
+    with pytest.raises(InvalidParameterError, match="strike must be > 0"):
+        lrm_strike_sweep(merton_bench, fft_bench, t=0.0, T=300.0, spot=1.0, strikes=[1.0, -1.0])
+
+
 def test_overflow_guard_on_production_path(merton_bench, nikkei, fft_bench):
     # the exp(tau Psi) guard fires per slice, ahead of the C1 guard
     with pytest.raises(OverflowGuardError, match="characteristic exponent"):
@@ -328,28 +341,29 @@ def _holds_samples(obj) -> bool:
     return any(isinstance(v, np.ndarray) and np.iscomplexobj(v) for v in values)
 
 
-def _slice_columns(ctx, strikes, spot) -> list:
-    """``evaluate_slices`` on ctx alone, every column as a list and the mode."""
-    columns = evaluate_slices([ctx], strikes, spot)
+def _slice_columns(sample, tau, strikes, spot) -> list:
+    """``evaluate_slices`` on the one slice tau of sample, every column as a
+    list and the mode."""
+    columns = evaluate_slices(sample, [tau], strikes, spot)
     arrays = (columns.lrm, columns.i1, columns.i2, columns.trunc_a, columns.stride)
     return [None if a is None else a.tolist() for a in arrays] + [columns.mode]
 
 
 def test_slice_evaluation_is_stateless(merton_bench, nikkei, fft_bench):
-    # a slice keeps nothing between evaluations: 1, 29 and 1 strikes on one
-    # slice give the bits of each batch on a fresh slice, and after the
-    # evaluations, impact quotes and a curve neither the slice nor its
-    # sample holds a contour sample
+    # a sample keeps nothing between evaluations: 1, 29 and 1 strikes on
+    # one slice give the bits of each batch on a fresh sample, and after
+    # the evaluations, impact quotes and a curve the sample holds no
+    # contour sample
     for model, spot in ((merton_bench, 1.0), (nikkei, NIKKEI_SPOT)):
         sample = levy_sample(model, fft_bench)
-        ctx = TransformContext(sample, 0.5)
         for strikes in ([1.1 * spot], list(np.linspace(0.6, 1.9, 29) * spot), [0.7 * spot]):
-            fresh = TransformContext(LevySample(model, fft_bench), 0.5)
-            assert _slice_columns(ctx, strikes, spot) == _slice_columns(fresh, strikes, spot)
+            fresh = LevySample(model, fft_bench)
+            assert _slice_columns(sample, 0.5, strikes, spot) == _slice_columns(
+                fresh, 0.5, strikes, spot
+            )
         impact_quotes([0.9, 1.0, 1.2], 0.5, model, fft_bench)
-        later = TransformContext(sample, 0.9)
-        evaluate_slices([ctx, later], list(np.linspace(0.8, 1.2, 7) * spot), spot)
-        assert not any(_holds_samples(obj) for obj in (sample, ctx, later))
+        evaluate_slices(sample, [0.5, 0.9], list(np.linspace(0.8, 1.2, 7) * spot), spot)
+        assert not _holds_samples(sample)
 
 
 def test_quotes_equal_lone_evaluations(merton_bench, nikkei, fft_bench):
@@ -358,24 +372,24 @@ def test_quotes_equal_lone_evaluations(merton_bench, nikkei, fft_bench):
     for model in (merton_bench, nikkei):
         moneyness = [math.exp(-y) for y in (0.0, 0.05, -0.05, 0.2, -0.2, 1.0, -1.0, 3.0, -3.0)]
         lone = [
-            evaluate_slices([TransformContext(LevySample(model, fft_bench), 0.5)], [x], 1.0)
+            evaluate_slices(LevySample(model, fft_bench), [0.5], [x], 1.0)
             for x in moneyness
         ]
         assert impact_quotes(moneyness, 0.5, model, fft_bench) == [c.lrm[0, 0] for c in lone]
         assert all(c.mode == MODE_DIRECT_SUM for c in lone)
         # and every column of the direct-sum batch, not the ratio alone
-        ctx = TransformContext(levy_sample(model, fft_bench), 0.5)
-        batch = evaluate_slices([ctx], moneyness, 1.0, mode=MODE_DIRECT_SUM)
+        batch = evaluate_slices(levy_sample(model, fft_bench), [0.5], moneyness, 1.0,
+                                mode=MODE_DIRECT_SUM)
         for name in ("lrm", "i1", "i2", "trunc_a", "stride"):
             if getattr(batch, name) is not None:
                 assert getattr(batch, name)[0].tolist() == [getattr(c, name)[0, 0] for c in lone]
     # a failing batch raises the first lone quote's error, not the batch's
     short = FftConfig(n=64, eta=fft_bench.eta, alpha=fft_bench.alpha, eps=fft_bench.eps)
-    ctx = TransformContext(levy_sample(merton_bench, short), 0.5)
+    sample = levy_sample(merton_bench, short)
     with pytest.raises(TailConditionError) as first:
-        evaluate_slices([ctx], [1.0], 1.0)
+        evaluate_slices(sample, [0.5], [1.0], 1.0)
     with pytest.raises(TailConditionError) as batch:
-        evaluate_slices([ctx], [1.0, 0.5], 1.0)
+        evaluate_slices(sample, [0.5], [1.0, 0.5], 1.0)
     assert str(batch.value) != str(first.value)
     with pytest.raises(TailConditionError) as quoted:
         impact_quotes([1.0, 0.5], 0.5, merton_bench, short)
@@ -497,7 +511,7 @@ def test_truncation_law_matches_closed_forms(
         sample = levy_sample(model, fft_bench)
         strikes = spot * np.array([0.5, 1.0, 2.0])
         for tau in (0.05, 0.5, 1.0):
-            got = TransformContext(sample, tau).trunc(strikes, spot)
+            got = slice_trunc(sample, tau, strikes, spot)
             want = _closed_form_trunc(model, tau, strikes, spot, fft_bench)
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
@@ -549,12 +563,11 @@ def test_prefix_tail_bound_holds(merton_bench, random_merton_models, fft_bench):
         psi, factors = _term_factors(sample)
         tables = merton_prefix_tables(model, sample.mmm, cfg.alpha)
         for tau in (0.05, 0.5, 1.0):
-            bounds = TransformContext(sample, tau)
             phi = levy_char_fn(psi, tau)
             strikes = np.array([0.5, 1.0, 2.0]) * spot
             c = sample.row_lengths[0]
             log_c1 = tau * sample.psi0.real
-            for strike, rows in zip(strikes, bounds._rows(strikes, 0)):
+            for strike, rows in zip(strikes, _prefix_rows(sample, tau, strikes, 0)):
                 m = int(rows) * c
                 a = np.array([(m - 1) * cfg.eta])
                 tail = merton_prefix_tail(np.log(a), a * a, tau, cfg.alpha, log_c1, tables)[0]
@@ -622,8 +635,8 @@ def test_grid_direct_gap_of_merton_sweeps(merton_bench, fft_bench):
     # gap of the three shifted-strike grids it replaced (3.59e-5)
     for strikes in (1.0 + 0.25 * np.arange(29), 1.0 + 0.007 * np.arange(1000)):
         grid = lrm_strike_sweep(merton_bench, fft_bench, t=0.5, T=1.0, spot=1.0, strikes=strikes)
-        ctx = TransformContext(levy_sample(merton_bench, fft_bench), 0.5)
-        direct = evaluate_slices([ctx], strikes, 1.0, mode=MODE_DIRECT_SUM).lrm[0]
+        sample = levy_sample(merton_bench, fft_bench)
+        direct = evaluate_slices(sample, [0.5], strikes, 1.0, mode=MODE_DIRECT_SUM).lrm[0]
         assert all(r.mode == MODE_FFT_GRID for r in grid)
         assert np.max(np.abs([r.lrm for r in grid] - direct)) <= 3.6e-5
 
@@ -666,15 +679,14 @@ def test_vg_slice_uses_all_samples(nikkei, fft_bench):
     # the polynomial variance-gamma envelope certifies no prefix: at any
     # stride the sample and every strike's sums span all of N eta
     sample, taken = _spied_sample(nikkei, fft_bench)
-    bounds = TransformContext(sample, 0.5)
     strikes = np.array([12000.0, 14000.0, 16000.0])
-    rows = bounds._rows(strikes / NIKKEI_SPOT, 0)
+    rows = _prefix_rows(sample, 0.5, strikes / NIKKEI_SPOT, 0)
     assert np.all(rows * sample.row_lengths[0] == fft_bench.n)
-    plan = plan_slices([bounds], strikes, NIKKEI_SPOT)[0]
+    plan = plan_slices(sample, [0.5], strikes, NIKKEI_SPOT)[0]
     shifts = plan.shifts
     assert np.all(plan.extents == fft_bench.n - (1 << shifts))
     # and the evaluation samples the whole span at the finest stride
-    evaluate_slices([bounds], strikes, NIKKEI_SPOT)
+    evaluate_slices(sample, [0.5], strikes, NIKKEI_SPOT)
     [(shift, m)] = taken
     assert shift == shifts.min() and m << shift == fft_bench.n
 
@@ -685,12 +697,20 @@ def test_checks_come_before_sampling(merton_bench, fft_bench):
     # planning a passing surface samples nothing
     sample, taken = _spied_sample(merton_bench, fft_bench)
     strikes = np.array([0.8, 1.0, 1.25])
-    slices = [TransformContext(sample, tau) for tau in (0.5, 0.25, 1e-4)]
     with pytest.raises(TailConditionError, match=r"tau = 0\.0001;"):
-        evaluate_slices(slices, strikes, 1.0)
+        evaluate_slices(sample, [0.5, 0.25, 1e-4], strikes, 1.0)
     assert taken == []
-    plans = plan_slices(slices[:2], strikes, 1.0)
+    plans = plan_slices(sample, [0.5, 0.25], strikes, 1.0)
     assert len(plans) == 2 and taken == []
+    # every slice's guards run before any slice's tail check: tau = 1e-4
+    # alone fails its tail check, but after it tau = 300 raises its exp()
+    # guard first, and still nothing is sampled
+    with pytest.raises(TailConditionError):
+        plan_slices(sample, [1e-4], strikes, 1.0)
+    for call in (plan_slices, evaluate_slices):
+        with pytest.raises(OverflowGuardError, match="characteristic exponent"):
+            call(sample, [1e-4, 300.0], strikes, 1.0)
+    assert taken == []
 
 
 def _alias_profile(tables, rate, tau):
@@ -726,11 +746,10 @@ def test_alias_bound_holds(merton_bench, random_merton_models, fft_bench):
         psi, factors = _term_factors(sample)
         tables = merton_alias_tables(model, sample.mmm, cfg.alpha)
         for tau in (0.05, 0.5, 1.0):
-            bounds = TransformContext(sample, tau)
             beta, profile = _alias_profile(tables, sample.floors.rate, tau)
             phi = levy_char_fn(psi, tau)
             strikes = np.array([1e-3, 0.5, 1.0, 2.0]) * spot
-            for strike, rows in zip(strikes, bounds._rows(strikes, 0)):
+            for strike, rows in zip(strikes, _prefix_rows(sample, tau, strikes, 0)):
                 m = int(rows) * sample.row_lengths[0]
                 for s in range(1, coarsest_shift(cfg) + 1):
                     eta = cfg.eta * (1 << s)
@@ -830,7 +849,8 @@ def test_moment_rates_read_the_exponent(
 ):
     # the sample's moment rates, read from the contour exponent at
     # zeta = -i(1+beta), are the real-axis log-moment closed forms over
-    # the whole beta grid, and log C1 is tau Re psi0
+    # the whole beta grid, and the Merton truncation laws take log C1 =
+    # tau Re psi0
     cfg = fft_bench
     for model in [merton_bench, nikkei] + list(random_merton_models) + list(random_vg_models):
         sample = levy_sample(model, cfg)
@@ -843,9 +863,11 @@ def test_moment_rates_read_the_exponent(
             log_moment(model, sample.mmm, cfg.alpha), rel=1e-12, abs=0.0
         )
         for tau in (0.05, 0.5, 1.0):
-            ctx = TransformContext(sample, tau)
             if merton:
-                assert ctx._log_c1 == tau * sample.psi0.real
+                strikes = np.array([0.5, 1.0, 2.0])
+                laws = merton_trunc_laws(model, tau * sample.psi0.real, tau, cfg.alpha)
+                want = truncation_points(laws, cfg.eps, strikes, 1.0, cfg.alpha)
+                assert np.array_equal(slice_trunc(sample, tau, strikes, 1.0), want)
 
 
 def test_alias_floors_degenerate_tables(merton_bench, nikkei, fft_bench):
@@ -902,7 +924,7 @@ def test_one_log_strike_range_rule(fft_bench):
     model = MertonParams(mu=-0.1, sigma=0.2, gamma=1.0, m=-0.3, delta=0.2)
     edge = math.pi / fft_bench.eta
     sample = levy_sample(model, fft_bench)
-    slices = [TransformContext(sample, tau) for tau in (0.5, 0.25)]
+    taus = [0.5, 0.25]
 
     def calls(strike):
         sweep = [0.9, 1.0, 1.1, 1.2, strike]
@@ -910,8 +932,8 @@ def test_one_log_strike_range_rule(fft_bench):
             lambda: [lrm(_q(0.5, strike), model, fft_bench).lrm],
             lambda: [r.lrm for r in lrm_strike_sweep(
                 model, fft_bench, t=0.5, T=1.0, spot=1.0, strikes=sweep)],
-            lambda: evaluate_slices(slices, [1.0, strike], 1.0).lrm.ravel().tolist(),
-            lambda: evaluate_slices(slices, sweep, 1.0).lrm.ravel().tolist(),
+            lambda: evaluate_slices(sample, taus, [1.0, strike], 1.0).lrm.ravel().tolist(),
+            lambda: evaluate_slices(sample, taus, sweep, 1.0).lrm.ravel().tolist(),
         )
 
     strike = math.exp(edge - 0.15)
@@ -978,10 +1000,10 @@ def test_jump_impact_checks_moneyness_then_tau(merton_bench, fft_bench):
 
 
 def test_evaluate_slices_rejects_unknown_mode(merton_bench, fft_bench):
-    ctx = TransformContext(levy_sample(merton_bench, fft_bench), 0.5)
+    sample = levy_sample(merton_bench, fft_bench)
     for mode in ("fft", "grid", ""):
         with pytest.raises(InvalidParameterError, match="unknown mode"):
-            evaluate_slices([ctx], [0.9, 1.0, 1.1, 1.2, 1.3], 1.0, mode=mode)
+            evaluate_slices(sample, [0.5], [0.9, 1.0, 1.1, 1.2, 1.3], 1.0, mode=mode)
 
 
 def _cached_outputs(capsys, model, spot: float, config: FftConfig) -> list:

@@ -1,11 +1,15 @@
 """Print one sha256 over what this checkout computes: ``lrm_strike_sweep``
 (t in {0.05, 0.5, 0.9}; 1, 3, 29 and 1000 strikes, and strikes near the
-+-pi/eta edge), single ``lrm`` quotes (one ``quote`` record per model, t
-and strike), ``jump_impact``, and the exit code, stdout
-and error lines of ``levyhedge curve``, ``validate`` and ``impact``
-(timing lines dropped), on the named parameter sets and seeded samplers
-of ``tests/conftest.py``.  An error counts as its type and message.  Two
-checkouts that print the same digest give the same bits.  Every record
++-pi/eta edge, and an empty sweep at T = 300), single ``lrm`` quotes
+(one ``quote`` record per model, t and strike), ``jump_impact``, and the
+exit code, stdout and error lines of ``levyhedge curve``, ``validate``
+and ``impact`` (timing lines dropped), on the named parameter sets and
+seeded samplers of ``tests/conftest.py``, and of ``curve`` and
+``validate`` on four parameter edges (a sigma or delta whose square
+leaves a double, a hedge denominator that rounds to 0).  An error counts
+as its type and message, an exception that is not a ``LevyHedgeError``
+(a traceback of ``levyhedge``) too.  Two checkouts that print the same
+digest give the same bits.  Every record
 is computed twice in one process, the second time on the shared
 ``LevySample`` of each (model, config) that the first pass cached; when a
 record differs between the two passes, the script names the first such
@@ -38,7 +42,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import conftest  # noqa: E402
-from levyhedge import FftConfig, LevyHedgeError, MarketQuery, MertonParams, VgParams  # noqa: E402
+from levyhedge import FftConfig, MarketQuery, MertonParams, VgParams  # noqa: E402
 from levyhedge import jump_impact, lrm, lrm_strike_sweep  # noqa: E402
 from levyhedge.cli import main  # noqa: E402
 
@@ -52,7 +56,7 @@ lines = []
 def record(label, call):
     try:
         out = call()
-    except LevyHedgeError as exc:
+    except Exception as exc:  # a checkout that crashes where another refuses moves a record
         out = f"{type(exc).__name__}: {exc}"
     lines.append((label, f"{label} {out!r}\n"))
 
@@ -95,6 +99,15 @@ CLI_MODELS = [
     "model.M=24.903251787154687",
     "model.kind=merton model.mu=-0.1 model.sigma=0.2 model.gamma=1 model.m=-0.3 model.delta=0.2",
 ]
+# a Merton sigma whose square overflows or rounds to 0, a variance-gamma
+# delta whose square rounds to 0, and a variance-gamma kappa whose
+# int (e^x - 1)^2 nu(dx) rounds to 0
+EDGE_MODELS = [
+    "model.kind=merton model.mu=-0.7 model.sigma=1e200 model.gamma=1 model.m=0 model.delta=1",
+    "model.kind=merton model.mu=-0.7 model.sigma=1e-170 model.gamma=1 model.m=0 model.delta=1",
+    "model.kind=vg model.kappa=0.15 model.m=-0.2 model.delta=1e-170",
+    "model.kind=vg model.kappa=1e-20 model.m=-0.04 model.delta=0.2",
+]
 GRID = "query.T=1 query.t_grid=0:0.95:0.05 query.strike_grid=0.6:1.4:0.0285714285714"
 EXTRA = ["", "fft.n=64", "fft.n=abc", "fft.eta=x", "bogus.key=1", "query.T=50",
          f"query.strike_grid=1,{EDGE[0]!r}", f"query.strike_grid=1,1.1,1.2,1.3,{EDGE[0]!r}"]
@@ -112,6 +125,8 @@ def records() -> list:
             for k in sweeps[1] + EDGE:
                 record(f"{name} quote {t} {k}",
                        lambda: lrm(MarketQuery(t, 1.0, spot, k), model, CONFIG))
+        record(f"{name} empty sweep 300",
+               lambda: lrm_strike_sweep(model, CONFIG, t=0.0, T=300.0, spot=spot, strikes=[]))
         for y in (0.1, -0.1, 0.5):
             for m in (0.8, 1.0, 1.25):
                 record(f"{name} impact {y} {m}", lambda: jump_impact(y, m, 0.5, model, CONFIG))
@@ -123,6 +138,8 @@ def records() -> list:
                 cli(f"curve {keys} {GRID} {extra}"), cli(f"validate {keys} {GRID} {extra}"),
                 cli(f"impact {keys} query.t=0.5 query.strike=1.1 {extra}"),
             ])
+    for keys in EDGE_MODELS:
+        record(f"edge {keys}", lambda: [cli(f"curve {keys} {GRID}"), cli(f"validate {keys} {GRID}")])
     record("bad kind", lambda: cli("validate model.kind=unknown"))
     return list(lines)
 
