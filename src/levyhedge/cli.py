@@ -18,7 +18,6 @@ CSV.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import math
 import sys
@@ -252,14 +251,15 @@ def _slices(cfg: RunConfig) -> tuple[LevySample, list[float]]:
 
 def _worst_trunc_cell(cfg: RunConfig) -> tuple[float, float, float]:
     """Largest truncation requirement across the configured grid cells,
-    with the strike and tau of its cell.  The slices and the checks are
-    ``curve``'s, in its order (``plan_slices``), so every error but a tail
-    failure, which the caller reports, is the one ``curve`` raises."""
+    with the strike and tau of its cell, from ``curve``'s plan, so every
+    error but a tail failure, which the caller reports and which stops the
+    plan, is the one ``curve`` raises."""
     (sample, taus), strikes = _slices(cfg), _strike_array(cfg.strikes)
-    bounds = np.array([slice_trunc(sample, tau, strikes, cfg.spot).max(axis=0) for tau in taus])
+    try:
+        bounds = plan_slices(sample, taus, strikes, cfg.spot).trunc
+    except TailConditionError:
+        bounds = np.array([slice_trunc(sample, tau, strikes, cfg.spot).max(axis=0) for tau in taus])
     row, i = np.unravel_index(np.argmax(bounds), bounds.shape)
-    with contextlib.suppress(TailConditionError):
-        plan_slices(sample, taus, strikes, cfg.spot)
     return float(bounds[row, i]), float(strikes[i]), taus[row]
 
 

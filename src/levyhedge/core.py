@@ -197,6 +197,12 @@ class VgParams:
         _require(self.kappa > 0.0, "kappa must be > 0")
         _require(self.delta > 0.0, "delta must be > 0")
         _require_square("delta", self.delta)
+        radicand = self.m * self.m + 2.0 * (self.delta * self.delta) / self.kappa
+        _require(
+            np.finfo(float).smallest_normal <= radicand < math.inf,
+            f"m^2 + 2 delta^2 / kappa = {radicand:g} at kappa = {self.kappa:g}, m = {self.m:g}, "
+            f"delta = {self.delta:g} is not a normal double, so G and M would lose precision",
+        )
 
     @property
     def C(self) -> float:

@@ -124,8 +124,8 @@ class AliasFloors:
     :func:`alias_log_factor`) taken with the bound's in-the-money log
     (``log_itms``) and tau-free right-tail log over ``beta`` (one row of
     ``log_rights``), and the moment rates ``rate`` = Re Psi(-i(1+beta)),
-    which every term of every bound shares.  Called with a slice's tau, it
-    gives per spacing the smallest log(K/S) from which every bound
+    which every term of every bound shares.  Called with the slices' taus,
+    it gives per slice and spacing the smallest log(K/S) from which every bound
 
         e^{log_itm + A(alpha - 1)}
         + e^{tau rate + log_right + A(1 + beta - alpha) - beta log(K/S)}
@@ -148,12 +148,13 @@ class AliasFloors:
         for table in (beta, rate, self._margins):
             table.flags.writeable = False
 
-    def __call__(self, tau: float) -> list[float]:
-        """Per spacing, the floor of the slice tau."""
-        with np.errstate(invalid="ignore"):
-            margins = tau * self.rate + self._margins
-        margins[np.isnan(margins)] = np.inf
-        return np.max(np.min(margins / self.beta, axis=-1), axis=-1).tolist()
+    def __call__(self, taus) -> np.ndarray:
+        """The floors at every tau, one row per slice and one column per spacing."""
+        # axes (slice, spacing, bound, beta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            margins = np.multiply.outer(taus, self.rate)[:, None, None] + self._margins
+        np.copyto(margins, np.inf, where=np.isnan(margins))
+        return (margins / self.beta).min(axis=-1).max(axis=-1)
 
 
 @functools.lru_cache(maxsize=8)

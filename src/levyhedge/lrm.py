@@ -15,33 +15,32 @@ spot is a scale applied at the edges, I1 = K X_indicator(log x), I2 =
 K X_jump(log x) and the denominator above.  ``LevySample`` is the
 tau-free, spot-free half of one (model, config), shared per pair
 (:func:`levy_sample`): it samples Psi and the kernel factors on the
-contour and holds the tau-free half of the bounds.
-A time slice of it is a tau alone: :func:`slice_trunc` and
-:func:`plan_slices` add the rest of the bounds in closed form.  Sampled
-arrays are never kept, so no result depends on the calls before it.
-Within a slice the moneyness enters only through the e^{-i eta j log x}
-phase, so one evaluator, :func:`evaluate_slices`, the one place the
-spot enters, takes one sample, a list of tau, one strike array and the
-spot, and returns columns (one row per slice,
-one column per strike) for every caller.  Each call samples once, and
-each slice costs one exponential plus one multiply per kernel kind,
-over the points its strikes read.  ``LevySample.kinds`` gives each kind
-the factors f of the log(x f) its sum stands for: Merton ``indicator``
-(1,) and ``jump`` those of the three shifted-strike terms of
-``merton_i2_terms``, variance gamma ``jump`` (1,).  The path
-follows the strike count: up to four strikes take exact direct sums of
-every kind at once (O(sqrt N) exponentials plus O(N) multiply-adds per
-strike), more share one FFT grid per kernel kind and slice, and grid
-slices of one stride share each ``np.fft.fft`` call and interpolation
-in blocks.  ``LrmResult.mode`` reports which path ran.
+contour and holds the tau-free half of the bounds.  A time slice of it
+is a tau alone, and the rest of its bounds are closed forms in tau:
+:func:`plan_slices` plans a list of tau and one strike array as one
+(tau, K) table of truncation points, strides and rows.  Sampled arrays
+are never kept, so no result depends on the calls before it.  Within a
+slice the moneyness enters only through the e^{-i eta j log x} phase,
+so one evaluator, :func:`evaluate_slices`, the one place the spot
+enters, reads that table, samples once and returns columns (one row per
+slice, one column per strike) for every caller; each slice costs one
+exponential plus one multiply per kernel kind, over the points its
+strikes read.  ``LevySample.kinds`` gives each kind the factors f of
+the log(x f) its sum stands for: Merton ``indicator`` (1,) and ``jump``
+those of the three shifted-strike terms of ``merton_i2_terms``,
+variance gamma ``jump`` (1,).  The path follows the strike count: up to
+four strikes take exact direct sums of every kind at once (O(sqrt N)
+exponentials plus O(N) multiply-adds per strike), more share one FFT
+grid per kernel kind and slice, and grid slices of one stride share
+each ``np.fft.fft`` call and interpolation in blocks.
+``LrmResult.mode`` reports which path ran.
 
 Each strike sums every 2^s-th sample of the configured grid: the same
 span N eta at spacing 2^s eta over N / 2^s points, with trapezoid
 weights.  It takes the largest s whose aliasing bound moves I1 and I2
-by at most 2^-53 S and the ratio by at most 2^-53
-(:func:`plan_slices`).  The bound has three terms, each
-summed over the images that Poisson summation puts 2 pi / eta_s apart
-in log-strike:
+by at most 2^-53 S and the ratio by at most 2^-53 (:func:`plan_slices`).
+The bound has three terms, each summed over the images that Poisson
+summation puts 2 pi / eta_s apart in log-strike:
 
 * the in-the-money pole at zeta = -i, S e^{-2 pi (alpha - 1) / eta_s}
   per unit coefficient (strike- and model-free for I1; the Merton
@@ -66,13 +65,12 @@ anything is sampled).
 A Merton strike then sums only a prefix of its samples: the Gaussian
 envelope certifies how many rows of the direct sum's layout of N / 2^s
 points it takes before the dropped tail moves I1, I2 and the ratio by
-less than rounding (``merton_prefix_tail``).  The direct path gives each
-strike its own stride and rows; the grid path runs one FFT per slice at
-its finest stride, over its longest span, zero-padded to that stride's
-point count.  Both read strided views of the call's one sample, taken
-at the finest stride and over the longest span any slice reads.
-Variance gamma, whose polynomial envelope certifies no prefix, sums the
-whole span at its stride.
+less than rounding (``merton_prefix_tail``), one bound over every tau
+of the plan.  The direct path gives each strike its own stride and rows;
+the grid path runs one FFT per slice at its finest stride, over its
+longest span, zero-padded to that stride's point count.  Variance gamma,
+whose polynomial envelope certifies no prefix, sums the whole span at
+its stride.
 """
 
 from __future__ import annotations
@@ -219,10 +217,10 @@ class LevySample:
             # the row ends a = (rows c - 1) eta_s of each stride's layout
             ends = [(config.eta * (1 << s)) * (c * np.arange(1, r + 1) - 1)
                     for s, (c, r) in enumerate(layouts)]
-            prefix = tuple(map(np.log, ends)), tuple(a * a for a in ends)
-            for table in prefix[0] + prefix[1]:
+            tables = merton_prefix_tables(model, mmm, config.alpha)
+            self._prefix = tuple(map(np.log, ends)), tuple(a * a for a in ends), tables
+            for table in self._prefix[0] + self._prefix[1] + tables[-1:]:
                 table.flags.writeable = False
-            self._prefix = prefix + (merton_prefix_tables(model, mmm, config.alpha),)
         else:
             self.exp_moment = cgm_exp_moment(model.C, model.G, model.M)
             self.pair = vg_mmm_measure(model, mmm.h)
@@ -237,8 +235,9 @@ class LevySample:
         self._log_shift_range = min(log_shifts), max(log_shifts)
         etas = [config.eta * (1 << s) for s in range(1, top + 1)]
         # a hair inside +-pi/eta_s, so that the log of a shifted moneyness
-        # cannot round onto the edge
-        self._edges = tuple(math.pi / eta * (1.0 - 1e-12) for eta in etas)
+        # cannot round onto the edge; axes (stride, slice, strike)
+        self._edges = np.reshape([math.pi / eta * (1.0 - 1e-12) for eta in etas], (-1, 1, 1))
+        self._edges.flags.writeable = False
         self.floors = AliasFloors(log_itms, log_rights, psi[1:].real, beta, config.alpha, etas)
 
     def sample(self, shift: int, m: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -292,22 +291,26 @@ def slice_trunc(sample: LevySample, tau: float, strikes, spot: float) -> np.ndar
     return truncation_points(laws, config.eps, strikes, spot, config.alpha)
 
 
-def _prefix_rows(sample: LevySample, tau: float, moneyness: np.ndarray, shift: int) -> np.ndarray:
+def _prefix_rows(
+    sample: LevySample, taus: Sequence[float], moneyness: np.ndarray, shift: int
+) -> np.ndarray:
     """Rows of the layout of n / 2^shift points each moneyness x sums on
-    the slice tau: every row for variance gamma, whose envelope certifies
-    no prefix.  The Merton tail past a row end a = (rows * c - 1) eta
-    moves the ratio by x^{1-alpha} e^{G(a)}: below rounding once log x >=
-    (G(a) - log ROUNDING) / (alpha - 1), a bound that falls with the rows."""
+    the slice at each tau, one row per tau: every row for variance gamma,
+    whose envelope certifies no prefix.  The Merton tail past a row end
+    a = (rows * c - 1) eta moves the ratio by x^{1-alpha} e^{G(a)}: below
+    rounding once log x >= (G(a) - log ROUNDING) / (alpha - 1), a bound,
+    taken over (tau, row end) at once, that falls with the rows."""
     layout_rows = sample.layout_rows[shift]
     if sample._prefix is None:
-        return np.full(moneyness.shape, layout_rows)
+        return np.full((len(taus), moneyness.size), layout_rows)
     log_a, a2, tables = sample._prefix
     alpha = sample.config.alpha
-    tail = merton_prefix_tail(log_a[shift], a2[shift], tau, alpha, tau * sample.psi0.real, tables)
+    tau = np.array(taus, dtype=float)
+    tail = merton_prefix_tail(log_a[shift], a2[shift], tau, tau * sample.psi0.real, tables)
     with np.errstate(over="ignore"):
         row_moneyness = np.exp((tail - math.log(ROUNDING)) / (alpha - 1.0))
-    first = np.searchsorted(-row_moneyness, -moneyness)
-    return np.minimum(first + 1, layout_rows)
+    first = [np.searchsorted(row, -moneyness) for row in -row_moneyness]
+    return np.minimum(np.array(first) + 1, layout_rows)
 
 
 @dataclass(frozen=True)
@@ -335,62 +338,59 @@ def _results(columns: SliceColumns, config: FftConfig) -> list[LrmResult]:
 
 
 class _SlicePlan(NamedTuple):
-    """What one slice reads: per strike its truncation point, stride
-    exponent, rows and last configured-grid index; the finest stride
-    exponent, and the points of that stride the slice reads."""
+    """Per cell, one row per slice and one column per strike: the truncation
+    point, stride exponent, rows and last configured-grid index it reads."""
 
     trunc: np.ndarray
     shifts: np.ndarray
     rows: np.ndarray
     extents: np.ndarray
-    fine: int
-    points: int
 
 
 def plan_slices(
     sample: LevySample, taus: Sequence[float], strikes: np.ndarray, spot: float
-) -> list[_SlicePlan]:
-    """Plan and check the slice of ``sample`` at every tau, in order, for
-    one checked strike array at the spot; nothing is sampled.  Per strike a
-    plan holds the largest truncation point over the slice's bounds
-    (:func:`slice_trunc`), the stride exponent s (the largest up to
-    ``coarsest_shift`` that the aliasing floors at tau and the strike's
-    reach, taken once, admit) and the rows of the layout of n / 2^s points
-    it sums (:func:`_prefix_rows`).  Every slice's guards run first; then a
-    slice is checked before the next is planned, in ``curve``'s order: its
-    tail on its largest truncation point, then, after the first slice's,
-    the range rule (module docstring) on its stride-1 strikes."""
-    truncs = [slice_trunc(sample, tau, strikes, spot).max(axis=0) for tau in taus]
+) -> _SlicePlan:
+    """Plan and check the slices of ``sample`` at a non-empty list of tau
+    for one checked, non-empty strike array at the spot; nothing is
+    sampled.  Per (tau, strike) cell the table holds the largest truncation
+    point over the slice's bounds (:func:`slice_trunc`), the stride
+    exponent s (the largest up to ``coarsest_shift`` that the aliasing
+    floors at tau and the strike's reach admit) and the rows of the layout
+    of n / 2^s points it sums (:func:`_prefix_rows`).  Every slice's guards
+    run first; then, in ``curve``'s order, each slice's tail on its largest
+    truncation point, and right after the first slice's the range rule
+    (module docstring) on its stride-1 strikes."""
+    trunc = np.array([slice_trunc(sample, tau, strikes, spot).max(axis=0) for tau in taus])
     moneyness = strikes / spot
-    # the reach, the tau-free half of a stride choice: per stride s >= 1,
-    # whether every log(x f) a strike needs lies inside +-pi/eta_s
+    # stride 2^s, s >= 1, needs at every s' <= s log x >= the floor of s' at
+    # the cell's tau and every log(x f) the strike reaches inside +-pi/eta_s'
+    # (the edges fall with s', the floors taken up to s' rise); a floor can
+    # neither raise nor warn, so every slice's is read at once
     log_x = np.log(moneyness)
     lo, hi = sample._log_shift_range
     reach = np.maximum(-(log_x + lo), log_x + hi)
-    inside = [reach < edge for edge in sample._edges]
-    plans = []
-    for i, (tau, trunc) in enumerate(zip(taus, truncs)):
-        worst = int(np.argmax(trunc))
-        _check_tail(sample.config, float(trunc[worst]), float(strikes[worst]), tau)
-        shifts = np.zeros(moneyness.shape, dtype=int)
-        # stride 2^s, s >= 1, needs log x >= floors(tau)[s - 1]
-        for s, (floor, ok) in enumerate(zip(sample.floors(tau), inside), start=1):
-            shifts[(shifts == s - 1) & (log_x >= floor) & ok] = s
-        fine = int(shifts.min())
-        if i == 0 and fine == 0:
+    floors = np.maximum.accumulate(sample.floors(taus), axis=1).T[:, :, None]
+    shifts = ((log_x >= floors) & (reach < sample._edges)).sum(axis=0)
+    config = sample.config
+    for i, (tau, worst) in enumerate(zip(taus, trunc.argmax(axis=1).tolist())):
+        a, strike = float(trunc[i, worst]), float(strikes[worst])
+        if not tail_condition_check(config, a):
+            raise TailConditionError(
+                f"grid span N*eta = {config.grid_span:g} does not reach the required "
+                f"truncation point {a:g} at K = {strike:g}, tau = {tau:g}; {tail_hint(config, a)}"
+            )
+        if i == 0 and not shifts[0].all():
             # the range rule: every log(x f) of a stride-1 x inside +-pi/eta
-            zero = moneyness[shifts == 0]
+            zero = moneyness[shifts[0] == 0]
             reached = [zero * f for factors in sample.kinds.values() for f in factors]
-            checked_log_strikes(np.log(np.concatenate(reached)), sample.config.eta)
-        rows = np.empty(moneyness.shape, dtype=int)
-        for s in set(shifts.tolist()):
-            group = shifts == s
-            rows[group] = _prefix_rows(sample, tau, moneyness[group], s)
-        # the last configured-grid index each strike's rows reach
-        extents = (rows * sample.row_lengths[shifts] - 1) << shifts
-        points = (int(extents.max()) >> fine) + 1
-        plans.append(_SlicePlan(trunc, shifts, rows, extents, fine, points))
-    return plans
+            checked_log_strikes(np.log(np.concatenate(reached)), config.eta)
+    rows = np.empty(shifts.shape, dtype=int)
+    # every stride some cell takes
+    for s in np.flatnonzero(np.bincount(shifts.ravel())).tolist():
+        np.copyto(rows, _prefix_rows(sample, taus, moneyness, s), where=shifts == s)
+    # the last configured-grid index each cell's rows reach
+    extents = (rows * sample.row_lengths[shifts] - 1) << shifts
+    return _SlicePlan(trunc, shifts, rows, extents)
 
 
 def evaluate_slices(
@@ -400,10 +400,10 @@ def evaluate_slices(
     """Hedge ratios, I1 and I2 of the same strikes at one spot on the slice
     of ``sample`` at every tau, as columns, from every kernel kind of
     ``LevySample.kinds``, each at log(K/S); the spot enters here alone.
-    ``strikes`` must not be empty.  Unless ``mode`` (``MODE_DIRECT_SUM`` or
-    ``MODE_FFT_GRID``; anything else is refused) names the path, up to
-    ``_DIRECT_SUM_MAX_STRIKES`` strikes take exact direct sums and more
-    the interpolated FFT grids.  Four phases:
+    Neither ``taus`` nor ``strikes`` may be empty.  Unless ``mode``
+    (``MODE_DIRECT_SUM`` or ``MODE_FFT_GRID``; anything else is refused)
+    names the path, up to ``_DIRECT_SUM_MAX_STRIKES`` strikes take exact
+    direct sums and more the interpolated FFT grids.  Four phases:
 
     1. :func:`plan_slices` plans and checks every slice, so every error is
        raised before anything is sampled;
@@ -419,16 +419,20 @@ def evaluate_slices(
     _require_positive("spot", spot)
     strikes = _strike_array(strikes)
     _require(strikes.size > 0, "need at least one strike")
+    _require(len(taus) > 0, "need at least one time slice")
     if mode is None:
         mode = MODE_DIRECT_SUM if strikes.size <= _DIRECT_SUM_MAX_STRIKES else MODE_FFT_GRID
     _require(mode in (MODE_DIRECT_SUM, MODE_FFT_GRID), f"unknown mode {mode!r}")
-    plans = plan_slices(sample, taus, strikes, spot)
+    plan = plan_slices(sample, taus, strikes, spot)
+    # per slice: finest stride exponent, last grid index and points read
+    fine, last = plan.shifts.min(axis=1).tolist(), plan.extents.max(axis=1).tolist()
+    points = [(e >> s) + 1 for e, s in zip(last, fine)]
 
     kinds = list(sample.kinds)
     # one sample, at the finest stride and over the longest span any slice
     # reads; a slice reads every 2^(s - top)-th of its points
-    top = min(p.fine for p in plans)
-    held_psi, held = sample.sample(top, (max(int(p.extents.max()) for p in plans) >> top) + 1)
+    top = min(fine)
+    held_psi, held = sample.sample(top, (max(last) >> top) + 1)
 
     def strided(shift: int, m: int) -> tuple[np.ndarray, list[np.ndarray]]:
         step = 1 << (shift - top)
@@ -439,74 +443,73 @@ def evaluate_slices(
     values = np.empty((len(kinds), len(taus), strikes.size))
     moneyness = strikes / spot
     if mode == MODE_FFT_GRID:
-        _grid_blocks(sample.config, taus, plans, np.log(moneyness), values, strided)
-        strides = np.array([np.full(strikes.size, 1 << p.fine) for p in plans])
+        _grid_blocks(sample.config, taus, fine, points, np.log(moneyness), values, strided)
+        strides = np.repeat([[1 << s] for s in fine], strikes.size, axis=1)
     else:
-        _direct_sums(sample.config, taus, plans, moneyness, values, strided)
-        strides = np.array([1 << p.shifts for p in plans])
+        _direct_sums(sample.config, taus, plan, fine, points, moneyness, values, strided)
+        strides = 1 << plan.shifts
 
     # I1 = K X_indicator(log x), I2 = K X_jump(log x)
     column = dict(zip(kinds, strikes * values))
     i1, i2 = column.get("indicator"), column["jump"]
     numerator = sample.sigma2 * i1 + i2 if i1 is not None else i2
     lrm_values = numerator / (spot * (sample.sigma2 + sample.mmm.quad_exp_moment))
-    trunc = np.array([p.trunc for p in plans])
-    return SliceColumns(lrm_values, i1, i2, trunc, strides, mode)
+    return SliceColumns(lrm_values, i1, i2, plan.trunc, strides, mode)
 
 
 def _direct_sums(
-    config: FftConfig, taus: Sequence[float], plans: list[_SlicePlan], moneyness: np.ndarray,
-    values: np.ndarray, strided,
+    config: FftConfig, taus: Sequence[float], plan: _SlicePlan, fine: list[int],
+    points: list[int], moneyness: np.ndarray, values: np.ndarray, strided,
 ) -> None:
     """Direct-sum values of every slice at the ``moneyness``, into
     ``values[:, i]`` for slice i, one row per kernel kind: one
     ``direct_simpson_sum`` of every kind per slice and stride, each strike
-    exact over its own rows.  ``strided`` as for :func:`_grid_blocks`."""
-    for i, (tau, plan) in enumerate(zip(taus, plans)):
-        psi, factors = strided(plan.fine, plan.points)
+    exact over its own rows; ``fine``, ``points``, ``strided`` as in :func:`_grid_blocks`."""
+    for i, (tau, top, m) in enumerate(zip(taus, fine, points)):
+        psi, factors = strided(top, m)
         phi = levy_char_fn(psi, tau)
-        samples = np.empty((len(factors), plan.points), dtype=complex)
+        samples = np.empty((len(factors), m), dtype=complex)
         for row, factor in zip(samples, factors):
             np.multiply(phi, factor, out=row)
-        for s in set(plan.shifts.tolist()):
-            group = plan.shifts == s
+        shifts, rows, extents = plan.shifts[i], plan.rows[i], plan.extents[i]
+        for s in set(shifts.tolist()):
+            group = shifts == s
             # math.log, not np.log: the two can differ in the last bit, and
             # direct-sum values (single quotes, impact tables) stay bit-stable
             log_x = [math.log(x) for x in moneyness[group].tolist()]
-            step = 1 << (s - plan.fine)
-            view = samples[:, : (int(plan.extents[group].max()) >> s) * step + 1 : step]
+            step = 1 << (s - top)
+            view = samples[:, : (int(extents[group].max()) >> s) * step + 1 : step]
             values[:, i, group] = direct_simpson_sum(
-                view, config.alpha, config.eta * (1 << s), log_x, config.n >> s, plan.rows[group]
+                view, config.alpha, config.eta * (1 << s), log_x, config.n >> s, rows[group]
             )
 
 
 def _grid_blocks(
-    config: FftConfig, taus: Sequence[float], plans: list[_SlicePlan], log_x: np.ndarray,
-    values: np.ndarray, strided,
+    config: FftConfig, taus: Sequence[float], fine: list[int], points: list[int],
+    log_x: np.ndarray, values: np.ndarray, strided,
 ) -> None:
     """Grid-path values of every slice at the log-moneyness ``log_x``, into
     ``values[:, i]`` for slice i, one row per kernel kind: the slices of
-    one finest stride in blocks of up to ``_BLOCK_POINTS`` FFT points per
-    kind, one ``carr_madan_grid`` call and one interpolation per block,
+    one finest stride exponent (``fine``, per slice, with the ``points`` of
+    that stride it reads) in blocks of up to ``_BLOCK_POINTS`` FFT points
+    per kind, one ``carr_madan_grid`` call and one interpolation per block,
     rows kind-major.  ``strided(shift, m)`` gives psi and the kernel
     factors at the first m points of stride 2^shift."""
-    by_stride: dict[int, list[int]] = {}
-    for i, plan in enumerate(plans):
-        by_stride.setdefault(plan.fine, []).append(i)
-    for fine, members in by_stride.items():
-        n = config.n >> fine
+    for shift in dict.fromkeys(fine):
+        members = [i for i, s in enumerate(fine) if s == shift]
+        n = config.n >> shift
         size = max(1, _BLOCK_POINTS // n)
         for start in range(0, len(members), size):
             block = members[start : start + size]
-            counts = [plans[i].points for i in block]
-            psi, factors = strided(fine, max(counts))
+            counts = [points[i] for i in block]
+            psi, factors = strided(shift, max(counts))
             # a row past its slice's points stays 0
             samples = np.zeros((len(factors), len(block), max(counts)), dtype=complex)
             for i, rows, m in zip(block, samples.transpose(1, 0, 2), counts):
                 phi = levy_char_fn(psi[:m], taus[i])
                 for row, factor in zip(rows, factors):
                     np.multiply(phi, factor[:m], out=row[:m])
-            eta = config.eta * (1 << fine)
+            eta = config.eta * (1 << shift)
             grid = carr_madan_grid(samples.reshape(-1, max(counts)), config.alpha, eta, n)
             values[:, block] = grid.at(log_x).reshape(len(factors), len(block), -1)
 
@@ -519,16 +522,6 @@ def _strike_array(strikes: Sequence[float]) -> np.ndarray:
     if bad.any():
         _require_positive("strike", float(strikes[bad][0]))
     return strikes
-
-
-def _check_tail(config: FftConfig, trunc_a: float, strike: float, tau: float) -> None:
-    if tail_condition_check(config, trunc_a):
-        return
-    raise TailConditionError(
-        f"grid span N*eta = {config.grid_span:g} does not reach the required "
-        f"truncation point {trunc_a:g} at K = {strike:g}, tau = {tau:g}; "
-        f"{tail_hint(config, trunc_a)}"
-    )
 
 
 def tail_hint(config: FftConfig, trunc_a: float) -> str:

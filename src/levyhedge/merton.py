@@ -107,12 +107,11 @@ def merton_trunc_laws(
     return (log_i1, 4.0), (log_i2, 5.0)
 
 
-def merton_prefix_tail(
-    log_a: np.ndarray, a2: np.ndarray, tau: float, alpha: float, log_c1: float, tables: tuple,
-) -> np.ndarray:
+def merton_prefix_tail(log_a: np.ndarray, a2: np.ndarray, tau, log_c1, tables: tuple) -> np.ndarray:
     """Strike- and spot-free log factor G(a) of the tail a prefix of samples
     drops, at the frequencies a given as log a and a^2, with ``tables`` =
-    :func:`merton_prefix_tables`.
+    :func:`merton_prefix_tables`; tau and log C1 are scalars, or arrays of
+    one entry per slice that give one row per slice.
 
     Summing only the samples j < m of a slice's damped sums, a = (m-1) eta,
     moves I1 and I2 each by at most S x^{1-alpha} e^{G(a)} and the hedge
@@ -135,35 +134,33 @@ def merton_prefix_tail(
     bounds cover it unchanged.  Works in logs, so a large C1 cannot
     overflow.
     """
-    sigma2, log_sigma2, log_denom, terms = tables
-    b = 0.5 * sigma2 * tau
-    # C1 / pi
-    lead = -math.log(math.pi) + log_c1
-    i1 = lead - b * a2 - math.log(2.0 * b) - 2.0 * log_a
-    i2 = np.full(a2.shape, -np.inf)
-    for log_coef, rate in terms:
-        b_t = b + rate
-        i2 = np.logaddexp(i2, lead + log_coef - b_t * a2 - math.log(2.0 * b_t) - 3.0 * log_a)
+    sigma2, log_sigma2, log_denom, (log_coef, rate, power) = tables
+    # axes (slice, bound, row end): b plus the kernel's rate, and C1 / pi
+    # times the coefficient
+    b = (0.5 * sigma2 * np.asarray(tau))[..., None, None] + rate
+    lead = (-math.log(math.pi) + np.asarray(log_c1))[..., None, None] + log_coef
+    logs = lead - b * a2 - np.log(2.0 * b) - power * log_a
+    i1, i2 = logs[..., 0, :], np.logaddexp.reduce(logs[..., 1:, :], axis=-2)
     ratio = np.logaddexp(log_sigma2 + i1, i2) - log_denom
     return np.maximum(np.maximum(i1, i2), ratio)
 
 
 def merton_prefix_tables(params: MertonParams, mmm: MmmQuantities, alpha: float) -> tuple:
     """The tau-free constants of :func:`merton_prefix_tail`: sigma^2, log
-    sigma^2, log(sigma^2 + quad moment), and per term of
-    :func:`merton_i2_terms` with a nonzero coefficient c and strike factor
-    s: log |c| s^{1-alpha} (plus delta^2 alpha^2 / 2 for the damped kernel), and the
-    rate its kernel adds to the Gaussian's b (delta^2 / 2 damped, 0 plain)."""
+    sigma^2, log(sigma^2 + quad moment), and the rows (log coefficient,
+    rate r its kernel adds to the Gaussian's b, power of 1/a) over the
+    bounds, I1 (0, 0, 2) and then each term of :func:`merton_i2_terms`
+    with a nonzero coefficient c and strike factor s: log |c| s^{1-alpha}
+    + r alpha^2, r = delta^2 / 2 damped or 0 plain, and 3."""
     sigma2, d2 = params.sigma**2, params.delta**2
-    terms = []
+    bounds = [(0.0, 0.0, 2.0)]
     for term in merton_i2_terms(params):
         if term.coefficient != 0.0:
             log_coef = math.log(abs(term.coefficient)) + (1.0 - alpha) * math.log(term.strike)
-            if term.kernel == KERNEL_DAMPED:
-                terms.append((log_coef + 0.5 * d2 * alpha * alpha, 0.5 * d2))
-            else:
-                terms.append((log_coef, 0.0))
-    return sigma2, math.log(sigma2), math.log(sigma2 + mmm.quad_exp_moment), tuple(terms)
+            rate = 0.5 * d2 if term.kernel == KERNEL_DAMPED else 0.0
+            bounds.append((log_coef + rate * alpha * alpha, rate, 3.0))
+    columns = np.array(bounds).T[..., None]
+    return sigma2, math.log(sigma2), math.log(sigma2 + mmm.quad_exp_moment), columns
 
 
 def merton_alias_tables(

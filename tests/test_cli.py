@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import math
 import re
@@ -438,6 +439,32 @@ def test_curve_samples_once(tmp_path, capsys, monkeypatch):
     assert len(_rows(capsys.readouterr().out)) == 50
     [(shift, m)] = taken
     assert 1 < m << shift < 2**14
+
+
+def test_validate_reads_the_plan(tmp_path, capsys, monkeypatch):
+    # a passing 20-slice validate reads its worst cell off curve's plan:
+    # one slice_trunc call per slice, and like the curve evaluation one
+    # prefix bound per stride the plan takes, over every slice at once
+    text = MERTON_CFG + T20 + "query.strike_grid = 1:8:0.25\n"
+    run = build_run_config(parse_key_values(text, "inline"))
+    cli_module, lrm_module = map(importlib.import_module, ("levyhedge.cli", "levyhedge.lrm"))
+    sample, taus = cli_module._slices(run)
+    plan = lrm_module.plan_slices(sample, taus, lrm_module._strike_array(run.strikes), run.spot)
+    strides = len(set(plan.shifts.ravel().tolist()))
+    calls = []
+    for module, name in (
+        (lrm_module, "slice_trunc"), (cli_module, "slice_trunc"), (lrm_module, "merton_prefix_tail")
+    ):
+        real = getattr(module, name)
+        counted = lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args)
+        monkeypatch.setattr(module, name, counted)
+    cfg = _write(tmp_path, "m.cfg", text)
+    for command in ("validate", "curve"):
+        assert main([command, "--config", cfg]) == EXIT_OK
+        capsys.readouterr()
+        assert calls.count("slice_trunc") == 20
+        assert calls.count("merton_prefix_tail") == strides >= 2
+        calls.clear()
 
 
 @pytest.mark.parametrize(

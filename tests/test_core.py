@@ -20,7 +20,7 @@ from levyhedge import (
 from levyhedge.cli import EXIT_USAGE, EXIT_VALIDATION, main
 from levyhedge.oracle import levy_moment, merton_mmm_measure
 
-from conftest import NIKKEI_CGM
+from conftest import NIKKEI_CGM, sample_vg
 
 
 def test_merton_bench_drift(merton_bench):
@@ -265,3 +265,47 @@ def test_hedge_denominator_rounding_to_zero(fft_bench, capsys):
     for command in ("validate", "curve"):
         assert main([command, *argv]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "kind, keys, radicand",
+    [
+        ("vg-cgm", dict(C=1e-153, G=20.0, M=22.0), "9.11157e-309"),
+        ("vg-cgm", dict(C=1e-160, G=20.0, M=22.0), "8.89318e-323"),
+        ("vg-cgm", dict(C=1e-200, G=20.0, M=22.0), "0"),
+        ("vg-cgm", dict(C=1e-300, G=20.0, M=22.0), "0"),
+        ("vg", dict(kappa=0.15, m=1e200, delta=0.45), "inf"),
+    ],
+    ids=["C-1e-153", "C-1e-160", "C-1e-200", "C-1e-300", "m-1e200"],
+)
+def test_vg_root_must_be_a_normal_double(capsys, kind, keys, radicand):
+    # G and M take sqrt(m^2 + 2 delta^2 / kappa): below the normal range
+    # it has lost digits (C = 1e-160 gave G = 19.7468 for G = 20, C = 1e-200
+    # gave M = 1), and past it G = M = inf, so the model is refused when it
+    # is built, and validate and curve exit 2 with one error line
+    build = VgParams.from_cgm if kind == "vg-cgm" else VgParams
+    message = rf"^m\^2 \+ 2 delta\^2 / kappa = {radicand} at kappa = .*, m = .*, delta = .* "
+    message += "is not a normal double, so G and M would lose precision$"
+    with pytest.raises(InvalidParameterError, match=message):
+        build(**keys)
+    argv = [f"--set=model.kind={kind}"] + [f"--set=model.{k}={v!r}" for k, v in keys.items()]
+    for command in ("validate", "curve"):
+        assert main([command, *argv, "--set=query.t=0.5", "--set=query.strike=1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch("error: " + message[1:-1] + "\n", captured.err)
+
+
+def test_vg_root_keeps_normal_models():
+    # the last C whose root is a normal double still gives G and M to
+    # rounding, and every model the samplers and the benchmarks draw passes
+    for c in (1e-150, 1e-152):
+        model = VgParams.from_cgm(c, 20.0, 22.0)
+        assert model.G == pytest.approx(20.0, rel=1e-15)
+        assert model.M == pytest.approx(22.0, rel=1e-15)
+    assert VgParams.from_cgm(1e-150, 20.0, 22.0).G == 20.0
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        sample_vg(rng)
+    VgParams.from_cgm(*NIKKEI_CGM)
+    VgParams(kappa=1e-20, m=-0.04, delta=0.2)

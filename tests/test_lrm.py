@@ -567,10 +567,10 @@ def test_prefix_tail_bound_holds(merton_bench, random_merton_models, fft_bench):
             strikes = np.array([0.5, 1.0, 2.0]) * spot
             c = sample.row_lengths[0]
             log_c1 = tau * sample.psi0.real
-            for strike, rows in zip(strikes, _prefix_rows(sample, tau, strikes, 0)):
+            for strike, rows in zip(strikes, _prefix_rows(sample, [tau], strikes, 0)[0]):
                 m = int(rows) * c
                 a = np.array([(m - 1) * cfg.eta])
-                tail = merton_prefix_tail(np.log(a), a * a, tau, cfg.alpha, log_c1, tables)[0]
+                tail = merton_prefix_tail(np.log(a), a * a, tau, log_c1, tables)[0]
                 allowed = spot * strike ** (1.0 - cfg.alpha) * math.exp(tail)
                 if m < cfg.n:
                     assert allowed <= ROUNDING * spot
@@ -680,9 +680,9 @@ def test_vg_slice_uses_all_samples(nikkei, fft_bench):
     # stride the sample and every strike's sums span all of N eta
     sample, taken = _spied_sample(nikkei, fft_bench)
     strikes = np.array([12000.0, 14000.0, 16000.0])
-    rows = _prefix_rows(sample, 0.5, strikes / NIKKEI_SPOT, 0)
+    rows = _prefix_rows(sample, [0.5], strikes / NIKKEI_SPOT, 0)
     assert np.all(rows * sample.row_lengths[0] == fft_bench.n)
-    plan = plan_slices(sample, [0.5], strikes, NIKKEI_SPOT)[0]
+    plan = plan_slices(sample, [0.5], strikes, NIKKEI_SPOT)
     shifts = plan.shifts
     assert np.all(plan.extents == fft_bench.n - (1 << shifts))
     # and the evaluation samples the whole span at the finest stride
@@ -700,8 +700,8 @@ def test_checks_come_before_sampling(merton_bench, fft_bench):
     with pytest.raises(TailConditionError, match=r"tau = 0\.0001;"):
         evaluate_slices(sample, [0.5, 0.25, 1e-4], strikes, 1.0)
     assert taken == []
-    plans = plan_slices(sample, [0.5, 0.25], strikes, 1.0)
-    assert len(plans) == 2 and taken == []
+    plan = plan_slices(sample, [0.5, 0.25], strikes, 1.0)
+    assert all(table.shape == (2, strikes.size) for table in plan) and taken == []
     # every slice's guards run before any slice's tail check: tau = 1e-4
     # alone fails its tail check, but after it tau = 300 raises its exp()
     # guard first, and still nothing is sampled
@@ -749,7 +749,7 @@ def test_alias_bound_holds(merton_bench, random_merton_models, fft_bench):
             beta, profile = _alias_profile(tables, sample.floors.rate, tau)
             phi = levy_char_fn(psi, tau)
             strikes = np.array([1e-3, 0.5, 1.0, 2.0]) * spot
-            for strike, rows in zip(strikes, _prefix_rows(sample, tau, strikes, 0)):
+            for strike, rows in zip(strikes, _prefix_rows(sample, [tau], strikes, 0)[0]):
                 m = int(rows) * sample.row_lengths[0]
                 for s in range(1, coarsest_shift(cfg) + 1):
                     eta = cfg.eta * (1 << s)
@@ -876,14 +876,13 @@ def test_alias_floors_degenerate_tables(merton_bench, nikkei, fft_bench):
     bs = MertonParams(mu=-0.02, sigma=0.2, gamma=0.0, m=0.0, delta=1.0)
     sample = levy_sample(bs, fft_bench)
     assert np.isnan(sample.floors.rate).any()
-    for tau in (0.05, 0.5, 1.0):
-        floors = sample.floors(tau)
-        assert len(floors) == coarsest_shift(fft_bench)
-        assert not np.isnan(floors).any()
+    floors = sample.floors([0.05, 0.5, 1.0])
+    assert floors.shape == (3, coarsest_shift(fft_bench))
+    assert not np.isnan(floors).any()
     # a grid with no stride past its own has no floors
     coarse = FftConfig(n=2**12, eta=0.1)
     assert coarsest_shift(coarse) == 0
-    assert levy_sample(merton_bench, coarse).floors(0.5) == []
+    assert levy_sample(merton_bench, coarse).floors([0.5]).shape == (1, 0)
     # variance gamma's moment point -i(1+beta) needs 1 + beta < M - 1: at
     # beta = M - 2 the base M - 1 - i zeta leaves the right half-plane
     beta = levy_sample(nikkei, fft_bench).floors.beta
@@ -1006,6 +1005,51 @@ def test_evaluate_slices_rejects_unknown_mode(merton_bench, fft_bench):
             evaluate_slices(sample, [0.5], [0.9, 1.0, 1.1, 1.2, 1.3], 1.0, mode=mode)
 
 
+def test_evaluate_slices_rejects_empty_tau_list(merton_bench, fft_bench):
+    # no slice, no cell: refused next to the empty strike array
+    sample = levy_sample(merton_bench, fft_bench)
+    with pytest.raises(InvalidParameterError, match="^need at least one time slice$"):
+        evaluate_slices(sample, [], [1.0], 1.0)
+    with pytest.raises(InvalidParameterError, match="^need at least one strike$"):
+        evaluate_slices(sample, [], [], 1.0)
+
+
+# the benchmark's random Merton pool model (tests/test_cli.py) whose curve
+# slices take strides 1, 2 and 4
+POOL_M07 = dict(mu=-4.458045754926255, sigma=0.27144499968954855, gamma=1.7423072206462715,
+                m=0.36116203539425684, delta=0.6870599913102832)
+
+
+def test_plan_table_stacks_one_tau_plans(
+    merton_bench, vg_bench, nikkei, random_merton_models, fft_bench
+):
+    # the plan of n tau, given out of order, is the stack of the n one-tau
+    # plans bit for bit, at 1, 5, 29 and 1000 strikes: strides 0 to 2 and
+    # Merton prefix rows, heavy-tailed Merton draws, and variance gamma,
+    # whose rows span every layout
+    merton_taus, vg_taus = [0.5, 0.05, 0.95, 0.25, 1.0], [0.9, 0.4, 1.0, 0.6, 0.45]
+    cases = [(merton_bench, 1.0, merton_taus), (MertonParams(**POOL_M07), 1.0, merton_taus)]
+    cases += [(model, 1.0, merton_taus) for model in random_merton_models[:5]]
+    cases += [(vg_bench, 1.0, vg_taus), (nikkei, NIKKEI_SPOT, vg_taus)]
+    moneyness = [[1.13], [0.8, 1.0, 1.25, 20.0, math.exp(63.0)], np.linspace(0.6, 1.4, 29),
+                 np.geomspace(0.7, 30.0, 1000)]
+    for model, spot, taus in cases:
+        sample = levy_sample(model, fft_bench)
+        full_rows = np.array(sample.layout_rows)
+        for x in moneyness:
+            strikes = spot * np.asarray(x, dtype=float)
+            table = plan_slices(sample, taus, strikes, spot)
+            alone = [plan_slices(sample, [tau], strikes, spot) for tau in taus]
+            for name, got in zip(table._fields, table):
+                want = np.concatenate([getattr(plan, name) for plan in alone])
+                assert got.shape == (len(taus), strikes.size) and got.dtype == want.dtype
+                assert np.array_equal(got, want), name
+            prefix = table.rows < full_rows[table.shifts]
+            assert prefix.all() if isinstance(model, MertonParams) else not prefix.any()
+            if model is merton_bench and len(x) == 5:
+                assert set(table.shifts.ravel().tolist()) == {0, 1, 2}
+
+
 def _cached_outputs(capsys, model, spot: float, config: FftConfig) -> list:
     """A quote, a 29-strike sweep and a 4 x 29 ``levyhedge curve`` CSV on
     one (model, config), as reprs, so that equal outputs have equal bits."""
@@ -1082,7 +1126,7 @@ def _arrays(value) -> list:
 
 
 def test_model_tables_are_read_only(merton_bench, nikkei, fft_bench):
-    for model, count in ((merton_bench, 4 + 2 * (coarsest_shift(fft_bench) + 1)), (nikkei, 4)):
+    for model, count in ((merton_bench, 6 + 2 * (coarsest_shift(fft_bench) + 1)), (nikkei, 5)):
         sample = levy_sample(model, fft_bench)
         arrays = _arrays(list(vars(sample).values()))
         assert len(arrays) == count
