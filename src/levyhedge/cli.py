@@ -18,7 +18,6 @@ CSV.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 import time
@@ -370,16 +369,15 @@ def cmd_impact(cfg: RunConfig, jump_sizes: Sequence[float]) -> int:
     before, *afters = impact_quotes([base_m] + jumped, query.tau, cfg.model, cfg.fft)
     elapsed = time.perf_counter() - started
 
+    # no field holds a comma, a quote or a line break (_curve_csv)
+    lines = ["y,moneyness_before,moneyness_after,lrm_before,lrm_after,impact\n"]
+    lines += [
+        ",".join(map(_fmt, (y, base_m, moneyness, before, after, after - before))) + "\n"
+        for y, moneyness, after in zip(jump_sizes, jumped, afters)
+    ]
     handle, owned = _open_output(cfg)
     try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ("y", "moneyness_before", "moneyness_after", "lrm_before", "lrm_after", "impact")
-        )
-        for y, moneyness, after in zip(jump_sizes, jumped, afters):
-            writer.writerow(
-                [_fmt(x) for x in (y, base_m, moneyness, before, after, after - before)]
-            )
+        handle.write("".join(lines))
     finally:
         if owned:
             handle.close()

@@ -141,7 +141,8 @@ def levy_char_fn(psi, tau: float):
     """phi_tau = exp(tau * Psi) from the Levy exponent Psi (scalar or
     array), refusing any exponent whose real part would overflow exp()."""
     exponent = tau * np.asarray(psi, dtype=complex)
-    guard_exponent(tau, float(np.max(exponent.real)) if exponent.size else 0.0)
+    # the ndarray method skips np.max's dispatch, a few us per slice
+    guard_exponent(tau, float(exponent.real.max()) if exponent.size else 0.0)
     out = np.exp(exponent)
     return out if np.ndim(psi) else complex(out)
 
@@ -295,7 +296,6 @@ class ValidationReport:
     CLI) can show every violated condition at once.
     """
 
-    kind: str
     conditions: tuple[ConditionCheck, ...]
 
     @property
@@ -382,7 +382,7 @@ def validate_assumptions(model: Model) -> ValidationReport:
         if headroom < 0.0:
             detail = "exp(2m + 2 delta^2) and exp(m + 3 delta^2/2) must fit in a double"
             moments = ConditionCheck("exponential moments finite", False, headroom, detail)
-            return ValidationReport("merton", (moments,))
+            return ValidationReport((moments,))
         mu_s = martingale_drift(model)
         quad = quadratic_exp_moment(model)
         lower = mu_s + model.sigma**2 + quad
@@ -406,7 +406,7 @@ def validate_assumptions(model: Model) -> ValidationReport:
                 f"mu_S + sigma^2 + int (e^x-1)^2 nu = {lower:.6g} must be > 0",
             ),
         )
-        return ValidationReport("merton", conditions)
+        return ValidationReport(conditions)
     if isinstance(model, VgParams):
         d = model.g_minus_m
         conditions = (
@@ -429,7 +429,7 @@ def validate_assumptions(model: Model) -> ValidationReport:
                 f"G - M = {d:.6g} must be > -3",
             ),
         )
-        return ValidationReport("vg", conditions)
+        return ValidationReport(conditions)
     raise ModelMismatchError(f"unsupported model type {type(model).__name__}")
 
 

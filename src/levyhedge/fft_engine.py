@@ -77,8 +77,12 @@ class FftConfig:
     eps: float = 1e-2
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n, (int, np.integer)):
+            raise FftSizeError(f"n = {self.n!r} is not an integer")
         if self.n < 2 or (self.n & (self.n - 1)) != 0:
             raise FftSizeError(f"n = {self.n} is not a power of two >= 2")
+        # held as an int: the row layouts take int.bit_length
+        object.__setattr__(self, "n", int(self.n))
         _require_positive("eta", self.eta)
         _require(1.0 < self.alpha <= 2.0, "alpha must lie in (1, 2]")
         _require_positive("eps", self.eps)
@@ -179,7 +183,6 @@ class CarrMadanGrid:
 
     k: np.ndarray
     values: np.ndarray
-    alpha: float
     eta: float
 
     def at(self, k) -> np.ndarray:
@@ -239,7 +242,7 @@ def carr_madan_grid(
         raise InvalidParameterError("psi samples must be finite")
     signed_weights, k, damping = _grid_tables(n, eta, alpha)
     f_raw = np.fft.fft(psi * signed_weights[: psi.shape[-1]], n, axis=-1)
-    return CarrMadanGrid(k=k, values=damping * f_raw.real, alpha=alpha, eta=eta)
+    return CarrMadanGrid(k=k, values=damping * f_raw.real, eta=eta)
 
 
 @functools.lru_cache(maxsize=8)

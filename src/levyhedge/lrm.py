@@ -28,11 +28,11 @@ exponential plus one multiply per kernel kind, over the points its
 strikes read.  ``LevySample.kinds`` gives each kind the factors f of
 the log(x f) its sum stands for: Merton ``indicator`` (1,) and ``jump``
 those of the three shifted-strike terms of ``merton_i2_terms``,
-variance gamma ``jump`` (1,).  The path follows the strike count: up to
-four strikes take exact direct sums of every kind at once (O(sqrt N)
-exponentials plus O(N) multiply-adds per strike), more share one FFT
-grid per kernel kind and slice, and grid slices of one stride share
-each ``np.fft.fft`` call and interpolation in blocks.
+variance gamma ``jump`` (1,).  Both paths form those products in blocks
+of the slices of one finest stride.  By strike count, up to four take
+exact direct sums of every kind at once (O(sqrt N) exponentials plus
+O(N) multiply-adds per strike), more one ``np.fft.fft`` call and
+interpolation per block, one FFT grid per kernel kind and slice.
 ``LrmResult.mode`` reports which path ran.
 
 Each strike sums every 2^s-th sample of the configured grid: the same
@@ -286,7 +286,7 @@ def slice_trunc(sample: LevySample, tau: float, strikes, spot: float) -> np.ndar
     if isinstance(model, MertonParams):
         laws = merton_trunc_laws(model, tau * sample.psi0.real, tau, config.alpha)
     else:
-        log_c2 = vg_log_c2(model, sample.pair, sample.mmm.mu_star, tau, config.alpha)
+        log_c2 = vg_log_c2(sample.pair, sample.mmm.mu_star, tau, config.alpha)
         laws = (vg_trunc_law(model, log_c2, tau, config.alpha),)
     return truncation_points(laws, config.eps, strikes, spot, config.alpha)
 
@@ -408,12 +408,14 @@ def evaluate_slices(
     1. :func:`plan_slices` plans and checks every slice, so every error is
        raised before anything is sampled;
     2. one sample, at the finest stride and over the longest span any
-       slice reads; both paths read strided views of it;
-    3. the sums: :func:`_direct_sums`, each strike over its own stride and
-       rows, or :func:`_grid_blocks`, one FFT grid per kernel kind and
-       slice at its finest stride and over its longest span, in blocks of
-       up to ``_BLOCK_POINTS`` FFT points, each cell with the bits of its
-       slice alone;
+       slice reads;
+    3. one loop over the slices of each finest stride, in blocks of up to
+       ``_BLOCK_POINTS`` FFT points per kind: per block, one strided view
+       of the sample and a row of phi_tau times each kernel factor per
+       (kind, slice), zero past the slice's own points; then one
+       ``carr_madan_grid`` and one interpolation per block, or per slice
+       and stride one ``direct_simpson_sum``, each strike exact over its
+       own stride and rows, so each cell has the bits of its slice alone;
     4. the assembly of I1, I2 and the ratio.
     """
     _require_positive("spot", spot)
@@ -428,26 +430,54 @@ def evaluate_slices(
     fine, last = plan.shifts.min(axis=1).tolist(), plan.extents.max(axis=1).tolist()
     points = [(e >> s) + 1 for e, s in zip(last, fine)]
 
-    kinds = list(sample.kinds)
+    kinds, config = list(sample.kinds), sample.config
     # one sample, at the finest stride and over the longest span any slice
     # reads; a slice reads every 2^(s - top)-th of its points
     top = min(fine)
     held_psi, held = sample.sample(top, (max(last) >> top) + 1)
-
-    def strided(shift: int, m: int) -> tuple[np.ndarray, list[np.ndarray]]:
-        step = 1 << (shift - top)
-        view = slice(0, (m - 1) * step + 1, step)
-        return held_psi[view], [held[kind][view] for kind in kinds]
-
+    if mode == MODE_FFT_GRID:
+        log_x = np.log(strikes / spot)
+    else:
+        # math.log, not np.log: the two can differ in the last bit, and
+        # direct-sum values (single quotes, impact tables) stay bit-stable
+        log_x = np.array([math.log(x) for x in (strikes / spot).tolist()])
     # one row per kind, slice and strike
     values = np.empty((len(kinds), len(taus), strikes.size))
-    moneyness = strikes / spot
+    for shift in dict.fromkeys(fine):
+        members = [i for i, s in enumerate(fine) if s == shift]
+        size = max(1, _BLOCK_POINTS // (config.n >> shift))
+        step = 1 << (shift - top)
+        for start in range(0, len(members), size):
+            block = members[start : start + size]
+            width = max(points[i] for i in block)
+            view = slice(0, (width - 1) * step + 1, step)
+            psi, factors = held_psi[view], [held[kind][view] for kind in kinds]
+            # (kind, slice, point) rows; a row past its slice's points stays 0
+            samples = np.zeros((len(kinds), len(block), width), dtype=complex)
+            by_slice = samples.transpose(1, 0, 2)
+            for i, rows in zip(block, by_slice):
+                phi = levy_char_fn(psi[: points[i]], taus[i])
+                for row, factor in zip(rows, factors):
+                    np.multiply(phi, factor[: phi.size], out=row[: phi.size])
+            if mode == MODE_FFT_GRID:
+                grid = carr_madan_grid(samples.reshape(-1, width), config.alpha,
+                                       config.eta * (1 << shift), config.n >> shift)
+                values[:, block] = grid.at(log_x).reshape(samples.shape[:2] + (-1,))
+                continue
+            for i, rows in zip(block, by_slice):
+                shifts, extents = plan.shifts[i], plan.extents[i]
+                for s in set(shifts.tolist()):
+                    group = shifts == s
+                    sub = 1 << (s - shift)
+                    end = (int(extents[group].max()) >> s) * sub + 1
+                    values[:, i, group] = direct_simpson_sum(
+                        rows[:, :end:sub], config.alpha, config.eta * (1 << s), log_x[group],
+                        config.n >> s, plan.rows[i][group],
+                    )
+    strides = 1 << plan.shifts
     if mode == MODE_FFT_GRID:
-        _grid_blocks(sample.config, taus, fine, points, np.log(moneyness), values, strided)
-        strides = np.repeat([[1 << s] for s in fine], strikes.size, axis=1)
-    else:
-        _direct_sums(sample.config, taus, plan, fine, points, moneyness, values, strided)
-        strides = 1 << plan.shifts
+        # a grid slice runs at its finest stride
+        strides[:] = strides.min(axis=1, keepdims=True)
 
     # I1 = K X_indicator(log x), I2 = K X_jump(log x)
     column = dict(zip(kinds, strikes * values))
@@ -455,63 +485,6 @@ def evaluate_slices(
     numerator = sample.sigma2 * i1 + i2 if i1 is not None else i2
     lrm_values = numerator / (spot * (sample.sigma2 + sample.mmm.quad_exp_moment))
     return SliceColumns(lrm_values, i1, i2, plan.trunc, strides, mode)
-
-
-def _direct_sums(
-    config: FftConfig, taus: Sequence[float], plan: _SlicePlan, fine: list[int],
-    points: list[int], moneyness: np.ndarray, values: np.ndarray, strided,
-) -> None:
-    """Direct-sum values of every slice at the ``moneyness``, into
-    ``values[:, i]`` for slice i, one row per kernel kind: one
-    ``direct_simpson_sum`` of every kind per slice and stride, each strike
-    exact over its own rows; ``fine``, ``points``, ``strided`` as in :func:`_grid_blocks`."""
-    for i, (tau, top, m) in enumerate(zip(taus, fine, points)):
-        psi, factors = strided(top, m)
-        phi = levy_char_fn(psi, tau)
-        samples = np.empty((len(factors), m), dtype=complex)
-        for row, factor in zip(samples, factors):
-            np.multiply(phi, factor, out=row)
-        shifts, rows, extents = plan.shifts[i], plan.rows[i], plan.extents[i]
-        for s in set(shifts.tolist()):
-            group = shifts == s
-            # math.log, not np.log: the two can differ in the last bit, and
-            # direct-sum values (single quotes, impact tables) stay bit-stable
-            log_x = [math.log(x) for x in moneyness[group].tolist()]
-            step = 1 << (s - top)
-            view = samples[:, : (int(extents[group].max()) >> s) * step + 1 : step]
-            values[:, i, group] = direct_simpson_sum(
-                view, config.alpha, config.eta * (1 << s), log_x, config.n >> s, rows[group]
-            )
-
-
-def _grid_blocks(
-    config: FftConfig, taus: Sequence[float], fine: list[int], points: list[int],
-    log_x: np.ndarray, values: np.ndarray, strided,
-) -> None:
-    """Grid-path values of every slice at the log-moneyness ``log_x``, into
-    ``values[:, i]`` for slice i, one row per kernel kind: the slices of
-    one finest stride exponent (``fine``, per slice, with the ``points`` of
-    that stride it reads) in blocks of up to ``_BLOCK_POINTS`` FFT points
-    per kind, one ``carr_madan_grid`` call and one interpolation per block,
-    rows kind-major.  ``strided(shift, m)`` gives psi and the kernel
-    factors at the first m points of stride 2^shift."""
-    for shift in dict.fromkeys(fine):
-        members = [i for i, s in enumerate(fine) if s == shift]
-        n = config.n >> shift
-        size = max(1, _BLOCK_POINTS // n)
-        for start in range(0, len(members), size):
-            block = members[start : start + size]
-            counts = [points[i] for i in block]
-            psi, factors = strided(shift, max(counts))
-            # a row past its slice's points stays 0
-            samples = np.zeros((len(factors), len(block), max(counts)), dtype=complex)
-            for i, rows, m in zip(block, samples.transpose(1, 0, 2), counts):
-                phi = levy_char_fn(psi[:m], taus[i])
-                for row, factor in zip(rows, factors):
-                    np.multiply(phi, factor[:m], out=row[:m])
-            eta = config.eta * (1 << shift)
-            grid = carr_madan_grid(samples.reshape(-1, max(counts)), config.alpha, eta, n)
-            values[:, block] = grid.at(log_x).reshape(len(factors), len(block), -1)
 
 
 def _strike_array(strikes: Sequence[float]) -> np.ndarray:

@@ -269,13 +269,7 @@ def vg_char_fn(
     return levy_char_fn(vg_exponent(zeta, params, mmm, mu_star), tau)
 
 
-def vg_c2(
-    params: VgParams,
-    mmm: CgmComponentPair,
-    mu_star: float,
-    tau: float,
-    alpha: float,
-) -> float:
+def vg_c2(mmm: CgmComponentPair, mu_star: float, tau: float, alpha: float) -> float:
     """Envelope constant of the polynomial decay bound
 
         |phi_tau(v - i alpha)| <= C2 |v|^{-2 C tau},
@@ -283,7 +277,7 @@ def vg_c2(
     C2 = prod (G_j M_j)^{w_j tau} * exp{tau alpha (mu* + sum of means)};
     :func:`vg_log_c2` refuses it above the exp() guard.
     """
-    return math.exp(vg_log_c2(params, mmm, mu_star, tau, alpha))
+    return math.exp(vg_log_c2(mmm, mu_star, tau, alpha))
 
 
 def damped_sum_complex(psi_samples: np.ndarray, eta: float, k: float) -> complex:
@@ -391,7 +385,7 @@ def _v_cutoff(model: Model, tau: float, alpha: float, scale: float, tol: float) 
         arg = max(math.log(max(scale * c1 / tol, 1.0)), 0.0)
         return max(50.0, 1.1 * math.sqrt(2.0 * arg / (model.sigma**2 * tau)))
     pair = vg_mmm_measure(model, mmm.h)
-    c2 = vg_c2(model, pair, mmm.mu_star, tau, alpha)
+    c2 = vg_c2(pair, mmm.mu_star, tau, alpha)
     p = 2.0 * model.C * tau + 1.0
     # tail of scale * C2 * v^{-p-1} beyond A is scale * C2 * A^{-p} / p
     a = (max(scale * c2 / (tol * p), 1.0)) ** (1.0 / p)

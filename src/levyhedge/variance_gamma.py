@@ -166,9 +166,7 @@ class VgContourLogs:
         return out + self.iz * mmm.drift(mu_star)
 
 
-def vg_log_c2(
-    params: VgParams, mmm: CgmComponentPair, mu_star: float, tau: float, alpha: float
-) -> float:
+def vg_log_c2(mmm: CgmComponentPair, mu_star: float, tau: float, alpha: float) -> float:
     """log C2 of the polynomial decay bound |phi_tau(v - i alpha)| <= C2
     |v|^{-2 C tau}, C2 = prod (G_j M_j)^{w_j tau} * exp{tau alpha (mu* + sum
     of means)}, refused above the exp() guard."""

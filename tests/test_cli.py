@@ -265,10 +265,11 @@ T20 = "query.t_grid = 0:0.95:0.05\n"
         (POOL_M07_CFG, T20 + "query.strike_grid = 1:8:0.25\n", {4096, 8192, 16384}),
         (VG_CFG, T20 + "query.strike_grid = 0.7:1.3:0.05\n", None),
         (POOL_M07_CFG, T20 + "query.strike_grid = 0.85,1,1.15\n", {4096, 8192, 16384}),
+        (VG_CFG, T20 + "query.strike_grid = 0.85,1,1.15\n", {4096}),
     ],
     ids=[
         "merton-grid", "merton-direct", "nikkei-direct", "merton-strides-grid", "vg-grid",
-        "merton-strides-direct",
+        "merton-strides-direct", "vg-direct",
     ],
 )
 def test_curve_cells_equal_strike_sweep(tmp_path, capsys, base, grids, grid_points):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from levyhedge import (
     FftConfig,
     FftSizeError,
     InvalidParameterError,
+    MarketQuery,
     carr_madan_grid,
     direct_simpson_sum,
+    lrm,
     mmm_quantities,
     tail_condition_check,
     trapezoid_weights,
@@ -260,6 +263,24 @@ def test_tail_condition(fft_bench, merton_bench, vg_bench):
     assert tail_condition_check(fft_bench, 409.6)  # inclusive boundary
     assert not tail_condition_check(fft_bench, 500.0)
     assert tail_condition_check(fft_bench, 23.6)
+
+
+@pytest.mark.parametrize("n", [16384.0, 16384.5, "16384"])
+def test_fft_config_refuses_non_integer_n(n):
+    # the library's own error, naming n, where `n & (n - 1)` raised TypeError
+    with pytest.raises(FftSizeError, match=rf"^n = {re.escape(repr(n))} is not an integer$"):
+        FftConfig(n=n, eta=0.025)
+
+
+def test_fft_config_takes_numpy_integer_n(merton_bench):
+    # a numpy integer n is held as an int, so quotes run on it, with the bits
+    # of the int config; a numpy n that is no power of two keeps its message
+    config = FftConfig(n=np.int64(16384), eta=0.025)
+    assert type(config.n) is int and config == FftConfig(n=16384, eta=0.025)
+    query = MarketQuery(t=0.5, T=1.0, spot=1.0, strike=1.13)
+    assert lrm(query, merton_bench, config) == lrm(query, merton_bench, FftConfig(16384, 0.025))
+    with pytest.raises(FftSizeError, match=r"^n = 1000 is not a power of two >= 2$"):
+        FftConfig(n=np.int64(1000), eta=0.025)
 
 
 def test_fft_config_validation():

@@ -31,6 +31,7 @@ from levyhedge.fft_engine import (
     ALIAS_RATES,
     AliasFloors,
     alias_log_factor,
+    carr_madan_grid,
     coarsest_shift,
     direct_simpson_sum,
     trapezoid_weights,
@@ -492,7 +493,7 @@ def _closed_form_trunc(model, tau, strikes, spot, config):
         )
         return np.stack((a1, rhs ** (1.0 / 5.0)))
     c, g, m = model.C, model.G, model.M
-    c2 = vg_c2(model, vg_mmm_measure(model, mm.h), mm.mu_star, tau, alpha)
+    c2 = vg_c2(vg_mmm_measure(model, mm.h), mm.mu_star, tau, alpha)
     p = 2.0 * c * tau + 1.0
     bracket = 1.0 / (g + alpha) + 1.0 / (m - alpha - 1.0) + abs(cgm_exp_moment(c, g, m)) / c
     rhs = c * c2 * strikes ** (1.0 - alpha) * spot**alpha * bracket / (math.pi * eps * p)
@@ -711,6 +712,35 @@ def test_checks_come_before_sampling(merton_bench, fft_bench):
         with pytest.raises(OverflowGuardError, match="characteristic exponent"):
             call(sample, [1e-4, 300.0], strikes, 1.0)
     assert taken == []
+
+
+def test_one_sample_and_one_exponential_per_slice(merton_bench, nikkei, fft_bench, monkeypatch):
+    # both paths run one slice loop: one sample per call and one exp(tau Psi)
+    # per slice, over 20 slices in several blocks
+    module = sys.modules["levyhedge.lrm"]
+    taus, exps, blocks = [0.4 + 0.03 * i for i in range(20)], [], []
+
+    def counting(psi, tau):
+        exps.append(tau)
+        return levy_char_fn(psi, tau)
+
+    def gridding(samples, *args):
+        blocks.append(samples.shape)
+        return carr_madan_grid(samples, *args)
+
+    monkeypatch.setattr(module, "levy_char_fn", counting)
+    monkeypatch.setattr(module, "carr_madan_grid", gridding)
+    for model, spot in ((merton_bench, 1.0), (nikkei, NIKKEI_SPOT)):
+        for mode in (MODE_DIRECT_SUM, MODE_FFT_GRID):
+            sample, taken = _spied_sample(model, fft_bench)
+            exps.clear()
+            blocks.clear()
+            evaluate_slices(sample, taus, np.array([0.85, 1.0, 1.15]) * spot, spot, mode=mode)
+            assert len(taken) == 1 and sorted(exps) == taus
+            if mode == MODE_FFT_GRID:
+                # one FFT call per block of slices, over every kind of each
+                assert 1 < len(blocks) < len(taus)
+                assert sum(rows for rows, _ in blocks) == len(taus) * len(sample.kinds)
 
 
 def _alias_profile(tables, rate, tau):

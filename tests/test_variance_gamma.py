@@ -249,7 +249,7 @@ def test_c2_bound_property(vg_bench, nikkei, random_vg_models):
         mm = mmm_quantities(model)
         pair = vg_mmm_measure(model, mm.h)
         for tau in (0.05, 0.5):
-            c2 = vg_c2(model, pair, mm.mu_star, tau, ALPHA)
+            c2 = vg_c2(pair, mm.mu_star, tau, ALPHA)
             v = rng.uniform(1.0, 500.0, size=1000)
             phi = vg_char_fn(v - 1j * ALPHA, tau, model, pair, mm.mu_star)
             bound = c2 * np.abs(v) ** (-2.0 * model.C * tau)
@@ -259,7 +259,7 @@ def test_c2_bound_property(vg_bench, nikkei, random_vg_models):
 def test_c2_small_tau_limit(vg_bench):
     mm = mmm_quantities(vg_bench)
     pair = vg_mmm_measure(vg_bench, mm.h)
-    assert vg_c2(vg_bench, pair, mm.mu_star, 0.0, ALPHA) == 1.0
+    assert vg_c2(pair, mm.mu_star, 0.0, ALPHA) == 1.0
 
 
 def test_trunc_benchmark_bounds(vg_bench, nikkei):

@@ -12,8 +12,10 @@ order, on warm shared samples:
 
 An operation shorter than 2 ms is repeated within its timing, the same
 number of times on both trees.  Per label it prints the median time on
-each tree, the median over rounds of the change/parent ratio, and the
-rounds the change won; ``--every`` also prints each round's ratios.  The
+each tree, the median over rounds of the change/parent ratio, the ratio
+of the two trees' 10th percentiles of round times (``p10``: the
+fastest rounds, which a busy host disturbs least), and the rounds the
+change won; ``--every`` also prints each round's ratios.  The
 parameter sets are those of ``tests/conftest.py`` and ``bench/inputs.py``.
 Nothing is written.  Set the BLAS thread count (``OPENBLAS_NUM_THREADS=1``)
 in the environment; the header echoes it.
@@ -33,6 +35,8 @@ import statistics
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -129,13 +133,16 @@ def main() -> None:
 
     if args.every:
         print("columns: " + ", ".join(labels))
-    print(f"{'label':22s} {'parent_ms':>10s} {'change_ms':>10s} {'ratio':>7s} {'won':>7s}")
+    print(f"{'label':22s} {'parent_ms':>10s} {'change_ms':>10s} {'ratio':>7s} {'p10':>7s} "
+          f"{'won':>7s}")
     for label in labels:
         parent, change = times["parent", label], times["change", label]
         ratio = statistics.median(c / p for c, p in zip(change, parent))
+        p10 = np.quantile(change, 0.1) / np.quantile(parent, 0.1)
         won = sum(c < p for c, p in zip(change, parent))
         print(f"{label:22s} {1e3 * statistics.median(parent):10.4f} "
-              f"{1e3 * statistics.median(change):10.4f} {ratio:7.3f} {won:3d}/{args.rounds}")
+              f"{1e3 * statistics.median(change):10.4f} {ratio:7.3f} {p10:7.3f} "
+              f"{won:3d}/{args.rounds}")
 
 
 if __name__ == "__main__":
