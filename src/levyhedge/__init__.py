@@ -30,14 +30,7 @@ from .core import (
     quadratic_exp_moment,
     validate_assumptions,
 )
-from .fft_engine import (
-    CarrMadanGrid,
-    FftConfig,
-    carr_madan_grid,
-    direct_simpson_sum,
-    tail_condition_check,
-    trapezoid_weights,
-)
+from .fft_engine import FftConfig
 from .lrm import (
     LrmResult,
     jump_impact,
@@ -45,8 +38,6 @@ from .lrm import (
     lrm,
     lrm_strike_sweep,
 )
-from .merton import merton_exponent, merton_i2_terms
-from .variance_gamma import vg_mmm_measure
 
 __version__ = "0.1.0"
 

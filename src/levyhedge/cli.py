@@ -441,7 +441,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TailConditionError, LevyHedgeError) as exc:
+    except LevyHedgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

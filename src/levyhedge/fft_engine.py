@@ -100,8 +100,6 @@ class FftConfig:
 def trapezoid_weights(n: int, eta: float) -> np.ndarray:
     """w_0 = eta/2, then w_j = eta: the trapezoid rule on [0, inf) whose
     samples past the grid count as zeros."""
-    _require(n >= 2, "need n >= 2")
-    _require(eta > 0.0, "eta must be > 0")
     w = np.full(n, eta)
     w[0] = 0.5 * eta
     return w
@@ -161,7 +159,6 @@ class AliasFloors:
         return (margins / self.beta).min(axis=-1).max(axis=-1)
 
 
-@functools.lru_cache(maxsize=8)
 def coarsest_shift(config: FftConfig) -> int:
     """Largest s such that every 2^s-th point of the configured grid (at
     least two points) keeps the in-the-money image of I1,
@@ -183,28 +180,14 @@ class CarrMadanGrid:
 
     k: np.ndarray
     values: np.ndarray
-    eta: float
 
     def at(self, k) -> np.ndarray:
-        """Linear interpolation at the log-strikes k, one np.interp per grid
-        (monotone-preserving: within the bracketing grid values).  A block
-        of grids gives one row of values per grid, all at the same k."""
-        k = checked_log_strikes(k, self.eta)
+        """Linear interpolation at the log-strikes k, |k| < pi/eta by
+        ``plan_slices``, one np.interp per grid (monotone-preserving: within
+        the bracketing grid values), one row per grid of a block."""
         if self.values.ndim == 1:
             return np.interp(k, self.k, self.values)
         return np.array([np.interp(k, self.k, row) for row in self.values])
-
-
-def checked_log_strikes(k, eta: float) -> np.ndarray:
-    """k as a float array, every entry inside |k| < pi/eta (the log-strikes
-    a grid or direct sum of spacing eta can evaluate)."""
-    k = np.asarray(k, dtype=float)
-    outside = ~(np.abs(k) < math.pi / eta)
-    if outside.any():
-        raise InvalidParameterError(
-            f"log-strike {k[outside][0]:g} outside the representable range (-pi/eta, pi/eta)"
-        )
-    return k
 
 
 def carr_madan_grid(
@@ -216,33 +199,27 @@ def carr_madan_grid(
 
     The alternating e^{i pi j} = (-1)^j factor re-centers the k grid at 0
     (k = 0 lands on index l = N/2).  Values are the real parts of the
-    damped sums; the imaginary residue is discretization noise.  The
-    samples may be a prefix of an N = n point grid (n defaults to their
-    count); the FFT zero-pads them to N.  The samples may also be every
-    2^s-th point of a finer grid, given with its spacing eta and its
-    point count n.  A 2-D block of samples, one grid per row, takes one
-    ``np.fft.fft(axis=-1)`` for all rows and must name n; each row has
-    the bits of its own 1-D call.  The name is historical: the weights
-    are trapezoid.
+    damped sums, the whole transform; the imaginary parts are another
+    transform of the same size, not an error term.  The samples may be a
+    prefix of an N = n point grid (n defaults to their count); the FFT
+    zero-pads them to N.  The samples may also be every 2^s-th point of a
+    finer grid, given with its spacing eta and its point count n.  A 2-D
+    block of samples, one grid per row, takes one ``np.fft.fft(axis=-1)``
+    for all rows; each row has the bits of its own 1-D call.  The name is
+    historical: the weights are trapezoid.
+
+    Only finiteness, set by the model's arithmetic, is checked here;
+    ``evaluate_slices`` meets the rest: eta = config.eta 2^s and alpha by
+    :class:`FftConfig`, n = config.n >> s >= 2 by s <= ``coarsest_shift``,
+    at most n samples by extents <= n - 2^s (rows c <= n / 2^s).
     """
     psi = np.asarray(psi_samples, dtype=complex)
-    if n is None and psi.ndim == 1:
-        n = psi.size
-    if (
-        n is None
-        or psi.ndim not in (1, 2)
-        or psi.size == 0
-        or psi.shape[-1] > n
-        or (n & (n - 1)) != 0
-    ):
-        raise FftSizeError(f"sample shape {psi.shape} is not a prefix of one power-of-two axis")
-    _require(eta > 0.0, "eta must be > 0")
-    _require(1.0 < alpha <= 2.0, "alpha must lie in (1, 2]")
+    n = psi.shape[-1] if n is None else n
     if not np.all(np.isfinite(psi)):
         raise InvalidParameterError("psi samples must be finite")
     signed_weights, k, damping = _grid_tables(n, eta, alpha)
     f_raw = np.fft.fft(psi * signed_weights[: psi.shape[-1]], n, axis=-1)
-    return CarrMadanGrid(k=k, values=damping * f_raw.real, eta=eta)
+    return CarrMadanGrid(k=k, values=damping * f_raw.real)
 
 
 @functools.lru_cache(maxsize=8)
@@ -295,13 +272,15 @@ def direct_simpson_sum(
     its count, so the result has the same bits whatever the prefix and
     the other log-strikes.  A 2-D stack of samples, one function per row,
     shares the phase exponentials and gives one row of sums per function,
-    each with the bits of its own 1-D call.
+    each with the bits of its own 1-D call.  Nothing is checked here:
+    ``evaluate_slices`` meets the shape as for :func:`carr_madan_grid`,
+    |k| < pi/eta by ``plan_slices``' stride (reach < ``_edges``) and range
+    rules; rows in [1, held] by ``_prefix_rows``' clip and the view ``end``.
     """
-    k = checked_log_strikes(k, eta)
+    k = np.asarray(k, dtype=float)
     psi = np.asarray(psi_samples, dtype=complex)
     m = psi.shape[-1]
     n = m if n is None else n
-    _require(m <= n, f"{m} samples exceed the {n}-point grid")
     c, r = row_layout(n)
     held = -(-m // c)
     # one row per function, weighted and zero-padded to whole rows
@@ -314,12 +293,8 @@ def direct_simpson_sum(
     by_row = np.zeros((len(terms), flat.size, r), dtype=complex)
     partial = np.einsum("hl,sl->sh", terms.reshape(-1, c), lo).reshape(flat.size, -1, held)
     np.multiply(partial.transpose(1, 0, 2), hi, out=by_row[:, :, :held])
-    if rows is not None:
-        rows = np.asarray(rows).reshape(flat.shape)
-        fewest = rows.min()
-        _require(fewest >= 1 and rows.max() <= held, "row counts outside the prefix")
-        if fewest < held:
-            by_row[:, np.arange(r) >= rows[:, None]] = 0.0
+    if rows is not None and np.min(rows) < held:
+        by_row[:, np.arange(r) >= np.reshape(rows, (-1, 1))] = 0.0
     sums = by_row.sum(axis=2)
     return np.reshape(np.exp(-alpha * flat) / math.pi * sums.real, psi.shape[:-1] + k.shape)
 

@@ -107,7 +107,6 @@ from .fft_engine import (
     AliasFloors,
     FftConfig,
     carr_madan_grid,
-    checked_log_strikes,
     coarsest_shift,
     direct_simpson_sum,
     row_layout,
@@ -383,7 +382,11 @@ def plan_slices(
             # the range rule: every log(x f) of a stride-1 x inside +-pi/eta
             zero = moneyness[shifts[0] == 0]
             reached = [zero * f for factors in sample.kinds.values() for f in factors]
-            checked_log_strikes(np.log(np.concatenate(reached)), config.eta)
+            log_k = np.log(np.concatenate(reached))
+            outside = log_k[~(np.abs(log_k) < math.pi / config.eta)]
+            if outside.size:
+                raise InvalidParameterError(f"log-strike {outside[0]:g} outside the "
+                                            "representable range (-pi/eta, pi/eta)")
     rows = np.empty(shifts.shape, dtype=int)
     # every stride some cell takes
     for s in np.flatnonzero(np.bincount(shifts.ravel())).tolist():

@@ -33,7 +33,6 @@ import numpy as np
 
 from .core import (
     BranchCutError,
-    InvalidParameterError,
     MmmQuantities,
     OverflowGuardError,
     VgParams,
@@ -169,9 +168,8 @@ class VgContourLogs:
 def vg_log_c2(mmm: CgmComponentPair, mu_star: float, tau: float, alpha: float) -> float:
     """log C2 of the polynomial decay bound |phi_tau(v - i alpha)| <= C2
     |v|^{-2 C tau}, C2 = prod (G_j M_j)^{w_j tau} * exp{tau alpha (mu* + sum
-    of means)}, refused above the exp() guard."""
-    if tau < 0.0:
-        raise InvalidParameterError("tau must be >= 0")
+    of means)}, refused above the exp() guard (tau >= 0: ``slice_trunc``'s
+    guard refuses a negative tau first)."""
     log_c2 = 0.0
     for comp in mmm.components:
         log_c2 += tau * comp.C * math.log(comp.G * comp.M)

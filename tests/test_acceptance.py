@@ -15,9 +15,8 @@ from levyhedge import (
     lrm_strike_sweep,
     martingale_drift,
     mmm_quantities,
-    trapezoid_weights,
-    vg_mmm_measure,
 )
+from levyhedge.fft_engine import trapezoid_weights
 from levyhedge.lrm import MODE_FFT_GRID
 from levyhedge.oracle import (
     i1_tail_mass,
@@ -29,6 +28,7 @@ from levyhedge.oracle import (
     oracle_lrm,
     vg_char_fn,
 )
+from levyhedge.variance_gamma import vg_mmm_measure
 
 from conftest import NIKKEI_SPOT, trunc_points
 

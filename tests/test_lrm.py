@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import os
@@ -14,6 +15,7 @@ from levyhedge import (
     BranchCutError,
     FftConfig,
     InvalidParameterError,
+    LevyHedgeError,
     MarketQuery,
     MertonParams,
     ModelMismatchError,
@@ -23,17 +25,18 @@ from levyhedge import (
     lrm,
     lrm_strike_sweep,
     mmm_quantities,
-    vg_mmm_measure,
 )
 from levyhedge.cli import main
 from levyhedge.core import ROUNDING, cgm_exp_moment, levy_char_fn
 from levyhedge.fft_engine import (
     ALIAS_RATES,
     AliasFloors,
+    CarrMadanGrid,
     alias_log_factor,
     carr_madan_grid,
     coarsest_shift,
     direct_simpson_sum,
+    row_layout,
     trapezoid_weights,
     truncation_points,
 )
@@ -58,7 +61,7 @@ from levyhedge.merton import (
     merton_trunc_laws,
 )
 from levyhedge.oracle import merton_c1, oracle_lrm, quad_i1, quad_i2_definition, vg_c2
-from levyhedge.variance_gamma import VgContourLogs, vg_alias_tables
+from levyhedge.variance_gamma import VgContourLogs, vg_alias_tables, vg_mmm_measure
 
 from conftest import NIKKEI_SPOT, sample_vg
 
@@ -971,6 +974,57 @@ def test_one_log_strike_range_rule(fft_bench):
             call()
     for call in calls(math.exp(edge - 0.5)):
         assert all(math.isfinite(x) for x in call())
+
+
+def test_kernels_get_what_the_plan_guarantees(merton_bench, nikkei, fft_bench, monkeypatch):
+    # the transform kernels check only finiteness: every call evaluate_slices
+    # makes meets the rest of their contract, eta, alpha and n from
+    # FftConfig, and the strides, range rule and rows of plan_slices, also
+    # for strikes at the +-pi/eta edge that the plan refuses
+    module, real_at = sys.modules["levyhedge.lrm"], CarrMadanGrid.at
+    shifts = {fft_bench.eta * (1 << s): s for s in range(coarsest_shift(fft_bench) + 1)}
+    seen = dict.fromkeys(("grid", "at", "direct"), 0)
+
+    def check_shape(psi, alpha, eta, n):
+        assert eta in shifts and n == fft_bench.n >> shifts[eta] and alpha == fft_bench.alpha
+        assert psi.ndim == 2 and 0 < psi.shape[-1] <= n
+
+    def grid(psi, alpha, eta, n):
+        check_shape(psi, alpha, eta, n)
+        seen["grid"] += 1
+        return carr_madan_grid(psi, alpha, eta, n)
+
+    def at(self, k):
+        # the first grid log-strike is -pi/eta
+        assert np.all(np.abs(k) < -self.k[0])
+        seen["at"] += 1
+        return real_at(self, k)
+
+    def direct(psi, alpha, eta, k, n, rows):
+        check_shape(psi, alpha, eta, n)
+        assert np.all(np.abs(k) < math.pi / eta)
+        held = -(-psi.shape[-1] // row_layout(n)[0])
+        assert np.shape(rows) == np.shape(k) and 1 <= np.min(rows) <= np.max(rows) <= held
+        seen["direct"] += 1
+        return direct_simpson_sum(psi, alpha, eta, k, n, rows)
+
+    monkeypatch.setattr(module, "carr_madan_grid", grid)
+    monkeypatch.setattr(module, "direct_simpson_sum", direct)
+    monkeypatch.setattr(CarrMadanGrid, "at", at)
+    shifted = MertonParams(mu=-0.1, sigma=0.2, gamma=1.0, m=-0.3, delta=0.2)
+    edge = math.pi / fft_bench.eta
+    moneyness = [[1.0], [0.8, 1.0, 1.25], np.linspace(0.6, 1.4, 29)]
+    for d in (-0.1, 0.05, 0.15, 0.5, 1.5):
+        for x in (math.exp(edge - d), math.exp(d - edge)):
+            moneyness += [[x], [0.9, 0.95, 1.05, 1.1, x]]
+    for model, spot in ((merton_bench, 1.0), (shifted, 1.0), (nikkei, NIKKEI_SPOT)):
+        sample = levy_sample(model, fft_bench)
+        for taus in ([0.05], [0.5], [1.0], [0.05, 0.5, 1.0]):
+            for mode in (MODE_DIRECT_SUM, MODE_FFT_GRID):
+                for x in moneyness:
+                    with contextlib.suppress(LevyHedgeError):
+                        evaluate_slices(sample, taus, np.multiply(x, spot), spot, mode=mode)
+    assert min(seen.values()) > 0
 
 
 def test_strided_samples_match_fresh(merton_bench, nikkei, fft_bench):

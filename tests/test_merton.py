@@ -8,10 +8,9 @@ from levyhedge import (
     MertonParams,
     OverflowGuardError,
     levy_sample,
-    merton_i2_terms,
     mmm_quantities,
 )
-from levyhedge.merton import KERNEL_DAMPED, KERNEL_PLAIN
+from levyhedge.merton import KERNEL_DAMPED, KERNEL_PLAIN, merton_i2_terms
 from levyhedge.oracle import (
     _i2_frequency_weight,
     i1_tail_mass,

@@ -13,7 +13,6 @@ from levyhedge import (
     levy_sample,
     lrm,
     mmm_quantities,
-    vg_mmm_measure,
 )
 from conftest import NIKKEI_SPOT, trunc_points
 from levyhedge import variance_gamma
@@ -27,7 +26,7 @@ from levyhedge.oracle import (
     vg_exponent,
     vg_kernel,
 )
-from levyhedge.variance_gamma import VgContourLogs
+from levyhedge.variance_gamma import VgContourLogs, vg_mmm_measure
 
 ALPHA = 1.75
 EPS = 1e-2
