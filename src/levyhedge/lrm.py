@@ -14,15 +14,18 @@ moneyness x = K/S: the ratio depends on (K, S) only through x, so the
 spot is a scale applied at the edges, I1 = K X_indicator(log x), I2 =
 K X_jump(log x) and the denominator above.  ``LevySample`` is the
 tau-free, spot-free half of one (model, config), shared per pair
-(:func:`levy_sample`): it samples Psi and the kernel factors on the
-contour and holds the tau-free half of the bounds.  A time slice of it
+(:func:`levy_sample`): it holds the tau-free half of the bounds and one
+sample of Psi on the contour (with the Merton jump weight, which shares
+Psi's exponentials), at the finest stride and over the longest span any
+call has read, and forms the kernel factors from it.  Every call reads
+strided views of that sample, and a held point has the bits of a fresh
+one, so no result depends on the calls before it.  A time slice of it
 is a tau alone, and the rest of its bounds are closed forms in tau:
 :func:`plan_slices` plans a list of tau and one strike array as one
-(tau, K) table of truncation points, strides and rows.  Sampled arrays
-are never kept, so no result depends on the calls before it.  Within a
-slice the moneyness enters only through the e^{-i eta j log x} phase,
-so one evaluator, :func:`evaluate_slices`, the one place the spot
-enters, reads that table, samples once and returns columns (one row per
+(tau, K) table of truncation points, strides and rows.  Within a slice
+the moneyness enters only through the e^{-i eta j log x} phase, so one
+evaluator, :func:`evaluate_slices`, the one place the spot enters,
+reads that table and one sample and returns columns (one row per
 slice, one column per strike) for every caller; each slice costs one
 exponential plus one multiply per kernel kind, over the points its
 strikes read.  ``LevySample.kinds`` gives each kind the factors f of
@@ -125,6 +128,7 @@ from .merton import (
 from .variance_gamma import (
     VgContourLogs,
     vg_alias_tables,
+    vg_jump_kernel,
     vg_log_c2,
     vg_mmm_measure,
     vg_trunc_law,
@@ -189,9 +193,17 @@ class LevySample:
     psi(-i(1+beta)) over the beta grid of the model's alias tables
     (``merton_alias_tables`` / ``vg_alias_tables``).
 
-    :func:`levy_sample` shares one per (model, config) among the last 64
-    pairs (8-15 KB each).  Its arrays are read-only and no sampled array
-    is kept, so no result depends on the state of the cache.
+    It also holds the one sample that :meth:`sample` grows: psi, and for
+    Merton the jump weight, at the finest stride and over the longest span
+    any call has read, never more.  That is 37 KB after a Merton quote and
+    66 KB after a Nikkei one, and at most 512 KiB for Merton and 256 KiB
+    for variance gamma at n = 2^14 (16 bytes per point and array).  The
+    other factors are rational in zeta, or one log for the variance-gamma
+    jump kernel, and are formed per call: holding them too would double a
+    variance-gamma pair's bytes.  :func:`levy_sample` shares one per
+    (model, config) among the last 64 pairs, whose tables take 8-15 KB
+    each.  Its arrays are read-only and a held point has the bits of a
+    fresh one, so no result depends on the state of the cache.
     """
 
     def __init__(self, model: Model, config: FftConfig):
@@ -202,7 +214,7 @@ class LevySample:
         self.row_lengths = np.array([c for c, _ in layouts])
         self.row_lengths.flags.writeable = False
         self.layout_rows = tuple(r for _, r in layouts)
-        self.exp_moment = self.pair = self._prefix = None
+        self.exp_moment = self.pair = self._prefix = self._held = None
         # one exponent call: zeta = -i alpha, with the bits of j = 0 of every
         # sample, then the moment points -i(1+beta)
         zeta0 = config.eta * np.arange(1) - 1j * config.alpha
@@ -241,21 +253,54 @@ class LevySample:
 
     def sample(self, shift: int, m: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """psi and the kernel factors at the first m points of every
-        2^shift-th point of the configured grid, sampled afresh."""
-        model, config = self.model, self.config
-        # with the bits of config.zeta_grid(): 2^shift eta is exact
-        zeta = (config.eta * (1 << shift)) * np.arange(m) - 1j * config.alpha
-        iz = 1j * zeta
+        2^shift-th point of the configured grid.  psi, and the Merton jump
+        weight, which shares psi's two exponentials, are read from the held
+        sample (psi as a read-only strided view); the factors rational in
+        zeta, and the variance-gamma jump kernel, are formed at the
+        requested points.  A request the held sample does not cover is
+        sampled once, at the finer of the two strides and over the longer
+        of the two spans, and that sample is held in its place."""
+        # the held (stride exponent, psi, Merton weight or None) and the last
+        # configured-grid index each reaches
+        held, last = self._held, (m - 1) << shift
+        if held is None or held[0] > shift or last > (held[1].size - 1) << held[0]:
+            top = shift
+            if held is not None:
+                top, last = min(top, held[0]), max(last, (held[1].size - 1) << held[0])
+            self._held = held = (top, *self._exponent(top, (last >> top) + 1))
+        top, psi, weight = held
+        step = 1 << (shift - top)
+        view = slice(0, m * step, step)
+        iz = 1j * self._zeta(shift, m)
         indicator = 1.0 / (iz - 1.0)
         call = indicator / iz
+        if weight is not None:
+            return psi[view], {"indicator": indicator, "jump": weight[view] * call}
+        model = self.model
+        kernel = vg_jump_kernel(iz, model.G, model.M, model.C)
+        return psi[view], {"jump": (kernel - self.exp_moment) * call}
+
+    def _exponent(self, shift: int, m: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """psi at the first m points of every 2^shift-th point of the
+        configured grid, sampled afresh, and the Merton jump weight (None
+        for variance gamma), both read-only."""
+        model, zeta = self.model, self._zeta(shift, m)
         if isinstance(model, MertonParams):
             # Psi and the jump weight share the two exponentials
-            psi, weight = merton_exponent_and_weight(zeta, model, self.mmm)
-            return psi, {"indicator": indicator, "jump": weight * call}
-        # Psi and the jump kernel share the two contour logs
-        logs = VgContourLogs(zeta, model.G, model.M)
-        psi = logs.exponent(self.pair, self.mmm.mu_star)
-        return psi, {"jump": (logs.kernel(model.C) - self.exp_moment) * call}
+            held = merton_exponent_and_weight(zeta, model, self.mmm)
+        else:
+            logs = VgContourLogs(zeta, model.G, model.M)
+            held = logs.exponent(self.pair, self.mmm.mu_star), None
+        for array in held:
+            if array is not None:
+                array.flags.writeable = False
+        return held
+
+    def _zeta(self, shift: int, m: int) -> np.ndarray:
+        """The first m points of every 2^shift-th point of the contour,
+        with the bits of config.zeta_grid(): 2^shift eta is exact."""
+        config = self.config
+        return (config.eta * (1 << shift)) * np.arange(m) - 1j * config.alpha
 
 
 # one shared sample per (model, config), for the last 64 pairs
@@ -410,8 +455,8 @@ def evaluate_slices(
 
     1. :func:`plan_slices` plans and checks every slice, so every error is
        raised before anything is sampled;
-    2. one sample, at the finest stride and over the longest span any
-       slice reads;
+    2. one sample (:meth:`LevySample.sample`), at the finest stride and
+       over the longest span any slice reads;
     3. one loop over the slices of each finest stride, in blocks of up to
        ``_BLOCK_POINTS`` FFT points per kind: per block, one strided view
        of the sample and a row of phi_tau times each kernel factor per
@@ -455,8 +500,10 @@ def evaluate_slices(
             width = max(points[i] for i in block)
             view = slice(0, (width - 1) * step + 1, step)
             psi, factors = held_psi[view], [held[kind][view] for kind in kinds]
-            # (kind, slice, point) rows; a row past its slice's points stays 0
-            samples = np.zeros((len(kinds), len(block), width), dtype=complex)
+            # (kind, slice, point) rows; past its slice's points a row stays 0
+            # for the grid FFT, and no direct sum reads it
+            allocate = np.zeros if mode == MODE_FFT_GRID else np.empty
+            samples = allocate((len(kinds), len(block), width), dtype=complex)
             by_slice = samples.transpose(1, 0, 2)
             for i, rows in zip(block, by_slice):
                 phi = levy_char_fn(psi[: points[i]], taus[i])

@@ -228,8 +228,8 @@ def vg_kernel(zeta: ComplexLike, C: float, G: float, M: float) -> ComplexLike:
 
     computed as a sum of principal logs of right-half-plane factors so no
     argument wrapping can occur.  (Contour samples take the kernel as
-    :meth:`levyhedge.variance_gamma.VgContourLogs.kernel`, one log of the
-    ratio of the two products.)
+    :func:`levyhedge.variance_gamma.vg_jump_kernel`, one log of the ratio
+    of the two products.)
     """
     _, log_m, log_m1, log_g, log_g1 = _vg_logs(zeta, G, M)
     out = C * (log_m - log_m1 + log_g - log_g1)

@@ -4,10 +4,11 @@ The tilted jump measure is a pair of CGM densities, the Levy exponent is
 a sum of principal logs plus a linear drift term, and the jump term of
 the hedge numerator is one damped Fourier transform: of the call factor
 times the jump kernel less the first exponential moment, since the
-transform is linear.  ``VgContourLogs`` takes the exponent and the
-kernel from the logs of two products of bases, two complex logs per
-contour point.  The decay envelope here is polynomial,
-C2 |v|^{-2 C tau}, which gives the truncation law (``vg_trunc_law``; the
+transform is linear.  ``VgContourLogs`` takes the exponent from the
+logs of two products of bases, two complex logs per contour point, and
+``vg_jump_kernel`` the kernel from one log of their ratio.  The decay
+envelope here is polynomial, C2 |v|^{-2 C tau}, which gives the
+truncation law (``vg_trunc_law``; the
 points are ``fft_engine.truncation_points`` of it).  The aliasing bound
 reads the same exponent on the imaginary axis, E[(S_T/S)^{1+beta}] =
 e^{tau Psi(-i(1+beta))}, beside the tau-free tables of
@@ -129,31 +130,37 @@ def _log1p(w: np.ndarray) -> np.ndarray:
     )
 
 
+def vg_jump_kernel(iz: np.ndarray, G: float, M: float, C: float) -> np.ndarray:
+    """The jump kernel at i zeta = iz, with P1 = (G + i zeta)(M - i zeta)
+    and P2 = (G+1+i zeta)(M-1-i zeta):
+
+        C [log(M - i zeta) - log(M-1-i zeta) + log(G + i zeta) - log(G+1+i zeta)]
+
+    as C log(1 + (P1 - P2) / P2), where P1 - P2 = G + 1 - M + 2 i zeta.
+    The four bases lie in the right half-plane (``VgContourLogs`` checks
+    them), so the sum of the four logs is the log of the ratio.
+
+    P1 / P2 tends to 1 along the contour, so :func:`_log1p` keeps the
+    kernel's rounding error proportional to the kernel, not to the logs,
+    whose difference would cancel."""
+    return C * _log1p((G + 1.0 - M + 2.0 * iz) / ((G + 1.0 + iz) * (M - 1.0 - iz)))
+
+
 class VgContourLogs:
     """Principal logs of the two products P1 = (G + i zeta)(M - i zeta)
     and P2 = (G+1+i zeta)(M-1-i zeta).  Each of the four bases is checked
     to lie in the right half-plane, so each factor's argument is in
     (-pi/2, pi/2) and the log of a product is the sum of its factors'
-    logs: the Levy exponent reads log P1 and log P2, and the jump kernel
-    is C log(P1 / P2), so a contour sample takes two complex logs."""
+    logs: the Levy exponent reads log P1 and log P2, two complex logs per
+    contour point, and the jump kernel C log(P1 / P2)
+    (:func:`vg_jump_kernel`) one more."""
 
     def __init__(self, zeta: ComplexLike, G: float, M: float):
         zeta = np.asarray(zeta, dtype=complex)
         _check_contour_bases(zeta, G, M)
         self.iz = iz = 1j * zeta
-        self.G, self.M = G, M
-        self.p2 = (G + 1.0 + iz) * (M - 1.0 - iz)
         self.log_p1 = _log((G + iz) * (M - iz))
-        self.log_p2 = _log(self.p2)
-
-    def kernel(self, C: float) -> np.ndarray:
-        """C [log(M - i zeta) - log(M-1-i zeta) + log(G + i zeta) - log(G+1+i zeta)]
-        as C log(1 + (P1 - P2) / P2), where P1 - P2 = G + 1 - M + 2 i zeta.
-
-        P1 / P2 tends to 1 along the contour, so :func:`_log1p` keeps the
-        kernel's rounding error proportional to the kernel, not to the
-        logs, whose difference would cancel."""
-        return C * _log1p((self.G + 1.0 - self.M + 2.0 * self.iz) / self.p2)
+        self.log_p2 = _log((G + 1.0 + iz) * (M - 1.0 - iz))
 
     def exponent(self, mmm: CgmComponentPair, mu_star: float) -> np.ndarray:
         """Psi of the tilted pair, whose components sit at (G, M) and

@@ -336,38 +336,26 @@ def test_small_sweep_equals_single_queries(merton_bench, nikkei, fft_bench):
         assert all(r.mode == MODE_DIRECT_SUM for r in sweep)
 
 
-def _holds_samples(obj) -> bool:
-    """Whether any attribute of obj (or any value of a dict attribute) is a
-    complex array, the type of every contour sample."""
-    values = []
-    for value in vars(obj).values():
-        values += list(value.values()) if isinstance(value, dict) else [value]
-    return any(isinstance(v, np.ndarray) and np.iscomplexobj(v) for v in values)
-
-
-def _slice_columns(sample, tau, strikes, spot) -> list:
-    """``evaluate_slices`` on the one slice tau of sample, every column as a
+def _slice_columns(sample, taus, strikes, spot) -> list:
+    """``evaluate_slices`` on the slices taus of sample, every column as a
     list and the mode."""
-    columns = evaluate_slices(sample, [tau], strikes, spot)
+    columns = evaluate_slices(sample, taus, strikes, spot)
     arrays = (columns.lrm, columns.i1, columns.i2, columns.trunc_a, columns.stride)
     return [None if a is None else a.tolist() for a in arrays] + [columns.mode]
 
 
 def test_slice_evaluation_is_stateless(merton_bench, nikkei, fft_bench):
-    # a sample keeps nothing between evaluations: 1, 29 and 1 strikes on
-    # one slice give the bits of each batch on a fresh sample, and after
-    # the evaluations, impact quotes and a curve the sample holds no
-    # contour sample
+    # no result depends on the calls before it: 1, 29 and 1 strikes on one
+    # slice give the bits of each batch on a fresh sample, and give them
+    # again after impact quotes and a curve have read the held sample
     for model, spot in ((merton_bench, 1.0), (nikkei, NIKKEI_SPOT)):
         sample = levy_sample(model, fft_bench)
-        for strikes in ([1.1 * spot], list(np.linspace(0.6, 1.9, 29) * spot), [0.7 * spot]):
-            fresh = LevySample(model, fft_bench)
-            assert _slice_columns(sample, 0.5, strikes, spot) == _slice_columns(
-                fresh, 0.5, strikes, spot
-            )
+        batches = ([1.1 * spot], list(np.linspace(0.6, 1.9, 29) * spot), [0.7 * spot])
+        fresh = [_slice_columns(LevySample(model, fft_bench), [0.5], x, spot) for x in batches]
+        assert [_slice_columns(sample, [0.5], x, spot) for x in batches] == fresh
         impact_quotes([0.9, 1.0, 1.2], 0.5, model, fft_bench)
         evaluate_slices(sample, [0.5, 0.9], list(np.linspace(0.8, 1.2, 7) * spot), spot)
-        assert not _holds_samples(sample)
+        assert [_slice_columns(sample, [0.5], x, spot) for x in batches] == fresh
 
 
 def test_quotes_equal_lone_evaluations(merton_bench, nikkei, fft_bench):
@@ -621,16 +609,19 @@ def test_i2_equals_three_shifted_strike_sums(merton_bench, random_merton_models,
 
 def test_merton_sample_takes_two_complex_exponentials(merton_bench, fft_bench, monkeypatch):
     # Psi's two, which the jump weight shares; the spot-free indicator
-    # factor is rational
+    # factor is rational.  A request that the held sample covers takes none
     exp, taken = np.exp, []
 
     def counting(x, *args, **kwargs):
         taken.append(np.iscomplexobj(x))
         return exp(x, *args, **kwargs)
 
-    sample = levy_sample(merton_bench, fft_bench)
+    sample = LevySample(merton_bench, fft_bench)
     monkeypatch.setattr(np, "exp", counting)
     sample.sample(0, fft_bench.n)
+    assert taken == [True] * 2
+    for shift, m in ((0, 300), (1, fft_bench.n >> 1), (2, 5)):
+        sample.sample(shift, m)
     assert taken == [True] * 2
 
 
@@ -665,18 +656,24 @@ def test_grown_sample_keeps_bits(merton_bench, nikkei, fft_bench):
         assert complex(sample.sample(0, cfg.n)[0][0]) == sample.psi0
 
 
-def _spied_sample(model, config):
-    """A private sample, so that the spy stays off the shared one, whose
-    ``sample`` calls are listed as (shift, m), and that list."""
-    sample, taken = LevySample(model, config), []
-    take = sample.sample
+def _spy(sample, method: str) -> list:
+    """The list of the (shift, m) of every later call of ``method`` of
+    sample."""
+    taken, call = [], getattr(sample, method)
 
     def spying(shift, m):
         taken.append((shift, m))
-        return take(shift, m)
+        return call(shift, m)
 
-    sample.sample = spying
-    return sample, taken
+    setattr(sample, method, spying)
+    return taken
+
+
+def _spied_sample(model, config):
+    """A private sample, so that the spy stays off the shared one, whose
+    ``sample`` calls are listed as (shift, m), and that list."""
+    sample = LevySample(model, config)
+    return sample, _spy(sample, "sample")
 
 
 def test_vg_slice_uses_all_samples(nikkei, fft_bench):
@@ -1045,6 +1042,143 @@ def test_strided_samples_match_fresh(merton_bench, nikkei, fft_bench):
                 assert np.array_equal(view[kind], fresh[kind])
 
 
+def _union(requests) -> tuple:
+    """The finest stride exponent and the last configured-grid index of a
+    list of (shift, m) sample requests."""
+    return min(s for s, _ in requests), max((m - 1) << s for s, m in requests)
+
+
+def _held_union(sample) -> tuple:
+    """The same two of the sample ``sample`` holds."""
+    top, psi, _ = sample._held
+    return top, (psi.size - 1) << top
+
+
+def test_held_sample_grows_to_the_union(merton_bench, fft_bench):
+    # a request that the held sample covers (another t, K or spot) samples
+    # nothing; one that needs a finer stride or a longer span samples once,
+    # and the held sample is then the union of all requests
+    sample = LevySample(merton_bench, fft_bench)
+    asked, fresh = _spy(sample, "sample"), _spy(sample, "_exponent")
+    evaluate_slices(sample, [0.2, 0.5, 0.9], np.array([0.8, 1.0, 1.25]), 1.0)
+    assert fresh == asked and len(asked) == 1
+    for tau, x, spot in ((0.5, 1.0, 1.0), (0.9, 0.8, 2.0), (0.2, 1.25, 0.5), (0.5, 1.0, 3.0)):
+        evaluate_slices(sample, [tau], [x * spot], spot)
+    assert len(asked) == 5 and len(fresh) == 1
+    top, last = _held_union(sample)
+    assert top > 0
+    n = fft_bench.n
+    # finer over a shorter span, then coarser over a longer one, then both
+    for shift, m in ((top - 1, 10), (top + 1, (n >> (top + 1)) - 7), (0, n)):
+        before = len(fresh)
+        sample.sample(shift, m)
+        assert len(fresh) == before + 1
+        assert _held_union(sample) == _union(asked) == _union(fresh[-1:])
+        # and every request so far is covered
+        for request in asked[:]:
+            sample.sample(*request)
+        assert len(fresh) == before + 1
+    assert _held_union(sample) == (0, n - 1)
+
+
+def _growth_requests(model, spot):
+    """(taus, strikes) requests on one pair, from coarse and short to fine
+    and long: quotes, a 29-strike sweep and a curve."""
+    taus = [0.05 * i for i in (1, 4, 8, 12)] if isinstance(model, MertonParams) else [0.4, 0.7]
+    x = [[2.0], [1.0], list(np.linspace(0.6, 1.4, 29)), [0.8, 1.0, 1.25], [math.exp(40.0)],
+         [math.exp(70.0)]]
+    requests = [([0.4], x[0]), ([0.95], x[1]), ([0.5], x[2]), (taus + [0.95], x[3])]
+    requests += [([0.5], x[4]), ([0.5], x[5])]
+    return [(tau, np.multiply(strikes, spot)) for tau, strikes in requests]
+
+
+def test_held_sample_keeps_bits_in_any_growth_order(merton_bench, nikkei, fft_bench):
+    # coarse then fine and short then long, the reverse, and one shuffle:
+    # every quote, sweep and curve has the bits of its value on a fresh
+    # sample, whatever the held sample was grown from
+    seeded_vg = sample_vg(np.random.default_rng(20240212))
+    rng = np.random.default_rng(7)
+    for model, spot in ((merton_bench, 1.0), (nikkei, NIKKEI_SPOT), (seeded_vg, 1.0)):
+        requests = _growth_requests(model, spot)
+        fresh = [_slice_columns(LevySample(model, fft_bench), *r, spot) for r in requests]
+        orders = [list(range(len(requests)))]
+        orders += [orders[0][::-1], rng.permutation(len(requests)).tolist()]
+        for order in orders:
+            sample = LevySample(model, fft_bench)
+            grown = _spy(sample, "_exponent")
+            for i in order:
+                assert _slice_columns(sample, *requests[i], spot) == fresh[i]
+            if order == orders[0]:
+                assert len(grown) >= 3
+
+
+def test_held_sample_is_read_only_and_no_larger_than_asked(merton_bench, nikkei, fft_bench):
+    # after quotes, a sweep and a curve, each pair holds the union of what
+    # it was asked for and no more: psi, and the jump weight for Merton
+    # alone; neither they nor a view of psi can be written
+    for model, spot in ((merton_bench, 1.0), (nikkei, NIKKEI_SPOT)):
+        sample = LevySample(model, fft_bench)
+        asked = _spy(sample, "sample")
+        for taus, strikes in _growth_requests(model, spot)[:4]:
+            evaluate_slices(sample, taus, strikes, spot)
+        assert _held_union(sample) == _union(asked)
+        _, psi, weight = sample._held
+        assert (weight is None) == (model is nikkei)
+        assert weight is None or weight.shape == psi.shape
+        view_psi, _ = sample.sample(*asked[0])
+        for array in (psi, weight, view_psi):
+            if array is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
+
+
+def test_prefix_rows_clip_to_the_layout(merton_bench):
+    # on a 64-point grid at t = 0, T = 2 the Merton prefix bound asks for 9 rows
+    # of the 8-row layout; the plan clips them to the layout, so that no
+    # cell reads past the grid (every extent is at most n - 2^s, which the
+    # held sample relies on) and both paths answer
+    config = FftConfig(n=64, eta=0.2, alpha=1.25)
+    sample = LevySample(merton_bench, config)
+    strikes, tau = np.array([0.5, 0.8, 1.0, 1.25, 2.0]), 2.0
+    log_a, a2, tables = sample._prefix
+    tail = merton_prefix_tail(log_a[0], a2[0], np.array([tau]), tau * sample.psi0.real, tables)
+    row_moneyness = np.exp((tail[0] - math.log(ROUNDING)) / (config.alpha - 1.0))
+    assert (np.searchsorted(-row_moneyness, -strikes) + 1).tolist() == [9] * 5
+    assert sample.layout_rows == (8,)
+    plan = plan_slices(sample, [tau], strikes, 1.0)
+    assert plan.shifts.tolist() == [[0] * 5] and plan.rows.tolist() == [[8] * 5]
+    assert plan.extents.tolist() == [[config.n - 1] * 5]
+    for mode in (MODE_DIRECT_SUM, MODE_FFT_GRID):
+        assert np.isfinite(evaluate_slices(sample, [tau], strikes, 1.0, mode=mode).lrm).all()
+
+
+def test_direct_path_reads_no_unwritten_point(merton_bench, nikkei, fft_bench, monkeypatch):
+    # the direct path allocates its blocks uninitialized: filled with NaN,
+    # a quote, a 3-strike sweep and a 20-slice direct curve keep their bits
+    taus = [0.4 + 0.03 * i for i in range(20)]
+    cases = [([0.5], [1.13]), ([0.5], [0.8, 1.0, 1.25]), (taus, [0.85, 1.0, 1.15])]
+    want = {}
+    for model, spot in ((merton_bench, 1.0), (nikkei, NIKKEI_SPOT)):
+        sample = LevySample(model, fft_bench)
+        want[model] = [_slice_columns(sample, t, np.multiply(x, spot), spot) for t, x in cases]
+    empty, poisoned = np.empty, []
+
+    def nan_empty(shape, dtype=float, **kwargs):
+        out = empty(shape, dtype=dtype, **kwargs)
+        if np.dtype(dtype).kind == "c":
+            poisoned.append(out.shape)
+            out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", nan_empty)
+    for model, spot in ((merton_bench, 1.0), (nikkei, NIKKEI_SPOT)):
+        sample = LevySample(model, fft_bench)
+        got = [_slice_columns(sample, t, np.multiply(x, spot), spot) for t, x in cases]
+        assert got == want[model]
+    # every block of both models, the curve's in several
+    assert len(poisoned) > 2 * len(cases)
+
+
 def test_vg_quotes_take_coarse_strides(vg_bench, nikkei, fft_bench):
     # the gain: at the money variance gamma sums every fourth point
     for model, spot in ((vg_bench, 1.0), (nikkei, NIKKEI_SPOT)):
@@ -1210,10 +1344,17 @@ def _arrays(value) -> list:
 
 
 def test_model_tables_are_read_only(merton_bench, nikkei, fft_bench):
-    for model, count in ((merton_bench, 6 + 2 * (coarsest_shift(fft_bench) + 1)), (nikkei, 5)):
-        sample = levy_sample(model, fft_bench)
+    # on a new sample of each pair, so that the count does not depend on
+    # what earlier tests sampled: the tables, then the held Psi and, for
+    # Merton, the jump weight
+    for model, count, held in (
+        (merton_bench, 6 + 2 * (coarsest_shift(fft_bench) + 1), 2), (nikkei, 5, 1),
+    ):
+        sample = LevySample(model, fft_bench)
+        assert len(_arrays(list(vars(sample).values()))) == count
+        evaluate_slices(sample, [0.5], [1.0], 1.0)
         arrays = _arrays(list(vars(sample).values()))
-        assert len(arrays) == count
+        assert len(arrays) == count + held
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 0.0

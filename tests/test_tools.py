@@ -8,7 +8,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 AB_LABELS = [
-    "merton_quote", "nikkei_quote", "merton_sweep29", "nikkei_sweep11", "merton_sweep1000",
+    "merton_quote", "nikkei_quote", "merton_quote_cold", "nikkei_quote_cold", "merton_sweep29",
+    "nikkei_sweep11", "merton_sweep1000",
     "merton_curve580_plan", "merton_curve580_eval",
 ]
 

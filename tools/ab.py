@@ -1,10 +1,13 @@
 """Time this checkout's ``levyhedge`` against another tree's, in one
 process: both packages are imported, each under its own module set, and
 every round runs each labelled operation once per tree, all in random
-order, on warm shared samples:
+order, on warm shared samples unless the label says ``cold``:
 
 * ``merton_quote``, ``nikkei_quote``: one ``lrm`` quote (t = 0.5; K = 1 on
   ``merton_bench``, K = 15000 on the Nikkei triple at its spot);
+* ``merton_quote_cold``, ``nikkei_quote_cold``: the same quote through
+  ``evaluate_slices`` on a new ``LevySample`` of the pair, so that the
+  first call's tables and sample are timed too;
 * ``merton_sweep29``, ``nikkei_sweep11``, ``merton_sweep1000``: one
   ``lrm_strike_sweep`` at t = 0.5 over the benchmark's strikes;
 * ``merton_curve580_plan``, ``merton_curve580_eval``: ``plan_slices`` and
@@ -71,6 +74,11 @@ def operations(package, module) -> dict:
     nikkei = package.VgParams.from_cgm(*NIKKEI_CGM)
     merton_query = package.MarketQuery(t=0.5, T=1.0, spot=1.0, strike=1.0)
     nikkei_query = package.MarketQuery(t=0.5, T=1.0, spot=NIKKEI_SPOT, strike=15000.0)
+
+    def cold(model, query):
+        return lambda: module.evaluate_slices(module.LevySample(model, config), [query.tau],
+                                              [query.strike], query.spot)
+
     sample = module.levy_sample(merton, config)
     taus = [module.time_to_maturity(t, 1.0) for t in CURVE_T]
     strikes = module._strike_array(SWEEP29_K)
@@ -82,6 +90,8 @@ def operations(package, module) -> dict:
     return {
         "merton_quote": lambda: package.lrm(merton_query, merton, config),
         "nikkei_quote": lambda: package.lrm(nikkei_query, nikkei, config),
+        "merton_quote_cold": cold(merton, merton_query),
+        "nikkei_quote_cold": cold(nikkei, nikkei_query),
         "merton_sweep29": sweep(merton, 1.0, SWEEP29_K),
         "nikkei_sweep11": sweep(nikkei, NIKKEI_SPOT, NIKKEI_K),
         "merton_sweep1000": sweep(merton, 1.0, SWEEP1000_K),
